@@ -42,14 +42,13 @@ True
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.classify.snippet import SnippetTypeClassifier
 from repro.core.config import AnnotatorConfig
 from repro.observability.tracing import span
-from repro.persistence import CacheStore, load_cache_payload, save_cache_payload
+from repro.persistence import CacheFileSync, CacheStore
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.web.search import SearchEngine, SearchEngineUnavailable
 
@@ -107,6 +106,11 @@ class SnippetCache:
         return self.hits / total if total else 0.0
 
 
+def _memo_sizes(memo: dict) -> tuple:
+    """Entry count of a label memo (see :class:`CacheFileSync`)."""
+    return (len(memo),)
+
+
 class CellAnnotator:
     """Annotates individual cell values against a set of target types."""
 
@@ -144,6 +148,9 @@ class CellAnnotator:
         # probed when a snippet misses the in-memory memo; the memo stays
         # the hot first tier, the store the shared-on-disk second.
         self._label_store: CacheStore | None = None
+        # What the last load/save of the label memo file left in sync
+        # (repro.persistence.CacheFileSync); forgotten with the memo.
+        self._memo_file = CacheFileSync()
         # -- label-memo IO accounting (observability only) ----------------
         self._memo_hits = 0
         self._memo_misses = 0
@@ -457,6 +464,7 @@ class CellAnnotator:
         if self._label_memo_owner is not self.classifier:
             self._label_memo = {}
             self._label_memo_owner = self.classifier
+            self._memo_file.forget()
             # The attached store answers for the old classifier now.
             if self._label_store is not None:
                 self.detach_label_store()
@@ -569,42 +577,50 @@ class CellAnnotator:
         (backend, labels, weights): a process holding a differently trained
         classifier will refuse to load it rather than serve wrong labels.
         The write is merge-on-save under an advisory lock, so another
-        worker's entries (same fingerprint) are never discarded; returns
-        ``False`` when the lock timed out and the save was skipped.
+        worker's entries (same fingerprint) are never discarded, and it
+        is skipped when the file is unchanged since this annotator last
+        loaded or saved it and already holds every label (see
+        :class:`~repro.persistence.CacheFileSync`); returns ``False``
+        when the lock timed out and the save was skipped.
         """
-        saved = save_cache_payload(
+        written = self._memo_file.save(
             path,
-            kind="label-memo",
-            fingerprint=self.classifier.fingerprint(),
-            payload=dict(self._active_label_memo()),
+            "label-memo",
+            self.classifier.fingerprint(),
+            _memo_sizes,
+            dict(self._active_label_memo()),
             merge=self.merge_label_memos,
         )
-        if saved:
+        if written is None:
+            return False
+        if written:
             self._cache_saves += 1
-            try:
-                self._cache_save_bytes += os.stat(path).st_size
-            except OSError:  # pragma: no cover - racing unlink
-                pass
-        return saved
+            self._cache_save_bytes += written
+        return True
 
     def load_label_memo(self, path) -> bool:
         """Warm the snippet -> label memo from *path*.
 
         Returns ``True`` when the file existed, carried the current format
-        version and matched this classifier's fingerprint; stale or foreign
-        files are ignored and ``False`` is returned.
+        version and matched this classifier's fingerprint (nothing is
+        read when the file is unchanged since this annotator last read or
+        wrote it and the memo already holds it); stale or foreign files
+        are ignored and ``False`` is returned.
         """
-        payload = load_cache_payload(
-            path, kind="label-memo", fingerprint=self.classifier.fingerprint()
+        memo = self._active_label_memo()  # a classifier swap forgets first
+        read = self._memo_file.load(
+            path,
+            "label-memo",
+            self.classifier.fingerprint(),
+            _memo_sizes,
+            lambda: memo,
+            memo.update,
         )
-        if payload is None:
+        if read is None:
             return False
-        self._active_label_memo().update(payload)
-        self._cache_loads += 1
-        try:
-            self._legacy_load_bytes += os.stat(path).st_size
-        except OSError:  # pragma: no cover - racing unlink
-            pass
+        if read:
+            self._cache_loads += 1
+            self._legacy_load_bytes += read
         return True
 
     # -- Equation 1 --------------------------------------------------------------------

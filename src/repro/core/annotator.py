@@ -326,10 +326,12 @@ class EntityAnnotator:
         finish -- skew-tolerant, a giant table no longer serialises the
         run on one unlucky worker -- while ``"static"`` keeps contiguous
         near-equal shards, one per worker.  Each worker warm-starts from
-        *cache_dir* (when given), runs this very corpus-at-a-time path
-        over the tasks it pulls, and merge-saves its caches back once at
-        the end of the run, so concurrent workers share one cache
-        directory without losing entries.  The run's
+        *cache_dir* (when given; forked workers inherit the caches the
+        parent loaded once before the fork), runs this very
+        corpus-at-a-time path over the tasks it pulls, and merge-saves
+        its caches back once at the end of the run -- unless the files
+        already hold everything it has -- so concurrent workers share one
+        cache directory without losing entries.  The run's
         ``diagnostics.worker_loads`` record what every worker really did
         (tasks, cells, busy seconds; see
         ``RunDiagnostics.imbalance_ratio``).  Annotations are
@@ -572,7 +574,10 @@ class EntityAnnotator:
         cache directory shared by concurrent workers unions everybody's
         entries instead of keeping only the last writer's.  Returns which
         file was actually written (``False`` means the lock timed out and
-        that save was skipped).
+        that save was skipped).  A write that would change nothing -- the
+        file is unchanged since this annotator last loaded or saved it
+        and already holds every entry -- is skipped and reported ``True``
+        (see :class:`repro.persistence.CacheFileSync`).
 
         With ``config.cache_backend="disk"`` the same contract is served
         by the sharded stores instead (``search_results.cachestore/`` and
@@ -606,7 +611,9 @@ class EntityAnnotator:
         Returns which cache loaded, e.g. ``{"search_results": True,
         "label_memo": False}``; a ``False`` means the file was missing or
         stale (corpus grown, classifier retrained, format changed) and
-        that cache simply starts cold.
+        that cache simply starts cold.  A file unchanged since this
+        annotator last loaded or saved it, and already held in memory, is
+        not read again.
 
         With ``config.cache_backend="disk"`` nothing is copied into the
         process at all: the sharded stores are (re)opened -- reading only

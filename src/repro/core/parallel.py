@@ -3,9 +3,11 @@
 ``EntityAnnotator.annotate_tables(..., workers=N)`` distributes a corpus
 across ``N`` worker processes.  Each worker holds a full copy of the
 annotator (classifier, engine, config), optionally warm-starts from a
-shared cache directory, annotates the tasks it pulls corpus-at-a-time,
-merge-saves its caches back once at the end of the run (so no worker's
-save discards another's entries -- see :mod:`repro.persistence`), and
+shared cache directory (under ``fork``, by inheriting the caches the
+parent loaded before starting the pool), annotates the tasks it pulls
+corpus-at-a-time, merge-saves its caches back once at the end of the run
+(so no worker's save discards another's entries -- see
+:mod:`repro.persistence`), and
 ships each task's :class:`~repro.core.results.AnnotationRun` home.  The
 parent reassembles the per-table annotations deterministically in
 original corpus order -- **merging** same-named tables' cells, never
@@ -219,8 +221,9 @@ def _worker_main(
     busy_seconds, (peak_rss_kb, attach_seconds, attach_rss_kb,
     cache_load_bytes, spans, metrics))`` or ``("error", index, pid,
     error)``; ``("flush",)`` merge-saves the caches and answers
-    ``("flushed", pid)`` (or ``("flush-error", pid, error)``);
-    ``("stop",)`` exits the loop.
+    ``("flushed", pid, diagnostics)``, *diagnostics* the save's cache IO
+    as a :class:`RunDiagnostics` delta (or ``("flush-error", pid,
+    error)``); ``("stop",)`` exits the loop.
 
     The trailing stats tuple makes the memory economics of the index and
     cache backends auditable: *attach_rss_kb* is how much resident
@@ -230,8 +233,9 @@ def _worker_main(
     *attach_seconds* is how long that took; *peak_rss_kb* is the highest
     resident size sampled (at entry, after attach, after each task);
     *cache_load_bytes* is what the warm start actually read -- whole
-    pickled payloads under the legacy cache files, just the store
-    manifests plus delta logs under shared disk stores.
+    pickled payloads under the legacy cache files (nothing under
+    ``fork``, whose parent loaded them before starting the pool), just
+    the store manifests plus delta logs under shared disk stores.
 
     *obs* is the parent's observability context, ``(tracing_enabled,
     trace_id)``: under ``spawn`` the module globals do not carry over, so
@@ -325,12 +329,18 @@ def _worker_main(
                     )
                 )
         elif kind == "flush":
+            # The flush runs outside every task window, so its cache IO
+            # ships home in the ack for the parent to fold in.
+            before = annotator._counters()
             try:
                 annotator.save_caches(cache_dir)
             except Exception as error:
                 conn.send(("flush-error", os.getpid(), _portable_error(error)))
             else:
-                conn.send(("flushed", os.getpid()))
+                saved = annotator._diagnostics_since(
+                    before, n_tables=0, n_cells=0
+                )
+                conn.send(("flushed", os.getpid(), saved))
         elif kind == "stop":
             break
     conn.close()
@@ -632,13 +642,13 @@ class _WorkerPool:
 
     # -- flush & shutdown ----------------------------------------------------------------
 
-    def flush(self) -> list[BaseException]:
+    def flush(self) -> tuple[list[BaseException], list[RunDiagnostics]]:
         """Ask every live worker to merge-save its caches, best-effort.
 
         One flush per worker process, no barrier needed: each worker has
         its own command pipe, so a flush cannot be drained twice by one
         worker while another saves nothing.  Returns any errors the
-        saves reported.
+        saves reported, and the cache IO of every save that acked.
         """
         waiting: list[_Worker] = []
         for worker in self.workers:
@@ -650,6 +660,7 @@ class _WorkerPool:
                 continue
             waiting.append(worker)
         errors: list[BaseException] = []
+        saves: list[RunDiagnostics] = []
         deadline = time.monotonic() + _FLUSH_TIMEOUT
         while waiting:
             remaining = deadline - time.monotonic()
@@ -667,6 +678,8 @@ class _WorkerPool:
                         message = worker.conn.recv()
                         if message[0] == "flush-error":
                             errors.append(message[2])
+                        else:
+                            saves.append(message[2])
                         acked = True
                     except (EOFError, OSError):
                         acked = True  # died mid-flush; abandon it
@@ -675,7 +688,7 @@ class _WorkerPool:
                 if not acked:
                     still_waiting.append(worker)
             waiting = still_waiting
-        return errors
+        return errors, saves
 
     def shutdown(self) -> None:
         """Stop every worker: polite command, then escalate."""
@@ -1079,11 +1092,20 @@ def annotate_tables_parallel(
     The *parent* annotator does none of the annotation work, so its
     lifetime counters (engine clock, ``failure_count``) do not advance --
     the run's diagnostics carry the workers' accounting.  When
-    *cache_dir* is set every worker merge-saves its caches once at the
-    end of the run (each worker has its own command pipe, so exactly one
-    flush lands on each), and the parent warm-starts itself from the
-    merged caches afterwards, so follow-up in-process work benefits from
-    the workers' effort.
+    *cache_dir* is set, the cache files are read once: under ``fork``
+    the parent loads them before starting the pool, so every worker --
+    crash replacements included -- inherits the warm caches
+    copy-on-write and its own ``load_caches`` reads nothing (see
+    :class:`repro.persistence.CacheFileSync`); under ``spawn`` each
+    worker loads its own copy.  Every worker merge-saves its caches once
+    at the end of the run (each worker has its own command pipe, so
+    exactly one flush lands on each), and a save is skipped when the
+    file is unchanged and already holds everything the worker has.  The
+    parent's warm start and the workers' saves happen outside every task
+    window, so their cache IO is folded into the run's diagnostics
+    separately.  Afterwards the parent reloads the caches -- reading
+    only files a worker changed -- so follow-up in-process work benefits
+    from the workers' effort.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -1125,9 +1147,21 @@ def annotate_tables_parallel(
             f"{multiprocessing.get_all_start_methods()}, got {method!r}"
         )
     context = multiprocessing.get_context(method)
+    # Cache IO outside every task window -- the parent's warm start and
+    # the workers' end-of-run saves -- folded into the run's diagnostics.
+    cache_io: list[RunDiagnostics] = []
     global _FORK_PAYLOAD
     if method == "fork":
         payload = None
+        if cache_dir is not None:
+            # Load once, here: the workers inherit the warm caches
+            # copy-on-write, and their own load_caches finds the files
+            # unchanged and reads nothing.
+            before = annotator._counters()
+            annotator.load_caches(cache_dir)
+            cache_io.append(
+                annotator._diagnostics_since(before, n_tables=0, n_cells=0)
+            )
         _FORK_PAYLOAD = annotator
     else:
         payload = pickle.dumps(annotator, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1155,7 +1189,8 @@ def annotate_tables_parallel(
                 # interrupted, so the warmth the surviving tasks already
                 # paid for is kept; a flush error only propagates when
                 # nothing more important already wants to.
-                flush_errors = pool.flush()
+                flush_errors, flush_io = pool.flush()
+                cache_io.extend(flush_io)
                 if flush_errors and not errors:
                     errors = flush_errors
             pool.shutdown()
@@ -1225,7 +1260,9 @@ def annotate_tables_parallel(
         else:
             for annotation in task_run.tables.values():
                 run.merge_table(annotation)
-    combined = RunDiagnostics.combined([part.diagnostics for part in parts])
+    combined = RunDiagnostics.combined(
+        [part.diagnostics for part in parts] + cache_io
+    )
     worker_loads = _worker_loads(results, n_workers)
     run.diagnostics = replace(
         combined,

@@ -58,9 +58,10 @@ class WorkerLoad:
     attach_rss_kb: int = 0
     cache_load_bytes: int = field(default=0, compare=False)
     """Bytes the worker read warm-starting its caches during attach --
-    the whole pickled payload under the legacy files, manifest plus delta
-    log under a shared disk store.  Excluded from equality (an IO fact,
-    not an annotation fact)."""
+    the whole pickled payload under the legacy files (nothing under
+    ``fork``: the worker inherits the parent's one load), manifest plus
+    delta log under a shared disk store.  Excluded from equality (an IO
+    fact, not an annotation fact)."""
 
 
 @dataclass(frozen=True)

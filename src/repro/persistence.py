@@ -43,6 +43,10 @@ safe:
   replace, so a worker's save never discards entries another worker
   persisted in the meantime.  Without a hook the historical
   last-writer-wins replace is kept.
+* **skipping IO that changes nothing** -- :class:`CacheFileSync`
+  remembers each file's stat stamp from the last load or save, so a
+  warm process does not re-read a file it already holds, nor rewrite
+  one that already holds everything it has.
 
 Writes go through a temporary file and ``os.replace`` so a crashed writer
 never leaves a truncated cache behind; the temporary file is unlinked even
@@ -253,6 +257,16 @@ def save_cache_payload(
     errors (unpicklable payload, disk full) still propagate, but never
     leave a ``*.tmp.<pid>`` file behind.
     """
+    return (
+        _save_payload(path, kind, fingerprint, payload, merge, lock_timeout)
+        is not None
+    )
+
+
+def _save_payload(path, kind, fingerprint, payload, merge, lock_timeout):
+    """:func:`save_cache_payload`, returning ``(payload written, stamp of
+    the written file)``, or ``None`` on a lock timeout.  The stamp is
+    taken before the lock is released, so it names exactly this write."""
     if lock_timeout is None:
         lock_timeout = DEFAULT_LOCK_TIMEOUT
     path = Path(path)
@@ -282,9 +296,10 @@ def save_cache_payload(
                         tmp_path.unlink()
                     except OSError:  # pragma: no cover - racing unlink
                         pass
+            stamp = _file_stamp(path)
     except CacheLockTimeout:
-        return False
-    return True
+        return None
+    return payload, stamp
 
 
 def load_cache_payload(
@@ -302,14 +317,158 @@ def load_cache_payload(
     acquired within *lock_timeout* (another process is mid-merge and
     stuck; cold-starting beats crashing or hanging).
     """
+    loaded = _load_payload(path, kind, fingerprint, lock_timeout)
+    return None if loaded is None else loaded[0]
+
+
+def _load_payload(path, kind, fingerprint, lock_timeout):
+    """:func:`load_cache_payload`, returning ``(payload, stamp of the file
+    read)``, or ``None`` for a cold start.  Writers need the exclusive
+    lock, so the stamp taken under the shared one names the bytes read."""
     if lock_timeout is None:
         lock_timeout = DEFAULT_LOCK_TIMEOUT
     try:
         with _locked(Path(path), exclusive=False, timeout=lock_timeout):
-            blob = _read_blob(path)
+            payload = _payload_of(_read_blob(path), kind, fingerprint)
+            stamp = _file_stamp(path)
     except CacheLockTimeout:
         return None
-    return _payload_of(blob, kind, fingerprint)
+    if payload is None:
+        return None
+    return payload, stamp
+
+
+def _file_stamp(path) -> tuple | None:
+    """``(device, inode, size, mtime_ns, ctime_ns)`` of *path*, or ``None``
+    when it is missing.  Every write replaces the file (a new inode, new
+    times), so an equal stamp means the file was not rewritten."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (
+        stat.st_dev,
+        stat.st_ino,
+        stat.st_size,
+        stat.st_mtime_ns,
+        stat.st_ctime_ns,
+    )
+
+
+class CacheFileSync:
+    """Skips the loads and saves of one cache file that would change nothing.
+
+    Each in-memory cache persisted as a pickled file (the engine's
+    results cache, the annotator's label memo) owns one.  From its last
+    load or save of the file it remembers the file's stamp
+    (:func:`_file_stamp`), whether memory then held everything in the
+    file, whether the file held everything in memory, and memory's
+    entry counts.  A load is skipped while the file is unchanged and
+    memory holds all of it; a save is skipped while the file is
+    unchanged, holds all of memory, and nothing was inserted since.
+    Entries are append-only between clears, so equal counts mean no
+    inserts; the owner calls :meth:`forget` on every clear, fingerprint
+    change and classifier swap, and any change to the file changes its
+    stamp.
+
+    *sizes* maps a payload -- a loaded one, or the view of memory the
+    owner passes in -- to its entry counts.  A load folds the file into
+    memory and a save merges memory into the file, so one side always
+    holds the other, and equal counts then mean equal key sets.
+    """
+
+    def __init__(self) -> None:
+        self.forget()
+
+    def __reduce__(self):
+        # The stamps describe what this process read or wrote; a pickled
+        # copy (a spawned worker) re-reads for itself.
+        return (CacheFileSync, ())
+
+    def forget(self) -> None:
+        """Drop everything remembered: the next load and save do IO."""
+        self._key: tuple | None = None
+        self._stamp: tuple | None = None
+        self._counts: tuple | None = None
+        self._memory_has_file = False
+        self._file_has_memory = False
+
+    def _unchanged(self, path, fingerprint) -> bool:
+        return (
+            self._stamp is not None
+            and self._key == self._key_of(path, fingerprint)
+            and _file_stamp(path) == self._stamp
+        )
+
+    @staticmethod
+    def _key_of(path, fingerprint) -> tuple:
+        # Every guard a load checks: a file of another format version or
+        # fingerprint is never the one remembered.
+        return (os.fspath(path), fingerprint, CACHE_FORMAT_VERSION)
+
+    def _remember(self, path, fingerprint, stamp, counts, file_counts, loaded):
+        self._key = self._key_of(path, fingerprint)
+        self._stamp = stamp
+        self._counts = counts
+        self._memory_has_file = loaded or counts == file_counts
+        self._file_has_memory = not loaded or counts == file_counts
+
+    def load(
+        self,
+        path,
+        kind: str,
+        fingerprint: Any,
+        sizes: Callable[[Any], tuple],
+        memory: Callable[[], Any],
+        absorb: Callable[[Any], None],
+    ) -> int | None:
+        """Fold the file into memory unless memory already holds it.
+
+        *absorb* merges a loaded payload into memory; *memory* returns
+        memory's payload-shaped view.  Returns the bytes read (0 when the
+        read was skipped), or ``None`` for a cold start (see
+        :func:`load_cache_payload`).
+        """
+        if self._memory_has_file and self._unchanged(path, fingerprint):
+            return 0
+        loaded = _load_payload(path, kind, fingerprint, None)
+        if loaded is None:
+            self.forget()
+            return None
+        payload, stamp = loaded
+        absorb(payload)
+        self._remember(
+            path, fingerprint, stamp, sizes(memory()), sizes(payload), True
+        )
+        return stamp[2] if stamp is not None else 0  # the file's size
+
+    def save(
+        self,
+        path,
+        kind: str,
+        fingerprint: Any,
+        sizes: Callable[[Any], tuple],
+        payload: Any,
+        merge: Callable[[Any, Any], Any],
+    ) -> int | None:
+        """Merge-save *payload*, a snapshot of memory, unless the file
+        already holds it.  Returns the bytes written (0 when the write
+        was skipped), or ``None`` when a lock timeout skipped it (see
+        :func:`save_cache_payload`)."""
+        counts = sizes(payload)
+        if (
+            self._file_has_memory
+            and counts == self._counts
+            and self._unchanged(path, fingerprint)
+        ):
+            return 0
+        saved = _save_payload(path, kind, fingerprint, payload, merge, None)
+        if saved is None:
+            self.forget()
+            return None
+        written, stamp = saved
+        self._remember(path, fingerprint, stamp, counts, sizes(written), False)
+        return stamp[2] if stamp is not None else 0  # the file's size
 
 
 # -- flat array artifacts --------------------------------------------------------------

@@ -73,7 +73,6 @@ True
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,7 +80,7 @@ import numpy as np
 
 from repro.clock import VirtualClock
 from repro.observability.tracing import span
-from repro.persistence import CacheStore, load_cache_payload, save_cache_payload
+from repro.persistence import CacheFileSync, CacheStore
 from repro.resilience import FaultPlan, deterministic_unit
 from repro.text.stopwords import ENGLISH_STOPWORDS
 from repro.text.tokenization import tokenize
@@ -184,6 +183,9 @@ class SearchEngine:
         # probed at compute-cache misses; the dicts above stay the hot
         # first tier, the store is the second, shared-on-disk tier.
         self._results_store: CacheStore | None = None
+        # What the last load/save of the results cache file left in sync
+        # (repro.persistence.CacheFileSync); forgotten on every clear.
+        self._results_file = CacheFileSync()
         # -- cache IO accounting (observability only; never semantics) ---
         self._cache_hits = 0
         self._cache_misses = 0
@@ -365,6 +367,7 @@ class SearchEngine:
         if n_docs != self._cache_n_docs or self.parameters != self._cache_parameters:
             self._results_cache.clear()
             self._norms = None
+            self._results_file.forget()
             self._cache_n_docs = n_docs
             self._cache_parameters = self.parameters
             # The attached store answers for the old fingerprint now.
@@ -382,6 +385,7 @@ class SearchEngine:
         self._page_windows.clear()
         self._word_tokens.clear()
         self._norms = None
+        self._results_file.forget()
 
     # -- cache persistence ----------------------------------------------------------------
 
@@ -436,6 +440,25 @@ class SearchEngine:
             ),
         }
 
+    @staticmethod
+    def _payload_sizes(payload: dict) -> tuple:
+        """Entry counts of a results payload (see :class:`CacheFileSync`)."""
+        return (
+            len(payload["results"]),
+            len(payload["page_windows"]),
+            len(payload["word_tokens"]),
+            payload["norms"] is not None,
+        )
+
+    def _results_payload(self) -> dict:
+        """The persisted view of the compute caches (shallow references)."""
+        return {
+            "results": self._results_cache,
+            "page_windows": self._page_windows,
+            "word_tokens": self._word_tokens,
+            "norms": self._norms,
+        }
+
     def save_results_cache(self, path) -> bool:
         """Persist the signature -> results cache (and window maps) to *path*.
 
@@ -444,46 +467,61 @@ class SearchEngine:
         growth is never written out.  The write is merge-on-save under an
         advisory lock (see :func:`repro.persistence.save_cache_payload`):
         entries already persisted by another process against the same
-        fingerprint survive.  Returns ``False`` when the lock could not
-        be acquired and the save was skipped.
+        fingerprint survive.  A save that would change nothing -- the
+        file is unchanged since this engine last loaded or saved it and
+        already holds every entry -- is skipped (see
+        :class:`~repro.persistence.CacheFileSync`).  Returns ``False``
+        when the lock could not be acquired and the save was skipped.
         """
         self._validate_caches()
-        saved = save_cache_payload(
+        snapshot = {
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in self._results_payload().items()
+        }
+        written = self._results_file.save(
             path,
-            kind="search-results",
-            fingerprint=self.cache_fingerprint(),
-            payload={
-                "results": dict(self._results_cache),
-                "page_windows": dict(self._page_windows),
-                "word_tokens": dict(self._word_tokens),
-                "norms": self._norms,
-            },
+            "search-results",
+            self.cache_fingerprint(),
+            self._payload_sizes,
+            snapshot,
             merge=self.merge_results_payloads,
         )
-        if saved:
+        if written is None:
+            return False
+        if written:
             self._cache_saves += 1
-            try:
-                self._cache_save_bytes += os.stat(path).st_size
-            except OSError:  # pragma: no cover - racing unlink
-                pass
-        return saved
+            self._cache_save_bytes += written
+        return True
 
     def load_results_cache(self, path) -> bool:
         """Warm the compute caches from a file written by :meth:`save_results_cache`.
 
         Returns ``True`` when the file matched this engine's current
         fingerprint (same corpus size and BM25 parameters) and was merged
-        in; anything else -- missing file, other format version, corpus
-        grown since the save -- leaves the engine cold and returns
-        ``False``.  Accounting state (clock, query counts, rng) is never
-        restored: a warm start changes compute, not protocol semantics.
+        in -- or is unchanged since this engine last read or wrote it and
+        already merged in, when nothing is read at all; anything else --
+        missing file, other format version, corpus grown since the save
+        -- leaves the engine cold and returns ``False``.  Accounting
+        state (clock, query counts, rng) is never restored: a warm start
+        changes compute, not protocol semantics.
         """
         self._validate_caches()
-        payload = load_cache_payload(
-            path, kind="search-results", fingerprint=self.cache_fingerprint()
+        read = self._results_file.load(
+            path,
+            "search-results",
+            self.cache_fingerprint(),
+            self._payload_sizes,
+            self._results_payload,
+            self._absorb_results,
         )
-        if payload is None:
+        if read is None:
             return False
+        if read:
+            self._cache_loads += 1
+            self._legacy_load_bytes += read
+        return True
+
+    def _absorb_results(self, payload: dict) -> None:
         self._results_cache.update(payload["results"])
         self._page_windows.update(payload["page_windows"])
         self._word_tokens.update(payload["word_tokens"])
@@ -491,12 +529,6 @@ class SearchEngine:
             self._norms = payload["norms"]
         self._cache_n_docs = self._index.n_documents
         self._cache_parameters = self.parameters
-        self._cache_loads += 1
-        try:
-            self._legacy_load_bytes += os.stat(path).st_size
-        except OSError:  # pragma: no cover - racing unlink
-            pass
-        return True
 
     # -- shared cache store ----------------------------------------------------------------
 

@@ -533,3 +533,25 @@ class TestCacheDiagnostics:
         assert warm.diagnostics.results_cache_hits > 0
         assert warm.diagnostics.cache_loads >= 2
         assert warm.diagnostics.cache_load_bytes > 0
+
+    def test_disk_backend_reopens_its_stores_on_every_load(
+        self, classifier, tmp_path
+    ):
+        # The skip rule belongs to the pickled-dict files only: a disk
+        # load re-opens both stores, so a parent sees deltas its workers
+        # flushed since.
+        disk_config = AnnotatorConfig(cache_backend="disk", cache_buckets=8)
+        EntityAnnotator(classifier, _make_engine(), disk_config).annotate_tables(
+            _corpus(), _TYPE_KEYS, cache_dir=tmp_path
+        )
+        annotator = EntityAnnotator(classifier, _make_engine(), disk_config)
+        annotator.load_caches(tmp_path)
+        stores = (annotator.engine.results_store, annotator.cell_annotator.label_store)
+        loads = annotator.engine.cache_loads + annotator.cell_annotator.cache_loads
+        annotator.load_caches(tmp_path)
+        assert annotator.engine.results_store is not stores[0]
+        assert annotator.cell_annotator.label_store is not stores[1]
+        assert (
+            annotator.engine.cache_loads + annotator.cell_annotator.cache_loads
+            == loads + 2
+        )

@@ -10,9 +10,13 @@ and the lifetime snippet -> label memo -- must round-trip through disk
   classifier retraining and format-version bumps all invalidate the file,
   mirroring the in-memory cache-drop hooks;
 * loading is never a correctness dependency -- missing or corrupt files
-  just mean a cold start.
+  just mean a cold start;
+* a load or save that would change nothing is skipped, and one that
+  might -- new entries, a replaced, deleted or re-fingerprinted file, a
+  cleared cache -- never is.
 """
 
+import pickle
 import random
 
 import pytest
@@ -96,6 +100,7 @@ class TestEngineCacheRoundTrip:
         engine.search_many(_NAMES, k=5)
         engine.save_results_cache(tmp_path / "cache.bin")
         assert engine.load_results_cache(tmp_path / "cache.bin") is True
+        assert engine.cache_loads == 0  # the file holds nothing new
 
     def test_missing_file_is_cold_start(self, tmp_path):
         engine = _make_engine()
@@ -259,3 +264,157 @@ class TestPayloadHelpers:
             persistence.save_cache_payload(path, "k", "f", lambda: None)
         assert list(tmp_path.iterdir()) in ([], [persistence.lock_path_for(path)])
         assert not path.exists()
+
+
+def _file_state(path) -> tuple:
+    """What a skipped write must leave alone: inode, mtime and bytes."""
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns, path.read_bytes()
+
+
+class TestSkipUnchangedIO:
+    """``CacheFileSync``: loads and saves that would change nothing are
+    skipped; anything that might have changed either side is not."""
+
+    def _saved(self, tmp_path, queries=_NAMES):
+        path = tmp_path / "cache.bin"
+        engine = _make_engine()
+        engine.search_many(queries, k=5)
+        assert engine.save_results_cache(path) is True
+        return path
+
+    def test_reload_of_an_unchanged_file_reads_nothing(self, tmp_path):
+        path = self._saved(tmp_path)
+        engine = _make_engine()
+        assert engine.load_results_cache(path) is True
+        read = engine.cache_load_bytes
+        assert read == path.stat().st_size and engine.cache_loads == 1
+        assert engine.load_results_cache(path) is True
+        assert engine.cache_load_bytes == read and engine.cache_loads == 1
+
+    def test_save_after_load_leaves_the_file_untouched(self, tmp_path):
+        path = self._saved(tmp_path)
+        before = _file_state(path)
+        engine = _make_engine()
+        engine.load_results_cache(path)
+        engine.search_many(_NAMES, k=5)  # every answer already cached
+        assert engine.save_results_cache(path) is True
+        assert _file_state(path) == before
+        assert engine.cache_saves == 0 and engine.cache_save_bytes == 0
+
+    def test_save_after_an_insert_writes(self, tmp_path):
+        path = self._saved(tmp_path, queries=_NAMES[:1])
+        engine = _make_engine()
+        engine.load_results_cache(path)
+        engine.search_many(_NAMES, k=5)  # two new signatures
+        engine.save_results_cache(path)
+        assert engine.cache_saves == 1
+        fresh = _make_engine()
+        fresh.load_results_cache(path)
+        assert len(fresh._results_cache) == len(engine._results_cache)
+
+    def test_a_save_that_merged_in_other_entries_does_not_skip_a_load(
+        self, tmp_path
+    ):
+        path = self._saved(tmp_path, queries=_NAMES[:1])
+        engine = _make_engine()
+        engine.search_many(["gallery paintings"], k=5)
+        engine.save_results_cache(path)  # the file gains this entry
+        assert len(engine._results_cache) == 1
+        assert engine.load_results_cache(path) is True
+        assert engine.cache_loads == 1 and len(engine._results_cache) == 2
+
+    def test_replaced_file_is_never_skipped(self, tmp_path):
+        path = self._saved(tmp_path)
+        engine = _make_engine()
+        engine.load_results_cache(path)
+        copy = tmp_path / "copy.bin"
+        copy.write_bytes(path.read_bytes())
+        copy.replace(path)  # same bytes, new inode
+        assert engine.load_results_cache(path) is True
+        assert engine.cache_loads == 2
+        copy.write_bytes(path.read_bytes())
+        copy.replace(path)
+        engine.save_results_cache(path)
+        assert engine.cache_saves == 1
+
+    def test_deleted_file_is_never_skipped(self, tmp_path):
+        path = self._saved(tmp_path)
+        engine = _make_engine()
+        engine.load_results_cache(path)
+        path.unlink()
+        engine.save_results_cache(path)
+        assert engine.cache_saves == 1 and path.exists()
+        path.unlink()
+        assert engine.load_results_cache(path) is False
+
+    def test_re_fingerprinted_file_is_never_skipped(self, tmp_path):
+        path = self._saved(tmp_path)
+        engine = _make_engine()
+        engine.load_results_cache(path)
+        other = _make_engine(parameters=BM25Parameters(k1=1.2, b=0.5))
+        other.search_many(_NAMES, k=5)
+        other.save_results_cache(path)  # same path, other fingerprint
+        assert engine.load_results_cache(path) is False
+        engine.save_results_cache(path)
+        assert engine.cache_saves == 1
+        assert _make_engine().load_results_cache(path) is True
+
+    def test_load_into_a_non_empty_engine_still_saves(self, tmp_path):
+        path = self._saved(tmp_path, queries=_NAMES[:1])
+        engine = _make_engine()
+        engine.search_many(["gallery paintings"], k=5)  # not in the file
+        engine.load_results_cache(path)
+        engine.save_results_cache(path)
+        assert engine.cache_saves == 1
+        fresh = _make_engine()
+        fresh.load_results_cache(path)
+        assert len(fresh._results_cache) == 2
+
+    def test_reset_compute_caches_forgets(self, tmp_path):
+        path = self._saved(tmp_path)
+        engine = _make_engine()
+        engine.load_results_cache(path)
+        engine.reset_compute_caches()
+        assert engine.load_results_cache(path) is True
+        assert engine.cache_loads == 2 and engine._results_cache
+        engine.reset_compute_caches()
+        engine.save_results_cache(path)
+        assert engine.cache_saves == 1
+
+    def test_corpus_growth_forgets(self, tmp_path):
+        path = self._saved(tmp_path)
+        engine = _make_engine()
+        engine.load_results_cache(path)
+        engine.add_page(WebPage(url="https://x/new", title="New", body="new page"))
+        assert engine.load_results_cache(path) is False
+        engine.save_results_cache(path)
+        assert engine.cache_saves == 1
+        assert _make_engine().load_results_cache(path) is False
+
+    def test_classifier_swap_forgets(self, classifier, tmp_path):
+        annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
+        annotator.annotate_tables([_table(_NAMES)], ["museum", "restaurant"])
+        annotator.save_caches(tmp_path)
+        cells = EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig()
+        ).cell_annotator
+        assert cells.load_label_memo(tmp_path / LABEL_MEMO_FILE) is True
+        read = cells.cache_load_bytes
+        # A retrained twin has the same fingerprint, but the swap resets
+        # the memo, so the file must be read again.
+        cells.classifier = _train()
+        assert cells.load_label_memo(tmp_path / LABEL_MEMO_FILE) is True
+        assert cells.cache_load_bytes == 2 * read
+        assert cells._label_memo
+        before = _file_state(tmp_path / LABEL_MEMO_FILE)
+        assert cells.save_label_memo(tmp_path / LABEL_MEMO_FILE) is True
+        assert _file_state(tmp_path / LABEL_MEMO_FILE) == before
+
+    def test_a_pickled_copy_reads_for_itself(self, tmp_path):
+        path = self._saved(tmp_path)
+        engine = _make_engine()
+        engine.load_results_cache(path)
+        copy = pickle.loads(pickle.dumps(engine))
+        assert copy.load_results_cache(path) is True
+        assert copy.cache_load_bytes == 2 * engine.cache_load_bytes

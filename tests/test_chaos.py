@@ -15,6 +15,7 @@ complete, sequential-identical run with the crashed task requeued.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import random
 import socket
 
@@ -30,6 +31,7 @@ from repro.core.annotator import (
     EntityAnnotator,
 )
 from repro.core.config import AnnotatorConfig
+from repro.core.parallel import annotate_tables_parallel
 from repro.resilience import FaultPlan
 from repro.service import protocol
 from repro.service.client import ServiceClient
@@ -118,6 +120,49 @@ class TestWorkerCrashRecovery:
         assert dict(run.tables) == dict(reference.tables)
         assert repr(sorted(run.tables.items())) == repr(
             sorted(reference.tables.items())
+        )
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="requires the fork start method",
+    )
+    def test_fork_replacement_inherits_the_warm_parent(
+        self, classifier, tmp_path
+    ):
+        """A warm pool's parent loads the cache dir before forking, so a
+        replacement forked after a SIGKILL is as warm as the first
+        workers: nobody re-reads the files, nobody recomputes, and the
+        run stays byte-identical."""
+        tables = _corpus()
+        cache_dir = tmp_path / "cache"
+        reference = EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig()
+        ).annotate_tables(tables, _TYPE_KEYS, cache_dir=cache_dir)
+        engine = _make_engine()
+        engine.fault_plan = FaultPlan(
+            kill_on_query="Venue 5",
+            kill_once_token=str(tmp_path / "kill.token"),
+        )
+        spawned: list[int] = []
+        run = annotate_tables_parallel(
+            EntityAnnotator(classifier, engine, AnnotatorConfig()),
+            tables,
+            _TYPE_KEYS,
+            workers=2,
+            cache_dir=cache_dir,
+            on_worker_spawn=spawned.append,
+            start_method="fork",
+        )
+        assert (tmp_path / "kill.token").exists()
+        assert run.diagnostics.tasks_requeued >= 1
+        assert len(spawned) == 3  # two workers and one replacement
+        assert repr(sorted(run.tables.items())) == repr(
+            sorted(reference.tables.items())
+        )
+        assert run.diagnostics.results_cache_misses == 0
+        assert run.diagnostics.label_memo_misses == 0
+        assert all(
+            load.cache_load_bytes == 0 for load in run.diagnostics.worker_loads
         )
 
     def test_poison_task_is_quarantined_with_degraded_tables(

@@ -18,6 +18,7 @@ change *where* the work happens, never what comes back.  This suite pins:
   chunking (including the empty-corpus and zero-worker edge cases).
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -25,7 +26,7 @@ import pytest
 from repro.classify.dataset import TextDataset
 from repro.classify.snippet import SnippetTypeClassifier
 from repro.clock import VirtualClock
-from repro.core.annotator import EntityAnnotator
+from repro.core.annotator import ENGINE_CACHE_FILE, LABEL_MEMO_FILE, EntityAnnotator
 from repro.core.config import AnnotatorConfig
 from repro.core.parallel import (
     TableSlice,
@@ -239,6 +240,104 @@ class TestSharedCacheDirectory:
         second = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         loaded = second.load_caches(tmp_path)
         assert loaded == {"search_results": True, "label_memo": True}
+
+
+def _file_state(path) -> tuple:
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns, path.read_bytes()
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="requires the fork start method",
+)
+
+
+class TestWarmPoolCacheIO:
+    """A warm pool reads the cache files once, in the parent before the
+    fork, and writes them only when a worker has something new."""
+
+    def _seed(self, classifier, cache_dir, tables):
+        EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig()
+        ).annotate_tables(tables, _TYPE_KEYS, cache_dir=cache_dir)
+
+    def _pool_run(self, classifier, cache_dir, tables, start_method):
+        return annotate_tables_parallel(
+            EntityAnnotator(classifier, _make_engine(), AnnotatorConfig()),
+            tables,
+            _TYPE_KEYS,
+            workers=2,
+            cache_dir=cache_dir,
+            start_method=start_method,
+        )
+
+    @needs_fork
+    def test_warm_run_over_an_unchanged_dir_writes_nothing(
+        self, classifier, tmp_path
+    ):
+        tables = _corpus()
+        self._seed(classifier, tmp_path, tables)
+        files = [tmp_path / ENGINE_CACHE_FILE, tmp_path / LABEL_MEMO_FILE]
+        before = [_file_state(path) for path in files]
+        run = self._pool_run(classifier, tmp_path, tables, "fork")
+        assert [_file_state(path) for path in files] == before
+        diagnostics = run.diagnostics
+        assert diagnostics.cache_save_bytes == 0
+        assert diagnostics.cache_saves == 0
+        assert diagnostics.results_cache_misses == 0
+        # One read, the parent's, of both files; the workers inherited it.
+        assert diagnostics.cache_loads == 2
+        assert diagnostics.cache_load_bytes == sum(
+            len(state[2]) for state in before
+        )
+        assert all(load.cache_load_bytes == 0 for load in diagnostics.worker_loads)
+        reference = EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig()
+        ).annotate_tables(tables, _TYPE_KEYS)
+        assert run == reference
+
+    def test_cold_run_reports_the_workers_saves(self, classifier, tmp_path):
+        run = self._pool_run(classifier, tmp_path, _corpus(), None)
+        diagnostics = run.diagnostics
+        assert diagnostics.cache_saves >= 2
+        assert diagnostics.cache_save_bytes >= (
+            (tmp_path / ENGINE_CACHE_FILE).stat().st_size
+            + (tmp_path / LABEL_MEMO_FILE).stat().st_size
+        )
+
+    def test_new_entries_are_merged_and_a_fresh_annotator_loads_the_union(
+        self, classifier, tmp_path
+    ):
+        # Digits do not reach the search signature, so every "Venue N"
+        # query shares one; tables of body words bring new ones.
+        seeded = _corpus(n_tables=2)
+        tables = seeded + [
+            Table(
+                name=f"w{index}",
+                columns=[Column("Name", ColumnType.TEXT)],
+                rows=[[word]],
+            )
+            for index, word in enumerate(_WORDS)
+        ]
+        self._seed(classifier, tmp_path, seeded)
+        run = self._pool_run(classifier, tmp_path, tables, None)
+        assert run.diagnostics.results_cache_misses > 0
+        assert run.diagnostics.cache_save_bytes > 0
+        fresh = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
+        fresh.load_caches(tmp_path)
+        warm = fresh.annotate_tables(tables, _TYPE_KEYS)
+        assert warm == run
+        assert warm.diagnostics.results_cache_misses == 0
+        assert warm.diagnostics.label_memo_misses == 0
+
+    def test_spawn_workers_still_load_their_own_copy(self, classifier, tmp_path):
+        tables = _corpus()
+        self._seed(classifier, tmp_path, tables)
+        run = self._pool_run(classifier, tmp_path, tables, "spawn")
+        busy = [load for load in run.diagnostics.worker_loads if load.n_tasks]
+        assert busy
+        assert all(load.cache_load_bytes > 0 for load in busy)
 
 
 class TestShardAssignment:
