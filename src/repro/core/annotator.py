@@ -12,15 +12,24 @@
 3. **Post-processing** (:mod:`~repro.core.postprocessing`) eliminates
    spurious annotations via the column-coherence score (Equation 2).
 
-Batching happens at two granularities.  :meth:`EntityAnnotator.annotate_table`
-is table-at-a-time; :meth:`EntityAnnotator.annotate_tables` is
-**corpus-at-a-time**: the candidate cells of *every* table are pooled into
-one engine/classifier pass, so a query string shared by several tables is
-searched, classified and voted on exactly once for the whole run.  The
-returned :class:`~repro.core.results.AnnotationRun` carries corpus-wide
-:class:`~repro.core.results.RunDiagnostics`, and
+There is one pipeline.  :meth:`EntityAnnotator.annotate_tables` runs a
+single *raw pass* -- pre-processing, one pooled
+:meth:`~repro.core.annotation.CellAnnotator.annotate_values` batch, and
+the end-of-run repair when ``config.retries > 0`` -- over units of work,
+each a table at a corpus position plus a half-open row range
+(:class:`~repro.core.parallel.TableSlice`; a whole table is ``[0,
+n_rows)``), then post-processes every table once.  The candidate cells
+of *every* table are pooled, so a query string shared by several tables
+is searched, classified and voted on exactly once for the whole run.
+:meth:`~EntityAnnotator.annotate_table` is that pass over one table,
+:meth:`~EntityAnnotator.annotate_batch` wraps it for independent
+requests, and every worker-pool task runs the same raw pass (the parent
+post-processes).  The returned :class:`~repro.core.results.AnnotationRun`
+carries corpus-wide :class:`~repro.core.results.RunDiagnostics`, and
 :meth:`EntityAnnotator.save_caches` / :meth:`~EntityAnnotator.load_caches`
 persist the engine's amortisation state so a second process starts warm.
+The per-cell :meth:`~EntityAnnotator._annotate_table_per_cell` stays as
+the reference the parity suites compare against.
 
 >>> import random
 >>> from repro.classify.dataset import TextDataset
@@ -64,12 +73,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.classify.snippet import SnippetTypeClassifier
 from repro.core.annotation import CellAnnotator, SnippetCache
 from repro.core.config import AnnotatorConfig
 from repro.core.disambiguation import SpatialContextExtractor
+from repro.core.parallel import TableSlice
 from repro.core.postprocessing import eliminate_spurious
 from repro.core.preprocessing import Preprocessor
 from repro.core.results import (
@@ -85,9 +95,6 @@ from repro.observability.tracing import span
 from repro.persistence import lock_wait_seconds, open_cache_store
 from repro.tables.model import Table
 from repro.web.search import SearchEngine
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel imports us)
-    from repro.core.parallel import TableSlice
 
 ENGINE_CACHE_FILE = "search_results.cache"
 """File name of the persisted engine signature cache inside a cache dir."""
@@ -155,40 +162,18 @@ class EntityAnnotator:
     ) -> TableAnnotation:
         """Annotate one table for the requested types (all three stages).
 
-        Runs table-at-a-time: spatial contexts are computed up front (as
-        before), then every candidate cell is resolved through the batched
-        :meth:`~repro.core.annotation.CellAnnotator.annotate_values` --
-        deduplicated searches, pooled snippet classification -- producing
-        exactly the decisions of the per-cell loop, faster.
+        Exactly ``annotate_tables([table], type_keys)``: the same pass,
+        repair included, so one table answers the same here, through
+        :meth:`annotate_batch` and through the resident service.
         """
-        type_keys = list(type_keys)
-        if not type_keys:
-            raise ValueError("type_keys must be non-empty")
-        annotation, _ = self._annotate_one(table, type_keys)
-        return annotation
-
-    def _annotate_one(
-        self, table: Table, type_keys: list[str]
-    ) -> tuple[TableAnnotation, int]:
-        """One table through the batched path; returns (annotation, n_candidates).
-
-        The single canonical per-table sequence, shared by
-        :meth:`annotate_table` and :meth:`_annotate_tables_sequential` so
-        the corpus parity baseline can never drift from the public method.
-        """
-        candidates = self.preprocessor.candidate_cells(table)
-        contexts = self._row_contexts(table)
-        decisions = self.cell_annotator.annotate_values(
-            [(c.value, contexts.get(c.row)) for c in candidates], type_keys
-        )
-        return self._collect(table, candidates, decisions), len(candidates)
+        return self.annotate_tables([table], type_keys).tables[table.name]
 
     def _annotate_table_per_cell(
         self, table: Table, type_keys: Sequence[str]
     ) -> TableAnnotation:
         """The seed cell-by-cell path: one search + one classification per
-        cell.  Retained (private) as the parity and throughput baseline the
-        batched path is regression-tested against."""
+        cell.  Retained (private) as the parity and throughput reference
+        the batched pass is regression-tested against."""
         type_keys = list(type_keys)
         if not type_keys:
             raise ValueError("type_keys must be non-empty")
@@ -202,7 +187,9 @@ class EntityAnnotator:
             )
             for candidate in candidates
         ]
-        return self._collect(table, candidates, decisions)
+        return self.postprocess_table(
+            table, self._collect_raw(table.name, candidates, decisions)
+        )
 
     def _row_contexts(self, table: Table) -> dict[int, str]:
         """Disambiguated per-row city contexts (empty when disabled)."""
@@ -210,27 +197,17 @@ class EntityAnnotator:
             return self._context_extractor.row_contexts(table)
         return {}
 
-    def _collect(self, table: Table, candidates, decisions) -> TableAnnotation:
-        """Fold per-cell decisions into a (post-processed) TableAnnotation.
-
-        Cells whose engine request(s) ultimately failed are recorded on
-        the annotation's ``degraded`` list -- the resilience contract: a
-        lossy run names its losses instead of silently shrinking.
-        """
-        return self.postprocess_table(
-            table, self._collect_raw(table.name, candidates, decisions)
-        )
-
     def _collect_raw(
         self, table_name: str, candidates, decisions, row_offset: int = 0
     ) -> TableAnnotation:
         """Fold decisions into a *raw* (pre-post-processing) annotation.
 
-        *row_offset* shifts candidate rows into the coordinates of a
-        larger table -- the row-range splitting path annotates a slice's
-        sub-table (rows renumbered from 0) and ships absolute positions
-        home, so reassembled slices are indistinguishable from an
-        unsliced annotation of the full table.
+        *row_offset* shifts candidate rows into the coordinates of the
+        full table: a unit's sub-table numbers its rows from 0, so the
+        raw annotations of a table's row ranges, concatenated, are
+        indistinguishable from those of the whole table.  Cells whose
+        engine request(s) ultimately failed are recorded on ``degraded``
+        -- a lossy run names its losses instead of silently shrinking.
         """
         annotation = TableAnnotation(table_name=table_name)
         for candidate, decision in zip(candidates, decisions):
@@ -264,10 +241,10 @@ class EntityAnnotator:
 
         Post-processing is deliberately *table-global* -- the
         column-coherence score weighs whole-column value occurrences over
-        all of a table's annotations -- which is exactly why the
-        splitting scheduler defers it: workers annotate row slices raw,
-        and the parent calls this once per reassembled table with the
-        full original table.
+        all of a table's annotations -- so it runs once per table, in
+        the process that owns the whole table: pool workers annotate
+        their units raw and the parent calls this with the full
+        original table.
         """
         if self.config.use_postprocessing:
             with span("annotate.postprocess", table=table.name):
@@ -299,8 +276,8 @@ class EntityAnnotator:
         distinct query -- and the decisions are demultiplexed back into
         per-table annotations (post-processing stays per table).
 
-        Output is identical to :meth:`_annotate_tables_sequential`, the
-        retained per-table loop.  Accounting is identical too whenever a
+        Output is identical to calling :meth:`annotate_table` once per
+        table.  Accounting is identical too whenever a
         shared :class:`~repro.core.annotation.SnippetCache` is in play or
         no query string repeats across tables; without a cache, a query
         shared by several tables is issued (and charged) once here versus
@@ -327,28 +304,28 @@ class EntityAnnotator:
         run on one unlucky worker -- while ``"static"`` keeps contiguous
         near-equal shards, one per worker.  Each worker warm-starts from
         *cache_dir* (when given; forked workers inherit the caches the
-        parent loaded once before the fork), runs this very
-        corpus-at-a-time path over the tasks it pulls, and merge-saves
-        its caches back once at the end of the run -- unless the files
-        already hold everything it has -- so concurrent workers share one
-        cache directory without losing entries.  The run's
-        ``diagnostics.worker_loads`` record what every worker really did
-        (tasks, cells, busy seconds; see
+        parent loaded once before the fork), runs the same raw pass over
+        the units it pulls, and merge-saves its caches back once at the
+        end of the run -- unless the files already hold everything it
+        has -- so concurrent workers share one cache directory without
+        losing entries; the parent post-processes every table once.  The
+        run's ``diagnostics.worker_loads`` record what every worker
+        really did (tasks, cells, busy seconds; see
         ``RunDiagnostics.imbalance_ratio``).  Annotations are
         byte-identical to ``workers=1`` under either scheduler on a
         healthy (or fully-down) engine -- same-named tables merge in
         corpus order everywhere.  Failure injection is deterministic per
         (query, occurrence), so workers agree with the corpus path on
-        every query's *first* issue; repeats inside different shards may
-        still diverge, exactly like the corpus-vs-sequential caveat
+        every query's *first* issue; repeats inside different tasks may
+        still diverge, exactly like the corpus-vs-per-table caveat
         above.  A worker that *dies* mid-run no longer aborts the corpus:
         its task is requeued onto a fresh worker up to
-        ``config.task_retries`` times, then quarantined with its tables'
+        ``config.task_retries`` times, then quarantined with its units'
         candidate cells marked degraded (see :mod:`repro.core.parallel`).
         With ``workers=1``, *cache_dir* warm-starts this process before
         the run and merge-saves after it -- the same contract, minus the
         pool.  The end-of-corpus repair pass (``config.retries > 0``)
-        runs inside whichever process executes the pooled pass.
+        runs inside whichever process executes the raw pass.
         """
         tables = list(tables)
         type_keys = list(type_keys)
@@ -362,19 +339,46 @@ class EntityAnnotator:
             return annotate_tables_parallel(
                 self, tables, type_keys, workers=workers, cache_dir=cache_dir
             )
-        # Snapshot before the warm start so the run's diagnostics cover
-        # the cache IO spent serving it (annotation counters are
-        # untouched by load/save, so the delta semantics are unchanged).
+        raw = self._annotate_units(
+            [TableSlice.whole(table, index) for index, table in enumerate(tables)],
+            type_keys,
+            cache_dir=cache_dir,
+        )
+        run = AnnotationRun(diagnostics=raw.diagnostics)
+        for table, annotation in zip(tables, raw.annotations):
+            run.merge_table(self.postprocess_table(table, annotation))
+        return run
+
+    def _annotate_units(
+        self, units: Sequence[TableSlice], type_keys: list[str], cache_dir=None
+    ) -> BatchAnnotationResult:
+        """The one annotation pass, raw: pre-processing, one pooled
+        resolution and (with ``config.retries > 0``) the repair pass over
+        *units*, without post-processing.
+
+        ``annotations[i]`` is unit ``i``'s raw annotation, rows in the
+        full table's coordinates.  Post-processing is table-global, so
+        the caller that owns every unit of a table applies
+        :meth:`postprocess_table` once (spatial disambiguation is
+        table-global too, which is why the scheduler never splits a
+        table when it is enabled).  Diagnostics count the units'
+        candidate cells; ``n_tables`` counts the units that start at row
+        0, so summing the diagnostics of a split table's units still
+        counts it once.  *cache_dir* warm-starts before the pass and
+        merge-saves after it, inside the diagnostics window.
+        """
+        # Snapshot before the warm start so the diagnostics cover the
+        # cache IO spent serving the pass.
         before = self._counters()
         if cache_dir is not None:
             self.load_caches(cache_dir)
-        prepped: list[tuple[Table, list]] = []
+        prepped: list[tuple[TableSlice, list]] = []
         pairs: list[tuple[str, str | None]] = []
-        with span("annotate.prep", n_tables=len(tables)):
-            for table in tables:
-                candidates = self.preprocessor.candidate_cells(table)
-                contexts = self._row_contexts(table)
-                prepped.append((table, candidates))
+        with span("annotate.prep", n_tables=len(units)):
+            for unit in units:
+                candidates = self.preprocessor.candidate_cells(unit.table)
+                contexts = self._row_contexts(unit.table)
+                prepped.append((unit, candidates))
                 pairs.extend(
                     (candidate.value, contexts.get(candidate.row))
                     for candidate in candidates
@@ -382,35 +386,40 @@ class EntityAnnotator:
         decisions = self.cell_annotator.annotate_values(pairs, type_keys)
         repaired = 0
         if self.config.retries > 0:
-            # End-of-corpus repair: one more pass over the cells that
+            # End-of-pass repair: one more pass over the cells that
             # exhausted their retries, issued once the breaker's cooldown
             # (if any) has been waited out on the virtual clock.
             with span("annotate.repair"):
                 decisions, repaired = self.cell_annotator.repair_decisions(
                     pairs, decisions, type_keys
                 )
-        run = AnnotationRun()
+        annotations: list[TableAnnotation] = []
         offset = 0
-        for table, candidates in prepped:
+        for unit, candidates in prepped:
             n_cells = len(candidates)
-            run.merge_table(
-                self._collect(
-                    table, candidates, decisions[offset : offset + n_cells]
+            annotations.append(
+                self._collect_raw(
+                    unit.table_name,
+                    candidates,
+                    decisions[offset : offset + n_cells],
+                    row_offset=unit.row_start,
                 )
             )
             offset += n_cells
         if cache_dir is not None:
             self.save_caches(cache_dir)
-        run.diagnostics = self._diagnostics_since(
-            before,
-            n_tables=len(tables),
-            n_cells=len(pairs),
-            degraded_cells=sum(
-                len(annotation.degraded) for annotation in run.tables.values()
+        return BatchAnnotationResult(
+            annotations=annotations,
+            diagnostics=self._diagnostics_since(
+                before,
+                n_tables=sum(1 for unit in units if unit.row_start == 0),
+                n_cells=len(pairs),
+                degraded_cells=sum(
+                    len(annotation.degraded) for annotation in annotations
+                ),
+                repaired_cells=repaired,
             ),
-            repaired_cells=repaired,
         )
-        return run
 
     def annotate_batch(
         self,
@@ -475,89 +484,6 @@ class EntityAnnotator:
         return BatchAnnotationResult(
             annotations=annotations, diagnostics=run.diagnostics
         )
-
-    def annotate_table_slice(
-        self, table_slice: "TableSlice", type_keys: Sequence[str]
-    ) -> AnnotationRun:
-        """Annotate one row-range slice of a table (the splitting unit).
-
-        The work-stealing pool's counterpart of :meth:`annotate_tables`
-        for a :class:`~repro.core.parallel.TableSlice` task: runs
-        pre-processing and the batched resolution (plus the repair pass
-        when ``config.retries > 0``) over the slice's rows only, and
-        returns **raw** -- pre-post-processing -- annotations with rows
-        shifted to the full table's coordinates.  Equation 2 elimination
-        is table-global, so the parent applies :meth:`postprocess_table`
-        once per reassembled table; spatial disambiguation is table-global
-        too, which is why the scheduler never splits when it is enabled.
-
-        Diagnostics count the slice's candidate cells; ``n_tables`` is 1
-        only for the slice that starts at row 0, so summing slice
-        diagnostics across a corpus still counts each physical table
-        once.
-        """
-        type_keys = list(type_keys)
-        if not type_keys:
-            raise ValueError("type_keys must be non-empty")
-        before = self._counters()
-        sub_table = table_slice.table
-        candidates = self.preprocessor.candidate_cells(sub_table)
-        pairs: list[tuple[str, str | None]] = [
-            (candidate.value, None) for candidate in candidates
-        ]
-        decisions = self.cell_annotator.annotate_values(pairs, type_keys)
-        repaired = 0
-        if self.config.retries > 0:
-            decisions, repaired = self.cell_annotator.repair_decisions(
-                pairs, decisions, type_keys
-            )
-        annotation = self._collect_raw(
-            sub_table.name,
-            candidates,
-            decisions,
-            row_offset=table_slice.row_start,
-        )
-        run = AnnotationRun()
-        run.merge_table(annotation)
-        run.diagnostics = self._diagnostics_since(
-            before,
-            n_tables=1 if table_slice.row_start == 0 else 0,
-            n_cells=len(candidates),
-            degraded_cells=len(annotation.degraded),
-            repaired_cells=repaired,
-        )
-        return run
-
-    def _annotate_tables_sequential(
-        self, tables: Iterable[Table], type_keys: Sequence[str]
-    ) -> AnnotationRun:
-        """The per-table loop: one batched :meth:`annotate_table` per table.
-
-        Retained (private) as the parity and throughput baseline the
-        corpus-at-a-time path is regression-tested against; diagnostics are
-        aggregated across the whole run exactly as in
-        :meth:`annotate_tables`.
-        """
-        tables = list(tables)
-        type_keys = list(type_keys)
-        if not type_keys:
-            raise ValueError("type_keys must be non-empty")
-        before = self._counters()
-        run = AnnotationRun()
-        n_cells = 0
-        for table in tables:
-            annotation, n_candidates = self._annotate_one(table, type_keys)
-            run.merge_table(annotation)
-            n_cells += n_candidates
-        run.diagnostics = self._diagnostics_since(
-            before,
-            n_tables=len(tables),
-            n_cells=n_cells,
-            degraded_cells=sum(
-                len(annotation.degraded) for annotation in run.tables.values()
-            ),
-        )
-        return run
 
     # -- cache persistence ------------------------------------------------------------------
 

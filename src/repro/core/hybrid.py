@@ -78,36 +78,34 @@ class HybridAnnotator:
             raise ValueError("type_keys must be non-empty")
         wanted = set(type_keys)
         annotation = TableAnnotation(table_name=table.name)
-        for candidate in self.preprocessor.candidate_cells(table):
-            known_types = self.catalogue.types_of(candidate.value) & wanted
-            if len(known_types) == 1:
-                self.stats.catalogue_hits += 1
-                annotation.add(
-                    CellAnnotation(
-                        table_name=table.name,
-                        row=candidate.row,
-                        column=candidate.column,
-                        type_key=next(iter(known_types)),
-                        score=1.0,
-                        cell_value=candidate.value,
-                    )
-                )
-                continue
-            self.stats.web_queries += 1
-            decision = self.cell_annotator.annotate_value(
-                candidate.value, type_keys
+        candidates = self.preprocessor.candidate_cells(table)
+        known = [self.catalogue.types_of(c.value) & wanted for c in candidates]
+        web = [c for c, types in zip(candidates, known) if len(types) != 1]
+        self.stats.catalogue_hits += len(candidates) - len(web)
+        self.stats.web_queries += len(web)
+        decisions = iter(
+            self.cell_annotator.annotate_values(
+                [(candidate.value, None) for candidate in web], type_keys
             )
-            if decision.annotated:
-                annotation.add(
-                    CellAnnotation(
-                        table_name=table.name,
-                        row=candidate.row,
-                        column=candidate.column,
-                        type_key=decision.type_key,  # type: ignore[arg-type]
-                        score=decision.score,
-                        cell_value=candidate.value,
-                    )
+        )
+        for candidate, known_types in zip(candidates, known):
+            if len(known_types) == 1:
+                type_key, score = next(iter(known_types)), 1.0
+            else:
+                decision = next(decisions)
+                if not decision.annotated:
+                    continue
+                type_key, score = decision.type_key, decision.score
+            annotation.add(
+                CellAnnotation(
+                    table_name=table.name,
+                    row=candidate.row,
+                    column=candidate.column,
+                    type_key=type_key,  # type: ignore[arg-type]
+                    score=score,
+                    cell_value=candidate.value,
                 )
+            )
         if self.config.use_postprocessing:
             annotation = eliminate_spurious(
                 table,

@@ -4,16 +4,19 @@
 across ``N`` worker processes.  Each worker holds a full copy of the
 annotator (classifier, engine, config), optionally warm-starts from a
 shared cache directory (under ``fork``, by inheriting the caches the
-parent loaded before starting the pool), annotates the tasks it pulls
-corpus-at-a-time, merge-saves its caches back once at the end of the run
-(so no worker's save discards another's entries -- see
-:mod:`repro.persistence`), and
-ships each task's :class:`~repro.core.results.AnnotationRun` home.  The
-parent reassembles the per-table annotations deterministically in
-original corpus order -- **merging** same-named tables' cells, never
-replacing them -- and folds the task diagnostics into one corpus-wide
-view with per-worker load accounting
-(:class:`~repro.core.results.WorkerLoad`).
+parent loaded before starting the pool), runs the annotator's one *raw
+pass* over the units of every task it pulls -- pre-processing, pooled
+resolution and repair, no post-processing -- and merge-saves its caches
+back once at the end of the run (so no worker's save discards another's
+entries -- see :mod:`repro.persistence`).  A unit is a table at a corpus
+position plus a half-open row range (:class:`TableSlice`; a whole table
+is ``[0, n_rows)``).  Each task's raw annotations ship home in unit
+order.  The parent collects them by corpus *position*, never by name, so
+two distinct tables sharing a name stay apart until each has been
+post-processed once against its own full table; the finished tables are
+then **merged** by name in corpus order, exactly as ``workers=1`` merges
+them.  The task diagnostics fold into one corpus-wide view with
+per-worker load accounting (:class:`~repro.core.results.WorkerLoad`).
 
 Two schedulers place the work (``AnnotatorConfig.schedule``):
 
@@ -32,20 +35,14 @@ Two schedulers place the work (``AnnotatorConfig.schedule``):
     whose slice holds the giant table serialises the run.
 
 Under the stealing scheduler a giant table may additionally be **split
-into row-range slice tasks** (:class:`TableSlice`,
-``AnnotatorConfig.split_giant_tables`` / ``max_slice_cost``) so even the
-giant stops bounding the critical path: each slice's sub-table is
-annotated *raw* by whichever worker pulls it
-(:meth:`~repro.core.annotator.EntityAnnotator.annotate_table_slice`
-shifts rows to full-table coordinates and skips post-processing, which
-is table-global), the parent reassembles a table's slices in row order
-through :meth:`AnnotationRun.merge_table`, then post-processes once with
-the full original table -- byte-identical to the unsplit run, degraded
-cells included.  A slice is its own queue task, so crash recovery keeps
-its granularity for free: a worker SIGKILLed mid-slice requeues exactly
-that slice, and a poisonous slice quarantines alone (only its rows'
-candidate cells degrade).  Splitting never engages under spatial
-disambiguation (row contexts are table-global) or the static schedule.
+into row-range units** (``AnnotatorConfig.split_giant_tables`` /
+``max_slice_cost``) so even the giant stops bounding the critical path.
+A slice is an ordinary unit travelling as its own task, so crash
+recovery keeps its granularity for free: a worker SIGKILLed mid-slice
+requeues exactly that slice, and a poisonous slice quarantines alone
+(only its rows' candidate cells degrade).  Splitting never engages under
+spatial disambiguation (row contexts are table-global) or the static
+schedule.
 
 The pool itself is hand-rolled (one duplex pipe per worker, parent-side
 dispatch) rather than a ``ProcessPoolExecutor``, because the executor
@@ -58,7 +55,7 @@ death is survivable by construction:
   respawned), up to ``AnnotatorConfig.task_retries`` times;
 * a task that keeps killing its workers -- a poison task -- is
   **quarantined**: the parent stops re-running it, marks every candidate
-  cell of its tables *degraded* on the run
+  cell of its units *degraded* on the run
   (:class:`~repro.core.results.DegradedCell`, ``reason="worker-crash"``)
   and finishes the rest of the corpus;
 * per-worker result pipes isolate crash damage: a worker killed mid-send
@@ -76,16 +73,16 @@ method the parent's annotator is inherited by reference (copy-on-write,
 no serialisation at all); under ``spawn`` or ``forkserver`` a pickled
 payload is shipped instead.  Either way every worker computes with an
 identical copy of the classifier/engine state, so annotations are a pure
-function of the task's tables -- which is why both schedulers are
+function of the task's units -- which is why both schedulers are
 byte-identical to the sequential path.  (Failure injection is
 deterministic per (seed, query, occurrence), so even a flaky engine fails
 the same queries inside a worker as the sequential run fails for each
 query's first issue.)
 
 The layer stays deliberately dumb about content: query deduplication
-happens *within* a task (each worker runs the normal corpus-at-a-time
-path over the task's tables); a query string spanning two tasks is issued
-once per task, which the merged diagnostics report honestly via
+happens *within* a task (each worker runs the pooled raw pass over the
+task's units); a query string spanning two tasks is issued once per
+task, which the merged diagnostics report honestly via
 ``queries_issued``.  Chunking is a pure function of the table shapes and
 the cost budget, so a given corpus always yields the same task list.
 """
@@ -109,9 +106,9 @@ try:  # POSIX rusage for per-worker RSS accounting; absent on some hosts.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None  # type: ignore[assignment]
 
-from repro.core.config import SCHEDULES
 from repro.core.results import (
     AnnotationRun,
+    BatchAnnotationResult,
     DegradedCell,
     RunDiagnostics,
     TableAnnotation,
@@ -125,6 +122,7 @@ from repro.tables.model import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotator imports us)
     from repro.core.annotator import EntityAnnotator
+    from repro.core.config import AnnotatorConfig
 
 _LOG = get_logger(__name__)
 
@@ -216,11 +214,13 @@ def _worker_main(
 ) -> None:
     """Worker process loop: receive commands, ship results home.
 
-    Commands (tuples, first element the kind): ``("task", index, tables,
-    type_keys)`` annotates and answers ``("done", index, pid, run,
-    busy_seconds, (peak_rss_kb, attach_seconds, attach_rss_kb,
-    cache_load_bytes, spans, metrics))`` or ``("error", index, pid,
-    error)``; ``("flush",)`` merge-saves the caches and answers
+    Commands (tuples, first element the kind): ``("task", index, units,
+    type_keys)`` runs the annotator's raw pass over the units and answers
+    ``("done", index, pid, result, busy_seconds, (peak_rss_kb,
+    attach_seconds, attach_rss_kb, cache_load_bytes, spans, metrics))``
+    -- *result* a :class:`~repro.core.results.BatchAnnotationResult`
+    holding one raw annotation per unit, in unit order -- or ``("error",
+    index, pid, error)``; ``("flush",)`` merge-saves the caches and answers
     ``("flushed", pid, diagnostics)``, *diagnostics* the save's cache IO
     as a :class:`RunDiagnostics` delta (or ``("flush-error", pid,
     error)``); ``("stop",)`` exits the loop.
@@ -292,11 +292,11 @@ def _worker_main(
             break
         kind = message[0]
         if kind == "task":
-            _, index, tables, type_keys = message
+            _, index, units, type_keys = message
             start = time.perf_counter()
             try:
                 with span("pool.task", task_index=index, pid=os.getpid()):
-                    run = _annotate_task(annotator, tables, type_keys)
+                    result = annotator._annotate_units(units, type_keys)
             except Exception as error:
                 conn.send(("error", index, os.getpid(), _portable_error(error)))
             else:
@@ -308,7 +308,7 @@ def _worker_main(
                     task_spans = tracing.get_buffer().drain()
                     registry = obs_metrics.MetricsRegistry()
                     registry.inc("pool.tasks")
-                    registry.inc("pool.task_cells", run.diagnostics.n_cells)
+                    registry.inc("pool.task_cells", result.diagnostics.n_cells)
                     registry.observe("pool.task_seconds", busy)
                     task_metrics = registry.to_dict()
                 conn.send(
@@ -316,7 +316,7 @@ def _worker_main(
                         "done",
                         index,
                         os.getpid(),
-                        run,
+                        result,
                         busy,
                         (
                             peak_rss_kb,
@@ -344,21 +344,6 @@ def _worker_main(
         elif kind == "stop":
             break
     conn.close()
-
-
-def _annotate_task(
-    annotator: "EntityAnnotator", items: "Sequence[TaskItem]", type_keys
-) -> AnnotationRun:
-    """Annotate one queue task inside a worker.
-
-    A slice task (always a single :class:`TableSlice`) goes through the
-    raw slice path -- no post-processing, rows shifted to full-table
-    coordinates -- everything else through the ordinary corpus-at-a-time
-    path, exactly as before splitting existed.
-    """
-    if len(items) == 1 and isinstance(items[0], TableSlice):
-        return annotator.annotate_table_slice(items[0], type_keys)
-    return annotator.annotate_tables(items, type_keys)
 
 
 def _wait_ready(targets, timeout: float):
@@ -447,16 +432,17 @@ class _WorkerPool:
 
     def run_tasks(
         self,
-        tasks: "Sequence[Sequence[TaskItem]]",
+        tasks: "Sequence[Sequence[TableSlice]]",
         type_keys: list[str],
         task_retries: int,
     ) -> tuple[dict[int, tuple], list[int], int, list[BaseException]]:
         """Drive every task to completion, quarantine or error.
 
         Returns ``(completed, quarantined_indices, n_requeued, errors)``
-        where ``completed[index] = (index, run, pid, busy_seconds,
-        worker_stats)`` (*worker_stats* the ``(peak_rss_kb,
-        attach_seconds, attach_rss_kb)`` triple from the worker).  A
+        where ``completed[index] = (index, result, pid, busy_seconds,
+        worker_stats)`` (*result* the task's raw
+        :class:`~repro.core.results.BatchAnnotationResult`,
+        *worker_stats* the worker's six-element stats tuple).  A
         worker *exception* (the task itself raised) aborts the run as the
         executor-based layer did: dispatch stops, in-flight tasks drain,
         and the caller raises the first error after the cache flush.  A
@@ -476,16 +462,16 @@ class _WorkerPool:
         def handle(worker: _Worker, message: tuple) -> None:
             kind = message[0]
             if kind == "done":
-                _, index, pid, run, busy, worker_stats = message
-                completed[index] = (index, run, pid, busy, worker_stats)
+                _, index, pid, result, busy, worker_stats = message
+                completed[index] = (index, result, pid, busy, worker_stats)
                 worker.inflight = None
                 # Ship-home splice: the worker's spans land in the
                 # parent's buffer, its per-task registry merges into the
                 # parent's -- the metrics analogue of
                 # ``RunDiagnostics.combined``.
-                if len(worker_stats) > 4 and worker_stats[4]:
+                if worker_stats[4]:
                     tracing.get_buffer().extend(worker_stats[4])
-                if len(worker_stats) > 5 and worker_stats[5]:
+                if worker_stats[5]:
                     obs_metrics.get_registry().merge(
                         obs_metrics.MetricsRegistry.from_dict(worker_stats[5])
                     )
@@ -531,7 +517,7 @@ class _WorkerPool:
     def _dispatch(
         self,
         pending: deque[int],
-        tasks: "Sequence[Sequence[TaskItem]]",
+        tasks: "Sequence[Sequence[TableSlice]]",
         type_keys: list[str],
     ) -> None:
         for worker in self.workers:
@@ -711,14 +697,15 @@ class _WorkerPool:
 
 @dataclass(frozen=True)
 class TableSlice:
-    """A row-range sub-task of one corpus table (the splitting unit).
+    """A table at a corpus position plus a half-open row range: the unit
+    of annotation work.  A whole table is the range ``[0, n_rows)``.
 
     ``table`` is the materialised sub-table -- same name and columns,
     ``rows[row_start:row_stop]`` -- that ships to the worker; ``rows``
     hold references into the original row lists, so slicing is cheap.
-    ``table_index`` is the table's position in the corpus: slices group
+    ``table_index`` is the table's position in the corpus: units group
     by *position*, never by name, because a corpus may contain several
-    distinct tables sharing a name and their slices must not be
+    distinct tables sharing a name and their units must not be
     reassembled into one table.  Half-open ``[row_start, row_stop)``
     ranges partition the table exactly: no row lost, none duplicated.
     """
@@ -728,6 +715,11 @@ class TableSlice:
     row_stop: int
     table_index: int
     table: "Table"
+
+    @classmethod
+    def whole(cls, table: "Table", table_index: int) -> "TableSlice":
+        """The unit covering all of *table*, at corpus position *table_index*."""
+        return cls(table.name, 0, table.n_rows, table_index, table)
 
 
 TaskItem = Union["Table", TableSlice]
@@ -866,12 +858,7 @@ def automatic_chunk_cost(tables: "Sequence[Table]", workers: int) -> int:
 
 
 def _build_tasks(
-    tables: "Sequence[Table]",
-    workers: int,
-    schedule: str,
-    chunk_cost_target: int,
-    split_giant_tables: bool = False,
-    max_slice_cost: int = 0,
+    tables: "Sequence[Table]", workers: int, config: "AnnotatorConfig"
 ) -> tuple[list[list[TaskItem]], int]:
     """The scheduler's task list: shards (static) or chunks (stealing).
 
@@ -883,33 +870,24 @@ def _build_tasks(
     *silently*, so it is logged here -- a warning when splitting is off
     (the scheduler is back at its table-atomic ceiling), debug otherwise.
     """
-    if schedule not in SCHEDULES:
-        raise ValueError(
-            f"schedule must be one of {SCHEDULES}, got {schedule!r}"
-        )
-    if schedule == "static":
+    if config.schedule == "static":
         return shard_tables(tables, workers), 0
-    if chunk_cost_target < 0:
-        raise ValueError(
-            "chunk_cost_target must be >= 0 (0 = automatic), got "
-            f"{chunk_cost_target}"
-        )
-    if max_slice_cost < 0:
-        raise ValueError(
-            f"max_slice_cost must be >= 0 (0 = chunk cost target), got "
-            f"{max_slice_cost}"
-        )
-    target = chunk_cost_target or automatic_chunk_cost(tables, workers)
+    target = config.chunk_cost_target or automatic_chunk_cost(tables, workers)
     slice_cost_target = 0
-    if split_giant_tables or max_slice_cost:
-        slice_cost_target = max_slice_cost or target
+    # Row contexts are computed iteratively over the whole table; a slice
+    # cannot reproduce them, so splitting is gated off under spatial
+    # disambiguation rather than trading byte-parity for balance.
+    if (
+        config.split_giant_tables or config.max_slice_cost
+    ) and not config.use_spatial_disambiguation:
+        slice_cost_target = config.max_slice_cost or target
     if tables:
         smallest = min(table_cost(table) for table in tables)
         if target < smallest and not slice_cost_target:
             _LOG.warning(
                 "pool.chunk_target_degenerate",
                 target=target,
-                source="explicit" if chunk_cost_target else "automatic",
+                source="explicit" if config.chunk_cost_target else "automatic",
                 min_table_cost=smallest,
                 msg=(
                     "chunk cost target is below every table's cost: each "
@@ -921,10 +899,26 @@ def _build_tasks(
             _LOG.debug(
                 "pool.schedule_planned",
                 target=target,
-                source="explicit" if chunk_cost_target else "automatic",
+                source="explicit" if config.chunk_cost_target else "automatic",
                 slice_cost_target=slice_cost_target,
             )
     return chunk_tables(tables, target, slice_cost_target), target
+
+
+def _as_units(tasks: "Sequence[Sequence[TaskItem]]") -> list[list[TableSlice]]:
+    """Every task item as a unit: a whole table becomes its ``[0,
+    n_rows)`` range at its corpus position.  Tasks are contiguous runs of
+    the corpus, so that position is one past the previous item's."""
+    units: list[list[TableSlice]] = []
+    position = 0
+    for task in tasks:
+        units.append([])
+        for item in task:
+            if not isinstance(item, TableSlice):
+                item = TableSlice.whole(item, position)
+            units[-1].append(item)
+            position = item.table_index + 1
+    return units
 
 
 def _worker_loads(
@@ -959,9 +953,7 @@ def _worker_loads(
             peak_rss_kb=max(r[4][0] for r in group),
             attach_seconds=group[0][4][1],
             attach_rss_kb=group[0][4][2],
-            cache_load_bytes=(
-                group[0][4][3] if len(group[0][4]) > 3 else 0
-            ),
+            cache_load_bytes=group[0][4][3],
         )
         for worker_id, (_, group) in enumerate(sorted(by_pid.items()))
     ]
@@ -979,52 +971,50 @@ def _worker_loads(
 
 
 def _quarantine_run(
-    annotator: "EntityAnnotator", items: "Sequence[TaskItem]"
-) -> AnnotationRun:
-    """The degraded stand-in for a quarantined task's annotations.
+    annotator: "EntityAnnotator", units: "Sequence[TableSlice]"
+) -> BatchAnnotationResult:
+    """The degraded stand-in for a quarantined task's raw annotations.
 
-    Every candidate cell of the task's tables is marked degraded with
-    ``reason="worker-crash"``; no annotations, no engine traffic (the
-    parent computes candidates locally -- preprocessing never touches the
-    network).  For a slice task only the slice's rows degrade (shifted
-    to full-table coordinates), and ``n_tables`` follows the slice
-    accounting convention: only a table's first slice counts it.
+    Every candidate cell of the task's units is marked degraded with
+    ``reason="worker-crash"`` (rows in full-table coordinates); no
+    annotations, no engine traffic (the parent computes candidates
+    locally -- preprocessing never touches the network).  ``n_tables``
+    follows the unit convention: only a unit starting at row 0 counts
+    its table.
     """
-    run = AnnotationRun()
-    n_cells = 0
-    n_tables = 0
-    for item in items:
-        if isinstance(item, TableSlice):
-            table, row_offset = item.table, item.row_start
-            n_tables += 1 if item.row_start == 0 else 0
-        else:
-            table, row_offset = item, 0
-            n_tables += 1
-        annotation = TableAnnotation(table_name=table.name)
-        for candidate in annotator.preprocessor.candidate_cells(table):
-            annotation.degraded.append(
+    annotations = [
+        TableAnnotation(
+            table_name=unit.table_name,
+            degraded=[
                 DegradedCell(
-                    table_name=table.name,
-                    row=candidate.row + row_offset,
+                    table_name=unit.table_name,
+                    row=candidate.row + unit.row_start,
                     column=candidate.column,
                     cell_value=candidate.value,
                     reason="worker-crash",
                 )
-            )
-        n_cells += len(annotation.degraded)
-        run.merge_table(annotation)
-    run.diagnostics = RunDiagnostics(
-        n_tables=n_tables,
-        n_cells=n_cells,
-        search_failures=0,
-        cache_hits=0,
-        cache_misses=0,
-        queries_issued=0,
-        clock_charges=0,
-        virtual_seconds=0.0,
-        degraded_cells=n_cells,
+                for candidate in annotator.preprocessor.candidate_cells(
+                    unit.table
+                )
+            ],
+        )
+        for unit in units
+    ]
+    n_cells = sum(len(annotation.degraded) for annotation in annotations)
+    return BatchAnnotationResult(
+        annotations=annotations,
+        diagnostics=RunDiagnostics(
+            n_tables=sum(1 for unit in units if unit.row_start == 0),
+            n_cells=n_cells,
+            search_failures=0,
+            cache_hits=0,
+            cache_misses=0,
+            queries_issued=0,
+            clock_charges=0,
+            virtual_seconds=0.0,
+            degraded_cells=n_cells,
+        ),
     )
-    return run
 
 
 def annotate_tables_parallel(
@@ -1033,43 +1023,33 @@ def annotate_tables_parallel(
     type_keys: list[str],
     workers: int,
     cache_dir=None,
-    schedule: str | None = None,
-    chunk_cost_target: int | None = None,
-    task_retries: int | None = None,
-    split_giant_tables: bool | None = None,
-    max_slice_cost: int | None = None,
     on_worker_spawn: Callable[[int], None] | None = None,
     start_method: str | None = None,
 ) -> AnnotationRun:
     """Annotate *tables* across a pool of *workers* processes.
 
-    The task-queue -> warm-start -> annotate -> merge-save data flow
-    described in ``docs/architecture.md``.  *schedule*,
-    *chunk_cost_target* and *task_retries* default to the annotator's
-    config (``AnnotatorConfig.schedule`` / ``.chunk_cost_target`` /
-    ``.task_retries``).  Returns one :class:`AnnotationRun` whose
+    The task-queue -> warm-start -> raw pass -> merge-save data flow
+    described in ``docs/architecture.md``.  How tasks are cut and how
+    often a crashed one is retried come from ``annotator.config``
+    (``schedule``, ``chunk_cost_target``, ``split_giant_tables``,
+    ``max_slice_cost``, ``task_retries``).  Every task is a list of
+    units (:class:`TableSlice`) and every worker runs the annotator's
+    raw pass over them; this parent collects the raw annotations by
+    corpus position and post-processes each table once, against the
+    full original table.  Returns one :class:`AnnotationRun` whose
     ``tables`` are in original corpus order (same-named tables merged,
     exactly as the sequential path merges them), whose ``diagnostics``
     are the :meth:`RunDiagnostics.combined` fold of every task's in task
     order, and whose ``diagnostics.worker_loads`` record what each pool
     process really did (tasks, tables, cells, busy seconds -- see
-    ``RunDiagnostics.imbalance_ratio``).
-
-    *split_giant_tables* / *max_slice_cost* (defaulting to the config
-    knobs of the same names) let the stealing chunker cut a giant table
-    into row-range :class:`TableSlice` tasks; workers annotate slices
-    raw, and this parent reassembles each split table's slices in row
-    order and post-processes it once, whole-table, so the run stays
-    byte-identical to ``workers=1``.  Splitting is ignored under the
-    static schedule and under spatial disambiguation (row contexts are
-    table-global).  ``diagnostics.tables_split`` counts the tables that
-    were cut; ``diagnostics.effective_chunk_cost`` records the chunk
-    budget the stealing chunker actually used (automatic targets
-    included).
+    ``RunDiagnostics.imbalance_ratio``).  ``diagnostics.tables_split``
+    counts the tables cut into several row ranges;
+    ``diagnostics.effective_chunk_cost`` records the chunk budget the
+    stealing chunker actually used (automatic targets included).
 
     Crash recovery: a worker that dies mid-task has its task requeued on
-    a replacement worker up to *task_retries* times; a task that keeps
-    killing its workers is quarantined -- its tables' candidate cells
+    a replacement worker up to ``task_retries`` times; a task that keeps
+    killing its workers is quarantined -- its units' candidate cells
     marked degraded (``reason="worker-crash"``) -- and the rest of the
     corpus completes normally.  A slice task requeues and quarantines at
     slice granularity: losing a worker mid-slice never redoes (or
@@ -1110,31 +1090,9 @@ def annotate_tables_parallel(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tables = list(tables)
-    if schedule is None:
-        schedule = getattr(annotator.config, "schedule", "stealing")
-    if chunk_cost_target is None:
-        chunk_cost_target = getattr(annotator.config, "chunk_cost_target", 0)
-    if task_retries is None:
-        task_retries = getattr(annotator.config, "task_retries", 2)
-    if split_giant_tables is None:
-        split_giant_tables = getattr(
-            annotator.config, "split_giant_tables", False
-        )
-    if max_slice_cost is None:
-        max_slice_cost = getattr(annotator.config, "max_slice_cost", 0)
-    if getattr(annotator.config, "use_spatial_disambiguation", False):
-        # Row contexts are computed iteratively over the whole table; a
-        # slice cannot reproduce them, so splitting is gated off rather
-        # than trading byte-parity for balance.
-        split_giant_tables, max_slice_cost = False, 0
-    tasks, effective_chunk_cost = _build_tasks(
-        tables,
-        workers,
-        schedule,
-        chunk_cost_target,
-        split_giant_tables=split_giant_tables,
-        max_slice_cost=max_slice_cost,
-    )
+    config = annotator.config
+    task_items, effective_chunk_cost = _build_tasks(tables, workers, config)
+    tasks = _as_units(task_items)
     run = AnnotationRun()
     if not tasks:
         run.diagnostics = RunDiagnostics.combined([])
@@ -1171,7 +1129,7 @@ def annotate_tables_parallel(
             "pool.run",
             workers=n_workers,
             n_tasks=len(tasks),
-            schedule=schedule,
+            schedule=config.schedule,
             start_method=method,
         ):
             pool = _WorkerPool(
@@ -1182,7 +1140,7 @@ def annotate_tables_parallel(
                 on_worker_spawn=on_worker_spawn,
             )
             completed, quarantined, requeued, errors = pool.run_tasks(
-                tasks, type_keys, task_retries
+                tasks, type_keys, config.task_retries
             )
             if cache_dir is not None:
                 # Flushing happens even when a task failed or the run was
@@ -1201,68 +1159,36 @@ def annotate_tables_parallel(
         if pool is not None:  # pragma: no cover - error unwinding
             pool.shutdown()
         _FORK_PAYLOAD = None
-    # Deterministic reassembly: tasks are contiguous slices of the corpus,
-    # so walking them in task order visits tables in original corpus
-    # order; merge_table folds duplicate-named tables' cells together in
-    # that same order, byte-identical to the workers=1 run.  Quarantined
-    # tasks contribute degraded placeholders at their corpus position.
-    # A split table's slice tasks are consecutive: their raw annotations
-    # accumulate (merge_table again, so cells/degraded extend in row
-    # order) until the last slice lands, then the parent post-processes
-    # once with the full original table -- the deferred table-global
-    # stage -- and merges the finished table at its corpus position.
-    # Slices group by corpus *position* (table_index), never by name, so
-    # duplicate-named distinct tables cannot bleed into each other.
-    quarantine_runs = {
-        index: _quarantine_run(annotator, tasks[index]) for index in quarantined
-    }
-    slice_counts: dict[int, int] = {}
-    for task in tasks:
-        if len(task) == 1 and isinstance(task[0], TableSlice):
-            index = task[0].table_index
-            slice_counts[index] = slice_counts.get(index, 0) + 1
-    pending_slices: dict[int, AnnotationRun] = {}
-    seen_slices: dict[int, int] = {}
-    parts: list[AnnotationRun] = []
+    # Deterministic reassembly: tasks are contiguous runs of the corpus
+    # and carry their raw annotations in unit order, so walking them in
+    # task order visits every table's row ranges in corpus and row
+    # order.  Raw annotations gather by corpus *position* (quarantined
+    # tasks contribute degraded placeholders), each table is
+    # post-processed once against its full original table, and only then
+    # do same-named tables merge, in corpus order -- byte-identical to
+    # the workers=1 run.
+    quarantined_tasks = set(quarantined)
+    raw: dict[int, TableAnnotation] = {}
+    parts: list[RunDiagnostics] = []
     results = []
-    for index in range(len(tasks)):
+    for index, units in enumerate(tasks):
         if index in completed:
-            task_run = completed[index][1]
+            part = completed[index][1]
             results.append(completed[index])
-        elif index in quarantine_runs:
-            task_run = quarantine_runs[index]
+        elif index in quarantined_tasks:
+            part = _quarantine_run(annotator, units)
         else:  # pragma: no cover - only reachable on an aborted run
             continue
-        parts.append(task_run)
-        task = tasks[index]
-        if len(task) == 1 and isinstance(task[0], TableSlice):
-            table_slice = task[0]
-            partial = pending_slices.setdefault(
-                table_slice.table_index, AnnotationRun()
+        parts.append(part.diagnostics)
+        for unit, annotation in zip(units, part.annotations):
+            whole = raw.setdefault(
+                unit.table_index, TableAnnotation(table_name=unit.table_name)
             )
-            for annotation in task_run.tables.values():
-                partial.merge_table(annotation)
-            seen_slices[table_slice.table_index] = (
-                seen_slices.get(table_slice.table_index, 0) + 1
-            )
-            if (
-                seen_slices[table_slice.table_index]
-                == slice_counts[table_slice.table_index]
-            ):
-                combined = partial.tables.get(
-                    table_slice.table_name
-                ) or TableAnnotation(table_name=table_slice.table_name)
-                run.merge_table(
-                    annotator.postprocess_table(
-                        tables[table_slice.table_index], combined
-                    )
-                )
-        else:
-            for annotation in task_run.tables.values():
-                run.merge_table(annotation)
-    combined = RunDiagnostics.combined(
-        [part.diagnostics for part in parts] + cache_io
-    )
+            whole.cells.extend(annotation.cells)
+            whole.degraded.extend(annotation.degraded)
+    for position, annotation in raw.items():
+        run.merge_table(annotator.postprocess_table(tables[position], annotation))
+    combined = RunDiagnostics.combined(parts + cache_io)
     worker_loads = _worker_loads(results, n_workers)
     run.diagnostics = replace(
         combined,
@@ -1270,7 +1196,12 @@ def annotate_tables_parallel(
         tasks_requeued=requeued,
         tasks_quarantined=len(quarantined),
         effective_chunk_cost=effective_chunk_cost,
-        tables_split=len(slice_counts),
+        tables_split=sum(
+            1
+            for units in tasks
+            for unit in units
+            if unit.row_start == 0 and unit.row_stop < tables[unit.table_index].n_rows
+        ),
         # Task-window deltas miss the workers' attach-time warm starts
         # (they happen before any task); fold the per-worker bytes in so
         # the corpus view reports everything the pool read to get warm.

@@ -318,7 +318,9 @@ class BatchAnnotationResult:
     """Per-request demux view of one pooled corpus pass.
 
     Produced by :meth:`repro.core.annotator.EntityAnnotator.annotate_batch`
-    for a pre-pooled request batch (the resident service's micro-batcher):
+    for a pre-pooled request batch (the resident service's micro-batcher),
+    and -- holding raw, not yet post-processed annotations, one per unit
+    -- by the annotator's raw pass that every worker-pool task runs:
     ``annotations[i]`` is the :class:`TableAnnotation` of the *i*-th input
     table, positionally -- same-named tables are **never** merged, unlike
     :class:`AnnotationRun`, because two independent requests may
@@ -478,7 +480,7 @@ class AnnotationRun:
         share a name (two sites exporting ``"directory"``); their cells
         belong to the same :class:`TableAnnotation`, exactly as the
         per-cell :meth:`add` path has always treated them.  Every corpus
-        assembly point -- sequential, corpus-at-a-time and the parallel
+        assembly point -- ``annotate_tables`` and the parallel
         reassembly in :mod:`repro.core.parallel` -- goes through this
         method, so duplicate names merge identically everywhere instead
         of the last same-named table silently replacing its predecessors.

@@ -132,21 +132,18 @@ def run_clustering(
         for entity in context.world.table_entities(type_key)
         if entity.alternate_sense is not None
     ][:max_entities]
-    plain_recovered = 0
-    clustered_recovered = 0
-    for entity in ambiguous:
-        if (
-            plain.annotate_value(entity.table_name, list(ALL_TYPE_KEYS)).type_key
-            == entity.type_key
-        ):
-            plain_recovered += 1
-        if (
-            clustered.annotate_value(
-                entity.table_name, list(ALL_TYPE_KEYS)
-            ).type_key
-            == entity.type_key
-        ):
-            clustered_recovered += 1
+    plain_decisions = plain.annotate_values(
+        [(entity.table_name, None) for entity in ambiguous], list(ALL_TYPE_KEYS)
+    )
+    plain_recovered = sum(
+        decision.type_key == entity.type_key
+        for decision, entity in zip(plain_decisions, ambiguous)
+    )
+    clustered_recovered = sum(
+        clustered.annotate_value(entity.table_name, list(ALL_TYPE_KEYS)).type_key
+        == entity.type_key
+        for entity in ambiguous
+    )
     return ClusteringResult(
         n_ambiguous=len(ambiguous),
         plain_recovered=plain_recovered,

@@ -1,8 +1,8 @@
 """Parity regression: corpus-at-a-time ``annotate_tables`` versus per table.
 
 The corpus path (``EntityAnnotator.annotate_tables`` default) must be a
-pure optimisation over the retained per-table loop
-(``_annotate_tables_sequential``): identical :class:`AnnotationRun` output
+pure optimisation over a loop of ``annotate_table`` per table
+(``annotation_reference.annotate_per_table``): identical :class:`AnnotationRun` output
 -- annotations *and* run diagnostics -- and identical virtual-clock
 accounting in every scenario where the two protocols issue the same
 requests: mixed-shape corpora, corpora with queries repeated across
@@ -24,6 +24,7 @@ queries), matching the documented contract.
 import random
 
 import pytest
+from annotation_reference import annotate_per_table
 
 from repro.classify.dataset import TextDataset
 from repro.classify.snippet import SnippetTypeClassifier
@@ -102,7 +103,7 @@ def _annotate_both(tables, classifier, engine_factory, config=None, cache_factor
         if path == "corpus":
             run = annotator.annotate_tables(tables, _TYPE_KEYS)
         else:
-            run = annotator._annotate_tables_sequential(tables, _TYPE_KEYS)
+            run = annotate_per_table(annotator, tables, _TYPE_KEYS)
         outcomes.append(
             {
                 "run": run,
@@ -243,8 +244,8 @@ class TestSpatialParity:
             if path == "corpus":
                 run = annotator.annotate_tables(tables, experiments.ALL_TYPE_KEYS)
             else:
-                run = annotator._annotate_tables_sequential(
-                    tables, experiments.ALL_TYPE_KEYS
+                run = annotate_per_table(
+                    annotator, tables, experiments.ALL_TYPE_KEYS
                 )
             results.append(
                 (
@@ -324,7 +325,7 @@ class TestExperimentHarnessParity:
             config,
             cache=small_context.cache,
         )
-        replay = annotator._annotate_tables_sequential(
-            small_context.gft.tables, experiments.ALL_TYPE_KEYS
+        replay = annotate_per_table(
+            annotator, small_context.gft.tables, experiments.ALL_TYPE_KEYS
         )
         assert replay == run

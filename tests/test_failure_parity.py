@@ -123,6 +123,29 @@ class TestPipelineFailureParity:
         assert _degraded_queries(per_cell) == _degraded_queries(batched)
         assert per_cell == batched
 
+    @pytest.mark.parametrize(
+        "retries, failure_rate", [(1, 0.3), (1, 0.7), (2, 0.5)]
+    )
+    def test_annotate_table_repairs_like_annotate_tables(
+        self, classifier, retries, failure_rate
+    ):
+        """One table answers the same through ``annotate_table`` as
+        through ``annotate_tables`` (the service's path): both run the
+        end-of-pass repair.  Each regime leaves cells that only the
+        repair pass recovers."""
+        table = _corpus(n_tables=1, rows_per_table=12)[0]
+        config = AnnotatorConfig(retries=retries, retry_backoff_ms=100.0)
+
+        def annotator() -> EntityAnnotator:
+            return EntityAnnotator(
+                classifier, _make_engine(failure_rate=failure_rate), config
+            )
+
+        single = annotator().annotate_table(table, _TYPE_KEYS)
+        run = annotator().annotate_tables([table], _TYPE_KEYS)
+        assert run.diagnostics.repaired_cells > 0
+        assert single == run.tables[table.name]
+
     @pytest.mark.parametrize("retries", [0, 2])
     def test_workers_degrade_the_same_cells_as_sequential(
         self, classifier, retries

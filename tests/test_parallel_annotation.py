@@ -718,6 +718,51 @@ class TestWorkStealing:
         )
         assert list(parallel.tables) == [table.name for table in tables]
 
+    def test_same_named_tables_in_one_task_postprocess_separately(
+        self, classifier
+    ):
+        """Two distinct tables named ``dup`` travel in one chunk task.
+        Their entities sit in different columns, so post-processing the
+        name-merged annotations against either table would drop cells:
+        the raw annotations must come home in unit order and each table
+        be post-processed against itself before the names merge."""
+
+        def two_columns(name: str, rows: list[list[str]]) -> Table:
+            return Table(
+                name=name,
+                columns=[
+                    Column("A", ColumnType.TEXT),
+                    Column("B", ColumnType.TEXT),
+                ],
+                rows=rows,
+            )
+
+        tables = [
+            two_columns(
+                "dup",
+                [[_NAMES[0], _NAMES[3]], [_NAMES[1], ""], [_NAMES[2], ""]],
+            ),
+            two_columns(
+                "dup",
+                [[_NAMES[4], _NAMES[5]], ["", _NAMES[6]], ["", _NAMES[7]]],
+            ),
+        ]
+        sequential = EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig()
+        ).annotate_tables(tables, _TYPE_KEYS)
+        pooled = EntityAnnotator(
+            classifier,
+            _make_engine(),
+            AnnotatorConfig(schedule="stealing", chunk_cost_target=100),
+        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
+        # Each table kept its own winning column.
+        assert {(c.row, c.column) for c in sequential.tables["dup"].cells} == {
+            (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)
+        }
+        assert sum(load.n_tasks for load in pooled.diagnostics.worker_loads) == 1
+        assert pooled == sequential
+        assert repr(pooled.tables["dup"]) == repr(sequential.tables["dup"])
+
     @pytest.mark.parametrize("schedule", ["static", "stealing"])
     def test_duplicate_table_names_merge_like_sequential(
         self, classifier, schedule
@@ -837,7 +882,7 @@ class TestWorkStealing:
             virtual_seconds=0.0,
         )
         loads = _worker_loads(
-            [(0, run, 4242, 2.0, (51200, 0.25, 4096))], n_workers=2
+            [(0, run, 4242, 2.0, (51200, 0.25, 4096, 0, [], {}))], n_workers=2
         )
         assert len(loads) == 2
         assert loads[0].n_tasks == 1 and loads[0].busy_seconds == 2.0
@@ -868,16 +913,7 @@ class TestWorkStealing:
         run = annotate_tables_parallel(annotator, tables, _TYPE_KEYS, workers=4)
         assert run == reference
 
-    def test_unknown_schedule_rejected(self, classifier):
-        annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
-        with pytest.raises(ValueError, match="schedule"):
-            annotate_tables_parallel(
-                annotator,
-                _corpus(n_tables=2),
-                _TYPE_KEYS,
-                workers=2,
-                schedule="round-robin",
-            )
+    def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
             AnnotatorConfig(schedule="round-robin")
 
