@@ -78,16 +78,6 @@ the single-worker in-memory reference; at full scale the mmap pool's
 pickled payload and per-worker incremental attach RSS must each be a
 small fraction of the in-memory pool's.
 
-The cache-backend scenario (PR 9) warm-starts a ``workers=2`` spawn pool
-twice from state seeded by one cold run: from the pickled-dict cache
-files (each worker loads the whole payload into a private heap copy) and
-from the sharded on-disk cache stores (each worker attaches and reads
-only manifests plus append logs, streaming entries in per probe).  Both
-pools must be byte-identical to the seeding run, the disk pool's
-per-worker cache payload must be a small fraction of the memory pool's,
-and the growth phase's delta compaction must rewrite some -- but not
-all -- bucket files.
-
 The observability scenario (PR 10) times a warm batched workload with
 tracing disabled and enabled.  Disabled instrumentation must be free:
 the measured per-call cost of the no-op span path, multiplied by the
@@ -98,13 +88,11 @@ measured and reported alongside it in the JSON artifact.
 Set ``REPRO_THROUGHPUT_SMOKE=1`` (CI) to run a single small size with no
 artifact writing and no speedup assertions (the workers=2 pool, both
 schedulers, the splitting arm, the shared cache directory, the live
-daemon, the flaky engine, both index backends and both cache backends
-are still exercised, and parity/coverage-ordering still asserted).  Set
+daemon, the flaky engine and both index backends are still exercised,
+and parity/coverage-ordering still asserted).  Set
 ``REPRO_INDEX_BACKEND=mmap`` to run every *other* scenario over the
 frozen mmap backend too -- their parity flags then double as an
-end-to-end backend check at every granularity.  ``REPRO_CACHE_BACKEND=disk``
-does the same for the cache layer: every cache-directory scenario then
-persists through the sharded disk stores.
+end-to-end backend check at every granularity.
 """
 
 import json
@@ -137,11 +125,6 @@ MMAP_SHAPE = (4, 10) if SMOKE else (6, 50)  # (tables, rows per table)
 INDEX_BACKEND = os.environ.get("REPRO_INDEX_BACKEND", "memory")
 """Index backend the non-mmap scenarios run over (``REPRO_INDEX_BACKEND``,
 CI sets ``mmap``); the index-backend scenario always measures both."""
-DISK_CACHE_SHAPE = (4, 10) if SMOKE else (6, 50)  # (tables, rows per table)
-CACHE_BACKEND = os.environ.get("REPRO_CACHE_BACKEND", "memory")
-"""Cache backend the cache-directory scenarios persist through
-(``REPRO_CACHE_BACKEND``, CI sets ``disk``); the cache-backend scenario
-always measures both."""
 SERVICE_WINDOW_MS = 250.0
 """Micro-batching window: generous enough that concurrently-released
 clients always share a tick (the batch closes early once all have
@@ -191,13 +174,6 @@ MAX_MMAP_ATTACH_RSS_FRACTION = 0.5
 in-memory: a spawn worker on the in-memory backend unpickles a private
 postings + page store, one on the frozen artifact only maps it."""
 
-MAX_DISK_CACHE_LOAD_FRACTION = 0.5
-"""Required bound on the disk pool's per-worker cache payload relative
-to the memory pool's (the ISSUE 9 acceptance criterion: attaching a
-sharded store reads manifests plus an append log, not the whole pickled
-cache files; in practice the ratio is < 0.01 -- the bound is generous
-to stay robust to tiny seeded corpora)."""
-
 MAX_TRACING_OFF_OVERHEAD = 0.02
 """Required bound on the disabled instrumentation's cost: per-call no-op
 span cost x spans a traced run records, as a fraction of the untraced
@@ -235,9 +211,6 @@ def test_bench_throughput(benchmark, full_context, artifact_dir, save_artifact):
             "index_backend": INDEX_BACKEND,
             "mmap_tables": MMAP_SHAPE[0],
             "mmap_rows": MMAP_SHAPE[1],
-            "cache_backend": CACHE_BACKEND,
-            "disk_cache_tables": DISK_CACHE_SHAPE[0],
-            "disk_cache_rows": DISK_CACHE_SHAPE[1],
         },
         rounds=1,
         iterations=1,
@@ -291,23 +264,6 @@ def test_bench_throughput(benchmark, full_context, artifact_dir, save_artifact):
     assert result.mmap.workers == WORKERS
     assert result.mmap.artifact_bytes > 0
     assert result.mmap.mmap_payload_bytes < result.mmap.memory_payload_bytes
-    # Cache backends: both warm spawn pools -- whole pickled cache files
-    # per worker vs sharded stores attached by path -- must reproduce
-    # the seeding run byte for byte, the disk pool's per-worker cache
-    # payload must be smaller even at smoke scale, and the growth
-    # phase's delta compaction must have rewritten some buckets while
-    # leaving others untouched (append-and-fold, never rewrite the
-    # world).
-    assert result.disk_cache is not None
-    assert result.disk_cache.identical
-    assert result.disk_cache.workers == WORKERS
-    assert result.disk_cache.store_bytes > 0
-    assert result.disk_cache.disk_load_bytes < result.disk_cache.memory_load_bytes
-    assert (
-        1
-        <= result.disk_cache.delta_buckets_rewritten
-        < result.disk_cache.delta_buckets_total
-    )
 
     if SMOKE:
         return
@@ -381,11 +337,6 @@ def test_bench_throughput(benchmark, full_context, artifact_dir, save_artifact):
     # while becoming ready.
     assert result.mmap.payload_fraction <= MAX_MMAP_PAYLOAD_FRACTION
     assert result.mmap.attach_rss_fraction <= MAX_MMAP_ATTACH_RSS_FRACTION
-
-    # Cache backends: at full scale each spawn worker's warm start must
-    # read a small fraction of the pickled-dict payload from the shared
-    # stores (the ISSUE 9 acceptance criterion).
-    assert result.disk_cache.load_fraction <= MAX_DISK_CACHE_LOAD_FRACTION
 
 
 def test_bench_observability(artifact_dir):

@@ -14,12 +14,6 @@ Usage::
     python -m repro.cli throughput --small --workers 2 \\
         --index-backend mmap --index-artifact .repro-cache/index.reproidx
 
-    # sharded disk cache stores (one shared copy of the warm state)
-    python -m repro.cli cache build --small --cache-dir .repro-cache
-    python -m repro.cli throughput --small --workers 2 \\
-        --cache-backend disk --cache-dir .repro-cache
-    python -m repro.cli cache compact --cache-dir .repro-cache
-
     # the resident annotation service
     python -m repro.cli serve --socket /tmp/repro.sock --small \\
         --cache-dir .repro-cache --batch-window-ms 25
@@ -38,9 +32,12 @@ Usage::
 The first experiment of a session pays for world construction and
 classifier training; subsequent experiments reuse the cached context.
 ``--cache-dir`` makes the search engine's ranking caches durable: the
-directory is loaded before the experiments run and saved back after, so a
-*second* invocation over the same world skips the ranking/snippet cold
-start (the cache is fingerprinted and ignored whenever the world differs).
+``search_results.cache`` file in that directory is loaded before the
+experiments run and saved back after, so a *second* invocation over the
+same world skips the ranking/snippet cold start (the cache is
+fingerprinted and ignored whenever the world differs).  It is one of the
+two versioned pickled files of :mod:`repro.persistence` -- the other is
+the label memo, ``label_memo.cache`` -- the only on-disk cache format.
 ``--workers N`` forwards a process count to the experiments that shard
 corpora (currently ``throughput``); with ``--cache-dir`` the workers
 warm-start from -- and merge-save back into -- one shared cache directory
@@ -67,17 +64,6 @@ pickling or duplicating the index per process.  ``index build`` writes
 that artifact explicitly (same ``--small``/``--seed`` world knobs), so
 fleets can pay the compaction once up front.
 
-``--cache-backend memory|disk`` does the same for the *cache* layer
-(:mod:`repro.persistence`).  ``memory`` (default) keeps the historical
-pickled-dict cache files, loaded whole into every process; ``disk``
-persists the ranking caches and the label memo in sharded on-disk
-stores under ``--cache-dir`` that workers and daemons open *shared* --
-a warm start reads only each store's manifest and append log, and a
-grown corpus appends new entries instead of rewriting the world.
-``cache build`` seeds those stores up front and ``cache compact`` folds
-their append logs into the hash buckets (rewriting only the buckets the
-log touches).
-
 ``serve`` keeps the warm engine resident: one process pays the cold start,
 then any number of ``client`` invocations (or :class:`ServiceClient`
 users) annotate against it, with concurrent requests micro-batched into
@@ -98,7 +84,8 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from repro.core.config import CACHE_BACKENDS, INDEX_BACKENDS, SCHEDULES
+from repro.core.annotator import ENGINE_CACHE_FILE
+from repro.core.config import INDEX_BACKENDS, SCHEDULES
 from repro.eval import ablation, experiments, extensions
 from repro.observability.tracing import span
 from repro.synth.world import WorldConfig
@@ -133,8 +120,6 @@ def main(argv: list[str] | None = None) -> int:
         return _client_main(argv[1:])
     if argv and argv[0] == "index":
         return _index_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
     if argv and argv[0] == "trace":
         return _trace_main(argv[1:])
     parser = argparse.ArgumentParser(
@@ -221,13 +206,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_resilience_arguments(parser)
     _add_index_backend_arguments(parser)
-    _add_cache_backend_arguments(parser)
     _add_trace_arguments(parser)
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.cache_buckets < 1:
-        parser.error(f"--cache-buckets must be >= 1, got {args.cache_buckets}")
     if args.chunk_cost < 0:
         parser.error(f"--chunk-cost must be >= 0, got {args.chunk_cost}")
     if args.max_slice_cost < 0:
@@ -280,29 +262,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     engine_cache = None
-    if args.cache_dir is not None and args.cache_backend == "disk":
-        # Sharded disk store: attach shared, probe-on-miss; the warm
-        # state stays on disk instead of being loaded whole up front.
-        from repro.core.annotator import ENGINE_CACHE_STORE
-        from repro.persistence import open_cache_store
-
-        engine = context.world.search_engine
-        store = open_cache_store(
-            "disk",
-            args.cache_dir / ENGINE_CACHE_STORE,
-            kind="search-results",
-            fingerprint=engine.cache_fingerprint(),
-            n_buckets=args.cache_buckets,
-        )
-        engine.attach_results_store(store)
-        print(
-            f"[engine cache store "
-            f"{'warm from' if store.has_entries() else 'cold; will flush to'} "
-            f"{store.path}]\n",
-            file=sys.stderr,
-        )
-    elif args.cache_dir is not None:
-        engine_cache = args.cache_dir / "search_results.cache"
+    if args.cache_dir is not None:
+        engine_cache = args.cache_dir / ENGINE_CACHE_FILE
         loaded = context.world.search_engine.load_results_cache(engine_cache)
         print(
             f"[engine cache {'warm from' if loaded else 'cold; will save to'} "
@@ -334,10 +295,6 @@ def main(argv: list[str] | None = None) -> int:
                 kwargs["breaker_threshold"] = args.breaker_threshold
             if "index_backend" in parameters:
                 kwargs["index_backend"] = args.index_backend
-            if "cache_backend" in parameters:
-                kwargs["cache_backend"] = args.cache_backend
-            if "cache_buckets" in parameters:
-                kwargs["cache_buckets"] = args.cache_buckets
             with span("cli.experiment", experiment=name):
                 result = runner(context, **kwargs)
             print(result.render())
@@ -351,15 +308,6 @@ def main(argv: list[str] | None = None) -> int:
     if engine_cache is not None:
         context.world.search_engine.save_results_cache(engine_cache)
         print(f"[engine cache saved to {engine_cache}]", file=sys.stderr)
-    elif context.world.search_engine.results_store is not None:
-        store = context.world.search_engine.results_store
-        written = context.world.search_engine.flush_results_store()
-        if written is not None:
-            print(
-                f"[engine cache store appended {written} bytes at "
-                f"{store.path}]",
-                file=sys.stderr,
-            )
     if tracing_on:
         spans = tracing.get_buffer().snapshot()
         if args.trace_out is not None:
@@ -431,32 +379,6 @@ def _add_index_backend_arguments(parser: argparse.ArgumentParser) -> None:
             "<cache-dir>/index.reproidx, or a temporary directory); an "
             "existing artifact is reused when its fingerprint matches "
             "the world, rebuilt otherwise -- see 'index build'"
-        ),
-    )
-
-
-def _add_cache_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """The cache storage-backend knobs, shared by experiments and serve."""
-    parser.add_argument(
-        "--cache-backend",
-        choices=list(CACHE_BACKENDS),
-        default="memory",
-        help=(
-            "cache storage backend: 'memory' (default) keeps the "
-            "historical pickled-dict cache files under --cache-dir; "
-            "'disk' persists the ranking caches and the label memo in "
-            "sharded on-disk stores that workers and daemons open "
-            "shared, appending deltas instead of rewriting the world"
-        ),
-    )
-    parser.add_argument(
-        "--cache-buckets",
-        type=int,
-        default=64,
-        help=(
-            "hash buckets per sharded disk cache store (default 64; "
-            "only meaningful with --cache-backend disk, and only when "
-            "creating a store -- an existing store keeps its layout)"
         ),
     )
 
@@ -654,131 +576,6 @@ def _index_main(argv: list[str]) -> int:
     return 0
 
 
-# -- cache stores -----------------------------------------------------------------------
-
-
-def _cache_main(argv: list[str]) -> int:
-    """``repro.cli cache``: build or compact the sharded disk cache stores."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments cache",
-        description=(
-            "Manage the sharded on-disk cache stores used by "
-            "--cache-backend disk: 'build' seeds them by annotating a "
-            "small corpus slice (paying the cold start once, up front); "
-            "'compact' folds each store's append log into its hash "
-            "buckets (rewriting only the buckets the log touches)."
-        ),
-    )
-    parser.add_argument(
-        "action", choices=["build", "compact"], help="what to do with the stores"
-    )
-    parser.add_argument(
-        "--cache-dir",
-        required=True,
-        type=Path,
-        help="directory holding the *.cachestore stores",
-    )
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="use the reduced-scale world (fast; for smoke-testing)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=13, help="world seed (default 13)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["svm", "bayes"],
-        default="svm",
-        help="snippet classifier backend to seed with (default svm)",
-    )
-    parser.add_argument(
-        "--cache-buckets",
-        type=int,
-        default=64,
-        help="hash buckets per store when creating one (default 64)",
-    )
-    parser.add_argument(
-        "--tables",
-        type=int,
-        default=4,
-        help="corpus tables to annotate while seeding (default 4)",
-    )
-    parser.add_argument(
-        "--rows",
-        type=int,
-        default=10,
-        help="rows per seeded corpus table (default 10)",
-    )
-    args = parser.parse_args(argv)
-    if args.cache_buckets < 1:
-        parser.error(f"--cache-buckets must be >= 1, got {args.cache_buckets}")
-
-    if args.action == "compact":
-        from repro.persistence import ShardedDiskCacheStore
-
-        stores = sorted(args.cache_dir.glob("*.cachestore"))
-        if not stores:
-            print(
-                f"error: no *.cachestore stores under {args.cache_dir} "
-                "(run 'cache build' first)",
-                file=sys.stderr,
-            )
-            return 1
-        for path in stores:
-            rewritten = ShardedDiskCacheStore.compact_path(path)
-            print(f"[{path.name}: {rewritten} bucket(s) rewritten]")
-        return 0
-
-    from repro.core.annotation import SnippetCache
-    from repro.core.annotator import EntityAnnotator
-    from repro.core.config import AnnotatorConfig
-
-    config = (
-        WorldConfig.small(seed=args.seed)
-        if args.small
-        else WorldConfig(seed=args.seed)
-    )
-    start = time.time()
-    context = experiments.build_context(config)
-    print(
-        f"[context ready in {time.time() - start:.1f}s: "
-        f"{context.world.page_count} pages]",
-        file=sys.stderr,
-    )
-    annotator = EntityAnnotator(
-        context.classifiers[args.backend],
-        context.world.search_engine,
-        config=AnnotatorConfig(
-            cache_backend="disk", cache_buckets=args.cache_buckets
-        ),
-        cache=SnippetCache(),
-    )
-    tables = experiments._corpus_tables(context, args.tables, args.rows)
-    start = time.time()
-    annotator.annotate_tables(
-        tables, experiments.ALL_TYPE_KEYS, cache_dir=args.cache_dir
-    )
-    annotator.compact_caches()
-    print(
-        f"[seeded {args.tables} tables x {args.rows} rows in "
-        f"{time.time() - start:.1f}s]",
-        file=sys.stderr,
-    )
-    for store in (
-        annotator.engine.results_store,
-        annotator.cell_annotator.label_store,
-    ):
-        if store is not None:
-            stats = store.stats()
-            print(
-                f"[{Path(store.path).name}: {stats['bucket_files']} bucket "
-                f"file(s), {stats['delta_entries']} delta entries, "
-                f"{stats['store_bytes']} bytes]"
-            )
-    return 0
-
-
 # -- the resident service ---------------------------------------------------------------
 
 
@@ -854,15 +651,10 @@ def _serve_main(argv: list[str]) -> int:
     )
     _add_resilience_arguments(parser)
     _add_index_backend_arguments(parser)
-    _add_cache_backend_arguments(parser)
     _add_trace_arguments(parser)
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.cache_buckets < 1:
-        parser.error(f"--cache-buckets must be >= 1, got {args.cache_buckets}")
-    if args.cache_backend == "disk" and args.cache_dir is None:
-        parser.error("--cache-backend disk needs --cache-dir")
     if args.trace or args.trace_out is not None:
         from repro.observability import tracing
 
@@ -895,8 +687,6 @@ def _serve_main(argv: list[str]) -> int:
             retries=args.retries,
             retry_backoff_ms=args.retry_backoff_ms,
             breaker_threshold=args.breaker_threshold,
-            cache_backend=args.cache_backend,
-            cache_buckets=args.cache_buckets,
         )
     except ValueError as error:
         parser.error(str(error))

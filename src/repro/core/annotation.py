@@ -48,7 +48,7 @@ from typing import Sequence
 from repro.classify.snippet import SnippetTypeClassifier
 from repro.core.config import AnnotatorConfig
 from repro.observability.tracing import span
-from repro.persistence import CacheFileSync, CacheStore
+from repro.persistence import CacheFileSync
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.web.search import SearchEngine, SearchEngineUnavailable
 
@@ -144,10 +144,6 @@ class CellAnnotator:
         # automatically when self.classifier is swapped out.
         self._label_memo: dict[str, str] = {}
         self._label_memo_owner: SnippetTypeClassifier = classifier
-        # Optional shared cache store (repro.persistence.CacheStore)
-        # probed when a snippet misses the in-memory memo; the memo stays
-        # the hot first tier, the store the shared-on-disk second.
-        self._label_store: CacheStore | None = None
         # What the last load/save of the label memo file left in sync
         # (repro.persistence.CacheFileSync); forgotten with the memo.
         self._memo_file = CacheFileSync()
@@ -156,7 +152,7 @@ class CellAnnotator:
         self._memo_misses = 0
         self._cache_loads = 0
         self._cache_saves = 0
-        self._legacy_load_bytes = 0
+        self._cache_load_bytes = 0
         self._cache_save_bytes = 0
 
     # -- per-cell path -----------------------------------------------------------------
@@ -342,7 +338,6 @@ class CellAnnotator:
         snippet is vectorised and classified exactly once.
         """
         label_memo = self._active_label_memo()
-        store = self._label_store
         pool_index: dict[str, int] = {}
         pooled: list[str] = []
         for snippets in snippets_by_query.values():
@@ -354,12 +349,6 @@ class CellAnnotator:
                     continue
                 if snippet in pool_index:
                     continue
-                if store is not None:
-                    stored = store.get(snippet)
-                    if stored is not None:
-                        label_memo[snippet] = stored
-                        self._memo_hits += 1
-                        continue
                 self._memo_misses += 1
                 pool_index[snippet] = len(pooled)
                 pooled.append(snippet)
@@ -465,71 +454,13 @@ class CellAnnotator:
             self._label_memo = {}
             self._label_memo_owner = self.classifier
             self._memo_file.forget()
-            # The attached store answers for the old classifier now.
-            if self._label_store is not None:
-                self.detach_label_store()
         return self._label_memo
-
-    # -- shared cache store ----------------------------------------------------------------
-
-    @property
-    def label_store(self) -> CacheStore | None:
-        """The attached shared label store, or ``None`` (legacy files only)."""
-        return self._label_store
-
-    def attach_label_store(self, store: CacheStore) -> None:
-        """Serve label-memo misses from *store* (a shared second tier).
-
-        The store must have been opened against the current classifier's
-        fingerprint -- labels are pure functions of the snippet text only
-        under one fitted classifier.  Attaching counts as one cache load;
-        bytes read grow lazily as buckets are touched.
-        """
-        if store.fingerprint != self.classifier.fingerprint():
-            raise ValueError(
-                "cannot attach a label store opened against a different "
-                "classifier fingerprint"
-            )
-        if self._label_store is not None:
-            self.detach_label_store()
-        self._active_label_memo()
-        self._label_store = store
-        self._cache_loads += 1
-
-    def detach_label_store(self) -> None:
-        """Drop the attached store, folding its read bytes into the totals."""
-        store = self._label_store
-        if store is None:
-            return
-        self._legacy_load_bytes += store.loaded_bytes
-        self._label_store = None
-
-    def flush_label_store(self) -> int | None:
-        """Persist the label memo through the attached store.
-
-        Stages every memoised label the store does not already hold (the
-        delta this process classified), then appends them in one locked
-        write.  Returns the bytes written, 0 when the store was already
-        complete, or ``None`` when no store is attached or the store lock
-        could not be acquired (the flush is skipped).
-        """
-        store = self._label_store
-        if store is None:
-            return None
-        for snippet, label in self._active_label_memo().items():
-            if not store.contains(snippet):
-                store.put(snippet, label)
-        written = store.flush()
-        if written is not None:
-            self._cache_saves += 1
-            self._cache_save_bytes += written
-        return written
 
     # -- cache IO accounting ---------------------------------------------------------------
 
     @property
     def memo_hits(self) -> int:
-        """Snippet classifications served from the memo or the store."""
+        """Snippet classifications served from the memo."""
         return self._memo_hits
 
     @property
@@ -539,19 +470,18 @@ class CellAnnotator:
 
     @property
     def cache_loads(self) -> int:
-        """Successful memo loads (legacy file reads + store attaches)."""
+        """Memo file loads that read the file."""
         return self._cache_loads
 
     @property
     def cache_saves(self) -> int:
-        """Successful memo saves (legacy file writes + store flushes)."""
+        """Memo file saves that wrote the file."""
         return self._cache_saves
 
     @property
     def cache_load_bytes(self) -> int:
-        """Bytes read to warm the memo, monotone across (de)attaches."""
-        store = self._label_store
-        return self._legacy_load_bytes + (store.loaded_bytes if store else 0)
+        """Bytes read to warm the memo."""
+        return self._cache_load_bytes
 
     @property
     def cache_save_bytes(self) -> int:
@@ -620,7 +550,7 @@ class CellAnnotator:
             return False
         if read:
             self._cache_loads += 1
-            self._legacy_load_bytes += read
+            self._cache_load_bytes += read
         return True
 
     # -- Equation 1 --------------------------------------------------------------------

@@ -92,7 +92,7 @@ from repro.core.results import (
 )
 from repro.geo.geocoder import Geocoder
 from repro.observability.tracing import span
-from repro.persistence import lock_wait_seconds, open_cache_store
+from repro.persistence import lock_wait_seconds
 from repro.tables.model import Table
 from repro.web.search import SearchEngine
 
@@ -101,14 +101,6 @@ ENGINE_CACHE_FILE = "search_results.cache"
 
 LABEL_MEMO_FILE = "label_memo.cache"
 """File name of the persisted snippet -> label memo inside a cache dir."""
-
-ENGINE_CACHE_STORE = "search_results.cachestore"
-"""Directory name of the engine's sharded disk cache store inside a cache
-dir (``cache_backend="disk"``)."""
-
-LABEL_MEMO_STORE = "label_memo.cachestore"
-"""Directory name of the label memo's sharded disk cache store inside a
-cache dir (``cache_backend="disk"``)."""
 
 
 class EntityAnnotator:
@@ -504,24 +496,9 @@ class EntityAnnotator:
         file is unchanged since this annotator last loaded or saved it
         and already holds every entry -- is skipped and reported ``True``
         (see :class:`repro.persistence.CacheFileSync`).
-
-        With ``config.cache_backend="disk"`` the same contract is served
-        by the sharded stores instead (``search_results.cachestore/`` and
-        ``label_memo.cachestore/``): this process's new entries are
-        *appended* to each store's delta log in one locked write -- a
-        grown cache never rewrites the world -- and ``False`` likewise
-        means a lock timeout skipped that flush.
         """
         cache_dir = Path(cache_dir)
-        with span("cache.flush", backend=self.config.cache_backend):
-            if self.config.cache_backend == "disk":
-                self._ensure_stores(cache_dir)
-                return {
-                    "search_results": self.engine.flush_results_store()
-                    is not None,
-                    "label_memo": self.cell_annotator.flush_label_store()
-                    is not None,
-                }
+        with span("cache.flush"):
             return {
                 "search_results": self.engine.save_results_cache(
                     cache_dir / ENGINE_CACHE_FILE
@@ -540,25 +517,9 @@ class EntityAnnotator:
         that cache simply starts cold.  A file unchanged since this
         annotator last loaded or saved it, and already held in memory, is
         not read again.
-
-        With ``config.cache_backend="disk"`` nothing is copied into the
-        process at all: the sharded stores are (re)opened -- reading only
-        each store's manifest and delta log -- and attached as a shared
-        second tier that compute-cache misses probe lazily.  ``True``
-        then means the store matched the current fingerprint and holds
-        entries; re-opening (rather than reusing an attached store) is
-        deliberate, so a parent sees deltas its workers flushed since.
         """
         cache_dir = Path(cache_dir)
-        with span("cache.load", backend=self.config.cache_backend):
-            if self.config.cache_backend == "disk":
-                engine_store, memo_store = self._open_stores(cache_dir)
-                self.engine.attach_results_store(engine_store)
-                self.cell_annotator.attach_label_store(memo_store)
-                return {
-                    "search_results": engine_store.has_entries(),
-                    "label_memo": memo_store.has_entries(),
-                }
+        with span("cache.load"):
             return {
                 "search_results": self.engine.load_results_cache(
                     cache_dir / ENGINE_CACHE_FILE
@@ -567,82 +528,6 @@ class EntityAnnotator:
                     cache_dir / LABEL_MEMO_FILE
                 ),
             }
-
-    def compact_caches(self) -> dict[str, int | None]:
-        """Fold the attached disk stores' delta logs into their buckets.
-
-        Delta compaction (:meth:`repro.persistence.ShardedDiskCacheStore.merge`):
-        only the buckets the log touches are rewritten, so compacting
-        after incremental growth leaves unchanged buckets byte-identical
-        on disk.  Returns buckets rewritten per cache (``None`` marks a
-        lock-timeout skip); empty when no stores are attached (memory
-        backend, or no ``cache_dir`` seen yet).
-        """
-        out: dict[str, int | None] = {}
-        engine_store = self.engine.results_store
-        if engine_store is not None:
-            out["search_results"] = engine_store.merge()
-        memo_store = self.cell_annotator.label_store
-        if memo_store is not None:
-            out["label_memo"] = memo_store.merge()
-        return out
-
-    def _open_stores(self, cache_dir: Path):
-        """Freshly opened (engine, memo) disk stores under *cache_dir*."""
-        engine_store = open_cache_store(
-            "disk",
-            cache_dir / ENGINE_CACHE_STORE,
-            kind="search-results",
-            fingerprint=self.engine.cache_fingerprint(),
-            n_buckets=self.config.cache_buckets,
-        )
-        memo_store = open_cache_store(
-            "disk",
-            cache_dir / LABEL_MEMO_STORE,
-            kind="label-memo",
-            fingerprint=self.classifier.fingerprint(),
-            n_buckets=self.config.cache_buckets,
-        )
-        return engine_store, memo_store
-
-    def _ensure_stores(self, cache_dir: Path) -> None:
-        """Attach disk stores for *cache_dir* unless current ones match.
-
-        The save path must not blindly re-open: entries staged on an
-        attached store would be dropped, and a flush needs no fresh view
-        of the disk state anyway.  A store is replaced only when it
-        answers for a different location or a stale fingerprint.
-        """
-        engine_store = self.engine.results_store
-        if (
-            engine_store is None
-            or Path(engine_store.path) != cache_dir / ENGINE_CACHE_STORE
-            or engine_store.fingerprint != self.engine.cache_fingerprint()
-        ):
-            self.engine.attach_results_store(
-                open_cache_store(
-                    "disk",
-                    cache_dir / ENGINE_CACHE_STORE,
-                    kind="search-results",
-                    fingerprint=self.engine.cache_fingerprint(),
-                    n_buckets=self.config.cache_buckets,
-                )
-            )
-        memo_store = self.cell_annotator.label_store
-        if (
-            memo_store is None
-            or Path(memo_store.path) != cache_dir / LABEL_MEMO_STORE
-            or memo_store.fingerprint != self.classifier.fingerprint()
-        ):
-            self.cell_annotator.attach_label_store(
-                open_cache_store(
-                    "disk",
-                    cache_dir / LABEL_MEMO_STORE,
-                    kind="label-memo",
-                    fingerprint=self.classifier.fingerprint(),
-                    n_buckets=self.config.cache_buckets,
-                )
-            )
 
     # -- diagnostics ------------------------------------------------------------------------
 
@@ -659,42 +544,39 @@ class EntityAnnotator:
 
     @property
     def cache_load_bytes(self) -> int:
-        """Bytes read warm-starting this annotator's caches (lifetime).
-
-        Whole pickled payloads under the legacy files; manifest, delta
-        log and lazily touched buckets under shared disk stores.
-        """
+        """Bytes of cache files read warm-starting this annotator (lifetime)."""
         return self.engine.cache_load_bytes + self.cell_annotator.cache_load_bytes
 
-    def _counters(self) -> tuple:
-        """Snapshot of the counters :class:`RunDiagnostics` deltas over."""
+    def _counters(self) -> dict[str, float]:
+        """Snapshot of the counters :class:`RunDiagnostics` deltas over,
+        keyed by diagnostics field name."""
         cache = self.cell_annotator.cache
         cells = self.cell_annotator
         engine = self.engine
         clock = engine.clock
-        return (
-            cells.failure_count,
-            cache.hits if cache is not None else 0,
-            cache.misses if cache is not None else 0,
-            engine.query_count,
-            clock.n_charges,
-            clock.elapsed_seconds,
-            cells.retry_count,
-            cells.breaker.opens,
-            engine.cache_hits,
-            engine.cache_misses,
-            cells.memo_hits,
-            cells.memo_misses,
-            engine.cache_loads + cells.cache_loads,
-            engine.cache_saves + cells.cache_saves,
-            engine.cache_load_bytes + cells.cache_load_bytes,
-            engine.cache_save_bytes + cells.cache_save_bytes,
-            lock_wait_seconds(),
-        )
+        return {
+            "search_failures": cells.failure_count,
+            "cache_hits": cache.hits if cache is not None else 0,
+            "cache_misses": cache.misses if cache is not None else 0,
+            "queries_issued": engine.query_count,
+            "clock_charges": clock.n_charges,
+            "virtual_seconds": clock.elapsed_seconds,
+            "search_retries": cells.retry_count,
+            "breaker_opens": cells.breaker.opens,
+            "results_cache_hits": engine.cache_hits,
+            "results_cache_misses": engine.cache_misses,
+            "label_memo_hits": cells.memo_hits,
+            "label_memo_misses": cells.memo_misses,
+            "cache_loads": engine.cache_loads + cells.cache_loads,
+            "cache_saves": engine.cache_saves + cells.cache_saves,
+            "cache_load_bytes": engine.cache_load_bytes + cells.cache_load_bytes,
+            "cache_save_bytes": engine.cache_save_bytes + cells.cache_save_bytes,
+            "cache_lock_wait_seconds": lock_wait_seconds(),
+        }
 
     def _diagnostics_since(
         self,
-        before: tuple,
+        before: dict[str, float],
         n_tables: int,
         n_cells: int,
         degraded_cells: int = 0,
@@ -704,23 +586,7 @@ class EntityAnnotator:
         return RunDiagnostics(
             n_tables=n_tables,
             n_cells=n_cells,
-            search_failures=after[0] - before[0],
-            cache_hits=after[1] - before[1],
-            cache_misses=after[2] - before[2],
-            queries_issued=after[3] - before[3],
-            clock_charges=after[4] - before[4],
-            virtual_seconds=after[5] - before[5],
-            search_retries=after[6] - before[6],
-            breaker_opens=after[7] - before[7],
             degraded_cells=degraded_cells,
             repaired_cells=repaired_cells,
-            results_cache_hits=after[8] - before[8],
-            results_cache_misses=after[9] - before[9],
-            label_memo_hits=after[10] - before[10],
-            label_memo_misses=after[11] - before[11],
-            cache_loads=after[12] - before[12],
-            cache_saves=after[13] - before[13],
-            cache_load_bytes=after[14] - before[14],
-            cache_save_bytes=after[15] - before[15],
-            cache_lock_wait_seconds=after[16] - before[16],
+            **{name: after[name] - before[name] for name in after},
         )

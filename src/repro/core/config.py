@@ -18,17 +18,6 @@ and daemons on a host share zero-copy through the OS page cache.  Single
 source of truth for the CLI (``--index-backend``, ``index build``) and the
 benchmark harness."""
 
-CACHE_BACKENDS = ("memory", "disk")
-"""The recognised cache storage backends (see :mod:`repro.persistence`):
-``"memory"`` keeps the historical pickled-dict cache files, loaded whole
-into every process; ``"disk"`` persists the results cache and the label
-memo in sharded on-disk stores (:class:`~repro.persistence.ShardedDiskCacheStore`)
-that workers and daemons open *shared* -- buckets load lazily, new
-entries append to a delta log, ``cache compact`` folds the log into the
-buckets.  Single source of truth for :class:`AnnotatorConfig`, the CLI
-(``--cache-backend``, ``cache build``/``cache compact``) and the
-benchmark harness."""
-
 
 @dataclass(frozen=True)
 class AnnotatorConfig:
@@ -97,11 +86,13 @@ class AnnotatorConfig:
     """Cost budget per work-stealing chunk task, in estimated cells
     (``rows x columns``, the cheap proxy for per-table work).  Consecutive
     small tables are packed into one task until the budget is reached; a
-    table costing more than the budget travels alone (tables never
-    split).  0 (default) sizes chunks automatically from the corpus:
-    ``total_cost / (workers * 4)``, i.e. about four tasks per worker --
-    fine-grained enough to rebalance around a giant table, coarse enough
-    to keep per-task overhead negligible."""
+    table costing more than the budget travels alone, or -- with
+    splitting enabled (``split_giant_tables``/``max_slice_cost``) -- is
+    cut into row-range slice tasks.  0 (default) sizes chunks
+    automatically from the corpus: ``total_cost / (workers * 4)``, i.e.
+    about four tasks per worker -- fine-grained enough to rebalance
+    around a giant table, coarse enough to keep per-task overhead
+    negligible."""
 
     split_giant_tables: bool = False
     """Let the work-stealing scheduler split a giant table into row-range
@@ -124,24 +115,6 @@ class AnnotatorConfig:
     (default) means: when splitting is enabled, size slices to the
     effective chunk cost target, so slices steal exactly like ordinary
     chunks."""
-
-    cache_backend: str = "memory"
-    """Where ``save_caches``/``load_caches`` persist the engine's
-    results cache and the label memo: ``"memory"`` (default) keeps the
-    historical pickled-dict files, byte-identical to earlier releases;
-    ``"disk"`` uses sharded on-disk stores that N workers and daemons
-    open shared -- a warm start reads the manifest plus a small delta
-    log instead of the whole payload, and a grown corpus appends new
-    entries and compacts instead of rewriting the world.  Annotations
-    are byte-identical either way (warmth changes compute, never
-    protocol)."""
-
-    cache_buckets: int = 64
-    """Hash-bucket count of a newly created disk cache store (an
-    existing store keeps the count it was created with).  More buckets
-    mean finer-grained delta compaction -- fewer unchanged entries
-    rewritten when a grown corpus appends -- at the cost of more small
-    files."""
 
     def __post_init__(self) -> None:
         if self.top_k < 1:
@@ -196,15 +169,6 @@ class AnnotatorConfig:
             raise ValueError(
                 "max_slice_cost must be >= 0 (0 = chunk cost target), got "
                 f"{self.max_slice_cost}"
-            )
-        if self.cache_backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"cache_backend must be one of {CACHE_BACKENDS}, got "
-                f"{self.cache_backend!r}"
-            )
-        if self.cache_buckets < 1:
-            raise ValueError(
-                f"cache_buckets must be >= 1, got {self.cache_buckets}"
             )
 
     @property

@@ -225,17 +225,16 @@ def _worker_main(
     as a :class:`RunDiagnostics` delta (or ``("flush-error", pid,
     error)``); ``("stop",)`` exits the loop.
 
-    The trailing stats tuple makes the memory economics of the index and
-    cache backends auditable: *attach_rss_kb* is how much resident
-    memory this worker grew while materialising its annotator
+    The trailing stats tuple makes the memory economics of the index
+    backends and the cache warm start auditable: *attach_rss_kb* is how
+    much resident memory this worker grew while materialising its annotator
     (unpickling under ``spawn``, near-zero under ``fork`` or when the
     engine's index is a shared mmap artifact) and loading caches;
     *attach_seconds* is how long that took; *peak_rss_kb* is the highest
     resident size sampled (at entry, after attach, after each task);
-    *cache_load_bytes* is what the warm start actually read -- whole
-    pickled payloads under the legacy cache files (nothing under
-    ``fork``, whose parent loaded them before starting the pool), just
-    the store manifests plus delta logs under shared disk stores.
+    *cache_load_bytes* is what the warm start actually read -- the whole
+    pickled cache files under ``spawn``, nothing under ``fork``, whose
+    parent loaded them before starting the pool.
 
     *obs* is the parent's observability context, ``(tracing_enabled,
     trace_id)``: under ``spawn`` the module globals do not carry over, so

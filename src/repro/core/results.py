@@ -57,11 +57,10 @@ class WorkerLoad:
     attach_seconds: float = 0.0
     attach_rss_kb: int = 0
     cache_load_bytes: int = field(default=0, compare=False)
-    """Bytes the worker read warm-starting its caches during attach --
-    the whole pickled payload under the legacy files (nothing under
-    ``fork``: the worker inherits the parent's one load), manifest plus
-    delta log under a shared disk store.  Excluded from equality (an IO
-    fact, not an annotation fact)."""
+    """Bytes of cache files the worker read warm-starting its caches
+    during attach (nothing under ``fork``: the worker inherits the
+    parent's one load).  Excluded from equality (an IO fact, not an
+    annotation fact)."""
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,9 @@ class RunDiagnostics:
     """Aggregate health counters of one corpus annotation run.
 
     Snapshot deltas over the *whole* run -- every table, not just the last
-    one -- taken by :meth:`repro.core.annotator.EntityAnnotator.annotate_tables`
-    (and its sequential parity baseline) around the annotation work:
+    one -- taken around the annotation work by the annotator's one raw
+    pass, which :meth:`repro.core.annotator.EntityAnnotator.annotate_tables`
+    and every worker-pool task run:
 
     ``search_failures``
         cells skipped because their (shared) engine request failed;
@@ -181,8 +181,8 @@ class RunDiagnostics:
     ``results_cache_hits`` / ``results_cache_misses`` and
     ``label_memo_hits`` / ``label_memo_misses``
         per-cache traffic of the two persistable caches -- batched-path
-        ranking lookups and snippet classifications served warm (from the
-        in-memory tier or a shared store) versus computed;
+        ranking lookups and snippet classifications served warm from the
+        in-memory caches versus computed;
     ``cache_loads`` / ``cache_saves`` and ``cache_load_bytes`` /
     ``cache_save_bytes``
         cache persistence IO attributable to this run: successful warm
@@ -279,38 +279,25 @@ class RunDiagnostics:
         run-level scheduler facts, not per-part counters, so the combined
         view leaves them 0 and the scheduler stamps them afterwards.
         """
+        summed = {
+            spec.name: sum(getattr(part, spec.name) for part in parts)
+            for spec in fields(cls)
+            if spec.name not in _RUN_LEVEL_FIELDS
+        }
         return cls(
             worker_loads=tuple(
                 load for part in parts for load in part.worker_loads
             ),
-            n_tables=sum(part.n_tables for part in parts),
-            n_cells=sum(part.n_cells for part in parts),
-            search_failures=sum(part.search_failures for part in parts),
-            cache_hits=sum(part.cache_hits for part in parts),
-            cache_misses=sum(part.cache_misses for part in parts),
-            queries_issued=sum(part.queries_issued for part in parts),
-            clock_charges=sum(part.clock_charges for part in parts),
-            virtual_seconds=sum(part.virtual_seconds for part in parts),
-            search_retries=sum(part.search_retries for part in parts),
-            breaker_opens=sum(part.breaker_opens for part in parts),
-            degraded_cells=sum(part.degraded_cells for part in parts),
-            repaired_cells=sum(part.repaired_cells for part in parts),
-            tasks_requeued=sum(part.tasks_requeued for part in parts),
-            tasks_quarantined=sum(part.tasks_quarantined for part in parts),
-            results_cache_hits=sum(part.results_cache_hits for part in parts),
-            results_cache_misses=sum(
-                part.results_cache_misses for part in parts
-            ),
-            label_memo_hits=sum(part.label_memo_hits for part in parts),
-            label_memo_misses=sum(part.label_memo_misses for part in parts),
-            cache_loads=sum(part.cache_loads for part in parts),
-            cache_saves=sum(part.cache_saves for part in parts),
-            cache_load_bytes=sum(part.cache_load_bytes for part in parts),
-            cache_save_bytes=sum(part.cache_save_bytes for part in parts),
-            cache_lock_wait_seconds=sum(
-                part.cache_lock_wait_seconds for part in parts
-            ),
+            **summed,
         )
+
+
+_RUN_LEVEL_FIELDS = frozenset(
+    {"worker_loads", "effective_chunk_cost", "tables_split"}
+)
+""":class:`RunDiagnostics` fields :meth:`~RunDiagnostics.combined` does
+not sum: per-worker loads concatenate, and the other two are scheduler
+facts stamped onto the combined view afterwards."""
 
 
 @dataclass
@@ -367,7 +354,7 @@ class ServiceStats:
     ``cache_lock_wait_seconds``
         the folded cache-IO counters of every pass (see
         :class:`RunDiagnostics`), so the cost of keeping the resident
-        process warm -- and the shared-store payloads it moves -- is
+        process warm -- and the cache-file payloads it moves -- is
         visible from a ``stats`` request.
     """
 
@@ -417,23 +404,8 @@ class ServiceStats:
         self.batches += 1
         self.tables += diagnostics.n_tables
         self.cells += diagnostics.n_cells
-        self.queries_issued += diagnostics.queries_issued
-        self.cache_hits += diagnostics.cache_hits
-        self.cache_misses += diagnostics.cache_misses
-        self.search_failures += diagnostics.search_failures
-        self.search_retries += diagnostics.search_retries
-        self.breaker_opens += diagnostics.breaker_opens
-        self.degraded_cells += diagnostics.degraded_cells
-        self.repaired_cells += diagnostics.repaired_cells
-        self.results_cache_hits += diagnostics.results_cache_hits
-        self.results_cache_misses += diagnostics.results_cache_misses
-        self.label_memo_hits += diagnostics.label_memo_hits
-        self.label_memo_misses += diagnostics.label_memo_misses
-        self.cache_loads += diagnostics.cache_loads
-        self.cache_saves += diagnostics.cache_saves
-        self.cache_load_bytes += diagnostics.cache_load_bytes
-        self.cache_save_bytes += diagnostics.cache_save_bytes
-        self.cache_lock_wait_seconds += diagnostics.cache_lock_wait_seconds
+        for name in _FOLDED_DIAGNOSTICS:
+            setattr(self, name, getattr(self, name) + getattr(diagnostics, name))
 
     def to_payload(self) -> dict:
         """JSON-serialisable snapshot (counters plus derived ratios).
@@ -449,6 +421,15 @@ class ServiceStats:
         payload["coalescing_ratio"] = self.coalescing_ratio
         payload["warm_hit_rate"] = self.warm_hit_rate
         return payload
+
+
+_FOLDED_DIAGNOSTICS = tuple(
+    spec.name
+    for spec in fields(ServiceStats)
+    if spec.name in RunDiagnostics.__dataclass_fields__
+)
+""":class:`RunDiagnostics` counters :meth:`ServiceStats.record_batch`
+folds by name (every field the two classes share)."""
 
 
 @dataclass

@@ -30,7 +30,7 @@ from repro.classify.snippet import SnippetTypeClassifier
 from repro.clock import VirtualClock
 from repro.core.annotation import SnippetCache
 from repro.core.annotator import EntityAnnotator
-from repro.core.config import CACHE_BACKENDS, INDEX_BACKENDS, AnnotatorConfig
+from repro.core.config import INDEX_BACKENDS, AnnotatorConfig
 from repro.core.parallel import annotate_tables_parallel
 from repro.core.postprocessing import eliminate_spurious
 from repro.core.results import AnnotationRun, RunDiagnostics
@@ -534,7 +534,6 @@ class ThroughputResult:
     service: "ServiceThroughput | None" = None
     flaky: "FlakyThroughput | None" = None
     mmap: "MmapBackendThroughput | None" = None
-    disk_cache: "DiskCacheThroughput | None" = None
 
     def render(self) -> str:
         table = format_table(
@@ -827,56 +826,6 @@ class ThroughputResult:
                 f"fraction {mmap.payload_fraction:.3f}, attach-RSS "
                 f"fraction {mmap.attach_rss_fraction:.3f})"
             )
-        if self.disk_cache is not None:
-            cache = self.disk_cache
-            cache_table = format_table(
-                [
-                    "Tables",
-                    "Rows",
-                    "Store KB",
-                    "Load KB mem",
-                    "Load KB disk",
-                    "Attach s mem",
-                    "Attach s disk",
-                    "Warm s mem",
-                    "Warm s disk",
-                    "Delta buckets",
-                    "Identical",
-                ],
-                [
-                    (
-                        cache.n_tables,
-                        cache.n_rows,
-                        cache.store_bytes / 1024.0,
-                        cache.memory_load_bytes / 1024.0,
-                        cache.disk_load_bytes / 1024.0,
-                        cache.memory_attach_seconds,
-                        cache.disk_attach_seconds,
-                        cache.memory_seconds,
-                        cache.disk_seconds,
-                        (
-                            f"{cache.delta_buckets_rewritten}"
-                            f"/{cache.delta_buckets_total}"
-                        ),
-                        cache.identical,
-                    )
-                ],
-                title=(
-                    "Cache storage backends: sharded disk stores vs "
-                    f"pickled-dict files (workers={cache.workers}, spawn)"
-                ),
-            )
-            text += (
-                f"\n\n{cache_table}\n(both pools warm-start every worker "
-                "from one shared cache directory seeded by the same cold "
-                "run: the memory backend loads the whole pickled files "
-                "per worker while the disk backend attaches the sharded "
-                "stores and reads only manifests plus append logs; delta "
-                f"buckets = bucket files rewritten when {cache.delta_tables} "
-                "grown-corpus table(s) were appended and compacted; load "
-                f"fraction {cache.load_fraction:.3f}, delta fraction "
-                f"{cache.delta_fraction:.3f})"
-            )
         return text
 
     def to_json(self) -> dict:
@@ -1067,39 +1016,6 @@ class ThroughputResult:
                 "memory_seconds": mmap.memory_seconds,
                 "mmap_seconds": mmap.mmap_seconds,
                 "identical_annotations": mmap.identical,
-            }
-        if self.disk_cache is not None:
-            cache = self.disk_cache
-            payload["disk_cache"] = {
-                "scenario": (
-                    "distinct-content corpus whose warm state is seeded "
-                    "by one cold run, then re-annotated at workers=N "
-                    "under the spawn start method from a pickled-dict "
-                    "cache directory and from sharded on-disk cache "
-                    "stores (per-worker cache payload at attach "
-                    "compared), followed by a corpus-growth phase whose "
-                    "delta compaction rewrites only the bucket files the "
-                    "new entries hash to"
-                ),
-                "n_tables": cache.n_tables,
-                "n_rows": cache.n_rows,
-                "n_cells": cache.n_cells,
-                "workers": cache.workers,
-                "store_bytes": cache.store_bytes,
-                "memory_load_bytes": cache.memory_load_bytes,
-                "disk_load_bytes": cache.disk_load_bytes,
-                "load_fraction": cache.load_fraction,
-                "memory_attach_seconds": cache.memory_attach_seconds,
-                "disk_attach_seconds": cache.disk_attach_seconds,
-                "memory_peak_rss_kb": cache.memory_peak_rss_kb,
-                "disk_peak_rss_kb": cache.disk_peak_rss_kb,
-                "memory_seconds": cache.memory_seconds,
-                "disk_seconds": cache.disk_seconds,
-                "delta_tables": cache.delta_tables,
-                "delta_buckets_rewritten": cache.delta_buckets_rewritten,
-                "delta_buckets_total": cache.delta_buckets_total,
-                "delta_fraction": cache.delta_fraction,
-                "identical_annotations": cache.identical,
             }
         return payload
 
@@ -1477,64 +1393,6 @@ class MmapBackendThroughput:
         return self.memory_attach_seconds / self.mmap_attach_seconds
 
 
-@dataclass
-class DiskCacheThroughput:
-    """Sharded disk cache store versus the pickled-dict cache at workers=N.
-
-    The storage claim of the pluggable cache backends (see
-    :mod:`repro.persistence`), measured -- like the index-backend
-    scenario -- under the ``spawn`` start method.  Both pools warm-start
-    every worker from one shared cache directory seeded by the same cold
-    run: the ``memory`` backend makes each worker load the whole pickled
-    cache files into a private heap copy, while the ``disk`` backend
-    attaches each worker to the sharded stores and reads only their
-    manifests and append logs up front (entries stream in per probe, and
-    the OS page cache holds one physical copy of the buckets for every
-    process on the host).
-
-    ``*_load_bytes`` is the per-worker mean cache payload read while
-    becoming ready (:attr:`~repro.core.results.WorkerLoad.cache_load_bytes`);
-    the delta fields describe the growth phase: after annotating
-    *delta_tables* fresh tables against the warm store, compaction
-    rewrote ``delta_buckets_rewritten`` of ``delta_buckets_total`` bucket
-    files -- a grown corpus appends and folds, it does not rewrite the
-    world.  ``identical`` asserts both warm pools reproduced the seeding
-    run and the delta run reproduced a cold reference, byte for byte.
-    """
-
-    n_tables: int
-    n_rows: int
-    n_cells: int
-    workers: int
-    store_bytes: int
-    memory_load_bytes: float
-    disk_load_bytes: float
-    memory_attach_seconds: float
-    disk_attach_seconds: float
-    memory_peak_rss_kb: float
-    disk_peak_rss_kb: float
-    memory_seconds: float
-    disk_seconds: float
-    delta_tables: int
-    delta_buckets_rewritten: int
-    delta_buckets_total: int
-    identical: bool
-
-    @property
-    def load_fraction(self) -> float:
-        """Disk pool's per-worker cache payload over the memory pool's."""
-        if not self.memory_load_bytes:
-            return 0.0
-        return self.disk_load_bytes / self.memory_load_bytes
-
-    @property
-    def delta_fraction(self) -> float:
-        """Bucket files the growth compaction rewrote, as a fraction."""
-        if not self.delta_buckets_total:
-            return 0.0
-        return self.delta_buckets_rewritten / self.delta_buckets_total
-
-
 def run_throughput(
     context: ExperimentContext,
     sizes: tuple[int, ...] = (100, 500, 1000, 2000),
@@ -1565,10 +1423,6 @@ def run_throughput(
     index_backend: str = "memory",
     mmap_tables: int = 6,
     mmap_rows: int = 50,
-    cache_backend: str = "memory",
-    cache_buckets: int = 64,
-    disk_cache_tables: int = 6,
-    disk_cache_rows: int = 50,
 ) -> ThroughputResult:
     """Measure real cells/second of the batched path against the per-cell path.
 
@@ -1623,43 +1477,25 @@ def run_throughput(
     pages read-only), with per-worker payload, attach time and
     incremental RSS compared.
 
-    Last, the cache-backend scenario (see :class:`DiskCacheThroughput`):
-    a *disk_cache_tables*-table distinct-content corpus whose warm state
-    is seeded once, then re-annotated at ``workers=N`` under ``spawn``
-    from a pickled-dict cache directory and from sharded on-disk stores
-    (per-worker cache payload compared), followed by a corpus-growth
-    phase whose delta compaction rewrites only the buckets the new
-    entries touch.
-
     *index_backend* selects the storage backend every *other* scenario
     runs over: ``"memory"`` (the default) keeps the context's mutable
     :class:`~repro.web.index.InvertedIndex`; ``"mmap"`` freezes it into
     a temporary artifact first, so the whole benchmark -- per-cell,
     batched, multi-worker, service, flaky -- exercises (and, via each
     scenario's parity flag, verifies) the frozen backend end to end.
-    The original backend is restored before returning.  *cache_backend*
-    does the same for the cache layer: ``"disk"`` makes every
-    cache-directory scenario (corpus warm starts, the multi-worker
-    shared directory) persist through sharded disk stores with
-    *cache_buckets* buckets instead of the pickled-dict files, verified
-    by the same parity flags.
+    The original backend is restored before returning.
     """
     import os
     import pickle
     import shutil
     import tempfile
     import time
-    from pathlib import Path
 
     if stream_length < 1:
         raise ValueError(f"stream_length must be >= 1, got {stream_length}")
     if index_backend not in INDEX_BACKENDS:
         raise ValueError(
             f"index_backend must be one of {INDEX_BACKENDS}, got {index_backend!r}"
-        )
-    if cache_backend not in CACHE_BACKENDS:
-        raise ValueError(
-            f"cache_backend must be one of {CACHE_BACKENDS}, got {cache_backend!r}"
         )
     engine = context.world.search_engine
     swapped_memory_index = None
@@ -1718,12 +1554,8 @@ def run_throughput(
         )
 
     # -- corpus-at-a-time scenario ------------------------------------------------------
-    # From here on every scenario that persists caches runs over the
-    # selected cache backend, so its parity flag verifies that backend.
     engine = context.world.search_engine
-    config = AnnotatorConfig(
-        cache_backend=cache_backend, cache_buckets=cache_buckets
-    )
+    config = AnnotatorConfig()
     corpus = _corpus_tables(context, corpus_tables, corpus_rows)
 
     engine.reset_compute_caches()
@@ -2248,176 +2080,6 @@ def run_throughput(
         identical=memory_run == reference_run and mmap_run == reference_run,
     )
 
-    # -- cache-backend scenario ---------------------------------------------------------
-    # Same spawn rationale as the index-backend scenario: under fork the
-    # warm start can hide behind copy-on-write pages, whereas spawn
-    # makes every worker pay its true cache-load bill -- whole pickled
-    # files for the memory backend, store manifests plus append logs
-    # for the sharded disk stores.  Both pools warm-start from state
-    # seeded by one cold run.
-    from repro.core.annotator import ENGINE_CACHE_FILE, LABEL_MEMO_FILE
-
-    disk_base = mmap_base + mmap_tables * mmap_rows
-    disk_corpus = [
-        _corpus_tables(
-            context, 1, disk_cache_rows, start=disk_base + index * disk_cache_rows
-        )[0]
-        for index in range(disk_cache_tables)
-    ]
-    memory_cache_config = AnnotatorConfig(cache_buckets=cache_buckets)
-    disk_cache_config = AnnotatorConfig(
-        cache_backend="disk", cache_buckets=cache_buckets
-    )
-
-    def _cold_engine() -> None:
-        """Reset the shared engine to a cold, store-free state."""
-        engine.reset_compute_caches()
-        if engine.results_store is not None:
-            engine.detach_results_store()
-
-    def _cache_arm(arm_config, arm_cache_dir):
-        """One timed spawn-pool warm start over *arm_config*'s backend."""
-        _cold_engine()
-        annotator = EntityAnnotator(
-            context.classifiers["svm"], engine, arm_config
-        )
-        start = time.perf_counter()
-        run = annotate_tables_parallel(
-            annotator,
-            disk_corpus,
-            ALL_TYPE_KEYS,
-            workers=workers,
-            start_method="spawn",
-            cache_dir=arm_cache_dir,
-        )
-        seconds = time.perf_counter() - start
-        loads = [load for load in run.diagnostics.worker_loads if load.n_tasks]
-        return run, seconds, loads
-
-    def _bucket_mtimes(root) -> dict[str, int]:
-        """Bucket file -> ``st_mtime_ns`` for every store under *root*."""
-        return {
-            str(path): os.stat(path).st_mtime_ns
-            for store in sorted(Path(root).glob("*.cachestore"))
-            for path in sorted(store.glob("bucket-*.reprocache"))
-        }
-
-    cache_scenario_dir = tempfile.mkdtemp(prefix="repro-throughput-diskcache-")
-    try:
-        legacy_dir = os.path.join(cache_scenario_dir, "memory")
-        store_dir = os.path.join(cache_scenario_dir, "disk")
-        os.makedirs(legacy_dir)
-        os.makedirs(store_dir)
-
-        # One cold seeding run populates both warm-start directories:
-        # the sharded stores directly (flush, then delta compaction),
-        # the legacy pickled-dict files from the same in-memory state.
-        _cold_engine()
-        seed_annotator = EntityAnnotator(
-            context.classifiers["svm"], engine, disk_cache_config
-        )
-        cache_reference_run = seed_annotator.annotate_tables(
-            disk_corpus, ALL_TYPE_KEYS, cache_dir=store_dir
-        )
-        seed_annotator.compact_caches()
-        seed_annotator.engine.save_results_cache(
-            os.path.join(legacy_dir, ENGINE_CACHE_FILE)
-        )
-        seed_annotator.cell_annotator.save_label_memo(
-            os.path.join(legacy_dir, LABEL_MEMO_FILE)
-        )
-        store_bytes = sum(
-            os.stat(os.path.join(dirpath, name)).st_size
-            for dirpath, _dirnames, filenames in os.walk(store_dir)
-            for name in filenames
-        )
-
-        memory_cache_run, memory_cache_seconds, memory_cache_loads = _cache_arm(
-            memory_cache_config, legacy_dir
-        )
-        disk_cache_run, disk_cache_seconds, disk_cache_loads = _cache_arm(
-            disk_cache_config, store_dir
-        )
-
-        # Growth phase: a grown corpus annotated against the warm store.
-        # A fresh *start* alone shares query signatures with the seeded
-        # corpus by design (see :func:`_corpus_tables`), so growth here
-        # means wider tables drawing *new entities* from the directory:
-        # their queries, windows and snippets are genuinely absent from
-        # the store.  The flush appends those entries to the delta logs;
-        # compaction folds the logs into only the buckets the new
-        # entries hash to, leaving every other bucket file untouched.
-        delta_tables = max(1, disk_cache_tables // 3)
-        delta_rows = min(
-            disk_cache_rows + max(2, disk_cache_rows // 5),
-            len(context.world.table_entities("restaurant")),
-        )
-        delta_base = disk_base + disk_cache_tables * disk_cache_rows
-        delta_corpus = [
-            _corpus_tables(
-                context,
-                1,
-                delta_rows,
-                start=delta_base + index * delta_rows,
-            )[0]
-            for index in range(delta_tables)
-        ]
-        _cold_engine()
-        delta_reference_run = EntityAnnotator(
-            context.classifiers["svm"], engine, memory_cache_config
-        ).annotate_tables(delta_corpus, ALL_TYPE_KEYS)
-        _cold_engine()
-        delta_annotator = EntityAnnotator(
-            context.classifiers["svm"], engine, disk_cache_config
-        )
-        delta_run = delta_annotator.annotate_tables(
-            delta_corpus, ALL_TYPE_KEYS, cache_dir=store_dir
-        )
-        before_mtimes = _bucket_mtimes(store_dir)
-        delta_annotator.compact_caches()
-        after_mtimes = _bucket_mtimes(store_dir)
-        delta_rewritten = sum(
-            1
-            for path, mtime in after_mtimes.items()
-            if before_mtimes.get(path) != mtime
-        )
-    finally:
-        if engine.results_store is not None:
-            engine.detach_results_store()
-        shutil.rmtree(cache_scenario_dir, ignore_errors=True)
-
-    disk_cache_result = DiskCacheThroughput(
-        n_tables=disk_cache_tables,
-        n_rows=disk_cache_rows,
-        n_cells=cache_reference_run.diagnostics.n_cells,
-        workers=workers,
-        store_bytes=store_bytes,
-        memory_load_bytes=_mean(
-            load.cache_load_bytes for load in memory_cache_loads
-        ),
-        disk_load_bytes=_mean(
-            load.cache_load_bytes for load in disk_cache_loads
-        ),
-        memory_attach_seconds=_mean(
-            load.attach_seconds for load in memory_cache_loads
-        ),
-        disk_attach_seconds=_mean(
-            load.attach_seconds for load in disk_cache_loads
-        ),
-        memory_peak_rss_kb=_mean(load.peak_rss_kb for load in memory_cache_loads),
-        disk_peak_rss_kb=_mean(load.peak_rss_kb for load in disk_cache_loads),
-        memory_seconds=memory_cache_seconds,
-        disk_seconds=disk_cache_seconds,
-        delta_tables=delta_tables,
-        delta_buckets_rewritten=delta_rewritten,
-        delta_buckets_total=len(after_mtimes),
-        identical=(
-            memory_cache_run == cache_reference_run
-            and disk_cache_run == cache_reference_run
-            and delta_run == delta_reference_run
-        ),
-    )
-
     if swapped_memory_index is not None:
         # Hand the context back the mutable backend it arrived with (the
         # digest check inside use_index_backend guarantees nothing
@@ -2434,7 +2096,6 @@ def run_throughput(
         service=service_result,
         flaky=flaky_result,
         mmap=mmap_result,
-        disk_cache=disk_cache_result,
     )
 
 

@@ -56,7 +56,6 @@ when serialisation fails (disk full, unpicklable payload).  Loads treat
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pickle
@@ -66,7 +65,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -660,11 +659,12 @@ class PeriodicFlusher:
     clean shutdown.  The callback must be safe to call from another
     thread (the service wraps it in its annotator lock).
 
-    A failing flush never kills the thread: the exception is kept on
-    :attr:`last_error` and the next interval tries again -- persistence
-    stays an optimisation, not a liveness dependency.  :meth:`stop` joins
-    the thread and (by default) performs one final flush, which is the
-    same path a graceful shutdown takes.
+    A failing flush never kills the thread: the exception is logged as a
+    ``cache.flush_failed`` warning and kept on :attr:`last_error`, and the
+    next interval tries again -- persistence stays an optimisation, not a
+    liveness dependency.  :meth:`stop` joins the thread and (by default)
+    performs one final flush, which is the same path a graceful shutdown
+    takes.
     """
 
     def __init__(
@@ -702,6 +702,11 @@ class PeriodicFlusher:
             self.last_error = None
         except Exception as error:  # flushing must never kill the loop
             self.last_error = error
+            logger.warning(
+                "cache.flush_failed",
+                error=f"{type(error).__name__}: {error}",
+                outcome="not persisted",
+            )
 
     def stop(self, final_flush: bool = True) -> None:
         """Stop the thread; *final_flush* runs the callback one last time."""
@@ -717,707 +722,3 @@ class PeriodicFlusher:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-# -- pluggable cache storage backends --------------------------------------------------
-#
-# The guarded pickled blobs above load a cache *whole*: every process pays
-# the full payload at warm start and holds a private copy.  The store layer
-# below puts the same flat ``str key -> picklable value`` mappings behind a
-# small protocol with two implementations: the pickled-dict file
-# (:class:`MemoryCacheStore`, the historical format) and a sharded on-disk
-# layout (:class:`ShardedDiskCacheStore`) that N processes open *shared* --
-# buckets load lazily on first touch, new entries append to a framed delta
-# log, and an advisory-locked merge-compaction folds the log into the
-# bucket files without rewriting untouched buckets.
-
-CACHE_STORE_KIND = "cache-store"
-"""Artifact ``kind`` of a sharded store's manifest file."""
-
-CACHE_STORE_BUCKET_KIND = "cache-bucket"
-"""Artifact ``kind`` of a sharded store's bucket files."""
-
-CACHE_STORE_LAYOUT_VERSION = 1
-"""Bump when the sharded store layout changes; old stores start cold."""
-
-DEFAULT_CACHE_BUCKETS = 64
-"""Default bucket count of a sharded store (fixed at store creation)."""
-
-_MANIFEST_FILE = "manifest.reprocache"
-_DELTA_FILE = "delta.log"
-_BUCKET_GLOB = "bucket-*.reprocache"
-
-_MISSING = object()
-
-
-def fingerprint_digest_of(fingerprint: Any) -> str:
-    """Stable hex digest of a cache fingerprint token.
-
-    Store files carry the digest (JSON headers cannot hold arbitrary
-    fingerprint tuples); ``repr`` of the scalar tuples/strings used as
-    fingerprints is deterministic across processes.
-    """
-    return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()
-
-
-@runtime_checkable
-class CacheStore(Protocol):
-    """A flat ``str key -> picklable value`` store bound to one fingerprint.
-
-    What the results cache and the label memo require from their storage
-    backend, mirroring :class:`repro.web.backends.IndexBackend` for the
-    index layer.  Entries are pure functions of fingerprint-guarded
-    inputs, so same-keyed entries are interchangeable and last-writer-wins
-    merging is always safe.  ``backend_name`` identifies the
-    implementation in stats/CLI surfaces ("memory" / "disk").
-    """
-
-    backend_name: str
-    kind: str
-
-    @property
-    def loaded_bytes(self) -> int: ...
-
-    def get(self, key: str, default: Any = None) -> Any: ...
-
-    def contains(self, key: str) -> bool: ...
-
-    def put(self, key: str, value: Any) -> None: ...
-
-    def has_entries(self) -> bool: ...
-
-    def flush(self) -> int | None: ...
-
-    def merge(self) -> int | None: ...
-
-
-class MemoryCacheStore:
-    """The historical pickled-dict file behind the :class:`CacheStore` API.
-
-    One guarded blob (:func:`save_cache_payload` with a dict-union merge
-    hook) holding the whole mapping; opening loads everything eagerly,
-    exactly like the legacy ``load_results_cache``/``load_label_memo``
-    paths.  Byte-compatible with files those paths wrote.
-    """
-
-    backend_name = "memory"
-
-    def __init__(
-        self,
-        path,
-        kind: str,
-        fingerprint: Any,
-        lock_timeout: float | None = None,
-    ) -> None:
-        self.path = Path(path)
-        self.kind = kind
-        self.fingerprint = fingerprint
-        self._lock_timeout = lock_timeout
-        self._entries: dict[str, Any] = {}
-        self._pending: dict[str, Any] = {}
-        self._loaded_bytes = 0
-        payload = load_cache_payload(
-            self.path, kind, fingerprint, lock_timeout=lock_timeout
-        )
-        if isinstance(payload, dict):
-            self._entries.update(payload)
-            try:
-                self._loaded_bytes = os.stat(self.path).st_size
-            except OSError:  # pragma: no cover - racing unlink
-                pass
-
-    def __reduce__(self):
-        return (MemoryCacheStore, (str(self.path), self.kind, self.fingerprint))
-
-    @property
-    def loaded_bytes(self) -> int:
-        return self._loaded_bytes
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if key in self._pending:
-            return self._pending[key]
-        return self._entries.get(key, default)
-
-    def contains(self, key: str) -> bool:
-        return key in self._pending or key in self._entries
-
-    def put(self, key: str, value: Any) -> None:
-        self._pending[key] = value
-
-    def has_entries(self) -> bool:
-        return bool(self._entries or self._pending)
-
-    def flush(self) -> int | None:
-        """Persist pending puts; returns bytes written, ``None`` on a
-        lock timeout (the save was skipped, mirroring
-        :func:`save_cache_payload`)."""
-        if not self._pending:
-            return 0
-        merged = {**self._entries, **self._pending}
-        saved = save_cache_payload(
-            self.path,
-            self.kind,
-            self.fingerprint,
-            merged,
-            merge=lambda existing, fresh: {**existing, **fresh},
-            lock_timeout=self._lock_timeout,
-        )
-        if not saved:
-            return None
-        self._entries = merged
-        self._pending = {}
-        try:
-            return os.stat(self.path).st_size
-        except OSError:  # pragma: no cover - racing unlink
-            return 0
-
-    def merge(self) -> int | None:
-        """A pickled-dict file has no delta log; merge is just a flush."""
-        return self.flush()
-
-
-class _TruncatedLog(Exception):
-    """Internal: the delta log ends mid-frame (a writer died mid-append)."""
-
-
-class ShardedDiskCacheStore:
-    """An append-friendly sharded on-disk :class:`CacheStore`.
-
-    Layout (a ``<name>.cachestore/`` directory):
-
-    * ``manifest.reprocache`` -- an array artifact (kind
-      :data:`CACHE_STORE_KIND`) whose header pins the layout version, the
-      payload kind, the fingerprint digest and the bucket count;
-    * ``bucket-NNNN.reprocache`` -- one artifact per occupied hash
-      bucket (kind :data:`CACHE_STORE_BUCKET_KIND`) with two pickled
-      sections: ``keys`` (the sorted key tuple, readable without touching
-      the values) and ``values`` (the parallel value tuple);
-    * ``delta.log`` -- a framed append log (``uint64`` length prefix per
-      pickled record, first record the guard header) that new entries go
-      to under an exclusive store lock.
-
-    Buckets load lazily on first touch, so a warm start reads only the
-    manifest and the (small, post-compaction) delta log instead of the
-    whole payload -- that is the per-worker sharing win.  :meth:`merge`
-    is the delta compaction: it folds the log into the bucket files,
-    rewriting *only* the buckets the log touches, so a grown corpus
-    appends and compacts instead of rewriting the world.
-
-    Robustness follows the cache conventions, not the artifact ones: the
-    underlying container stays loud (:class:`ArtifactError`), but the
-    store catches per-file -- a truncated delta tail (writer SIGKILLed
-    mid-append) keeps every whole record before it, an unreadable bucket
-    or manifest logs a warning and serves cold, and a fingerprint
-    mismatch invalidates the store (the next flush resets it).  Pickling
-    is by path (:meth:`__reduce__`): a spawn worker receives the path and
-    re-opens the store; unflushed puts do not travel.
-    """
-
-    backend_name = "disk"
-
-    def __init__(
-        self,
-        path,
-        kind: str,
-        fingerprint: Any = None,
-        n_buckets: int = DEFAULT_CACHE_BUCKETS,
-        lock_timeout: float | None = None,
-        _digest: str | None = None,
-    ) -> None:
-        if n_buckets < 1:
-            raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
-        self.path = Path(path)
-        self.kind = kind
-        self.fingerprint = fingerprint
-        self.digest = (
-            _digest if _digest is not None else fingerprint_digest_of(fingerprint)
-        )
-        self.n_buckets = int(n_buckets)
-        self._lock_timeout = lock_timeout
-        self._pending: dict[str, Any] = {}
-        self._delta: dict[str, Any] = {}
-        self._buckets: dict[int, dict[str, Any]] = {}
-        self._loaded_bytes = 0
-        self._on_disk_valid = False
-        self._open()
-
-    def __reduce__(self):
-        return (
-            ShardedDiskCacheStore,
-            (str(self.path), self.kind, self.fingerprint, self.n_buckets),
-        )
-
-    # -- paths -----------------------------------------------------------------------
-
-    @property
-    def _manifest_path(self) -> Path:
-        return self.path / _MANIFEST_FILE
-
-    @property
-    def _delta_path(self) -> Path:
-        return self.path / _DELTA_FILE
-
-    def _bucket_path(self, index: int) -> Path:
-        return self.path / f"bucket-{index:04d}.reprocache"
-
-    @property
-    def _anchor(self) -> Path:
-        """Anchor for the store-wide advisory lock (sidecar ``store.lock``)."""
-        return self.path / "store"
-
-    def _timeout(self) -> float:
-        if self._lock_timeout is None:
-            return DEFAULT_LOCK_TIMEOUT
-        return self._lock_timeout
-
-    def _bucket_index(self, key: str) -> int:
-        # blake2b over the utf-8 key bytes: stable across processes and
-        # PYTHONHASHSEED values, unlike hash() or pickled tuples.
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.n_buckets
-
-    # -- open ------------------------------------------------------------------------
-
-    def _open(self) -> None:
-        manifest_path = self._manifest_path
-        if not manifest_path.exists():
-            return  # nothing persisted yet: an empty (but valid-to-write) store
-        try:
-            header, _ = open_array_artifact(
-                manifest_path, CACHE_STORE_KIND, lock_timeout=self._lock_timeout
-            )
-        except ArtifactError as error:
-            logger.warning(
-                "store.manifest_unusable",
-                path=str(self.path),
-                error=str(error),
-                outcome="starting cold",
-            )
-            return
-        if (
-            header.get("layout_version") != CACHE_STORE_LAYOUT_VERSION
-            or header.get("payload_kind") != self.kind
-            or header.get("fingerprint_digest") != self.digest
-        ):
-            logger.info(
-                "store.fingerprint_stale",
-                path=str(self.path),
-                outcome="starting cold",
-            )
-            return
-        self._on_disk_valid = True
-        self.n_buckets = int(header.get("n_buckets", self.n_buckets))
-        try:
-            self._loaded_bytes += manifest_path.stat().st_size
-        except OSError:  # pragma: no cover - racing unlink
-            pass
-        try:
-            with _locked(self._anchor, exclusive=False, timeout=self._timeout()):
-                entries, nbytes = self._read_delta_records()
-        except CacheLockTimeout:
-            logger.warning(
-                "store.delta_locked",
-                path=str(self.path),
-                outcome="starting cold",
-            )
-            return
-        self._delta = entries
-        self._loaded_bytes += nbytes
-
-    # -- delta log -------------------------------------------------------------------
-
-    def _delta_header(self) -> dict[str, Any]:
-        return {
-            "format_version": CACHE_FORMAT_VERSION,
-            "kind": self.kind,
-            "fingerprint_digest": self.digest,
-        }
-
-    @staticmethod
-    def _read_frame(handle) -> bytes | None:
-        prefix = handle.read(8)
-        if not prefix:
-            return None  # clean end of log
-        if len(prefix) < 8:
-            raise _TruncatedLog("truncated frame length")
-        (length,) = struct.unpack("<Q", prefix)
-        blob = handle.read(length)
-        if len(blob) < length:
-            raise _TruncatedLog("truncated frame body")
-        return blob
-
-    def _read_delta_records(self) -> tuple[dict[str, Any], int]:
-        """Read ``(entries, bytes_read)`` from the delta log on disk.
-
-        A truncated tail (a writer SIGKILLed mid-append) keeps every
-        whole record before it -- cold start for the tail, never a
-        crash.  A foreign or stale header means the whole log is ignored.
-        """
-        path = self._delta_path
-        entries: dict[str, Any] = {}
-        valid_end = 0
-        try:
-            handle = open(path, "rb")
-        except FileNotFoundError:
-            return entries, 0
-        with handle:
-            try:
-                header_blob = self._read_frame(handle)
-                if header_blob is None:
-                    return entries, 0
-                header = pickle.loads(header_blob)
-                if header != self._delta_header():
-                    logger.warning(
-                        "store.delta_foreign_header",
-                        path=str(self.path),
-                        outcome="ignoring log",
-                    )
-                    return {}, 0
-                valid_end = handle.tell()
-                while True:
-                    blob = self._read_frame(handle)
-                    if blob is None:
-                        break
-                    key, value = pickle.loads(blob)
-                    entries[key] = value
-                    valid_end = handle.tell()
-            except Exception as error:
-                # Unpickling a torn record can raise nearly anything;
-                # every failure mode means the same thing: the log ends
-                # here.  Whole records before the tear are kept.
-                logger.warning(
-                    "store.delta_torn_tail",
-                    path=str(self.path),
-                    error=f"{type(error).__name__}: {error}",
-                    kept_entries=len(entries),
-                )
-            return entries, valid_end
-
-    def _append_delta_locked(self, entries: Mapping[str, Any]) -> int:
-        """Append *entries* as frames; caller holds the exclusive lock.
-
-        A torn tail (a writer SIGKILLed mid-append) is trimmed first:
-        frames appended after the tear would be unreachable, because
-        every reader stops at the first undecodable record.
-        """
-        path = self._delta_path
-        try:
-            size = path.stat().st_size
-        except FileNotFoundError:
-            size = 0
-        if size:
-            _, valid_end = self._read_delta_records()
-            if valid_end < size:
-                logger.warning(
-                    "store.delta_trimmed",
-                    path=str(self.path),
-                    trimmed_bytes=size - valid_end,
-                )
-                with open(path, "r+b") as handle:
-                    handle.truncate(valid_end)
-                size = valid_end
-        write_header = size == 0
-        written = 0
-        with open(path, "ab") as handle:
-            if write_header:
-                blob = pickle.dumps(
-                    self._delta_header(), protocol=pickle.HIGHEST_PROTOCOL
-                )
-                handle.write(struct.pack("<Q", len(blob)))
-                handle.write(blob)
-                written += 8 + len(blob)
-            for key, value in entries.items():
-                blob = pickle.dumps(
-                    (key, value), protocol=pickle.HIGHEST_PROTOCOL
-                )
-                handle.write(struct.pack("<Q", len(blob)))
-                handle.write(blob)
-                written += 8 + len(blob)
-        return written
-
-    def _truncate_delta_locked(self) -> None:
-        blob = pickle.dumps(
-            self._delta_header(), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        with open(self._delta_path, "wb") as handle:
-            handle.write(struct.pack("<Q", len(blob)))
-            handle.write(blob)
-
-    # -- buckets ---------------------------------------------------------------------
-
-    def _load_bucket(self, index: int) -> dict[str, Any]:
-        path = self._bucket_path(index)
-        if not self._on_disk_valid or not path.exists():
-            return {}
-        try:
-            header, sections = open_array_artifact(
-                path, CACHE_STORE_BUCKET_KIND, lock_timeout=self._lock_timeout
-            )
-            if (
-                header.get("layout_version") != CACHE_STORE_LAYOUT_VERSION
-                or header.get("fingerprint_digest") != self.digest
-            ):
-                logger.warning(
-                    "store.bucket_stale",
-                    path=str(path),
-                    outcome="treating it as empty",
-                )
-                return {}
-            keys = pickle.loads(bytes(memoryview(sections["keys"])))
-            values = pickle.loads(bytes(memoryview(sections["values"])))
-        except Exception as error:
-            # A corrupt/foreign/truncated bucket file costs warmth for
-            # this bucket only, never the run.
-            logger.warning(
-                "store.bucket_unreadable",
-                path=str(path),
-                error=f"{type(error).__name__}: {error}",
-                outcome="treating it as empty",
-            )
-            return {}
-        try:
-            self._loaded_bytes += path.stat().st_size
-        except OSError:  # pragma: no cover - racing unlink
-            pass
-        return dict(zip(keys, values))
-
-    def _bucket(self, index: int) -> dict[str, Any]:
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._load_bucket(index)
-            self._buckets[index] = bucket
-        return bucket
-
-    def _write_bucket_locked(self, index: int, bucket: Mapping[str, Any]) -> None:
-        keys = tuple(sorted(bucket))
-        values = tuple(bucket[key] for key in keys)
-        header = {
-            "layout_version": CACHE_STORE_LAYOUT_VERSION,
-            "payload_kind": self.kind,
-            "fingerprint_digest": self.digest,
-            "bucket": index,
-            "n_entries": len(keys),
-        }
-        sections = {
-            "keys": np.frombuffer(
-                pickle.dumps(keys, protocol=pickle.HIGHEST_PROTOCOL),
-                dtype=np.uint8,
-            ),
-            "values": np.frombuffer(
-                pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL),
-                dtype=np.uint8,
-            ),
-        }
-        if not save_array_artifact(
-            self._bucket_path(index),
-            CACHE_STORE_BUCKET_KIND,
-            header,
-            sections,
-            lock_timeout=self._lock_timeout,
-        ):
-            raise CacheLockTimeout(
-                f"could not lock bucket {index} of {self.path}"
-            )
-
-    # -- store API -------------------------------------------------------------------
-
-    @property
-    def loaded_bytes(self) -> int:
-        """Cumulative bytes this process read from the store (manifest +
-        delta log + lazily touched buckets) -- the warm-start payload."""
-        return self._loaded_bytes
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if key in self._pending:
-            return self._pending[key]
-        if key in self._delta:
-            return self._delta[key]
-        return self._bucket(self._bucket_index(key)).get(key, default)
-
-    def contains(self, key: str) -> bool:
-        return self.get(key, _MISSING) is not _MISSING
-
-    def put(self, key: str, value: Any) -> None:
-        self._pending[key] = value
-
-    def has_entries(self) -> bool:
-        if self._pending or self._delta:
-            return True
-        if not self._on_disk_valid:
-            return False
-        return any(self.path.glob(_BUCKET_GLOB))
-
-    def _ensure_layout_locked(self) -> None:
-        """Make the on-disk layout match this store's guards.
-
-        Called under the exclusive store lock.  Re-checks the manifest
-        first: a peer may have created or reset the store since we
-        opened, in which case we adopt its layout instead of clobbering
-        the entries it already persisted.
-        """
-        if not self._on_disk_valid and self._manifest_path.exists():
-            try:
-                header, _ = open_array_artifact(
-                    self._manifest_path,
-                    CACHE_STORE_KIND,
-                    lock_timeout=self._lock_timeout,
-                )
-            except ArtifactError:
-                header = {}
-            if (
-                header.get("layout_version") == CACHE_STORE_LAYOUT_VERSION
-                and header.get("payload_kind") == self.kind
-                and header.get("fingerprint_digest") == self.digest
-            ):
-                self._on_disk_valid = True
-                self.n_buckets = int(header.get("n_buckets", self.n_buckets))
-        if self._on_disk_valid:
-            return
-        # Reset: a stale store (foreign fingerprint, old layout) is
-        # replaced wholesale -- its entries answer a world that no
-        # longer exists.
-        for stale in self.path.glob(_BUCKET_GLOB):
-            try:
-                stale.unlink()
-            except OSError:  # pragma: no cover - racing unlink
-                pass
-        if not save_array_artifact(
-            self._manifest_path,
-            CACHE_STORE_KIND,
-            {
-                "layout_version": CACHE_STORE_LAYOUT_VERSION,
-                "payload_kind": self.kind,
-                "fingerprint_digest": self.digest,
-                "n_buckets": self.n_buckets,
-            },
-            {},
-            lock_timeout=self._lock_timeout,
-        ):
-            raise CacheLockTimeout(
-                f"could not lock the manifest of {self.path}"
-            )
-        self._truncate_delta_locked()
-        self._buckets = {}
-        self._delta = {}
-        self._on_disk_valid = True
-
-    def flush(self) -> int | None:
-        """Append pending puts to the delta log.
-
-        Returns the bytes appended, 0 when nothing was pending, or
-        ``None`` when the store lock could not be acquired (the flush is
-        skipped -- warmth lost, never correctness).
-        """
-        if not self._pending and self._on_disk_valid:
-            return 0
-        try:
-            with _locked(self._anchor, exclusive=True, timeout=self._timeout()):
-                self._ensure_layout_locked()
-                written = self._append_delta_locked(self._pending)
-        except CacheLockTimeout:
-            return None
-        self._delta.update(self._pending)
-        self._pending = {}
-        return written
-
-    def merge(self) -> int | None:
-        """Delta compaction: fold the append log into the bucket files.
-
-        Re-reads the log from disk under the exclusive store lock (peers
-        may have appended since we opened), rewrites *only* the buckets
-        the log touches, then truncates the log.  Returns the number of
-        buckets rewritten, or ``None`` on a lock timeout.
-        """
-        try:
-            with _locked(self._anchor, exclusive=True, timeout=self._timeout()):
-                self._ensure_layout_locked()
-                disk_delta, _ = self._read_delta_records()
-                combined = {**disk_delta, **self._pending}
-                if not combined:
-                    return 0
-                by_bucket: dict[int, dict[str, Any]] = {}
-                for key, value in combined.items():
-                    by_bucket.setdefault(self._bucket_index(key), {})[
-                        key
-                    ] = value
-                rewritten = 0
-                for index in sorted(by_bucket):
-                    bucket = self._load_bucket(index)
-                    bucket.update(by_bucket[index])
-                    self._write_bucket_locked(index, bucket)
-                    self._buckets[index] = bucket
-                    rewritten += 1
-                self._truncate_delta_locked()
-        except CacheLockTimeout:
-            return None
-        self._delta = {}
-        self._pending = {}
-        return rewritten
-
-    def stats(self) -> dict[str, int]:
-        """Cheap on-disk shape numbers for CLI/stats surfaces."""
-        bucket_files = list(self.path.glob(_BUCKET_GLOB))
-        store_bytes = 0
-        for file in [self._manifest_path, self._delta_path, *bucket_files]:
-            try:
-                store_bytes += file.stat().st_size
-            except OSError:
-                pass
-        return {
-            "n_buckets": self.n_buckets,
-            "bucket_files": len(bucket_files),
-            "delta_entries": len(self._delta) + len(self._pending),
-            "store_bytes": store_bytes,
-        }
-
-    @classmethod
-    def compact_path(cls, path, lock_timeout: float | None = None) -> int:
-        """Compact the store at *path* without knowing its fingerprint.
-
-        The manifest pins the payload kind and fingerprint digest, which
-        is all compaction needs.  Loud (:class:`ArtifactError`) on a
-        missing or unusable manifest: the caller named *this* store.
-        """
-        path = Path(path)
-        header, _ = open_array_artifact(
-            path / _MANIFEST_FILE, CACHE_STORE_KIND, lock_timeout=lock_timeout
-        )
-        if header.get("layout_version") != CACHE_STORE_LAYOUT_VERSION:
-            raise ArtifactError(
-                f"{path} uses cache store layout "
-                f"{header.get('layout_version')!r}, expected "
-                f"{CACHE_STORE_LAYOUT_VERSION}"
-            )
-        store = cls(
-            path,
-            str(header.get("payload_kind")),
-            n_buckets=int(header.get("n_buckets", DEFAULT_CACHE_BUCKETS)),
-            lock_timeout=lock_timeout,
-            _digest=str(header.get("fingerprint_digest")),
-        )
-        rewritten = store.merge()
-        if rewritten is None:
-            raise ArtifactError(f"could not lock {path} for compaction")
-        return rewritten
-
-
-def open_cache_store(
-    backend: str,
-    path,
-    kind: str,
-    fingerprint: Any,
-    n_buckets: int = DEFAULT_CACHE_BUCKETS,
-    lock_timeout: float | None = None,
-) -> CacheStore:
-    """Open (creating lazily) the :class:`CacheStore` for *backend*."""
-    if backend == "memory":
-        return MemoryCacheStore(path, kind, fingerprint, lock_timeout=lock_timeout)
-    if backend == "disk":
-        return ShardedDiskCacheStore(
-            path,
-            kind,
-            fingerprint,
-            n_buckets=n_buckets,
-            lock_timeout=lock_timeout,
-        )
-    raise ValueError(f"unknown cache backend {backend!r}")

@@ -341,10 +341,6 @@ class AnnotationService:
         # a private in-process copy; "mmap": a frozen artifact shared
         # zero-copy with every other process that opened it).
         payload["index_backend"] = self.annotator.engine.index.backend_name
-        # And which cache storage backend its warm state persists through
-        # ("memory": private pickled-dict files; "disk": sharded stores
-        # shared with every worker and daemon on the host).
-        payload["cache_backend"] = self.annotator.config.cache_backend
         return Response(ok=True, request_id=request.request_id, result=payload)
 
     def _metrics(self, request: Request) -> Response:

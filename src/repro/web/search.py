@@ -80,7 +80,7 @@ import numpy as np
 
 from repro.clock import VirtualClock
 from repro.observability.tracing import span
-from repro.persistence import CacheFileSync, CacheStore
+from repro.persistence import CacheFileSync
 from repro.resilience import FaultPlan, deterministic_unit
 from repro.text.stopwords import ENGLISH_STOPWORDS
 from repro.text.tokenization import tokenize
@@ -179,10 +179,6 @@ class SearchEngine:
         self._cache_n_docs = 0
         self._cache_parameters = self.parameters
         self.query_count = 0
-        # Optional shared cache store (repro.persistence.CacheStore)
-        # probed at compute-cache misses; the dicts above stay the hot
-        # first tier, the store is the second, shared-on-disk tier.
-        self._results_store: CacheStore | None = None
         # What the last load/save of the results cache file left in sync
         # (repro.persistence.CacheFileSync); forgotten on every clear.
         self._results_file = CacheFileSync()
@@ -191,7 +187,7 @@ class SearchEngine:
         self._cache_misses = 0
         self._cache_loads = 0
         self._cache_saves = 0
-        self._legacy_load_bytes = 0
+        self._cache_load_bytes = 0
         self._cache_save_bytes = 0
 
     # -- corpus ------------------------------------------------------------------------
@@ -370,9 +366,6 @@ class SearchEngine:
             self._results_file.forget()
             self._cache_n_docs = n_docs
             self._cache_parameters = self.parameters
-            # The attached store answers for the old fingerprint now.
-            if self._results_store is not None:
-                self.detach_results_store()
 
     def reset_compute_caches(self) -> None:
         """Forget every batched-path compute cache.
@@ -518,7 +511,7 @@ class SearchEngine:
             return False
         if read:
             self._cache_loads += 1
-            self._legacy_load_bytes += read
+            self._cache_load_bytes += read
         return True
 
     def _absorb_results(self, payload: dict) -> None:
@@ -530,94 +523,11 @@ class SearchEngine:
         self._cache_n_docs = self._index.n_documents
         self._cache_parameters = self.parameters
 
-    # -- shared cache store ----------------------------------------------------------------
-
-    @property
-    def results_store(self) -> CacheStore | None:
-        """The attached shared cache store, or ``None`` (legacy files only)."""
-        return self._results_store
-
-    def attach_results_store(self, store: CacheStore) -> None:
-        """Serve compute-cache misses from *store* (a shared second tier).
-
-        The store must have been opened against this engine's current
-        :meth:`cache_fingerprint` -- same corpus, same BM25 parameters --
-        so every entry it serves is interchangeable with a fresh compute.
-        Attaching counts as one cache load; the bytes actually read grow
-        lazily as buckets are touched (see :attr:`cache_load_bytes`).
-        """
-        if store.fingerprint != self.cache_fingerprint():
-            raise ValueError(
-                "cannot attach a cache store opened against a different "
-                "fingerprint: corpus or parameters differ"
-            )
-        if self._results_store is not None:
-            self.detach_results_store()
-        self._validate_caches()
-        self._results_store = store
-        self._cache_loads += 1
-
-    def detach_results_store(self) -> None:
-        """Drop the attached store, folding its read bytes into the totals."""
-        store = self._results_store
-        if store is None:
-            return
-        self._legacy_load_bytes += store.loaded_bytes
-        self._results_store = None
-
-    def flush_results_store(self) -> int | None:
-        """Persist this engine's compute caches through the attached store.
-
-        Stages every in-memory entry the store does not already hold
-        (the delta this process computed), then appends them in one
-        locked write.  Returns the bytes written, 0 when the store was
-        already complete, or ``None`` when either no store is attached
-        or the store lock could not be acquired and the flush was
-        skipped -- warmth lost, never correctness.
-        """
-        store = self._results_store
-        if store is None:
-            return None
-        self._validate_caches()
-        if store is not self._results_store:  # invalidation detached it
-            return None
-        for signature, results in self._results_cache.items():
-            key = self._signature_key(signature)
-            if not store.contains(key):
-                store.put(key, results)
-        for doc_id, entry in self._page_windows.items():
-            key = f"win:{doc_id}"
-            if not store.contains(key):
-                store.put(key, entry)
-        for word, tokens in self._word_tokens.items():
-            key = f"tok:{word}"
-            if not store.contains(key):
-                store.put(key, tokens)
-        if self._norms is not None and not store.contains("norms"):
-            store.put("norms", self._norms)
-        written = store.flush()
-        if written is not None:
-            self._cache_saves += 1
-            self._cache_save_bytes += written
-        return written
-
-    @staticmethod
-    def _signature_key(signature: tuple) -> str:
-        """Canonical store key of one results-cache signature.
-
-        The in-memory signature holds a frozenset, whose repr order
-        varies across processes (PYTHONHASHSEED); the store key sorts it
-        so every process addressing the same signature hits the same
-        bucket entry.
-        """
-        effective, token_set, k = signature
-        return f"sig:{(effective, tuple(sorted(token_set)), k)!r}"
-
     # -- cache IO accounting ---------------------------------------------------------------
 
     @property
     def cache_hits(self) -> int:
-        """Batched-path ranking lookups served from cache (dict or store)."""
+        """Batched-path ranking lookups served from cache."""
         return self._cache_hits
 
     @property
@@ -627,19 +537,18 @@ class SearchEngine:
 
     @property
     def cache_loads(self) -> int:
-        """Successful cache loads (legacy file reads + store attaches)."""
+        """Cache file loads that read the file."""
         return self._cache_loads
 
     @property
     def cache_saves(self) -> int:
-        """Successful cache saves (legacy file writes + store flushes)."""
+        """Cache file saves that wrote the file."""
         return self._cache_saves
 
     @property
     def cache_load_bytes(self) -> int:
-        """Bytes read to warm this engine, monotone across (de)attaches."""
-        store = self._results_store
-        return self._legacy_load_bytes + (store.loaded_bytes if store else 0)
+        """Bytes read to warm this engine."""
+        return self._cache_load_bytes
 
     @property
     def cache_save_bytes(self) -> int:
@@ -658,17 +567,10 @@ class SearchEngine:
         effective = self._filter_tokens(query_tokens)
         signature = (tuple(effective), frozenset(query_tokens), k)
         cached = self._results_cache.get(signature)
-        store = self._results_store
-        if cached is None and store is not None:
-            cached = store.get(self._signature_key(signature))
-            if cached is not None:
-                self._results_cache[signature] = cached
         if cached is not None:
             self._cache_hits += 1
             return cached
         self._cache_misses += 1
-        if self._norms is None and store is not None:
-            self._norms = store.get("norms")
         if self._norms is None:
             self._norms = bm25_norms(self._index, self.parameters)
         matched, scores = bm25_matched_scores(
@@ -731,22 +633,15 @@ class SearchEngine:
         the best window with a cumulative-sum sweep.
         """
         entry = self._page_windows.get(doc_id)
-        store = self._results_store
-        if entry is None and store is not None:
-            entry = store.get(f"win:{doc_id}")
-            if entry is not None:
-                self._page_windows[doc_id] = entry
         if entry is None:
             words = self._index.page(doc_id).body.split()
             word_tokens = self._word_tokens
             by_token: dict[str, list[int]] = {}
             for position, word in enumerate(words):
                 tokens = word_tokens.get(word)
-                if tokens is None and store is not None:
-                    tokens = store.get(f"tok:{word}")
                 if tokens is None:
                     tokens = tuple(tokenize(word))
-                word_tokens[word] = tokens
+                    word_tokens[word] = tokens
                 for token in tokens:
                     by_token.setdefault(token, []).append(position)
             entry = (words, by_token)

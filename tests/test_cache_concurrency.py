@@ -12,21 +12,11 @@ this suite pins the three guarantees that make that safe
 * **bounded waiting** -- a held lock makes loads report a cold start
   (``None``/``False``) and saves report a skip (``False``) after the
   timeout instead of deadlocking or crashing.
-
-The chaos section extends the same contract to the sharded disk store
-(:class:`repro.persistence.ShardedDiskCacheStore`): readers racing a
-merge-compaction always see a coherent store, a writer SIGKILLed
-mid-append leaves at worst a torn delta tail (cold start for the tail,
-never a crash), and a foreign fingerprint invalidates the store instead
-of serving another world's answers.
 """
 
 import multiprocessing
 import os
-import pickle
 import random
-import signal
-import time
 
 import pytest
 
@@ -201,133 +191,6 @@ class TestLockTimeout:
         path = tmp_path / "cache.bin"
         persistence.save_cache_payload(path, "k", "f", {"a": 1})
         assert persistence.load_cache_payload(path, "k", "f") == {"a": 1}
-
-
-_STORE_KIND = "chaos-cache"
-_STORE_FINGERPRINT = ("chaos", 1)
-
-
-def _open_store(store_dir, fingerprint=_STORE_FINGERPRINT):
-    return persistence.ShardedDiskCacheStore(
-        store_dir, _STORE_KIND, fingerprint=fingerprint, n_buckets=8
-    )
-
-
-def _store_reader(store_dir: str, n_keys: int, rounds: int) -> None:
-    """Subprocess body: reopen the store and probe every key, repeatedly,
-    while the parent merge-compacts underneath.  A key is either absent
-    (not yet flushed / already invalidated) or carries its one true
-    value -- anything else is corruption."""
-    from pathlib import Path
-
-    for _ in range(rounds):
-        store = _open_store(Path(store_dir))
-        for index in range(n_keys):
-            value = store.get(f"key-{index}")
-            assert value is None or value == f"value-{index}", value
-
-
-def _store_writer_forever(store_dir: str) -> None:
-    """Subprocess body: append forever (the parent SIGKILLs us mid-run)."""
-    from pathlib import Path
-
-    store = _open_store(Path(store_dir))
-    index = 0
-    while True:
-        store.put(f"doomed-{index}", "x" * 512)
-        store.flush()
-        index += 1
-
-
-class TestSharedStoreChaos:
-    def test_readers_race_merge_compaction(self, tmp_path):
-        store_dir = tmp_path / "chaos.cachestore"
-        store = _open_store(store_dir)
-        n_keys = 48
-        for index in range(n_keys):
-            store.put(f"key-{index}", f"value-{index}")
-        store.flush()
-
-        context = multiprocessing.get_context()
-        readers = [
-            context.Process(
-                target=_store_reader, args=(str(store_dir), n_keys, 6)
-            )
-            for _ in range(3)
-        ]
-        for reader in readers:
-            reader.start()
-        # Merge-compact repeatedly while the readers run: each round
-        # appends a fresh delta and folds it into the buckets.
-        for round_index in range(5):
-            grower = _open_store(store_dir)
-            grower.put(f"round-{round_index}", f"value-{round_index}")
-            grower.flush()
-            assert grower.merge() is not None
-        for reader in readers:
-            reader.join(timeout=60)
-            assert reader.exitcode == 0
-
-        # Nothing was lost to the races: every key (and every round's
-        # delta) survives in the compacted store.
-        survivor = _open_store(store_dir)
-        for index in range(n_keys):
-            assert survivor.get(f"key-{index}") == f"value-{index}"
-        for round_index in range(5):
-            assert survivor.get(f"round-{round_index}") == f"value-{round_index}"
-
-    def test_writer_sigkilled_mid_append(self, tmp_path):
-        store_dir = tmp_path / "chaos.cachestore"
-        seeded = _open_store(store_dir)
-        seeded.put("survivor", "still-here")
-        seeded.flush()
-        assert seeded.merge() == 1
-
-        context = multiprocessing.get_context()
-        writer = context.Process(
-            target=_store_writer_forever, args=(str(store_dir),)
-        )
-        writer.start()
-        # Let it append for a moment, then kill it without ceremony --
-        # the moral equivalent of an OOM kill mid-write.
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            delta = store_dir / "delta.log"
-            if delta.exists() and delta.stat().st_size > 4096:
-                break
-            time.sleep(0.01)
-        os.kill(writer.pid, signal.SIGKILL)
-        writer.join(timeout=30)
-        assert writer.exitcode == -signal.SIGKILL
-
-        # The store must open -- at worst the torn tail starts cold --
-        # and the compacted entry written before the chaos is intact.
-        survivor = _open_store(store_dir)
-        assert survivor.get("survivor") == "still-here"
-        # Appending and compacting on top of the tear works: the torn
-        # tail is trimmed, not tripped over.
-        survivor.put("after-the-crash", "fine")
-        assert survivor.flush() > 0
-        assert survivor.merge() >= 1
-        assert _open_store(store_dir).get("after-the-crash") == "fine"
-
-    def test_foreign_fingerprint_invalidates_store(self, tmp_path):
-        store_dir = tmp_path / "chaos.cachestore"
-        store = _open_store(store_dir)
-        store.put("key-0", "value-0")
-        store.flush()
-        store.merge()
-        foreign = _open_store(store_dir, fingerprint=("chaos", 2))
-        assert not foreign.has_entries()
-        assert foreign.get("key-0") is None
-        # The first flush under the new fingerprint resets the layout;
-        # the old world's entries do not leak into the new one.
-        foreign.put("key-0", "new-value")
-        foreign.flush()
-        assert _open_store(
-            store_dir, fingerprint=("chaos", 2)
-        ).get("key-0") == "new-value"
-        assert not _open_store(store_dir).has_entries()
 
 
 class TestTempFileHygiene:

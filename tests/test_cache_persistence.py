@@ -13,7 +13,11 @@ and the lifetime snippet -> label memo -- must round-trip through disk
   just mean a cold start;
 * a load or save that would change nothing is skipped, and one that
   might -- new entries, a replaced, deleted or re-fingerprinted file, a
-  cleared cache -- never is.
+  cleared cache -- never is;
+* every path that warm-starts from a cache directory -- the per-cell
+  path, ``workers=2`` pools under both ``fork`` and ``spawn``, and the
+  resident service -- answers byte-identically to a cold in-process
+  run, and the cache diagnostics see the warm run.
 """
 
 import pickle
@@ -27,6 +31,9 @@ from repro.classify.snippet import SnippetTypeClassifier
 from repro.clock import VirtualClock
 from repro.core.annotator import ENGINE_CACHE_FILE, LABEL_MEMO_FILE, EntityAnnotator
 from repro.core.config import AnnotatorConfig
+from repro.core.parallel import annotate_tables_parallel
+from repro.service import protocol
+from repro.service.daemon import AnnotationService, ServiceConfig
 from repro.tables.model import Column, ColumnType, Table
 from repro.web.documents import WebPage
 from repro.web.ranking import BM25Parameters
@@ -36,7 +43,7 @@ _WORDS = "exhibit gallery paintings curator collection museum".split()
 _NAMES = ["Grand Gallery", "Stone Hall", "Blue Door"]
 
 
-def _make_engine(parameters=None) -> SearchEngine:
+def _make_engine(parameters=None, names=_NAMES, pages_per_name=8) -> SearchEngine:
     engine = SearchEngine(clock=VirtualClock(), parameters=parameters)
     rng = random.Random(0)
     engine.add_pages(
@@ -46,8 +53,8 @@ def _make_engine(parameters=None) -> SearchEngine:
                 title=name,
                 body=f"{name.lower()} " + " ".join(rng.choices(_WORDS, k=30)),
             )
-            for name in _NAMES
-            for i in range(8)
+            for name in names
+            for i in range(pages_per_name)
         ]
     )
     return engine
@@ -418,3 +425,114 @@ class TestSkipUnchangedIO:
         copy = pickle.loads(pickle.dumps(engine))
         assert copy.load_results_cache(path) is True
         assert copy.cache_load_bytes == 2 * engine.cache_load_bytes
+
+
+# -------------------------------------------------------------- warm-start parity
+
+_VENUES = [f"Venue {i}" for i in range(24)]
+_TYPE_KEYS = ["museum", "restaurant"]
+
+
+def _venue_engine() -> SearchEngine:
+    """Engine over 24 venues x 4 pages, so each table names its own."""
+    return _make_engine(names=_VENUES, pages_per_name=4)
+
+
+def _venue_corpus(n_tables=6, rows_per_table=3) -> list[Table]:
+    """Distinct-content corpus: every table names its own venues."""
+    tables = []
+    for index in range(n_tables):
+        table = Table(
+            name=f"t{index}", columns=[Column("Name", ColumnType.TEXT)]
+        )
+        for row in range(rows_per_table):
+            table.append_row(
+                [_VENUES[(index * rows_per_table + row) % len(_VENUES)]]
+            )
+        tables.append(table)
+    return tables
+
+
+class TestWarmStartParity:
+    def test_per_cell_path_warm_from_files(self, classifier, tmp_path):
+        table = _venue_corpus(n_tables=2)[1]
+        config = AnnotatorConfig()
+        seeder = EntityAnnotator(classifier, _venue_engine(), config)
+        seeder.annotate_tables(_venue_corpus(), _TYPE_KEYS, cache_dir=tmp_path)
+        reference = EntityAnnotator(
+            classifier, _venue_engine(), AnnotatorConfig()
+        )._annotate_table_per_cell(table, _TYPE_KEYS)
+        warm = EntityAnnotator(classifier, _venue_engine(), config)
+        warm.load_caches(tmp_path)
+        assert repr(
+            warm._annotate_table_per_cell(table, _TYPE_KEYS)
+        ) == repr(reference)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_identical_under_both_start_methods(
+        self, classifier, tmp_path, start_method
+    ):
+        import multiprocessing
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+        tables = _venue_corpus()
+        reference = EntityAnnotator(
+            classifier, _venue_engine(), AnnotatorConfig()
+        ).annotate_tables(tables, _TYPE_KEYS)
+        # Seed the shared directory, then a warm workers=2 run from it.
+        config = AnnotatorConfig()
+        EntityAnnotator(
+            classifier, _venue_engine(), config
+        ).annotate_tables(tables, _TYPE_KEYS, cache_dir=tmp_path)
+        warm_run = annotate_tables_parallel(
+            EntityAnnotator(classifier, _venue_engine(), config),
+            tables,
+            _TYPE_KEYS,
+            workers=2,
+            cache_dir=tmp_path,
+            start_method=start_method,
+        )
+        assert warm_run == reference
+
+    def test_service_path(self, classifier, tmp_path):
+        table = _venue_corpus(n_tables=1, rows_per_table=6)[0]
+        reference = EntityAnnotator(
+            classifier, _venue_engine(), AnnotatorConfig()
+        ).annotate_table(table, _TYPE_KEYS)
+        config = AnnotatorConfig()
+        EntityAnnotator(
+            classifier, _venue_engine(), config
+        ).annotate_tables(_venue_corpus(), _TYPE_KEYS, cache_dir=tmp_path)
+        service = AnnotationService(
+            EntityAnnotator(classifier, _venue_engine(), config),
+            ServiceConfig(cache_dir=str(tmp_path)),
+        ).start()
+        try:
+            response = service.submit(
+                protocol.annotate_table_request(table, _TYPE_KEYS, "1")
+            )
+            assert response.ok
+            assert (
+                protocol.annotation_from_payload(response.result["annotation"])
+                == reference
+            )
+            stats = service.submit(protocol.stats_request("2")).result
+            assert stats["cache_load_bytes"] > 0
+        finally:
+            service.stop()
+
+
+class TestCacheDiagnostics:
+    def test_counters_cover_a_warm_run(self, classifier, tmp_path):
+        tables = _venue_corpus()
+        config = AnnotatorConfig()
+        EntityAnnotator(classifier, _venue_engine(), config).annotate_tables(
+            tables, _TYPE_KEYS, cache_dir=tmp_path
+        )
+        warm = EntityAnnotator(
+            classifier, _venue_engine(), config
+        ).annotate_tables(tables, _TYPE_KEYS, cache_dir=tmp_path)
+        assert warm.diagnostics.results_cache_hits > 0
+        assert warm.diagnostics.cache_loads >= 2
+        assert warm.diagnostics.cache_load_bytes > 0

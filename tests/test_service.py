@@ -22,6 +22,7 @@ layer up:
 """
 
 import json
+import logging
 import os
 import random
 import threading
@@ -504,21 +505,31 @@ class TestPeriodicFlusher:
                 time.sleep(0.01)
         assert len(calls) >= 3  # >= two periodic + the final stop flush
 
-    def test_callback_errors_are_kept_not_fatal(self):
+    def test_callback_errors_are_kept_not_fatal(self, caplog):
         calls = []
 
         def failing_flush():
             calls.append(1)
             raise RuntimeError("disk full")
 
-        flusher = persistence.PeriodicFlusher(failing_flush, 0.02).start()
-        deadline = time.monotonic() + 2.0
-        while len(calls) < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        flusher.stop(final_flush=False)
+        with caplog.at_level(logging.WARNING, logger="repro.persistence"):
+            flusher = persistence.PeriodicFlusher(failing_flush, 0.02).start()
+            deadline = time.monotonic() + 2.0
+            while len(calls) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            flusher.stop(final_flush=False)
         assert len(calls) >= 2  # the loop survived the first failure
         assert isinstance(flusher.last_error, RuntimeError)
         assert flusher.flush_count == 0
+        # ... and said so: a failing flush is logged, not silent.
+        failures = [
+            json.loads(record.message)
+            for record in caplog.records
+            if record.name == "repro.persistence"
+            and '"cache.flush_failed"' in record.message
+        ]
+        assert failures
+        assert all("disk full" in event["error"] for event in failures)
 
     def test_rejects_non_positive_interval(self):
         with pytest.raises(ValueError, match="interval_seconds"):
