@@ -7,16 +7,15 @@ Usage::
     python -m repro.cli all               # everything
     python -m repro.cli table1 --small    # fast, reduced-scale world
     python -m repro.cli table1 --small --cache-dir .repro-cache
-    python -m repro.cli throughput --workers 4 --cache-dir .repro-cache
 
     # frozen mmap index artifacts (shared zero-copy across processes)
     python -m repro.cli index build --small --out .repro-cache/index.reproidx
-    python -m repro.cli throughput --small --workers 2 \\
+    python -m repro.cli table1 --small \\
         --index-backend mmap --index-artifact .repro-cache/index.reproidx
 
     # the resident annotation service
     python -m repro.cli serve --socket /tmp/repro.sock --small \\
-        --cache-dir .repro-cache --batch-window-ms 25
+        --cache-dir .repro-cache --batch-window-ms 25 --workers 2
     python -m repro.cli client ping --socket /tmp/repro.sock
     python -m repro.cli client annotate --socket /tmp/repro.sock \\
         --table my_table.json --types museum,restaurant
@@ -26,7 +25,7 @@ Usage::
     python -m repro.cli client shutdown --socket /tmp/repro.sock
 
     # end-to-end tracing (see docs/architecture.md, "Observability")
-    python -m repro.cli throughput --small --trace --trace-out run.jsonl
+    python -m repro.cli table1 --small --trace --trace-out run.jsonl
     python -m repro.cli trace summarize --in run.jsonl
 
 The first experiment of a session pays for world construction and
@@ -38,21 +37,8 @@ same world skips the ranking/snippet cold start (the cache is
 fingerprinted and ignored whenever the world differs).  It is one of the
 two versioned pickled files of :mod:`repro.persistence` -- the other is
 the label memo, ``label_memo.cache`` -- the only on-disk cache format.
-``--workers N`` forwards a process count to the experiments that shard
-corpora (currently ``throughput``); with ``--cache-dir`` the workers
-warm-start from -- and merge-save back into -- one shared cache directory
-(saves are advisory-locked, so concurrent invocations never lose entries).
-``--schedule static|stealing`` picks the multi-worker scheduler
-(work-stealing chunk queue by default; contiguous static shards as the
-baseline) and ``--chunk-cost`` bounds the per-task cost of the stealing
-queue (0 = automatic).  ``--split-giant-tables`` lets the stealing queue
-cut a giant table into row-range slice tasks (byte-identical
-reassembly), and ``--max-slice-cost`` bounds the per-slice cost (a
-positive value implies splitting; 0 = the effective chunk cost).  ``--retries``, ``--retry-backoff-ms`` and
-``--breaker-threshold`` arm the resilience layer at the search boundary
-(bounded retries with deterministic backoff, a consecutive-failure
-circuit breaker; both default off, preserving seed behaviour) for the
-experiments that accept them and for ``serve``.
+Saves are merge-on-save under an advisory lock, so concurrent
+invocations sharing a cache directory never lose entries.
 
 ``--index-backend memory|mmap`` picks the index storage backend
 (:mod:`repro.web.backends`).  ``mmap`` swaps the engine onto a frozen
@@ -67,15 +53,18 @@ fleets can pay the compaction once up front.
 ``serve`` keeps the warm engine resident: one process pays the cold start,
 then any number of ``client`` invocations (or :class:`ServiceClient`
 users) annotate against it, with concurrent requests micro-batched into
-pooled corpus passes.  A ``Ctrl-C``/``SIGTERM`` anywhere -- serving, or
-mid-experiment with ``--workers N`` -- flushes the accumulated cache
-warmth before exiting with code 130.
+pooled corpus passes; ``--workers N`` runs each pass on a pool of ``N``
+worker processes, and ``--retries``, ``--retry-backoff-ms`` and
+``--breaker-threshold`` arm the resilience layer at the search boundary
+(bounded retries with deterministic backoff, a consecutive-failure
+circuit breaker; both default off).  A ``Ctrl-C``/``SIGTERM`` anywhere --
+serving, or mid-experiment -- flushes the accumulated cache warmth
+before exiting with code 130.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import signal
@@ -85,7 +74,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.annotator import ENGINE_CACHE_FILE
-from repro.core.config import INDEX_BACKENDS, SCHEDULES
+from repro.core.config import INDEX_BACKENDS
 from repro.eval import ablation, experiments, extensions
 from repro.observability.tracing import span
 from repro.synth.world import WorldConfig
@@ -99,7 +88,6 @@ _EXPERIMENTS: dict[str, Callable] = {
     "table3": experiments.run_table3,
     "comparison": experiments.run_comparison,
     "efficiency": experiments.run_efficiency,
-    "throughput": experiments.run_throughput,
     "coverage": experiments.run_coverage,
     "figure6": experiments.run_figure6,
     "figure7": experiments.run_figure7,
@@ -151,81 +139,9 @@ def main(argv: list[str] | None = None) -> int:
             "saves are merge-on-save under an advisory lock)"
         ),
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for corpus-level experiments that support "
-            "sharding (forwarded to experiments accepting a 'workers' "
-            "argument, e.g. throughput); each worker warm-starts from "
-            "--cache-dir when given (default 1: sequential)"
-        ),
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=list(SCHEDULES),
-        default="stealing",
-        help=(
-            "how multi-worker experiments place work on the pool: "
-            "'stealing' (default) enqueues cost-bounded chunk tasks that "
-            "idle workers pull as they finish (skew-tolerant); 'static' "
-            "keeps contiguous near-equal shards, one per worker"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-cost",
-        type=int,
-        default=0,
-        help=(
-            "cost budget per work-stealing chunk task, in estimated "
-            "cells (rows x columns); 0 (default) sizes chunks "
-            "automatically at about four tasks per worker"
-        ),
-    )
-    parser.add_argument(
-        "--split-giant-tables",
-        action="store_true",
-        help=(
-            "let the work-stealing queue cut a table costing more than "
-            "the slice budget into row-range slice tasks, annotated "
-            "independently and reassembled byte-identically (ignored "
-            "under --schedule static)"
-        ),
-    )
-    parser.add_argument(
-        "--max-slice-cost",
-        type=int,
-        default=0,
-        help=(
-            "cost budget per row-range slice task, in estimated cells; "
-            "a positive value also enables splitting, 0 (default) sizes "
-            "slices to the effective chunk cost target when "
-            "--split-giant-tables is set"
-        ),
-    )
-    _add_resilience_arguments(parser)
     _add_index_backend_arguments(parser)
     _add_trace_arguments(parser)
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.chunk_cost < 0:
-        parser.error(f"--chunk-cost must be >= 0, got {args.chunk_cost}")
-    if args.max_slice_cost < 0:
-        parser.error(
-            f"--max-slice-cost must be >= 0, got {args.max_slice_cost}"
-        )
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.retry_backoff_ms < 0:
-        parser.error(
-            f"--retry-backoff-ms must be >= 0, got {args.retry_backoff_ms}"
-        )
-    if args.breaker_threshold < 0:
-        parser.error(
-            f"--breaker-threshold must be >= 0, got {args.breaker_threshold}"
-        )
     names = list(_EXPERIMENTS) if "all" in args.experiments else args.experiments
     config = (
         WorldConfig.small(seed=args.seed)
@@ -275,34 +191,13 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             start = time.time()
             runner = _EXPERIMENTS[name]
-            kwargs = {}
-            parameters = inspect.signature(runner).parameters
-            if "workers" in parameters:
-                kwargs["workers"] = args.workers
-            if "schedule" in parameters:
-                kwargs["schedule"] = args.schedule
-            if "chunk_cost_target" in parameters:
-                kwargs["chunk_cost_target"] = args.chunk_cost
-            if "split_giant_tables" in parameters:
-                kwargs["split_giant_tables"] = args.split_giant_tables
-            if "max_slice_cost" in parameters:
-                kwargs["max_slice_cost"] = args.max_slice_cost
-            if "retries" in parameters:
-                kwargs["retries"] = args.retries
-            if "retry_backoff_ms" in parameters:
-                kwargs["retry_backoff_ms"] = args.retry_backoff_ms
-            if "breaker_threshold" in parameters:
-                kwargs["breaker_threshold"] = args.breaker_threshold
-            if "index_backend" in parameters:
-                kwargs["index_backend"] = args.index_backend
             with span("cli.experiment", experiment=name):
-                result = runner(context, **kwargs)
+                result = runner(context)
             print(result.render())
             print(f"[{name} in {time.time() - start:.1f}s]\n", file=sys.stderr)
     except KeyboardInterrupt:
-        # Graceful interruption: the parallel driver has already flushed
-        # its workers' caches (see repro.core.parallel); flush whatever
-        # warmth this process accumulated too, then report 130.
+        # Graceful interruption: flush whatever warmth this process
+        # accumulated, then report 130.
         interrupted = True
         print("\n[interrupted; flushing caches]", file=sys.stderr)
     if engine_cache is not None:
@@ -324,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """The search-boundary resilience knobs, shared by experiments and serve."""
+    """The search-boundary resilience knobs of ``serve``."""
     parser.add_argument(
         "--retries",
         type=int,

@@ -6,19 +6,18 @@ and annotates the cell with the winning type ``t_max`` provided strictly
 more than ``k/2`` snippets were classified as ``t_max``.  The annotation
 score is ``S_ij = s_t / k`` (Equation 1).
 
-Two execution paths produce identical decisions:
-
-* :meth:`CellAnnotator.annotate_value` -- one cell at a time, one engine
-  round trip and one classifier call per cell (the seed behaviour, kept as
-  the parity baseline);
-* :meth:`CellAnnotator.annotate_values` -- any number of cells at once (a
-  table's worth, or a whole corpus's when called from
-  ``EntityAnnotator.annotate_tables``): unique queries are resolved through
-  :meth:`~repro.web.search.SearchEngine.search_many`, every retrieved
-  snippet is pooled into a single ``classify_many`` call (deduplicated,
-  since classification is a pure function of the snippet text), the
-  Equation 1 vote is computed once per distinct query, and the decisions
-  are demultiplexed back onto the cells.
+:meth:`CellAnnotator.annotate_values` annotates any number of cells at
+once (a table's worth, or a whole corpus's when called from
+``EntityAnnotator.annotate_tables``): unique queries are resolved through
+:meth:`~repro.web.search.SearchEngine.search_many`, every retrieved
+snippet is pooled into a single ``classify_many`` call (deduplicated,
+since classification is a pure function of the snippet text), the
+Equation 1 vote is computed once per distinct query, and the decisions
+are demultiplexed back onto the cells.  :meth:`CellAnnotator.annotate_value`
+is that pass over one cell.  The seed's cell-by-cell loop -- one engine
+round trip and one classifier call per cell -- lives with the tests, in
+``tests/annotation_reference.py``, as the reference the batched pass is
+compared against.
 
 The batched path amortises across calls through two long-lived memos: a
 snippet-text -> label memo (classification is a pure function of the text)
@@ -50,7 +49,7 @@ from repro.core.config import AnnotatorConfig
 from repro.observability.tracing import span
 from repro.persistence import CacheFileSync
 from repro.resilience import CircuitBreaker, RetryPolicy
-from repro.web.search import SearchEngine, SearchEngineUnavailable
+from repro.web.search import SearchEngine
 
 _FAILED = object()
 """Sentinel marking a unique query whose (single) engine request failed."""
@@ -155,7 +154,7 @@ class CellAnnotator:
         self._cache_load_bytes = 0
         self._cache_save_bytes = 0
 
-    # -- per-cell path -----------------------------------------------------------------
+    # -- one cell ----------------------------------------------------------------------
 
     def annotate_value(
         self,
@@ -169,56 +168,10 @@ class CellAnnotator:
         Section 5.2.2 disambiguation.  A search-engine failure (after the
         configured retries, if any) yields an unannotated decision flagged
         ``failed=True`` -- the algorithm degrades gracefully rather than
-        aborting the table.
+        aborting the table.  This is :meth:`annotate_values` over the one
+        pair.
         """
-        if not type_keys:
-            raise ValueError("type_keys must be non-empty")
-        query = value if spatial_context is None else f"{value} {spatial_context}"
-        k = self.config.top_k
-        snippets = self.cache.get(query, k) if self.cache is not None else None
-        if snippets is None:
-            results = self._search_with_retry(query, k)
-            if results is None:
-                self.failure_count += 1
-                return CellDecision(
-                    type_key=None, score=0.0, query=query, failed=True
-                )
-            snippets = [result.snippet for result in results]
-            if self.cache is not None:
-                self.cache.put(query, k, snippets)
-        if not snippets:
-            return CellDecision(type_key=None, score=0.0, query=query)
-        labels = self.classifier.classify_many(snippets)
-        return self._decide(labels, type_keys, query)
-
-    def _search_with_retry(self, query: str, k: int):
-        """One query through the retry policy and circuit breaker.
-
-        Returns the result list, or ``None`` when every admitted attempt
-        failed (or the breaker refused to admit one).  Backoff between
-        attempts advances the virtual clock via
-        :meth:`~repro.clock.VirtualClock.wait`; an open breaker fails fast
-        without charging anything.  With ``retries=0`` and the breaker
-        disabled this is exactly one plain :meth:`SearchEngine.search`
-        call -- the seed behaviour.
-        """
-        attempts = 1 + self.retry_policy.retries
-        for attempt in range(1, attempts + 1):
-            if not self.breaker.allow():
-                return None
-            try:
-                results = self.engine.search(query, k=k)
-            except SearchEngineUnavailable:
-                self.breaker.record_failure()
-                if attempt < attempts:
-                    self.retry_count += 1
-                    self.engine.clock.wait(
-                        self.retry_policy.backoff_for(query, attempt)
-                    )
-                continue
-            self.breaker.record_success()
-            return results
-        return None
+        return self.annotate_values([(value, spatial_context)], type_keys)[0]
 
     # -- batched path ------------------------------------------------------------------
 
@@ -230,9 +183,9 @@ class CellAnnotator:
         """Annotate a batch of (value, spatial_context) pairs at once.
 
         The batch may be one table's cells (``annotate_table``) or a whole
-        corpus's (``annotate_tables``).  Semantics match calling
-        :meth:`annotate_value` per pair, but the work is batched at every
-        layer:
+        corpus's (``annotate_tables``).  Decisions match the seed's
+        cell-by-cell loop (one search and one classification per pair),
+        but the work is batched at every layer:
 
         * unique queries are resolved through the engine's
           :meth:`~repro.web.search.SearchEngine.search_many` (one request,
@@ -251,12 +204,12 @@ class CellAnnotator:
 
         Accounting note: duplicate query strings within one batch are
         issued (and charged) once *by design* -- the protocol-level
-        deduplication is the point of the batched path.  The per-cell
-        path only collapses duplicates through a shared
+        deduplication is the point of the batched path.  A cell-by-cell
+        loop only collapses duplicates through a shared
         :class:`SnippetCache`, so for a table with repeated values and
         *no* cache it charges once per occurrence where this path charges
         once per unique query; with distinct values, or any values plus a
-        shared cache, the two paths account identically.
+        shared cache, the two account identically.
         """
         if not type_keys:
             raise ValueError("type_keys must be non-empty")
@@ -281,8 +234,8 @@ class CellAnnotator:
         next round after their (deterministic, per-query) backoff is
         charged to the virtual clock.  Because both the backoff and the
         failure draw are pure functions of the query and its attempt /
-        occurrence index, a query fails here exactly when the per-cell
-        path's :meth:`_search_with_retry` would fail it -- the rounds only
+        occurrence index, a query fails here exactly when retrying it
+        alone, attempt after attempt, would fail it -- the rounds only
         change *when* requests are issued, not their outcomes.  The breaker
         is consulted at round boundaries (the batched path's granularity):
         once it opens, the remaining pending queries fail fast uncharged.
@@ -372,7 +325,7 @@ class CellAnnotator:
         so it is computed once per distinct query and the (frozen) decision
         is shared by every cell carrying that query -- across tables, when
         the batch spans a corpus.  Duplicate occurrences are accounted
-        against the cache the way the per-cell path would see them: a hit
+        against the cache the way a cell-by-cell loop would see them: a hit
         when the shared resolution succeeded, another miss when it failed
         (failures are never cached); every failed occurrence counts toward
         :attr:`failure_count`.
@@ -558,7 +511,7 @@ class CellAnnotator:
     def _decide(
         self, labels: Sequence[str], type_keys: list[str], query: str
     ) -> CellDecision:
-        """Majority vote over snippet labels (Equation 1), shared by both paths."""
+        """Majority vote over snippet labels (Equation 1)."""
         counts: dict[str, int] = {}
         for label in labels:
             counts[label] = counts.get(label, 0) + 1

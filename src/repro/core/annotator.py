@@ -28,8 +28,8 @@ post-processes).  The returned :class:`~repro.core.results.AnnotationRun`
 carries corpus-wide :class:`~repro.core.results.RunDiagnostics`, and
 :meth:`EntityAnnotator.save_caches` / :meth:`~EntityAnnotator.load_caches`
 persist the engine's amortisation state so a second process starts warm.
-The per-cell :meth:`~EntityAnnotator._annotate_table_per_cell` stays as
-the reference the parity suites compare against.
+The per-cell reference the parity suites compare against lives with the
+tests, in ``tests/annotation_reference.py``.
 
 >>> import random
 >>> from repro.classify.dataset import TextDataset
@@ -160,29 +160,6 @@ class EntityAnnotator:
         """
         return self.annotate_tables([table], type_keys).tables[table.name]
 
-    def _annotate_table_per_cell(
-        self, table: Table, type_keys: Sequence[str]
-    ) -> TableAnnotation:
-        """The seed cell-by-cell path: one search + one classification per
-        cell.  Retained (private) as the parity and throughput reference
-        the batched pass is regression-tested against."""
-        type_keys = list(type_keys)
-        if not type_keys:
-            raise ValueError("type_keys must be non-empty")
-        candidates = self.preprocessor.candidate_cells(table)
-        contexts = self._row_contexts(table)
-        decisions = [
-            self.cell_annotator.annotate_value(
-                candidate.value,
-                type_keys,
-                spatial_context=contexts.get(candidate.row),
-            )
-            for candidate in candidates
-        ]
-        return self.postprocess_table(
-            table, self._collect_raw(table.name, candidates, decisions)
-        )
-
     def _row_contexts(self, table: Table) -> dict[int, str]:
         """Disambiguated per-row city contexts (empty when disabled)."""
         if self.config.use_spatial_disambiguation and self._context_extractor:
@@ -288,13 +265,11 @@ class EntityAnnotator:
         of the run.
 
         ``workers=N`` distributes the corpus across ``N`` worker
-        *processes* (see :mod:`repro.core.parallel`).  How the work is
-        placed is ``config.schedule``'s call: ``"stealing"`` (default)
+        *processes* (see :mod:`repro.core.parallel`): the parent
         enqueues cost-bounded chunk tasks (``config.chunk_cost_target``
         cells per task, 0 = automatic) that idle workers pull as they
         finish -- skew-tolerant, a giant table no longer serialises the
-        run on one unlucky worker -- while ``"static"`` keeps contiguous
-        near-equal shards, one per worker.  Each worker warm-starts from
+        run on one unlucky worker.  Each worker warm-starts from
         *cache_dir* (when given; forked workers inherit the caches the
         parent loaded once before the fork), runs the same raw pass over
         the units it pulls, and merge-saves its caches back once at the
@@ -304,10 +279,10 @@ class EntityAnnotator:
         run's ``diagnostics.worker_loads`` record what every worker
         really did (tasks, cells, busy seconds; see
         ``RunDiagnostics.imbalance_ratio``).  Annotations are
-        byte-identical to ``workers=1`` under either scheduler on a
-        healthy (or fully-down) engine -- same-named tables merge in
-        corpus order everywhere.  Failure injection is deterministic per
-        (query, occurrence), so workers agree with the corpus path on
+        byte-identical to ``workers=1`` on a healthy (or fully-down)
+        engine -- same-named tables merge in corpus order everywhere.
+        Failure injection is deterministic per (query, occurrence), so
+        workers agree with the corpus path on
         every query's *first* issue; repeats inside different tasks may
         still diverge, exactly like the corpus-vs-per-table caveat
         above.  A worker that *dies* mid-run no longer aborts the corpus:

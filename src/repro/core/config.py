@@ -4,19 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-SCHEDULES = ("static", "stealing")
-"""The recognised multi-worker schedulers (see :mod:`repro.core.parallel`):
-``"stealing"`` pulls cost-bounded chunk tasks from a shared queue,
-``"static"`` pins one contiguous shard per worker.  Single source of
-truth for :class:`AnnotatorConfig`, the execution layer and the CLI."""
-
 INDEX_BACKENDS = ("memory", "mmap")
 """The recognised index storage backends (see :mod:`repro.web.backends`):
 ``"memory"`` is the mutable in-process :class:`~repro.web.index.InvertedIndex`,
 ``"mmap"`` serves queries from a frozen on-disk artifact that all workers
 and daemons on a host share zero-copy through the OS page cache.  Single
-source of truth for the CLI (``--index-backend``, ``index build``) and the
-benchmark harness."""
+source of truth for the CLI (``--index-backend``, ``index build``)."""
 
 
 @dataclass(frozen=True)
@@ -43,15 +36,6 @@ class AnnotatorConfig:
     GEMM is chunked across this many threads (labels are unchanged -- a
     pure function of the snippet text -- only the wall-clock drops on
     multi-core hosts).  1 keeps the single-threaded seed behaviour."""
-
-    schedule: str = "stealing"
-    """How ``annotate_tables(workers=N)`` places work on the pool:
-    ``"stealing"`` (default) enqueues cost-bounded chunk tasks that idle
-    workers pull as they finish -- a skewed corpus (one giant table next
-    to hundreds of tiny ones) no longer serialises on one unlucky worker;
-    ``"static"`` keeps PR 3's contiguous near-equal shards, one task per
-    worker, as the parity and benchmark baseline.  Annotations are
-    byte-identical either way (see :mod:`repro.core.parallel`)."""
 
     retries: int = 0
     """Extra search attempts after a dropped request, per query.  0
@@ -104,9 +88,8 @@ class AnnotatorConfig:
     that is 0) is cut into contiguous row ranges, each annotated
     independently by pool workers and reassembled -- and post-processed
     once, whole-table -- by the parent, byte-identical to ``workers=1``.
-    Ignored under ``schedule="static"`` and whenever
-    ``use_spatial_disambiguation`` is on (row contexts are table-global,
-    so a slice could not reproduce them)."""
+    Ignored whenever ``use_spatial_disambiguation`` is on (row contexts
+    are table-global, so a slice could not reproduce them)."""
 
     max_slice_cost: int = 0
     """Cost budget per row-range slice task, in estimated cells (same
@@ -136,10 +119,6 @@ class AnnotatorConfig:
         if self.classify_workers < 1:
             raise ValueError(
                 f"classify_workers must be >= 1, got {self.classify_workers}"
-            )
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULES}, got {self.schedule!r}"
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")

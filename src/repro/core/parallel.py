@@ -18,31 +18,22 @@ then **merged** by name in corpus order, exactly as ``workers=1`` merges
 them.  The task diagnostics fold into one corpus-wide view with
 per-worker load accounting (:class:`~repro.core.results.WorkerLoad`).
 
-Two schedulers place the work (``AnnotatorConfig.schedule``):
+The parent dispatches cost-bounded *chunk* tasks -- consecutive tables
+packed until a cell-count budget is reached, a giant table travelling
+alone -- and long-lived workers receive the next task the moment they
+finish one (work stealing).  A skewed corpus (one 2,000-row table next to
+hundreds of tiny ones, the shape real web-table corpora exhibit) keeps
+every worker busy: whoever draws the giant table works it while the rest
+drain the small chunks.
 
-``stealing`` (default)
-    The parent dispatches cost-bounded *chunk* tasks -- consecutive tables
-    packed until a cell-count budget is reached, a giant table travelling
-    alone -- and long-lived workers receive the next task the moment they
-    finish one.  A skewed corpus (one 2,000-row table next to hundreds of
-    tiny ones, the shape real web-table corpora exhibit) keeps every
-    worker busy: whoever draws the giant table works it while the rest
-    drain the small chunks.
-
-``static``
-    PR 3's contiguous near-equal slices, one task per worker.  Retained
-    as the parity and benchmark baseline; on a skewed corpus the worker
-    whose slice holds the giant table serialises the run.
-
-Under the stealing scheduler a giant table may additionally be **split
-into row-range units** (``AnnotatorConfig.split_giant_tables`` /
-``max_slice_cost``) so even the giant stops bounding the critical path.
-A slice is an ordinary unit travelling as its own task, so crash
-recovery keeps its granularity for free: a worker SIGKILLed mid-slice
-requeues exactly that slice, and a poisonous slice quarantines alone
-(only its rows' candidate cells degrade).  Splitting never engages under
-spatial disambiguation (row contexts are table-global) or the static
-schedule.
+A giant table may additionally be **split into row-range units**
+(``AnnotatorConfig.split_giant_tables`` / ``max_slice_cost``) so even the
+giant stops bounding the critical path.  A slice is an ordinary unit
+travelling as its own task, so crash recovery keeps its granularity for
+free: a worker SIGKILLed mid-slice requeues exactly that slice, and a
+poisonous slice quarantines alone (only its rows' candidate cells
+degrade).  Splitting never engages under spatial disambiguation (row
+contexts are table-global).
 
 The pool itself is hand-rolled (one duplex pipe per worker, parent-side
 dispatch) rather than a ``ProcessPoolExecutor``, because the executor
@@ -73,7 +64,7 @@ method the parent's annotator is inherited by reference (copy-on-write,
 no serialisation at all); under ``spawn`` or ``forkserver`` a pickled
 payload is shipped instead.  Either way every worker computes with an
 identical copy of the classifier/engine state, so annotations are a pure
-function of the task's units -- which is why both schedulers are
+function of the task's units -- which is why a pooled run is
 byte-identical to the sequential path.  (Failure injection is
 deterministic per (seed, query, occurrence), so even a flaky engine fails
 the same queries inside a worker as the sequential run fails for each
@@ -775,23 +766,6 @@ def table_cost(table: "Table") -> int:
     return max(1, table.n_rows * table.n_columns)
 
 
-def shard_tables(tables: "Sequence[Table]", workers: int) -> list[list["Table"]]:
-    """Split *tables* into ``min(workers, len(tables))`` contiguous shards.
-
-    Shard sizes differ by at most one table; order within and across
-    shards follows the input, so reassembling shard runs in shard order
-    reproduces the sequential table order exactly.  An empty corpus
-    yields no shards at all; ``workers`` must be positive.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if not tables:
-        return []
-    n_shards = min(workers, len(tables))
-    bounds = [round(i * len(tables) / n_shards) for i in range(n_shards + 1)]
-    return [list(tables[bounds[i] : bounds[i + 1]]) for i in range(n_shards)]
-
-
 def chunk_tables(
     tables: "Sequence[Table]",
     chunk_cost_target: int,
@@ -859,18 +833,15 @@ def automatic_chunk_cost(tables: "Sequence[Table]", workers: int) -> int:
 def _build_tasks(
     tables: "Sequence[Table]", workers: int, config: "AnnotatorConfig"
 ) -> tuple[list[list[TaskItem]], int]:
-    """The scheduler's task list: shards (static) or chunks (stealing).
+    """The scheduler's task list: cost-bounded chunks (and slices).
 
     Returns ``(tasks, effective_chunk_cost)`` -- the cost target the
-    stealing chunker actually packed with (0 for the static schedule,
-    where no chunking happens), which the run's diagnostics record so an
-    automatic target is never invisible.  A target below every table's
+    chunker actually packed with, which the run's diagnostics record so
+    an automatic target is never invisible.  A target below every table's
     cost degenerates to one task per table; that used to happen
     *silently*, so it is logged here -- a warning when splitting is off
     (the scheduler is back at its table-atomic ceiling), debug otherwise.
     """
-    if config.schedule == "static":
-        return shard_tables(tables, workers), 0
     target = config.chunk_cost_target or automatic_chunk_cost(tables, workers)
     slice_cost_target = 0
     # Row contexts are computed iteratively over the whole table; a slice
@@ -1030,8 +1001,8 @@ def annotate_tables_parallel(
     The task-queue -> warm-start -> raw pass -> merge-save data flow
     described in ``docs/architecture.md``.  How tasks are cut and how
     often a crashed one is retried come from ``annotator.config``
-    (``schedule``, ``chunk_cost_target``, ``split_giant_tables``,
-    ``max_slice_cost``, ``task_retries``).  Every task is a list of
+    (``chunk_cost_target``, ``split_giant_tables``, ``max_slice_cost``,
+    ``task_retries``).  Every task is a list of
     units (:class:`TableSlice`) and every worker runs the annotator's
     raw pass over them; this parent collects the raw annotations by
     corpus position and post-processes each table once, against the
@@ -1065,8 +1036,7 @@ def annotate_tables_parallel(
     pickles by reference, like a frozen mmap index backend, which ships
     as an artifact path and re-opens against the same physical pages
     (the ``worker_loads`` attach columns make the difference visible).
-    Benchmarks and backend-parity tests force ``spawn`` to measure and
-    pin exactly that.
+    Backend-parity tests force ``spawn`` to pin exactly that.
 
     The *parent* annotator does none of the annotation work, so its
     lifetime counters (engine clock, ``failure_count``) do not advance --
@@ -1128,7 +1098,6 @@ def annotate_tables_parallel(
             "pool.run",
             workers=n_workers,
             n_tasks=len(tasks),
-            schedule=config.schedule,
             start_method=method,
         ):
             pool = _WorkerPool(

@@ -28,11 +28,10 @@ class WorkerLoad:
     """What one worker process actually did during a parallel corpus run.
 
     Produced by :mod:`repro.core.parallel` for every worker of a
-    ``workers=N`` run, under both the static and the work-stealing
-    scheduler: how many queue tasks the worker pulled, how many tables
-    and candidate cells those tasks covered, and how long the worker was
-    busy annotating (wall-clock inside the worker, excluding cache
-    saves).  The corpus-wide view lives on
+    ``workers=N`` run: how many queue tasks the worker pulled, how many
+    tables and candidate cells those tasks covered, and how long the
+    worker was busy annotating (wall-clock inside the worker, excluding
+    cache saves).  The corpus-wide view lives on
     :attr:`RunDiagnostics.worker_loads`.
 
     The memory columns make the cost of standing a worker up auditable
@@ -170,7 +169,7 @@ class RunDiagnostics:
         the chunk cost target the work-stealing scheduler actually packed
         tasks with -- the configured ``chunk_cost_target``, or the
         automatic ``total_cost / (workers * 4)`` when that was 0 (0 on
-        in-process and static-schedule runs, where no chunking happened);
+        in-process runs, where no chunking happened);
     ``tables_split``
         corpus tables the scheduler cut into row-range slice tasks (0
         unless splitting is enabled -- see

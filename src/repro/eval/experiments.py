@@ -27,13 +27,11 @@ from repro.baselines.limaye import LimayeAnnotator
 from repro.baselines.type_in_name import TypeInNameAnnotator
 from repro.baselines.type_in_snippet import TypeInSnippetAnnotator
 from repro.classify.snippet import SnippetTypeClassifier
-from repro.clock import VirtualClock
 from repro.core.annotation import SnippetCache
 from repro.core.annotator import EntityAnnotator
-from repro.core.config import INDEX_BACKENDS, AnnotatorConfig
-from repro.core.parallel import annotate_tables_parallel
+from repro.core.config import AnnotatorConfig
 from repro.core.postprocessing import eliminate_spurious
-from repro.core.results import AnnotationRun, RunDiagnostics
+from repro.core.results import AnnotationRun
 from repro.core.training import CorpusStats, TrainingCorpusBuilder
 from repro.eval.evaluator import EvaluationResult, evaluate_annotations
 from repro.eval.reporting import format_table
@@ -41,13 +39,6 @@ from repro.synth.table_corpus import TableCorpus, build_gft_corpus, build_wiki_m
 from repro.synth.types import CATEGORIES, TYPE_SPECS, TypeSpec, types_in_category
 from repro.synth.world import SyntheticWorld, WorldConfig
 from repro.tables.model import Column, ColumnType, Table
-from repro.web.backends import (
-    FrozenMmapIndex,
-    build_index_artifact,
-    ensure_index_artifact,
-)
-from repro.web.index import InvertedIndex
-from repro.web.search import SearchEngine
 
 ALL_TYPE_KEYS = [spec.key for spec in TYPE_SPECS]
 
@@ -410,7 +401,7 @@ def _efficiency_table(
 
     *start* offsets the row numbering, producing a table with entirely new
     cell strings over the same entity directory -- the shape of "the next
-    table arriving" in a stream, used by the throughput benchmark.
+    table arriving" in a stream.
     """
     import random
 
@@ -469,1634 +460,6 @@ def run_efficiency(
             calls = clock.n_charges - start_charges
             bucket.append((n_rows, calls, seconds, seconds / n_rows))
     return EfficiencyResult(rows=plain, with_disambiguation=disambig)
-
-
-# ======================================================================== throughput
-
-
-@dataclass
-class ThroughputRow:
-    """Wall-clock cost of annotating tables of one size, both paths.
-
-    The batched engine is measured twice: *cold* (first table of the
-    stream, the engine's compute caches freshly reset) and *steady*
-    (subsequent tables over the same entity directory but entirely new
-    cell strings -- the sustained-traffic regime the ROADMAP targets).
-    The per-cell path has no compute caches, so one number describes it.
-    """
-
-    n_rows: int
-    n_candidates: int
-    batch_cold_seconds: float
-    batch_steady_seconds: float
-    per_cell_seconds: float
-    identical: bool
-
-    @property
-    def batch_cells_per_second(self) -> float:
-        if not self.batch_steady_seconds:
-            return 0.0
-        return self.n_candidates / self.batch_steady_seconds
-
-    @property
-    def per_cell_cells_per_second(self) -> float:
-        if not self.per_cell_seconds:
-            return 0.0
-        return self.n_candidates / self.per_cell_seconds
-
-    @property
-    def cold_speedup(self) -> float:
-        if not self.batch_cold_seconds:
-            return 0.0
-        return self.per_cell_seconds / self.batch_cold_seconds
-
-    @property
-    def steady_speedup(self) -> float:
-        if not self.batch_steady_seconds:
-            return 0.0
-        return self.per_cell_seconds / self.batch_steady_seconds
-
-
-@dataclass
-class ThroughputResult:
-    """Real wall-clock throughput: batched path versus the per-cell path.
-
-    Unlike :class:`EfficiencyResult` (virtual network seconds, the paper's
-    Section 6.4 quantity), this measures *actual* compute time of the
-    in-process pipeline -- the number future perf PRs have to beat.
-    """
-
-    rows: list[ThroughputRow]
-    tables_per_size: int
-    corpus: "CorpusThroughput | None" = None
-    parallel: "ParallelThroughput | None" = None
-    skewed: "SkewedThroughput | None" = None
-    service: "ServiceThroughput | None" = None
-    flaky: "FlakyThroughput | None" = None
-    mmap: "MmapBackendThroughput | None" = None
-
-    def render(self) -> str:
-        table = format_table(
-            [
-                "Table rows",
-                "Cells",
-                "Batch cold s",
-                "Batch steady s",
-                "Per-cell s",
-                "Batch cells/s",
-                "Per-cell cells/s",
-                "Cold x",
-                "Steady x",
-                "Identical",
-            ],
-            [
-                (
-                    row.n_rows,
-                    row.n_candidates,
-                    row.batch_cold_seconds,
-                    row.batch_steady_seconds,
-                    row.per_cell_seconds,
-                    row.batch_cells_per_second,
-                    row.per_cell_cells_per_second,
-                    row.cold_speedup,
-                    row.steady_speedup,
-                    row.identical,
-                )
-                for row in self.rows
-            ],
-            title="Throughput: batched annotation engine vs per-cell path (wall clock)",
-        )
-        text = (
-            f"{table}\n(steady = per-table cost over a stream of "
-            f"{self.tables_per_size} fresh same-shape tables after the cold "
-            "first table; identical = both paths agree on every annotation)"
-        )
-        if self.corpus is not None:
-            corpus = self.corpus
-            corpus_table = format_table(
-                [
-                    "Tables",
-                    "Rows",
-                    "Cells",
-                    "Cold s",
-                    "Per-table warm s",
-                    "Corpus warm s",
-                    "Corpus x",
-                    "Warm x",
-                    "Identical",
-                ],
-                [
-                    (
-                        corpus.n_tables,
-                        corpus.n_rows,
-                        corpus.n_cells,
-                        corpus.cold_seconds,
-                        corpus.per_table_seconds,
-                        corpus.corpus_seconds,
-                        corpus.corpus_speedup,
-                        corpus.warm_speedup,
-                        corpus.identical,
-                    )
-                ],
-                title="Corpus-at-a-time annotate_tables vs per-table batching",
-            )
-            text += (
-                f"\n\n{corpus_table}\n(same-directory corpus; warm runs load "
-                "the cold run's persisted caches; corpus path issued "
-                f"{corpus.corpus_queries_issued} engine queries vs "
-                f"{corpus.per_table_queries_issued} for per-table batching)"
-            )
-        if self.parallel is not None:
-            parallel = self.parallel
-            parallel_table = format_table(
-                [
-                    "Tables",
-                    "Rows",
-                    "Cells",
-                    "Latency ms",
-                    "1-worker s",
-                    f"{parallel.workers}-worker s",
-                    "Speedup",
-                    "Identical",
-                ],
-                [
-                    (
-                        parallel.n_tables,
-                        parallel.n_rows,
-                        parallel.n_cells,
-                        parallel.real_latency_seconds * 1000.0,
-                        parallel.single_seconds,
-                        parallel.multi_seconds,
-                        parallel.speedup,
-                        parallel.identical,
-                    )
-                ],
-                title=(
-                    "Multi-worker annotate_tables over one shared cache "
-                    "directory (latency-dominated regime)"
-                ),
-            )
-            text += (
-                f"\n\n{parallel_table}\n(distinct-content corpus; every run "
-                "warm-starts from one shared cache directory and merge-saves "
-                "back; the engine sleeps its per-request latency for real, "
-                "so workers overlap the remote waits the paper's Section "
-                "6.4 cost model is dominated by)"
-            )
-        if self.skewed is not None:
-            skewed = self.skewed
-            skewed_table = format_table(
-                [
-                    "Tables",
-                    "Giant rows",
-                    "Small rows",
-                    "Latency ms",
-                    "1-worker s",
-                    "Static s",
-                    "Stealing s",
-                    "Splitting s",
-                    "vs static",
-                    "Split vs static",
-                    "Static imb",
-                    "Stealing imb",
-                    "Splitting imb",
-                    "Identical",
-                ],
-                [
-                    (
-                        skewed.n_tables,
-                        skewed.giant_rows,
-                        skewed.small_rows,
-                        skewed.real_latency_seconds * 1000.0,
-                        skewed.single_seconds,
-                        skewed.static_seconds,
-                        skewed.stealing_seconds,
-                        skewed.splitting_seconds,
-                        skewed.speedup_vs_static,
-                        skewed.splitting_speedup_vs_static,
-                        skewed.static_imbalance,
-                        skewed.stealing_imbalance,
-                        skewed.splitting_imbalance,
-                        skewed.identical,
-                    )
-                ],
-                title=(
-                    "Work-stealing vs static sharding on a skewed corpus "
-                    f"(workers={skewed.workers}, latency-dominated regime)"
-                ),
-            )
-            text += (
-                f"\n\n{skewed_table}\n(one giant table + many small "
-                "distinct-content tables; static contiguous sharding "
-                "serialises on the shard holding the giant table while the "
-                f"stealing queue ({skewed.stealing_tasks} cost-bounded "
-                "tasks) keeps every worker busy -- but the atomic giant "
-                "table still bounds it; row-range splitting "
-                f"({skewed.splitting_tasks} tasks, {skewed.tables_split} "
-                f"table(s) cut into slices of <= {skewed.slice_cost} "
-                "cells) removes that bound too, byte-identically; imb = "
-                "busiest worker over the mean, 1.0 = perfectly balanced)"
-            )
-        if self.service is not None:
-            service = self.service
-            service_table = format_table(
-                [
-                    "Clients",
-                    "Rows each",
-                    "Cells",
-                    "One-shot s",
-                    "Service s",
-                    "Speedup",
-                    "Batches",
-                    "Coalescing",
-                    "Warm hits",
-                    "Identical",
-                ],
-                [
-                    (
-                        service.n_clients,
-                        service.n_rows,
-                        service.n_cells,
-                        service.one_shot_seconds,
-                        service.service_seconds,
-                        service.speedup,
-                        service.batches,
-                        service.coalescing_ratio,
-                        service.warm_hit_rate,
-                        service.identical,
-                    )
-                ],
-                title=(
-                    "Resident service (micro-batched daemon) vs one-shot "
-                    "cold invocations"
-                ),
-            )
-            text += (
-                f"\n\n{service_table}\n(same-directory tables, one per "
-                "client: the one-shot baseline pays a cold engine per "
-                "invocation, the daemon coalesces the concurrent requests "
-                "into pooled corpus passes over one warm resident engine; "
-                "coalescing = requests per corpus pass)"
-            )
-        if self.flaky is not None:
-            flaky = self.flaky
-            flaky_table = format_table(
-                [
-                    "Tables",
-                    "Rows",
-                    "Cells",
-                    "Fail rate",
-                    "Retries",
-                    "No-retry cov",
-                    "Retry cov",
-                    "Retried",
-                    "Repaired",
-                ],
-                [
-                    (
-                        flaky.n_tables,
-                        flaky.n_rows,
-                        flaky.n_cells,
-                        flaky.failure_rate,
-                        flaky.retries,
-                        flaky.baseline_coverage,
-                        flaky.resilient_coverage,
-                        flaky.search_retries,
-                        flaky.repaired_cells,
-                    )
-                ],
-                title=(
-                    "Flaky engine: retry/backoff coverage recovery vs the "
-                    "no-retry baseline"
-                ),
-            )
-            text += (
-                f"\n\n{flaky_table}\n(same deterministic first-attempt "
-                "failures in both runs; the no-retry baseline abandons "
-                f"{flaky.baseline_degraded} cells where the retrying "
-                "annotator re-issues failed queries with virtual-clock "
-                "backoff and an end-of-corpus repair pass; cov = annotated "
-                "candidate cells over all candidate cells)"
-            )
-        if self.mmap is not None:
-            mmap = self.mmap
-            mmap_table = format_table(
-                [
-                    "Tables",
-                    "Rows",
-                    "Pages",
-                    "Artifact MB",
-                    "Build s",
-                    "Payload KB mem",
-                    "Payload KB mmap",
-                    "Attach MB mem",
-                    "Attach MB mmap",
-                    "Attach s mem",
-                    "Attach s mmap",
-                    "Identical",
-                ],
-                [
-                    (
-                        mmap.n_tables,
-                        mmap.n_rows,
-                        mmap.n_pages,
-                        mmap.artifact_bytes / 1e6,
-                        mmap.build_seconds,
-                        mmap.memory_payload_bytes / 1024.0,
-                        mmap.mmap_payload_bytes / 1024.0,
-                        mmap.memory_attach_rss_kb / 1024.0,
-                        mmap.mmap_attach_rss_kb / 1024.0,
-                        mmap.memory_attach_seconds,
-                        mmap.mmap_attach_seconds,
-                        mmap.identical,
-                    )
-                ],
-                title=(
-                    "Index storage backends: frozen mmap artifact vs "
-                    f"in-memory pickling (workers={mmap.workers}, spawn)"
-                ),
-            )
-            text += (
-                f"\n\n{mmap_table}\n(both pools use the spawn start "
-                "method, so each worker pays its true shipping cost: the "
-                "in-memory backend pickles the whole annotator per worker "
-                "while the frozen artifact ships a path and every worker "
-                "maps the same physical pages; attach = per-worker mean "
-                "RSS grown / wall-clock spent becoming ready; payload "
-                f"fraction {mmap.payload_fraction:.3f}, attach-RSS "
-                f"fraction {mmap.attach_rss_fraction:.3f})"
-            )
-        return text
-
-    def to_json(self) -> dict:
-        payload: dict = {
-            "benchmark": "throughput",
-            "unit": "wall-clock seconds",
-            "tables_per_size": self.tables_per_size,
-            "sizes": [
-                {
-                    "n_rows": row.n_rows,
-                    "n_candidates": row.n_candidates,
-                    "batch_cold_seconds": row.batch_cold_seconds,
-                    "batch_steady_seconds": row.batch_steady_seconds,
-                    "per_cell_seconds": row.per_cell_seconds,
-                    "batch_cells_per_second": row.batch_cells_per_second,
-                    "per_cell_cells_per_second": row.per_cell_cells_per_second,
-                    "cold_speedup": row.cold_speedup,
-                    "steady_speedup": row.steady_speedup,
-                    "identical_annotations": row.identical,
-                }
-                for row in self.rows
-            ],
-        }
-        if self.corpus is not None:
-            corpus = self.corpus
-            payload["corpus"] = {
-                "scenario": (
-                    "same-directory corpus; per-table and corpus runs "
-                    "warm-started from the cold run's persisted caches"
-                ),
-                "n_tables": corpus.n_tables,
-                "n_rows": corpus.n_rows,
-                "n_cells": corpus.n_cells,
-                "corpus_queries_issued": corpus.corpus_queries_issued,
-                "per_table_queries_issued": corpus.per_table_queries_issued,
-                "cold_seconds": corpus.cold_seconds,
-                "per_table_seconds": corpus.per_table_seconds,
-                "corpus_seconds": corpus.corpus_seconds,
-                "corpus_speedup_vs_per_table": corpus.corpus_speedup,
-                "warm_speedup_vs_cold": corpus.warm_speedup,
-                "identical_annotations": corpus.identical,
-                "caches_loaded": corpus.caches_loaded,
-            }
-        if self.parallel is not None:
-            parallel = self.parallel
-            payload["parallel"] = {
-                "scenario": (
-                    "distinct-content corpus; single- and multi-worker runs "
-                    "warm-start from one shared cache directory and "
-                    "merge-save back; per-request engine latency is slept "
-                    "for real (the paper's latency-dominated regime), so "
-                    "workers overlap remote waits"
-                ),
-                "n_tables": parallel.n_tables,
-                "n_rows": parallel.n_rows,
-                "n_cells": parallel.n_cells,
-                "workers": parallel.workers,
-                "queries_issued": parallel.queries_issued,
-                "real_latency_seconds": parallel.real_latency_seconds,
-                "single_worker_seconds": parallel.single_seconds,
-                "multi_worker_seconds": parallel.multi_seconds,
-                "speedup_vs_single_worker": parallel.speedup,
-                "identical_annotations": parallel.identical,
-            }
-        if self.skewed is not None:
-            skewed = self.skewed
-            payload["skewed"] = {
-                "scenario": (
-                    "skewed distinct-content corpus (one giant table + "
-                    "many small ones); workers=1, static shards, the "
-                    "work-stealing chunk queue and stealing with row-range "
-                    "splitting of the giant table, all timed under real "
-                    "per-request latency with in-memory compute caches "
-                    "pre-warmed by an untimed seed pass (no cache "
-                    "directory: file I/O is a fixed per-arm cost that "
-                    "would blur the scheduling ratios); imbalance = "
-                    "busiest worker's busy seconds over the pool mean"
-                ),
-                "n_tables": skewed.n_tables,
-                "giant_rows": skewed.giant_rows,
-                "small_rows": skewed.small_rows,
-                "n_cells": skewed.n_cells,
-                "workers": skewed.workers,
-                "real_latency_seconds": skewed.real_latency_seconds,
-                "single_worker_seconds": skewed.single_seconds,
-                "static_seconds": skewed.static_seconds,
-                "stealing_seconds": skewed.stealing_seconds,
-                "splitting_seconds": skewed.splitting_seconds,
-                "stealing_speedup_vs_static": skewed.speedup_vs_static,
-                "stealing_speedup_vs_single_worker": skewed.speedup_vs_single,
-                "splitting_speedup_vs_static": skewed.splitting_speedup_vs_static,
-                "splitting_speedup_vs_stealing": skewed.splitting_speedup_vs_stealing,
-                "splitting_speedup_vs_single_worker": skewed.splitting_speedup_vs_single,
-                "static_imbalance_ratio": skewed.static_imbalance,
-                "stealing_imbalance_ratio": skewed.stealing_imbalance,
-                "splitting_imbalance_ratio": skewed.splitting_imbalance,
-                "stealing_tasks": skewed.stealing_tasks,
-                "splitting_tasks": skewed.splitting_tasks,
-                "tables_split": skewed.tables_split,
-                "slice_cost": skewed.slice_cost,
-                "effective_chunk_cost": skewed.effective_chunk_cost,
-                "identical_annotations": skewed.identical,
-            }
-        if self.service is not None:
-            service = self.service
-            payload["service"] = {
-                "scenario": (
-                    "resident daemon with request micro-batching vs N "
-                    "one-shot cold invocations: N concurrent clients each "
-                    "submit one same-directory table over the Unix socket "
-                    "and the admission layer coalesces them into pooled "
-                    "corpus passes over the warm engine; the baseline "
-                    "annotates the same tables one cold annotator (and "
-                    "freshly reset compute caches) at a time, the cost "
-                    "every separate CLI invocation pays"
-                ),
-                "n_clients": service.n_clients,
-                "n_rows": service.n_rows,
-                "n_cells": service.n_cells,
-                "requests": service.requests,
-                "batches": service.batches,
-                "mean_batch_size": service.mean_batch_size,
-                "coalescing_ratio": service.coalescing_ratio,
-                "warm_hit_rate": service.warm_hit_rate,
-                "batch_window_ms": service.batch_window_ms,
-                "one_shot_seconds": service.one_shot_seconds,
-                "service_seconds": service.service_seconds,
-                "speedup_vs_one_shot": service.speedup,
-                "identical_annotations": service.identical,
-            }
-        if self.flaky is not None:
-            flaky = self.flaky
-            payload["flaky"] = {
-                "scenario": (
-                    "distinct-content corpus under deterministic "
-                    "failure injection: the no-retry baseline and the "
-                    "retrying annotator see identical first-attempt "
-                    "failures (per-(seed, query, occurrence) hash draws); "
-                    "coverage = annotated candidate cells over all "
-                    "candidate cells"
-                ),
-                "n_tables": flaky.n_tables,
-                "n_rows": flaky.n_rows,
-                "n_cells": flaky.n_cells,
-                "failure_rate": flaky.failure_rate,
-                "retries": flaky.retries,
-                "baseline_seconds": flaky.baseline_seconds,
-                "resilient_seconds": flaky.resilient_seconds,
-                "baseline_degraded_cells": flaky.baseline_degraded,
-                "resilient_degraded_cells": flaky.resilient_degraded,
-                "baseline_coverage": flaky.baseline_coverage,
-                "resilient_coverage": flaky.resilient_coverage,
-                "search_retries": flaky.search_retries,
-                "repaired_cells": flaky.repaired_cells,
-                "breaker_opens": flaky.breaker_opens,
-            }
-        if self.mmap is not None:
-            mmap = self.mmap
-            payload["mmap_backend"] = {
-                "scenario": (
-                    "distinct-content corpus annotated at workers=N under "
-                    "the spawn start method, once over the in-memory index "
-                    "backend (whole annotator pickled to every worker) and "
-                    "once over a frozen mmap artifact built from the same "
-                    "index (workers receive the artifact path and share "
-                    "the file's pages read-only through the OS page "
-                    "cache); attach = per-worker mean RSS grown and "
-                    "wall-clock spent between worker entry and readiness"
-                ),
-                "n_tables": mmap.n_tables,
-                "n_rows": mmap.n_rows,
-                "n_cells": mmap.n_cells,
-                "workers": mmap.workers,
-                "n_pages": mmap.n_pages,
-                "artifact_bytes": mmap.artifact_bytes,
-                "build_seconds": mmap.build_seconds,
-                "memory_payload_bytes": mmap.memory_payload_bytes,
-                "mmap_payload_bytes": mmap.mmap_payload_bytes,
-                "payload_fraction": mmap.payload_fraction,
-                "memory_attach_rss_kb": mmap.memory_attach_rss_kb,
-                "mmap_attach_rss_kb": mmap.mmap_attach_rss_kb,
-                "attach_rss_fraction": mmap.attach_rss_fraction,
-                "memory_attach_seconds": mmap.memory_attach_seconds,
-                "mmap_attach_seconds": mmap.mmap_attach_seconds,
-                "attach_speedup": mmap.attach_speedup,
-                "memory_peak_rss_kb": mmap.memory_peak_rss_kb,
-                "mmap_peak_rss_kb": mmap.mmap_peak_rss_kb,
-                "memory_seconds": mmap.memory_seconds,
-                "mmap_seconds": mmap.mmap_seconds,
-                "identical_annotations": mmap.identical,
-            }
-        return payload
-
-    def speedup_at(self, n_rows: int) -> float:
-        """Steady-state speedup for one table size."""
-        for row in self.rows:
-            if row.n_rows == n_rows:
-                return row.steady_speedup
-        raise KeyError(n_rows)
-
-
-def _corpus_tables(
-    context: ExperimentContext, n_tables: int, n_rows: int, start: int = 0
-) -> list[Table]:
-    """A same-directory corpus: *n_tables* views of one entity directory.
-
-    Every table lists the same *n_rows* directory rows (name strings shared
-    verbatim across tables) in its own shuffled order -- the shape of many
-    sites mirroring one directory, which is where corpus-at-a-time
-    annotation earns its keep: each distinct cell string is searched,
-    classified and voted on once for the whole corpus instead of once per
-    table.  *start* offsets the row numbering so two corpora share an
-    entity directory (and therefore query signatures) without sharing a
-    single query string.
-    """
-    import random
-
-    rng = random.Random(context.world.config.seed + 7919 + start)
-    entities = context.world.table_entities("restaurant")
-    directory = [
-        f"{entities[i % min(n_rows, len(entities))].table_name} #{start + i}"
-        for i in range(n_rows)
-    ]
-    tables = []
-    for index in range(n_tables):
-        table = Table(
-            name=f"corpus-{start}-{index}",
-            columns=[Column("Name", ColumnType.TEXT)],
-        )
-        order = list(range(n_rows))
-        rng.shuffle(order)
-        for row in order:
-            table.append_row([directory[row]])
-        tables.append(table)
-    return tables
-
-
-@dataclass
-class CorpusThroughput:
-    """Corpus-at-a-time versus per-table batching on a same-directory corpus.
-
-    All three timed regimes annotate the *same* 20-table corpus:
-
-    * ``cold_seconds`` -- ``annotate_tables`` with every compute cache
-      freshly reset (first process ever to see this directory); its caches
-      are then persisted via ``EntityAnnotator.save_caches``;
-    * ``per_table_seconds`` -- a loop of ``annotate_table`` over the
-      corpus, warm-started from the persisted
-      caches: the fairest baseline, since only the corpus-at-a-time
-      *structure* differs;
-    * ``corpus_seconds`` -- ``annotate_tables`` warm-started the same way
-      (a second process loading the first one's caches).
-    """
-
-    n_tables: int
-    n_rows: int
-    n_cells: int
-    corpus_queries_issued: int
-    per_table_queries_issued: int
-    cold_seconds: float
-    per_table_seconds: float
-    corpus_seconds: float
-    identical: bool
-    caches_loaded: bool
-
-    @property
-    def corpus_speedup(self) -> float:
-        """Warm corpus-at-a-time over warm per-table batching."""
-        if not self.corpus_seconds:
-            return 0.0
-        return self.per_table_seconds / self.corpus_seconds
-
-    @property
-    def warm_speedup(self) -> float:
-        """Warm (persisted-cache) corpus run over its own cold start."""
-        if not self.corpus_seconds:
-            return 0.0
-        return self.cold_seconds / self.corpus_seconds
-
-
-@dataclass
-class ParallelThroughput:
-    """Multi-worker ``annotate_tables`` versus single-worker, shared caches.
-
-    The measured regime is the paper's: Section 6.4 finds the running time
-    "dominated by the latency time required to connect to the search
-    engine", so for this scenario the engine *sleeps* its per-request
-    latency in real time (``SearchEngine.real_latency_seconds``) instead
-    of only charging the virtual clock.  Remote waits are exactly what a
-    pool of workers overlaps -- on any core count -- while the compute
-    parallelism across shards comes free on multi-core hosts.
-
-    Both timed runs annotate the same *distinct-content* corpus (every
-    table its own directory slice, so no cross-table query dedupe blurs
-    the comparison) and share one cache directory seeded by an untimed
-    cold pass: each run warm-starts from it and merge-saves back, which is
-    the production data flow (shard -> warm-start -> annotate ->
-    merge-save) this scenario exists to exercise.
-    """
-
-    n_tables: int
-    n_rows: int
-    n_cells: int
-    workers: int
-    queries_issued: int
-    real_latency_seconds: float
-    single_seconds: float
-    multi_seconds: float
-    identical: bool
-
-    @property
-    def speedup(self) -> float:
-        """Multi-worker wall-clock gain over the single-worker run."""
-        if not self.multi_seconds:
-            return 0.0
-        return self.single_seconds / self.multi_seconds
-
-
-@dataclass
-class SkewedThroughput:
-    """Work-stealing versus static sharding on a heavily skewed corpus.
-
-    Real web-table corpora mix a few giant tables with hundreds of tiny
-    ones; static contiguous sharding hands whichever worker draws the
-    giant table nearly the whole run.  This scenario builds that shape --
-    one *giant_rows*-row table followed by many *small_rows*-row tables,
-    all distinct-content -- and annotates it four ways under real
-    per-request engine latency (the paper's Section 6.4 regime).  An
-    untimed seed pass pre-warms the engine's in-memory compute caches
-    (inherited copy-on-write by forked workers; a cache hit still sleeps
-    its per-request latency), so every timed arm measures how its
-    scheduler places the latency units -- not cache-file I/O, which is a
-    fixed per-arm cost that would blur the ratios:
-
-    * ``single_seconds`` -- ``workers=1``, the parity reference;
-    * ``static_seconds`` -- ``workers=N`` with ``schedule="static"``
-      (contiguous shards: the giant table's shard serialises the run);
-    * ``stealing_seconds`` -- ``workers=N`` with ``schedule="stealing"``
-      (cost-bounded chunk queue, the giant table travelling alone as one
-      atomic task: one worker takes it while the others drain the small
-      chunks, so the giant's own cost still bounds the run);
-    * ``splitting_seconds`` -- the stealing queue with
-      ``split_giant_tables=True``: the giant table is cut into row-range
-      slice tasks (:class:`~repro.core.parallel.TableSlice`), annotated
-      independently and reassembled byte-identically, so the critical
-      path drops to roughly ``total_cost / workers``.
-
-    ``static_imbalance`` / ``stealing_imbalance`` /
-    ``splitting_imbalance`` are the runs'
-    ``RunDiagnostics.imbalance_ratio`` (busiest worker over the mean, 1.0
-    = perfectly balanced); ``stealing_tasks`` / ``splitting_tasks`` count
-    the queue tasks each chunker produced, ``tables_split`` the tables
-    the splitting run cut, ``slice_cost`` the per-slice cell budget its
-    tables were cut under, and ``effective_chunk_cost`` the (automatic)
-    chunk budget its diagnostics recorded.  All four runs must produce
-    identical annotations.
-    """
-
-    n_tables: int
-    giant_rows: int
-    small_rows: int
-    n_cells: int
-    workers: int
-    real_latency_seconds: float
-    single_seconds: float
-    static_seconds: float
-    stealing_seconds: float
-    splitting_seconds: float
-    static_imbalance: float
-    stealing_imbalance: float
-    splitting_imbalance: float
-    stealing_tasks: int
-    splitting_tasks: int
-    tables_split: int
-    slice_cost: int
-    effective_chunk_cost: int
-    identical: bool
-
-    @property
-    def speedup_vs_static(self) -> float:
-        """Work-stealing wall-clock gain over static contiguous shards."""
-        if not self.stealing_seconds:
-            return 0.0
-        return self.static_seconds / self.stealing_seconds
-
-    @property
-    def speedup_vs_single(self) -> float:
-        """Work-stealing wall-clock gain over the single-worker run."""
-        if not self.stealing_seconds:
-            return 0.0
-        return self.single_seconds / self.stealing_seconds
-
-    @property
-    def splitting_speedup_vs_static(self) -> float:
-        """Row-range splitting's wall-clock gain over static shards --
-        the number that must clear the table-atomic stealing ceiling
-        (``speedup_vs_static`` can never exceed roughly
-        ``(giant + half the small tables) / giant``)."""
-        if not self.splitting_seconds:
-            return 0.0
-        return self.static_seconds / self.splitting_seconds
-
-    @property
-    def splitting_speedup_vs_stealing(self) -> float:
-        """Row-range splitting's wall-clock gain over table-atomic
-        stealing (> 1.0 means splitting removed the giant-table bound)."""
-        if not self.splitting_seconds:
-            return 0.0
-        return self.stealing_seconds / self.splitting_seconds
-
-    @property
-    def splitting_speedup_vs_single(self) -> float:
-        """Row-range splitting's wall-clock gain over the single-worker
-        run."""
-        if not self.splitting_seconds:
-            return 0.0
-        return self.single_seconds / self.splitting_seconds
-
-
-@dataclass
-class ServiceThroughput:
-    """Resident micro-batched daemon versus N one-shot cold invocations.
-
-    The cold-start-amortisation claim of the service subsystem, measured:
-    *n_clients* concurrent clients each submit one table of a
-    same-directory corpus (shared strings across clients -- the workload
-    the admission layer's pooled passes dedupe) over the daemon's Unix
-    socket, against annotating the same tables one **cold** annotator at
-    a time -- compute caches freshly reset per table, which is what every
-    separate CLI/process invocation pays before PR 2's persisted caches,
-    and still the per-invocation floor (process + context + cache load)
-    after them.
-
-    ``requests``/``batches``/``coalescing_ratio`` come from the daemon's
-    :class:`~repro.core.results.ServiceStats`: a coalescing ratio > 1
-    means concurrently-arriving requests genuinely shared corpus passes.
-    ``identical`` asserts the service parity contract -- every response
-    equal to the in-process ``annotate_table`` answer for that table.
-    """
-
-    n_clients: int
-    n_rows: int
-    n_cells: int
-    requests: int
-    batches: int
-    mean_batch_size: float
-    coalescing_ratio: float
-    warm_hit_rate: float
-    batch_window_ms: float
-    one_shot_seconds: float
-    service_seconds: float
-    identical: bool
-
-    @property
-    def speedup(self) -> float:
-        """Resident-service wall-clock gain over the one-shot baseline."""
-        if not self.service_seconds:
-            return 0.0
-        return self.one_shot_seconds / self.service_seconds
-
-
-@dataclass
-class FlakyThroughput:
-    """Retry/backoff coverage recovery on a flaky engine, versus no retries.
-
-    The resilience layer's headline number: under deterministic failure
-    injection (every request dropped by a per-(seed, query, occurrence)
-    hash draw, so both runs fail the *same* first attempts), the seed's
-    no-retry behaviour abandons roughly ``failure_rate`` of the candidate
-    cells while the retrying annotator -- exponential virtual-clock
-    backoff per retry, plus the end-of-corpus repair pass -- recovers
-    near-full coverage.  Coverage counts annotated-or-decided candidate
-    cells: ``1 - degraded / n_cells``.
-    """
-
-    n_tables: int
-    n_rows: int
-    n_cells: int
-    failure_rate: float
-    retries: int
-    baseline_seconds: float
-    resilient_seconds: float
-    baseline_degraded: int
-    resilient_degraded: int
-    search_retries: int
-    repaired_cells: int
-    breaker_opens: int
-
-    @property
-    def baseline_coverage(self) -> float:
-        """Candidate cells the no-retry run kept (annotated or decided)."""
-        if not self.n_cells:
-            return 0.0
-        return 1.0 - self.baseline_degraded / self.n_cells
-
-    @property
-    def resilient_coverage(self) -> float:
-        """Candidate cells the retrying run kept."""
-        if not self.n_cells:
-            return 0.0
-        return 1.0 - self.resilient_degraded / self.n_cells
-
-
-@dataclass
-class MmapBackendThroughput:
-    """Frozen mmap index backend versus the in-memory backend at workers=N.
-
-    The storage claim of the pluggable index backends (see
-    :mod:`repro.web.backends`), measured under the ``spawn`` start method
-    -- the one that cannot hide per-worker copies behind fork's
-    copy-on-write sharing.  The in-memory backend ships every worker a
-    pickle of the whole annotator (postings, pages and all) which each
-    worker unpickles into a private heap copy; the frozen artifact
-    pickles by *path*, so every worker maps the same physical file
-    read-only and the OS page cache holds one copy for all of them.
-
-    ``*_payload_bytes`` is the pickled annotator each pool shipped;
-    ``*_attach_rss_kb`` / ``*_attach_seconds`` are per-worker means of
-    the RSS grown and the wall-clock spent between worker entry and
-    readiness (payload resolution + cache load);  ``*_peak_rss_kb`` is
-    the per-worker mean of the highest RSS sampled over the whole run
-    (entry, post-attach, after each task).  ``identical``
-    asserts both pools reproduced the single-worker in-memory reference
-    byte for byte.
-    """
-
-    n_tables: int
-    n_rows: int
-    n_cells: int
-    workers: int
-    n_pages: int
-    artifact_bytes: int
-    build_seconds: float
-    memory_payload_bytes: int
-    mmap_payload_bytes: int
-    memory_attach_rss_kb: float
-    mmap_attach_rss_kb: float
-    memory_attach_seconds: float
-    mmap_attach_seconds: float
-    memory_peak_rss_kb: float
-    mmap_peak_rss_kb: float
-    memory_seconds: float
-    mmap_seconds: float
-    identical: bool
-
-    @property
-    def payload_fraction(self) -> float:
-        """Mmap pool's pickled payload over the in-memory pool's."""
-        if not self.memory_payload_bytes:
-            return 0.0
-        return self.mmap_payload_bytes / self.memory_payload_bytes
-
-    @property
-    def attach_rss_fraction(self) -> float:
-        """Per-worker incremental RSS, mmap over in-memory."""
-        if not self.memory_attach_rss_kb:
-            return 0.0
-        return self.mmap_attach_rss_kb / self.memory_attach_rss_kb
-
-    @property
-    def attach_speedup(self) -> float:
-        """How much faster a worker becomes ready on the mmap backend."""
-        if not self.mmap_attach_seconds:
-            return 0.0
-        return self.memory_attach_seconds / self.mmap_attach_seconds
-
-
-def run_throughput(
-    context: ExperimentContext,
-    sizes: tuple[int, ...] = (100, 500, 1000, 2000),
-    stream_length: int = 2,
-    corpus_tables: int = 20,
-    corpus_rows: int = 200,
-    workers: int = 2,
-    parallel_tables: int = 20,
-    parallel_rows: int = 100,
-    parallel_latency_seconds: float = 0.008,
-    schedule: str = "stealing",
-    chunk_cost_target: int = 0,
-    split_giant_tables: bool = False,
-    max_slice_cost: int = 0,
-    skew_giant_rows: int = 2000,
-    skew_small_tables: int = 19,
-    skew_small_rows: int = 100,
-    skew_latency_seconds: float = 0.005,
-    service_clients: int = 8,
-    service_rows: int = 60,
-    service_window_ms: float = 250.0,
-    flaky_tables: int = 8,
-    flaky_rows: int = 50,
-    flaky_failure_rate: float = 0.2,
-    retries: int = 2,
-    retry_backoff_ms: float = 200.0,
-    breaker_threshold: int = 0,
-    index_backend: str = "memory",
-    mmap_tables: int = 6,
-    mmap_rows: int = 50,
-) -> ThroughputResult:
-    """Measure real cells/second of the batched path against the per-cell path.
-
-    Per size, a stream of ``1 + stream_length`` synthetic directory tables
-    (same entity directory, entirely fresh cell strings each) is annotated:
-
-    * the **batched** annotator pays its cold start on the first table and
-      is then timed per table over the rest of the stream (steady state);
-    * the **per-cell** annotator is timed over the same measured tables --
-      it has no compute caches, so warm-up would not change it.
-
-    Both paths must produce identical :class:`TableAnnotation` output for
-    every measured table.  Wall-clock time comes from ``perf_counter``
-    while the virtual clock keeps charging latencies unobserved.
-
-    A corpus-level scenario follows (see :class:`CorpusThroughput`): a
-    *corpus_tables*-table same-directory corpus annotated corpus-at-a-time
-    versus the per-table loop, cold and warm-started from caches persisted
-    with ``EntityAnnotator.save_caches``.
-
-    Then the multi-worker scenario (see :class:`ParallelThroughput`):
-    ``annotate_tables(workers=N)`` versus ``workers=1`` on a
-    *parallel_tables*-table distinct-content corpus under real
-    per-request engine latency, both runs sharing one cache directory
-    (the multi-worker run uses *schedule* / *chunk_cost_target*).
-
-    Then the skewed-corpus scenario (see :class:`SkewedThroughput`):
-    one *skew_giant_rows*-row giant table plus *skew_small_tables* small
-    tables annotated at ``workers=N`` under the static and the
-    work-stealing scheduler, against the ``workers=1`` reference.
-
-    Then the resident-service scenario (see :class:`ServiceThroughput`):
-    *service_clients* concurrent clients against a live
-    :class:`~repro.service.daemon.AnnotationDaemon` (micro-batching
-    window *service_window_ms*), versus the same tables annotated by
-    one-shot cold invocations.
-
-    Then the flaky-engine scenario (see :class:`FlakyThroughput`): a
-    *flaky_tables*-table distinct-content corpus annotated under
-    deterministic failure injection at *flaky_failure_rate*, once with
-    the seed's no-retry behaviour and once with *retries* /
-    *retry_backoff_ms* / *breaker_threshold* -- both runs seeing
-    identical first-attempt failures, so the coverage difference is
-    purely what the resilience layer recovered.
-
-    Last, the index-backend scenario (see :class:`MmapBackendThroughput`):
-    a *mmap_tables*-table distinct-content corpus annotated at
-    ``workers=N`` under the ``spawn`` start method, once over the
-    in-memory index backend (the whole annotator pickled to every
-    worker) and once over a frozen mmap artifact freshly built from the
-    same index (workers receive the artifact *path* and share the file's
-    pages read-only), with per-worker payload, attach time and
-    incremental RSS compared.
-
-    *index_backend* selects the storage backend every *other* scenario
-    runs over: ``"memory"`` (the default) keeps the context's mutable
-    :class:`~repro.web.index.InvertedIndex`; ``"mmap"`` freezes it into
-    a temporary artifact first, so the whole benchmark -- per-cell,
-    batched, multi-worker, service, flaky -- exercises (and, via each
-    scenario's parity flag, verifies) the frozen backend end to end.
-    The original backend is restored before returning.
-    """
-    import os
-    import pickle
-    import shutil
-    import tempfile
-    import time
-
-    if stream_length < 1:
-        raise ValueError(f"stream_length must be >= 1, got {stream_length}")
-    if index_backend not in INDEX_BACKENDS:
-        raise ValueError(
-            f"index_backend must be one of {INDEX_BACKENDS}, got {index_backend!r}"
-        )
-    engine = context.world.search_engine
-    swapped_memory_index = None
-    swap_dir = None
-    if index_backend == "mmap" and engine.index.backend_name != "mmap":
-        swap_dir = tempfile.mkdtemp(prefix="repro-throughput-index-")
-        swapped_memory_index = engine.index
-        engine.use_index_backend(
-            ensure_index_artifact(
-                swapped_memory_index, os.path.join(swap_dir, "index.reproidx")
-            )
-        )
-    rows: list[ThroughputRow] = []
-    for n_rows in sizes:
-        # A true cold start per size: signature/result/window caches may
-        # have been warmed by earlier sizes (or other experiments).
-        context.world.search_engine.reset_compute_caches()
-        config = AnnotatorConfig()
-        batch_annotator = EntityAnnotator(
-            context.classifiers["svm"], context.world.search_engine, config
-        )
-        per_cell_annotator = EntityAnnotator(
-            context.classifiers["svm"], context.world.search_engine, config
-        )
-        stream = [
-            _efficiency_table(context, n_rows, start=index * n_rows)
-            for index in range(1 + stream_length)
-        ]
-        n_candidates = len(
-            batch_annotator.preprocessor.candidate_cells(stream[0])
-        )
-        start = time.perf_counter()
-        batch_annotator.annotate_table(stream[0], ALL_TYPE_KEYS)
-        batch_cold_seconds = time.perf_counter() - start
-        batch_results = []
-        start = time.perf_counter()
-        for table in stream[1:]:
-            batch_results.append(batch_annotator.annotate_table(table, ALL_TYPE_KEYS))
-        batch_steady_seconds = (time.perf_counter() - start) / stream_length
-        per_cell_results = []
-        start = time.perf_counter()
-        for table in stream[1:]:
-            per_cell_results.append(
-                per_cell_annotator._annotate_table_per_cell(table, ALL_TYPE_KEYS)
-            )
-        per_cell_seconds = (time.perf_counter() - start) / stream_length
-        rows.append(
-            ThroughputRow(
-                n_rows=n_rows,
-                n_candidates=n_candidates,
-                batch_cold_seconds=batch_cold_seconds,
-                batch_steady_seconds=batch_steady_seconds,
-                per_cell_seconds=per_cell_seconds,
-                identical=batch_results == per_cell_results,
-            )
-        )
-
-    # -- corpus-at-a-time scenario ------------------------------------------------------
-    engine = context.world.search_engine
-    config = AnnotatorConfig()
-    corpus = _corpus_tables(context, corpus_tables, corpus_rows)
-
-    engine.reset_compute_caches()
-    cold_annotator = EntityAnnotator(context.classifiers["svm"], engine, config)
-    start = time.perf_counter()
-    cold_run = cold_annotator.annotate_tables(corpus, ALL_TYPE_KEYS)
-    cold_seconds = time.perf_counter() - start
-
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cold_annotator.save_caches(cache_dir)
-
-        def per_table(annotator: EntityAnnotator) -> AnnotationRun:
-            run = AnnotationRun()
-            for table in corpus:
-                run.merge_table(annotator.annotate_table(table, ALL_TYPE_KEYS))
-            return run
-
-        def corpus_at_a_time(annotator: EntityAnnotator) -> AnnotationRun:
-            return annotator.annotate_tables(corpus, ALL_TYPE_KEYS)
-
-        def warm_run_of(method) -> tuple[float, AnnotationRun, bool, int]:
-            """Best-of-2 warm timing of one corpus method under loaded caches."""
-            best = float("inf")
-            for _ in range(2):
-                engine.reset_compute_caches()
-                annotator = EntityAnnotator(
-                    context.classifiers["svm"], engine, config
-                )
-                loaded = all(annotator.load_caches(cache_dir).values())
-                queries_before = engine.query_count
-                start = time.perf_counter()
-                run = method(annotator)
-                best = min(best, time.perf_counter() - start)
-            return best, run, loaded, engine.query_count - queries_before
-
-        per_table_seconds, per_table_run, loaded_a, per_table_queries = warm_run_of(
-            per_table
-        )
-        corpus_seconds, corpus_run, loaded_b, corpus_queries = warm_run_of(
-            corpus_at_a_time
-        )
-
-    corpus_result = CorpusThroughput(
-        n_tables=corpus_tables,
-        n_rows=corpus_rows,
-        n_cells=cold_run.diagnostics.n_cells,
-        corpus_queries_issued=corpus_queries,
-        per_table_queries_issued=per_table_queries,
-        cold_seconds=cold_seconds,
-        per_table_seconds=per_table_seconds,
-        corpus_seconds=corpus_seconds,
-        identical=cold_run == per_table_run == corpus_run,
-        caches_loaded=loaded_a and loaded_b,
-    )
-
-    # -- multi-worker scenario ----------------------------------------------------------
-    # A distinct-content corpus: every table is its own slice of the
-    # directory (no query string repeats across tables), so sharding
-    # splits the work cleanly and the single-worker run enjoys no
-    # cross-table dedupe advantage.
-    distinct_corpus = [
-        _corpus_tables(context, 1, parallel_rows, start=index * parallel_rows)[0]
-        for index in range(parallel_tables)
-    ]
-    with tempfile.TemporaryDirectory() as shared_cache_dir:
-        # Untimed cold pass seeds the shared cache directory both timed
-        # runs warm-start from.
-        engine.reset_compute_caches()
-        seed_annotator = EntityAnnotator(
-            context.classifiers["svm"], engine, config
-        )
-        seed_run = seed_annotator.annotate_tables(
-            distinct_corpus, ALL_TYPE_KEYS, cache_dir=shared_cache_dir
-        )
-        # The paper's regime: per-request latency is *slept* in real time,
-        # which is what a worker pool overlaps.
-        engine.real_latency_seconds = parallel_latency_seconds
-        try:
-            engine.reset_compute_caches()
-            single_annotator = EntityAnnotator(
-                context.classifiers["svm"], engine, config
-            )
-            start = time.perf_counter()
-            single_run = single_annotator.annotate_tables(
-                distinct_corpus, ALL_TYPE_KEYS, cache_dir=shared_cache_dir
-            )
-            single_seconds = time.perf_counter() - start
-
-            engine.reset_compute_caches()
-            multi_annotator = EntityAnnotator(
-                context.classifiers["svm"],
-                engine,
-                AnnotatorConfig(
-                    schedule=schedule,
-                    chunk_cost_target=chunk_cost_target,
-                    split_giant_tables=split_giant_tables,
-                    max_slice_cost=max_slice_cost,
-                ),
-            )
-            start = time.perf_counter()
-            multi_run = multi_annotator.annotate_tables(
-                distinct_corpus,
-                ALL_TYPE_KEYS,
-                workers=workers,
-                cache_dir=shared_cache_dir,
-            )
-            multi_seconds = time.perf_counter() - start
-        finally:
-            engine.real_latency_seconds = 0.0
-
-    parallel_result = ParallelThroughput(
-        n_tables=parallel_tables,
-        n_rows=parallel_rows,
-        n_cells=seed_run.diagnostics.n_cells,
-        workers=workers,
-        queries_issued=multi_run.diagnostics.queries_issued,
-        real_latency_seconds=parallel_latency_seconds,
-        single_seconds=single_seconds,
-        multi_seconds=multi_seconds,
-        identical=seed_run == single_run == multi_run,
-    )
-
-    # The skewed arms measure a 0.25 s margin between the table-atomic
-    # ceiling and the splitting asymptote, and every forked pool worker
-    # pays copy-on-write for whatever the parent still references.  The
-    # finished scenarios' corpora, runs and annotators (hundreds of MB
-    # of tables and annotations; their results live on as scalars in the
-    # dataclasses above) are dead weight for the arms to come -- release
-    # them so the pool forks over a minimal heap.
-    del stream, table, batch_results, per_cell_results, batch_annotator
-    del per_cell_annotator, cold_annotator, cold_run, warm_run_of
-    del per_table_run, corpus_run, corpus, distinct_corpus
-    del seed_annotator, seed_run, single_annotator, single_run
-    del multi_annotator, multi_run
-
-    # -- skewed-corpus scenario ---------------------------------------------------------
-    # The size mix real web-table corpora exhibit: one giant table next
-    # to many small ones, all distinct-content.  The giant table leads,
-    # so the static contiguous split hands shard 1 the giant plus half
-    # the small tables -- the worst case work-stealing exists to fix.
-    skew_base = parallel_tables * parallel_rows
-    skew_corpus = [
-        _corpus_tables(context, 1, skew_giant_rows, start=skew_base)[0]
-    ]
-    for index in range(skew_small_tables):
-        skew_corpus.append(
-            _corpus_tables(
-                context,
-                1,
-                skew_small_rows,
-                start=skew_base + skew_giant_rows + index * skew_small_rows,
-            )[0]
-        )
-    # The untimed seed pass warms the engine's *in-memory* compute caches
-    # (BM25 rankings, snippets, label memo); every timed arm -- and every
-    # forked pool worker, copy-on-write -- inherits that warmth, and a
-    # results-cache hit still sleeps its per-request latency (the remote
-    # round-trip is what is being modelled, not the local ranking
-    # arithmetic).  No cache *directory* is involved: per-worker cache
-    # file loads and the end-of-run merge-save flush are fixed wall-clock
-    # costs (~2 s here) that would dilute the scheduling ratios this
-    # scenario exists to measure, whereas warm in-memory caches cost the
-    # arms nothing and keep them byte-identical.
-    engine.reset_compute_caches()
-    skew_seed = EntityAnnotator(context.classifiers["svm"], engine, config)
-    skew_seed_run = skew_seed.annotate_tables(skew_corpus, ALL_TYPE_KEYS)
-    engine.real_latency_seconds = skew_latency_seconds
-    try:
-        # Each arm is compared against the seed and reduced to its
-        # scalars immediately, so no arm's AnnotationRun (~4k cells)
-        # stays on the parent heap while later arms fork their workers:
-        # retained runs are pure copy-on-write / GC-scan overhead for
-        # the arms still to come, and a bias that lands hardest on
-        # whichever arm runs last.  gc.collect() before each timed run
-        # keeps young-generation survivors from being rescanned (and
-        # their pages rewritten) mid-measurement.
-        import gc
-
-        def skew_timed(
-            run_config: AnnotatorConfig, run_workers: int
-        ) -> tuple[float, bool, RunDiagnostics]:
-            annotator = EntityAnnotator(
-                context.classifiers["svm"], engine, run_config
-            )
-            gc.collect()
-            start = time.perf_counter()
-            run = annotator.annotate_tables(
-                skew_corpus, ALL_TYPE_KEYS, workers=run_workers
-            )
-            seconds = time.perf_counter() - start
-            return seconds, run == skew_seed_run, run.diagnostics
-
-        skew_single_seconds, skew_single_identical, _ = skew_timed(
-            config, 1
-        )
-        skew_static_seconds, skew_static_identical, skew_static_diag = (
-            skew_timed(AnnotatorConfig(schedule="static"), workers)
-        )
-        (
-            skew_stealing_seconds,
-            skew_stealing_identical,
-            skew_stealing_diag,
-        ) = skew_timed(
-            AnnotatorConfig(
-                schedule="stealing", chunk_cost_target=chunk_cost_target
-            ),
-            workers,
-        )
-        # The fourth arm: the same stealing queue, but the giant
-        # table no longer travels alone -- it is cut into row-range
-        # slice tasks (reassembled byte-identically), so the giant
-        # stops bounding the critical path.
-        (
-            skew_splitting_seconds,
-            skew_splitting_identical,
-            skew_splitting_diag,
-        ) = skew_timed(
-            AnnotatorConfig(
-                schedule="stealing",
-                chunk_cost_target=chunk_cost_target,
-                split_giant_tables=True,
-                max_slice_cost=max_slice_cost,
-            ),
-            workers,
-        )
-    finally:
-        engine.real_latency_seconds = 0.0
-
-    skewed_result = SkewedThroughput(
-        n_tables=len(skew_corpus),
-        giant_rows=skew_giant_rows,
-        small_rows=skew_small_rows,
-        n_cells=skew_seed_run.diagnostics.n_cells,
-        workers=workers,
-        real_latency_seconds=skew_latency_seconds,
-        single_seconds=skew_single_seconds,
-        static_seconds=skew_static_seconds,
-        stealing_seconds=skew_stealing_seconds,
-        splitting_seconds=skew_splitting_seconds,
-        static_imbalance=skew_static_diag.imbalance_ratio,
-        stealing_imbalance=skew_stealing_diag.imbalance_ratio,
-        splitting_imbalance=skew_splitting_diag.imbalance_ratio,
-        stealing_tasks=sum(
-            load.n_tasks for load in skew_stealing_diag.worker_loads
-        ),
-        splitting_tasks=sum(
-            load.n_tasks for load in skew_splitting_diag.worker_loads
-        ),
-        tables_split=skew_splitting_diag.tables_split,
-        slice_cost=(
-            max_slice_cost or skew_splitting_diag.effective_chunk_cost
-        ),
-        effective_chunk_cost=skew_splitting_diag.effective_chunk_cost,
-        identical=(
-            skew_single_identical
-            and skew_static_identical
-            and skew_stealing_identical
-            and skew_splitting_identical
-        ),
-    )
-
-    # -- resident-service scenario ------------------------------------------------------
-    # N concurrent clients against a live daemon versus N one-shot cold
-    # invocations of the same work.  Same-directory tables (every client's
-    # table lists the same entity strings in its own order): exactly the
-    # cross-client redundancy the micro-batcher's pooled passes dedupe.
-    import os
-    import threading
-
-    from repro.core.annotation import SnippetCache
-    from repro.service.client import ServiceClient
-    from repro.service.daemon import AnnotationDaemon, ServiceConfig
-
-    service_base = skew_base + skew_giant_rows + skew_small_tables * skew_small_rows
-    service_corpus = _corpus_tables(
-        context, service_clients, service_rows, start=service_base
-    )
-
-    # Baseline: one-shot invocations -- every table pays a cold engine
-    # (compute caches reset) and a cold annotator, the per-process price
-    # a separate CLI run pays before any disk cache can help.
-    one_shot_results = []
-    start = time.perf_counter()
-    for table in service_corpus:
-        engine.reset_compute_caches()
-        one_shot_annotator = EntityAnnotator(
-            context.classifiers["svm"], engine, config
-        )
-        one_shot_results.append(
-            one_shot_annotator.annotate_table(table, ALL_TYPE_KEYS)
-        )
-    one_shot_seconds = time.perf_counter() - start
-
-    engine.reset_compute_caches()
-    service_annotator = EntityAnnotator(
-        context.classifiers["svm"], engine, config, cache=SnippetCache()
-    )
-    responses: list = [None] * service_clients
-    with tempfile.TemporaryDirectory() as socket_dir:
-        socket_path = os.path.join(socket_dir, "service.sock")
-        daemon = AnnotationDaemon(
-            service_annotator,
-            socket_path,
-            ServiceConfig(
-                batch_window_ms=service_window_ms,
-                max_batch_tables=service_clients,
-            ),
-        )
-        with daemon:
-            clients = [
-                ServiceClient(socket_path) for _ in range(service_clients)
-            ]
-            try:
-                # Connections are established untimed (the CLI baseline's
-                # process spawn is untimed too); the barrier releases every
-                # client at once so the admission window sees genuinely
-                # concurrent arrivals.
-                barrier = threading.Barrier(service_clients + 1)
-
-                def submit(index: int) -> None:
-                    barrier.wait()
-                    responses[index] = clients[index].annotate_table(
-                        service_corpus[index], ALL_TYPE_KEYS
-                    )
-
-                threads = [
-                    threading.Thread(target=submit, args=(index,))
-                    for index in range(service_clients)
-                ]
-                for thread in threads:
-                    thread.start()
-                barrier.wait()
-                start = time.perf_counter()
-                for thread in threads:
-                    thread.join()
-                service_seconds = time.perf_counter() - start
-                service_stats = clients[0].stats()
-            finally:
-                for client in clients:
-                    client.close()
-
-    service_result = ServiceThroughput(
-        n_clients=service_clients,
-        n_rows=service_rows,
-        n_cells=service_stats["cells"],
-        requests=service_stats["requests"],
-        batches=service_stats["batches"],
-        mean_batch_size=service_stats["mean_batch_size"],
-        coalescing_ratio=service_stats["coalescing_ratio"],
-        warm_hit_rate=service_stats["warm_hit_rate"],
-        batch_window_ms=service_window_ms,
-        one_shot_seconds=one_shot_seconds,
-        service_seconds=service_seconds,
-        identical=responses == one_shot_results,
-    )
-    # -- flaky-engine scenario ----------------------------------------------------------
-    # Deterministic failure injection: the per-(seed, query, occurrence)
-    # hash draws mean the no-retry baseline and the retrying run fail the
-    # *same* first attempts (occurrence counters reset between runs), so
-    # any coverage difference is exactly what retries + the repair pass
-    # recovered.  Distinct-content tables keep the failure statistics
-    # honest (no cross-table query dedupe hiding lost cells).
-    flaky_base = service_base + service_rows
-    flaky_corpus = [
-        _corpus_tables(
-            context, 1, flaky_rows, start=flaky_base + index * flaky_rows
-        )[0]
-        for index in range(flaky_tables)
-    ]
-    engine.failure_rate = flaky_failure_rate
-    try:
-        engine.reset_compute_caches()
-        engine.reset_failure_injection()
-        flaky_baseline = EntityAnnotator(
-            context.classifiers["svm"], engine, config
-        )
-        start = time.perf_counter()
-        flaky_baseline_run = flaky_baseline.annotate_tables(
-            flaky_corpus, ALL_TYPE_KEYS
-        )
-        flaky_baseline_seconds = time.perf_counter() - start
-
-        engine.reset_compute_caches()
-        engine.reset_failure_injection()
-        flaky_resilient = EntityAnnotator(
-            context.classifiers["svm"],
-            engine,
-            AnnotatorConfig(
-                retries=retries,
-                retry_backoff_ms=retry_backoff_ms,
-                breaker_threshold=breaker_threshold,
-            ),
-        )
-        start = time.perf_counter()
-        flaky_resilient_run = flaky_resilient.annotate_tables(
-            flaky_corpus, ALL_TYPE_KEYS
-        )
-        flaky_resilient_seconds = time.perf_counter() - start
-    finally:
-        engine.failure_rate = 0.0
-        engine.reset_failure_injection()
-        engine.reset_compute_caches()
-
-    flaky_result = FlakyThroughput(
-        n_tables=flaky_tables,
-        n_rows=flaky_rows,
-        n_cells=flaky_baseline_run.diagnostics.n_cells,
-        failure_rate=flaky_failure_rate,
-        retries=retries,
-        baseline_seconds=flaky_baseline_seconds,
-        resilient_seconds=flaky_resilient_seconds,
-        baseline_degraded=flaky_baseline_run.diagnostics.degraded_cells,
-        resilient_degraded=flaky_resilient_run.diagnostics.degraded_cells,
-        search_retries=flaky_resilient_run.diagnostics.search_retries,
-        repaired_cells=flaky_resilient_run.diagnostics.repaired_cells,
-        breaker_opens=flaky_resilient_run.diagnostics.breaker_opens,
-    )
-
-    # -- index-backend scenario ---------------------------------------------------------
-    # Both arms run under ``spawn`` deliberately: under ``fork`` the
-    # in-memory backend rides copy-on-write and its per-worker cost is
-    # invisible until pages dirty, whereas ``spawn`` makes each pool pay
-    # its true shipping bill -- a full annotator pickle per worker for
-    # the in-memory backend, a path string for the frozen artifact.
-    mmap_base = flaky_base + flaky_tables * flaky_rows
-    mmap_corpus = [
-        _corpus_tables(
-            context, 1, mmap_rows, start=mmap_base + index * mmap_rows
-        )[0]
-        for index in range(mmap_tables)
-    ]
-    if engine.index.backend_name == "memory":
-        memory_index = engine.index
-    elif swapped_memory_index is not None:
-        memory_index = swapped_memory_index
-    else:
-        # The context arrived already mmap-backed (CLI-built artifact):
-        # reconstruct an in-memory twin from the shared page store so
-        # the comparison still has its baseline arm.
-        memory_index = InvertedIndex(title_boost=engine.index.title_boost)
-        memory_index.add_many(
-            engine.index.page(doc_id)
-            for doc_id in range(engine.index.n_documents)
-        )
-
-    def _backend_arm(arm_engine):
-        """One timed spawn-pool run over *arm_engine*'s index backend."""
-        arm_engine.reset_compute_caches()
-        annotator = EntityAnnotator(
-            context.classifiers["svm"], arm_engine, config
-        )
-        payload_bytes = len(pickle.dumps(annotator, pickle.HIGHEST_PROTOCOL))
-        start = time.perf_counter()
-        run = annotate_tables_parallel(
-            annotator,
-            mmap_corpus,
-            ALL_TYPE_KEYS,
-            workers=workers,
-            start_method="spawn",
-        )
-        seconds = time.perf_counter() - start
-        loads = [load for load in run.diagnostics.worker_loads if load.n_tasks]
-        return run, payload_bytes, seconds, loads
-
-    def _mean(values) -> float:
-        values = list(values)
-        return sum(values) / len(values) if values else 0.0
-
-    mmap_dir = tempfile.mkdtemp(prefix="repro-throughput-mmap-")
-    try:
-        artifact_path = os.path.join(mmap_dir, "index.reproidx")
-        start = time.perf_counter()
-        build_index_artifact(memory_index, artifact_path)
-        build_seconds = time.perf_counter() - start
-        artifact_bytes = os.stat(artifact_path).st_size
-        frozen_index = FrozenMmapIndex.open(artifact_path)
-
-        memory_engine = SearchEngine(
-            clock=VirtualClock(),
-            latency_seconds=engine.latency_seconds,
-            parameters=engine.parameters,
-            index=memory_index,
-        )
-        reference_run = EntityAnnotator(
-            context.classifiers["svm"], memory_engine, config
-        ).annotate_tables(mmap_corpus, ALL_TYPE_KEYS)
-
-        memory_run, memory_payload, memory_seconds, memory_loads = _backend_arm(
-            memory_engine
-        )
-
-        mmap_engine = SearchEngine(
-            clock=VirtualClock(),
-            latency_seconds=engine.latency_seconds,
-            parameters=engine.parameters,
-            index=frozen_index,
-        )
-        mmap_run, mmap_payload, mmap_seconds, mmap_loads = _backend_arm(
-            mmap_engine
-        )
-    finally:
-        shutil.rmtree(mmap_dir, ignore_errors=True)
-
-    mmap_result = MmapBackendThroughput(
-        n_tables=mmap_tables,
-        n_rows=mmap_rows,
-        n_cells=reference_run.diagnostics.n_cells,
-        workers=workers,
-        n_pages=memory_index.n_documents,
-        artifact_bytes=artifact_bytes,
-        build_seconds=build_seconds,
-        memory_payload_bytes=memory_payload,
-        mmap_payload_bytes=mmap_payload,
-        memory_attach_rss_kb=_mean(load.attach_rss_kb for load in memory_loads),
-        mmap_attach_rss_kb=_mean(load.attach_rss_kb for load in mmap_loads),
-        memory_attach_seconds=_mean(load.attach_seconds for load in memory_loads),
-        mmap_attach_seconds=_mean(load.attach_seconds for load in mmap_loads),
-        memory_peak_rss_kb=_mean(load.peak_rss_kb for load in memory_loads),
-        mmap_peak_rss_kb=_mean(load.peak_rss_kb for load in mmap_loads),
-        memory_seconds=memory_seconds,
-        mmap_seconds=mmap_seconds,
-        identical=memory_run == reference_run and mmap_run == reference_run,
-    )
-
-    if swapped_memory_index is not None:
-        # Hand the context back the mutable backend it arrived with (the
-        # digest check inside use_index_backend guarantees nothing
-        # drifted) and drop the temporary artifact.
-        engine.use_index_backend(swapped_memory_index)
-        shutil.rmtree(swap_dir, ignore_errors=True)
-
-    return ThroughputResult(
-        rows=rows,
-        tables_per_size=stream_length,
-        corpus=corpus_result,
-        parallel=parallel_result,
-        skewed=skewed_result,
-        service=service_result,
-        flaky=flaky_result,
-        mmap=mmap_result,
-    )
 
 
 # ======================================================================== X1

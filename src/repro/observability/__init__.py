@@ -8,8 +8,8 @@ The package has three members, each usable on its own:
     in-process :class:`~repro.observability.tracing.TraceBuffer` and
     exportable as JSONL for offline critical-path analysis.  Tracing is
     *disabled by default* and the disabled path is a single module-level
-    boolean check returning a shared no-op span — cheap enough that the
-    benchmark suite asserts <= 2% overhead with tracing off.
+    boolean check returning a shared no-op span, so tracing off costs
+    next to nothing.
 
 ``repro.observability.metrics``
     A process-wide registry of counters, gauges and fixed-bucket latency

@@ -13,8 +13,8 @@ Tracing is disabled by default.  The disabled path is::
             return _NOOP_SPAN
         ...
 
-one module-level boolean check plus a shared no-op context manager, which
-the benchmark suite holds to <= 2% overhead over the untraced baseline.
+one module-level boolean check plus a shared no-op context manager
+(perfbench reports what tracing *on* costs as ``trace.overhead_ratio``).
 Instrumentation therefore never perturbs byte-identical parity: spans only
 *observe* wall/virtual time, they never feed back into annotation
 decisions.

@@ -10,8 +10,8 @@ over the line protocol of :mod:`repro.service.protocol`:
         client.stats()
 
 The client is deliberately dumb: no pooling, no retries, no pipelining --
-it exists so tests, the CLI ``client`` subcommand, the benchmark's
-concurrent-clients scenario and user scripts all speak the wire format
+it exists so tests, the CLI ``client`` subcommand, perfbench's
+``service_open`` workload and user scripts all speak the wire format
 through one implementation.  A :class:`ServiceError` carries the daemon's
 error string; transport problems raise the underlying ``OSError``.
 """

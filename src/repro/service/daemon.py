@@ -21,8 +21,8 @@ Two layers:
     line protocol of :mod:`repro.service.protocol`, one handler thread
     per connection, all of them feeding the one shared service.  The
     batching window is what turns N concurrent clients into one corpus
-    pass -- the pooled search/classify/vote economics measured in
-    ``benchmarks/output/BENCH_throughput.json`` (scenario ``service``).
+    pass -- the pooled search/classify/vote economics that perfbench's
+    ``service_open`` workload measures (``service.batch_size``).
 
 Warmth lifecycle: the service warm-starts from ``cache_dir`` when given,
 flushes back periodically (:class:`repro.persistence.PeriodicFlusher`)

@@ -132,23 +132,12 @@ class SearchEngine:
         parameters: BM25Parameters | None = None,
         failure_rate: float = 0.0,
         seed: int = 13,
-        real_latency_seconds: float = 0.0,
         index: IndexBackend | None = None,
     ) -> None:
         if not 0.0 <= failure_rate <= 1.0:
             raise ValueError(f"failure_rate must be in [0, 1], got {failure_rate}")
-        if real_latency_seconds < 0.0:
-            raise ValueError(
-                f"real_latency_seconds must be >= 0, got {real_latency_seconds}"
-            )
         self.clock = clock or VirtualClock()
         self.latency_seconds = latency_seconds
-        # Wall-clock seconds *actually slept* per issued request.  The
-        # default in-process stand-in only charges virtual time; setting
-        # this reproduces the paper's latency-dominated regime (Section
-        # 6.4: ~0.5 s of connection latency per row) in real time, which
-        # is the regime where concurrent workers overlap their waits.
-        self.real_latency_seconds = real_latency_seconds
         self.parameters = parameters or BM25Parameters()
         self.failure_rate = failure_rate
         self.available = True
@@ -334,19 +323,15 @@ class SearchEngine:
         return None
 
     def _charge_request(self) -> None:
-        """Account one issued request: virtual charge + optional real wait."""
+        """Account one issued request: one virtual-clock charge."""
         self.clock.charge(self.latency_seconds)
         self.query_count += 1
-        if self.real_latency_seconds:
-            import time
-
-            time.sleep(self.real_latency_seconds)
 
     def reset_failure_injection(self) -> None:
         """Forget per-query occurrence counters (and nothing else).
 
         After a reset, re-issuing a query gets the occurrence-0 draw again:
-        benchmarks use this to run a no-retry baseline and a retrying pass
+        tests use this to run a no-retry baseline and a retrying pass
         over the same corpus with *identical* first-attempt failures.
         """
         self._query_occurrences.clear()

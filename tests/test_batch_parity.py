@@ -11,6 +11,7 @@ values served through a shared :class:`SnippetCache`.
 import random
 
 import pytest
+from annotation_reference import annotate_table_per_cell
 
 from repro.classify.dataset import TextDataset
 from repro.classify.snippet import SnippetTypeClassifier
@@ -76,8 +77,8 @@ def _annotate_both(table, classifier, engine_factory, config=None, cache_factory
         if path == "batch":
             annotation = annotator.annotate_table(table, ["museum", "restaurant"])
         else:
-            annotation = annotator._annotate_table_per_cell(
-                table, ["museum", "restaurant"]
+            annotation = annotate_table_per_cell(
+                annotator, table, ["museum", "restaurant"]
             )
         outcomes.append(
             {
@@ -218,8 +219,8 @@ class TestSpatialParity:
             if path == "batch":
                 annotation = annotator.annotate_table(table, experiments.ALL_TYPE_KEYS)
             else:
-                annotation = annotator._annotate_table_per_cell(
-                    table, experiments.ALL_TYPE_KEYS
+                annotation = annotate_table_per_cell(
+                    annotator, table, experiments.ALL_TYPE_KEYS
                 )
             results.append(
                 (

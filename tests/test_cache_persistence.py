@@ -24,6 +24,7 @@ import pickle
 import random
 
 import pytest
+from annotation_reference import annotate_table_per_cell
 
 from repro import persistence
 from repro.classify.dataset import TextDataset
@@ -459,13 +460,15 @@ class TestWarmStartParity:
         config = AnnotatorConfig()
         seeder = EntityAnnotator(classifier, _venue_engine(), config)
         seeder.annotate_tables(_venue_corpus(), _TYPE_KEYS, cache_dir=tmp_path)
-        reference = EntityAnnotator(
-            classifier, _venue_engine(), AnnotatorConfig()
-        )._annotate_table_per_cell(table, _TYPE_KEYS)
+        reference = annotate_table_per_cell(
+            EntityAnnotator(classifier, _venue_engine(), AnnotatorConfig()),
+            table,
+            _TYPE_KEYS,
+        )
         warm = EntityAnnotator(classifier, _venue_engine(), config)
         warm.load_caches(tmp_path)
         assert repr(
-            warm._annotate_table_per_cell(table, _TYPE_KEYS)
+            annotate_table_per_cell(warm, table, _TYPE_KEYS)
         ) == repr(reference)
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])

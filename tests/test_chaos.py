@@ -229,7 +229,6 @@ class TestSliceCrashRecovery:
 
     def _config(self, **kwargs) -> AnnotatorConfig:
         return AnnotatorConfig(
-            schedule="stealing",
             chunk_cost_target=4,
             split_giant_tables=True,
             max_slice_cost=4,

@@ -18,49 +18,26 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             cli.main([])
 
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["figure7", "--small", "--schedule", "round-robin"])
-
-    def test_negative_chunk_cost_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["figure7", "--small", "--chunk-cost", "-1"])
-
-    def test_negative_max_slice_cost_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["figure7", "--small", "--max-slice-cost", "-1"])
-
-    def test_splitting_flags_forwarded_to_runner(
-        self, small_context, monkeypatch
-    ):
-        seen = {}
-
-        def spy_runner(context, split_giant_tables=False, max_slice_cost=0):
-            seen["split_giant_tables"] = split_giant_tables
-            seen["max_slice_cost"] = max_slice_cost
-
-            class _Result:
-                def render(self):
-                    return "ok"
-
-            return _Result()
-
-        monkeypatch.setitem(cli._EXPERIMENTS, "figure7", spy_runner)
-        assert (
-            cli.main(
-                [
-                    "figure7",
-                    "--small",
-                    "--split-giant-tables",
-                    "--max-slice-cost",
-                    "64",
-                ]
-            )
-            == 0
-        )
-        assert seen == {"split_giant_tables": True, "max_slice_cost": 64}
-        assert cli.main(["figure7", "--small"]) == 0
-        assert seen == {"split_giant_tables": False, "max_slice_cost": 0}
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "2"],
+            ["--schedule", "static"],
+            ["--chunk-cost", "64"],
+            ["--split-giant-tables"],
+            ["--max-slice-cost", "64"],
+            ["--retries", "2"],
+            ["--retry-backoff-ms", "100"],
+            ["--breaker-threshold", "3"],
+        ],
+        ids=lambda flags: flags[0].lstrip("-"),
+    )
+    def test_pool_and_retry_flags_rejected(self, flags):
+        # No experiment reads these; they used to be accepted and
+        # silently ignored.  ``serve`` keeps its own.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["figure7", "--small", *flags])
+        assert excinfo.value.code == 2
 
 
 class TestExecution:

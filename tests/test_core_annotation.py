@@ -1,6 +1,7 @@
 """Tests for cell annotation (Equation 1) and the snippet cache."""
 
 import pytest
+from annotation_reference import annotate_value_per_cell
 
 from repro.classify.dataset import TextDataset
 from repro.classify.snippet import SnippetTypeClassifier
@@ -173,7 +174,9 @@ class TestBatchedAnnotateValues:
         pairs = [("Grand Gallery", None), ("Grand Gallery", "Lyon"), ("zzz", None)]
         batched = batch_annotator.annotate_values(pairs, ["museum", "restaurant"])
         singles = [
-            per_cell_annotator.annotate_value(value, ["museum", "restaurant"], ctx)
+            annotate_value_per_cell(
+                per_cell_annotator, value, ["museum", "restaurant"], ctx
+            )
             for value, ctx in pairs
         ]
         assert batched == singles

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from annotation_reference import annotate_table_per_cell
 
 from repro.classify.dataset import TextDataset
 from repro.classify.snippet import SnippetTypeClassifier
@@ -114,9 +115,11 @@ class TestPipelineFailureParity:
     ):
         table = _corpus(n_tables=1, rows_per_table=12)[0]
         config = AnnotatorConfig(retries=retries, retry_backoff_ms=100.0)
-        per_cell = EntityAnnotator(
-            classifier, _make_engine(failure_rate=_RATE), config
-        )._annotate_table_per_cell(table, _TYPE_KEYS)
+        per_cell = annotate_table_per_cell(
+            EntityAnnotator(classifier, _make_engine(failure_rate=_RATE), config),
+            table,
+            _TYPE_KEYS,
+        )
         batched = EntityAnnotator(
             classifier, _make_engine(failure_rate=_RATE), config
         ).annotate_table(table, _TYPE_KEYS)
@@ -188,11 +191,11 @@ class TestPipelineFailureParity:
 
     def test_execution_matrix_identical_payloads(self, classifier):
         """The full execution matrix on a skewed distinct-content corpus:
-        per-cell, batched sequential, workers=2 static, workers=2
-        stealing, and workers=2 stealing with row-range splitting of the
-        giant table -- crossed with three fault regimes (healthy, seeded
-        failure rate, scripted :class:`FaultPlan`) -- all produce
-        byte-identical per-table payloads and degrade the same queries."""
+        per-cell, batched sequential, workers=2 stealing, and workers=2
+        stealing with row-range splitting of the giant table -- crossed
+        with three fault regimes (healthy, seeded failure rate, scripted
+        :class:`FaultPlan`) -- all produce byte-identical per-table
+        payloads and degrade the same queries."""
         giant = Table(name="giant", columns=[Column("Name", ColumnType.TEXT)])
         for row in range(14):
             giant.append_row([_NAMES[row]])
@@ -231,21 +234,18 @@ class TestPipelineFailureParity:
                 )
 
             per_cell = {
-                table.name: annotator()._annotate_table_per_cell(
-                    table, _TYPE_KEYS
+                table.name: annotate_table_per_cell(
+                    annotator(), table, _TYPE_KEYS
                 )
                 for table in tables
             }
             arms = {
                 "batched": annotator().annotate_tables(tables, _TYPE_KEYS),
-                "static": annotator(
-                    AnnotatorConfig(schedule="static")
-                ).annotate_tables(tables, _TYPE_KEYS, workers=2),
-                "stealing": annotator(
-                    AnnotatorConfig(schedule="stealing")
-                ).annotate_tables(tables, _TYPE_KEYS, workers=2),
+                "stealing": annotator().annotate_tables(
+                    tables, _TYPE_KEYS, workers=2
+                ),
                 "splitting": annotator(
-                    AnnotatorConfig(schedule="stealing", split_giant_tables=True)
+                    AnnotatorConfig(split_giant_tables=True)
                 ).annotate_tables(tables, _TYPE_KEYS, workers=2),
             }
             # The splitting arm genuinely split: auto chunk cost for this

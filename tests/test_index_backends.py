@@ -32,6 +32,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from annotation_reference import annotate_table_per_cell
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +192,19 @@ class TestArtifactRoundTrip:
             clone.posting_arrays(token)[0], frozen.posting_arrays(token)[0]
         )
 
+    def test_annotator_payload_under_half_the_in_memory_one(
+        self, classifier, frozen
+    ):
+        # What a spawn pool pickles to every worker: over the frozen
+        # backend the annotator carries an artifact path, not postings.
+        def payload_bytes(index=None):
+            annotator = EntityAnnotator(
+                classifier, _make_engine(index=index), AnnotatorConfig()
+            )
+            return len(pickle.dumps(annotator, pickle.HIGHEST_PROTOCOL))
+
+        assert payload_bytes(frozen) < 0.5 * payload_bytes()
+
     def test_refuses_mutation(self, frozen):
         page = WebPage(url="https://x/new", title="New", body="new venue")
         with pytest.raises(FrozenIndexError):
@@ -311,8 +325,8 @@ class TestAnnotationParity:
         )
         for table in _corpus(n_tables=2):
             assert repr(
-                mmap._annotate_table_per_cell(table, _TYPE_KEYS)
-            ) == repr(memory._annotate_table_per_cell(table, _TYPE_KEYS))
+                annotate_table_per_cell(mmap, table, _TYPE_KEYS)
+            ) == repr(annotate_table_per_cell(memory, table, _TYPE_KEYS))
 
     def test_batched_corpus_run(self, classifier, frozen):
         tables = _corpus()

@@ -5,8 +5,7 @@ pure throughput optimisation: distributing a corpus across workers may
 change *where* the work happens, never what comes back.  This suite pins:
 
 * annotations byte-identical to the sequential run (healthy engine and
-  fully-down engine alike), with the original corpus table order, under
-  both the static and the work-stealing scheduler;
+  fully-down engine alike), with the original corpus table order;
 * skewed corpora (one giant table + many small ones) and duplicate table
   names split across tasks -- the merge reassembly must match the
   sequential run cell for cell;
@@ -14,8 +13,8 @@ change *where* the work happens, never what comes back.  This suite pins:
   load accounting that sums back to the corpus totals;
 * the shared cache directory data flow: workers warm-start from it,
   merge-save back, and the parent ends up warm too;
-* argument validation, shard assignment, and deterministic cost-bounded
-  chunking (including the empty-corpus and zero-worker edge cases).
+* argument validation and deterministic cost-bounded chunking
+  (including the empty-corpus and zero-worker edge cases).
 """
 
 import multiprocessing
@@ -33,7 +32,6 @@ from repro.core.parallel import (
     annotate_tables_parallel,
     automatic_chunk_cost,
     chunk_tables,
-    shard_tables,
     slice_table,
     table_cost,
 )
@@ -340,34 +338,6 @@ class TestWarmPoolCacheIO:
         assert all(load.cache_load_bytes > 0 for load in busy)
 
 
-class TestShardAssignment:
-    def test_shards_partition_in_order(self):
-        tables = _corpus(n_tables=7)
-        shards = shard_tables(tables, 3)
-        assert len(shards) == 3
-        flattened = [table for shard in shards for table in shard]
-        assert [t.name for t in flattened] == [t.name for t in tables]
-        sizes = sorted(len(shard) for shard in shards)
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_no_empty_shards(self):
-        tables = _corpus(n_tables=2)
-        shards = shard_tables(tables, 5)
-        assert len(shards) == 2
-        assert all(shard for shard in shards)
-
-    def test_empty_corpus_yields_no_shards(self):
-        # Regression: this used to divide by zero (min(workers, 0) == 0).
-        assert shard_tables([], 4) == []
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_non_positive_workers_raise(self, workers):
-        # Regression: workers=0 used to divide by zero instead of telling
-        # the caller what was wrong.
-        with pytest.raises(ValueError, match="workers"):
-            shard_tables(_corpus(n_tables=2), workers)
-
-
 def _skewed_corpus(giant_rows=12, n_small=6, small_rows=2) -> list[Table]:
     """One giant table followed by small distinct-content tables."""
     tables = [
@@ -505,7 +475,6 @@ class TestSlicing:
 class TestSplittingParity:
     def _splitting_config(self, **kwargs) -> AnnotatorConfig:
         return AnnotatorConfig(
-            schedule="stealing",
             chunk_cost_target=4,
             split_giant_tables=True,
             **kwargs,
@@ -531,7 +500,7 @@ class TestSplittingParity:
         run = EntityAnnotator(
             classifier,
             _make_engine(),
-            AnnotatorConfig(schedule="stealing", max_slice_cost=4),
+            AnnotatorConfig(max_slice_cost=4),
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         assert run.diagnostics.tables_split == 1
         reference = EntityAnnotator(
@@ -635,7 +604,7 @@ class TestChunkTargetFloor:
             run = EntityAnnotator(
                 classifier,
                 _make_engine(),
-                AnnotatorConfig(schedule="stealing", chunk_cost_target=1),
+                AnnotatorConfig(chunk_cost_target=1),
             ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         assert run.diagnostics.effective_chunk_cost == 1
         assert run.diagnostics.tables_split == 0
@@ -658,8 +627,7 @@ class TestChunkTargetFloor:
                 classifier,
                 _make_engine(),
                 AnnotatorConfig(
-                    schedule="stealing",
-                    chunk_cost_target=1,
+                            chunk_cost_target=1,
                     split_giant_tables=True,
                 ),
             ).annotate_tables(tables, _TYPE_KEYS, workers=2)
@@ -681,19 +649,11 @@ class TestChunkTargetFloor:
         run = EntityAnnotator(
             classifier,
             _make_engine(),
-            AnnotatorConfig(schedule="stealing"),  # chunk_cost_target=0
+            AnnotatorConfig(),  # chunk_cost_target=0
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         assert run.diagnostics.effective_chunk_cost == automatic_chunk_cost(
             tables, 2
         )
-
-    def test_static_schedule_records_no_chunk_cost(self, classifier):
-        run = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(schedule="static"),
-        ).annotate_tables(_corpus(n_tables=4), _TYPE_KEYS, workers=2)
-        assert run.diagnostics.effective_chunk_cost == 0
 
     def test_negative_max_slice_cost_rejected(self):
         with pytest.raises(ValueError, match="max_slice_cost"):
@@ -701,8 +661,7 @@ class TestChunkTargetFloor:
 
 
 class TestWorkStealing:
-    @pytest.mark.parametrize("schedule", ["static", "stealing"])
-    def test_skewed_corpus_matches_sequential(self, classifier, schedule):
+    def test_skewed_corpus_matches_sequential(self, classifier):
         tables = _skewed_corpus()
         sequential = EntityAnnotator(
             classifier, _make_engine(), AnnotatorConfig()
@@ -710,7 +669,7 @@ class TestWorkStealing:
         parallel = EntityAnnotator(
             classifier,
             _make_engine(),
-            AnnotatorConfig(schedule=schedule, chunk_cost_target=5),
+            AnnotatorConfig(chunk_cost_target=5),
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         assert parallel == sequential
         assert repr(sorted(parallel.tables.items())) == repr(
@@ -753,7 +712,7 @@ class TestWorkStealing:
         pooled = EntityAnnotator(
             classifier,
             _make_engine(),
-            AnnotatorConfig(schedule="stealing", chunk_cost_target=100),
+            AnnotatorConfig(chunk_cost_target=100),
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         # Each table kept its own winning column.
         assert {(c.row, c.column) for c in sequential.tables["dup"].cells} == {
@@ -763,10 +722,7 @@ class TestWorkStealing:
         assert pooled == sequential
         assert repr(pooled.tables["dup"]) == repr(sequential.tables["dup"])
 
-    @pytest.mark.parametrize("schedule", ["static", "stealing"])
-    def test_duplicate_table_names_merge_like_sequential(
-        self, classifier, schedule
-    ):
+    def test_duplicate_table_names_merge_like_sequential(self, classifier):
         # Two *distinct* tables share the name "t" and land in different
         # tasks.  Regression: reassembly used to replace the first "t"
         # annotation with the second instead of merging the cells the way
@@ -791,7 +747,7 @@ class TestWorkStealing:
         parallel = EntityAnnotator(
             classifier,
             _make_engine(),
-            AnnotatorConfig(schedule=schedule, chunk_cost_target=1),
+            AnnotatorConfig(chunk_cost_target=1),
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         # Both same-named tables contributed cells, in corpus order.
         assert {cell.cell_value for cell in sequential.tables["t"].cells} > {
@@ -808,7 +764,7 @@ class TestWorkStealing:
         annotator = EntityAnnotator(
             classifier,
             _make_engine(),
-            AnnotatorConfig(schedule="stealing", chunk_cost_target=5),
+            AnnotatorConfig(chunk_cost_target=5),
         )
         run = annotator.annotate_tables(tables, _TYPE_KEYS, workers=2)
         loads = run.diagnostics.worker_loads
@@ -827,7 +783,7 @@ class TestWorkStealing:
         run = EntityAnnotator(
             classifier,
             _make_engine(),
-            AnnotatorConfig(schedule="stealing", chunk_cost_target=1),
+            AnnotatorConfig(chunk_cost_target=1),
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         loads = run.diagnostics.worker_loads
         assert sum(load.n_tasks for load in loads) == len(tables)
@@ -841,9 +797,8 @@ class TestWorkStealing:
         assert run.diagnostics.worker_loads == ()
 
     def test_direct_call_rejects_non_positive_workers(self, classifier):
-        # The stealing path must validate workers too, not just
-        # shard_tables: a direct call with workers=0 used to surface as a
-        # cryptic ProcessPoolExecutor error.
+        # A direct call with workers=0 used to surface as a cryptic
+        # ProcessPoolExecutor error.
         annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         with pytest.raises(ValueError, match="workers"):
             annotate_tables_parallel(
@@ -912,10 +867,6 @@ class TestWorkStealing:
         annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         run = annotate_tables_parallel(annotator, tables, _TYPE_KEYS, workers=4)
         assert run == reference
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            AnnotatorConfig(schedule="round-robin")
 
     def test_imbalance_ratio_contract(self):
         def diag(loads):
@@ -991,7 +942,7 @@ class TestGracefulInterrupt:
         annotator = EntityAnnotator(
             classifier,
             _make_engine(),
-            AnnotatorConfig(schedule="stealing", chunk_cost_target=1),
+            AnnotatorConfig(chunk_cost_target=1),
         )
         with pytest.raises(KeyboardInterrupt):
             annotate_tables_parallel(

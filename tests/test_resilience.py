@@ -336,6 +336,24 @@ class TestRetryRecovery:
             > baseline_engine.clock.elapsed_seconds
         )
 
+    def test_retrying_run_keeps_the_coverage_bar(self, classifier):
+        # Failure rate 0.2 on distinct-content tables: the no-retry run
+        # loses cells, while two retries plus the repair pass, on the same
+        # first-attempt draws, keep at least 95% of the candidate cells.
+        tables = _corpus()
+        baseline = EntityAnnotator(
+            classifier, _make_engine(failure_rate=0.2), AnnotatorConfig()
+        ).annotate_tables(tables, _TYPE_KEYS)
+        resilient = EntityAnnotator(
+            classifier,
+            _make_engine(failure_rate=0.2),
+            AnnotatorConfig(retries=2),
+        ).annotate_tables(tables, _TYPE_KEYS)
+        n_cells = resilient.diagnostics.n_cells
+        assert n_cells == baseline.diagnostics.n_cells == 24
+        assert baseline.diagnostics.degraded_cells > 0
+        assert 1 - resilient.diagnostics.degraded_cells / n_cells >= 0.95
+
     def test_degraded_cells_name_their_losses(self, classifier):
         tables = _corpus()
         run = EntityAnnotator(
