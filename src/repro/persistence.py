@@ -80,7 +80,7 @@ try:  # POSIX advisory locking; degrade gracefully elsewhere.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 """Bump when the persisted payload layout changes; old files are ignored."""
 
 DEFAULT_LOCK_TIMEOUT = 10.0

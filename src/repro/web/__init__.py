@@ -16,9 +16,8 @@ contract over a synthetic corpus:
 
 from repro.web.documents import WebPage
 from repro.web.index import InvertedIndex
-from repro.web.ranking import BM25Parameters, bm25_scores
+from repro.web.ranking import BM25Parameters
 from repro.web.search import SearchEngine, SearchEngineUnavailable, SearchResult
-from repro.web.snippets import extract_snippet
 
 __all__ = [
     "BM25Parameters",
@@ -27,6 +26,4 @@ __all__ = [
     "SearchEngineUnavailable",
     "SearchResult",
     "WebPage",
-    "bm25_scores",
-    "extract_snippet",
 ]

@@ -2,9 +2,10 @@
 
 The retrieval layer (BM25 in :mod:`repro.web.ranking`, the engine in
 :mod:`repro.web.search`) needs a small surface from its index: postings
-arrays per token, document lengths, the page store, corpus statistics and
-a content digest.  :class:`IndexBackend` names that surface, and two
-implementations provide it:
+arrays per token, per-posting body word positions, document lengths and
+word counts, the page store, corpus statistics and a content digest.
+:class:`IndexBackend` names that surface, and two implementations
+provide it:
 
 * :class:`repro.web.index.InvertedIndex` -- the mutable in-memory
   backend.  Pages can be added at any time; postings live in Python
@@ -14,8 +15,9 @@ implementations provide it:
 * :class:`FrozenMmapIndex` -- a read-only backend over a compacted
   on-disk artifact.  :func:`build_index_artifact` flattens the postings
   into CSR-style arrays (sorted token table, concatenated doc-id/tf
-  arrays with per-token offsets, document lengths, a page blob with
-  per-field offsets) and writes them through
+  arrays with per-token offsets, concatenated word positions with
+  per-posting offsets, document lengths and word counts, a page blob
+  with per-field offsets) and writes them through
   :func:`repro.persistence.save_array_artifact`.  N processes on one
   host then open the artifact via ``np.memmap`` and the OS page cache
   holds exactly one physical copy of the postings: ``posting_arrays``
@@ -37,7 +39,8 @@ ascending doc id) and dtypes (``int64`` ids, ``float64`` tfs/lengths)
 exactly as the in-memory backend materialises them, and stores the mean
 document length as computed by the source index, so BM25 scores -- and
 therefore rankings, annotations and diagnostics -- are byte-identical
-across backends.  ``tests/test_index_backends.py`` pins this.
+across backends.  ``tests/test_index_backends.py`` and
+``tests/test_positional_postings.py`` pin this.
 """
 
 from __future__ import annotations
@@ -62,8 +65,11 @@ logger = get_logger(__name__)
 INDEX_ARTIFACT_KIND = "inverted-index"
 """``kind`` guard of index artifacts in the persistence container."""
 
-INDEX_LAYOUT_VERSION = 1
-"""Bump when the index section layout changes; old artifacts are rejected."""
+INDEX_LAYOUT_VERSION = 2
+"""Bump when the index section layout changes; old artifacts are rejected.
+
+Version 2 added the positional sections (``positions``,
+``position_offsets``, ``n_words``)."""
 
 
 class FrozenIndexError(RuntimeError):
@@ -102,6 +108,10 @@ class IndexBackend(Protocol):
 
     def postings(self, token: str) -> list[Posting]: ...
 
+    def word_positions(self, token: str, doc_id: int) -> Sequence[int]: ...
+
+    def n_words(self, doc_id: int) -> int: ...
+
     def page(self, doc_id: int) -> WebPage: ...
 
     def vocabulary_size(self) -> int: ...
@@ -109,6 +119,10 @@ class IndexBackend(Protocol):
     def tokens(self) -> Iterator[str]: ...
 
     def raw_postings(self, token: str) -> Sequence[tuple[int, float]]: ...
+
+    def raw_positions(
+        self, token: str
+    ) -> tuple[Sequence[int], Sequence[int]]: ...
 
     def content_digest(self) -> str: ...
 
@@ -125,7 +139,9 @@ def build_index_artifact(
     Postings are flattened CSR-style: tokens sorted lexicographically
     into one utf-8 blob with offsets, each token's ``(doc_id, tf)``
     entries concatenated in their original append order into two flat
-    arrays with a shared per-token offset table.  Pages go into a second
+    arrays with a shared per-token offset table, and each posting's word
+    positions concatenated in the same order into one int32 array with a
+    per-posting offset table.  Pages go into a second
     blob with four offsets per page (url, title, body, language).  The
     write is atomic and advisory-locked (see
     :func:`repro.persistence.save_array_artifact`).
@@ -136,6 +152,9 @@ def build_index_artifact(
     posting_offsets = np.zeros(len(tokens) + 1, dtype=np.int64)
     flat_ids: list[int] = []
     flat_tfs: list[float] = []
+    position_chunks: list[np.ndarray] = []
+    offset_chunks = [np.zeros(1, dtype=np.int64)]
+    n_positions = 0
     for row, token in enumerate(tokens):
         encoded = token.encode("utf-8")
         token_blob += encoded
@@ -145,6 +164,11 @@ def build_index_artifact(
         for doc_id, tf in entries:
             flat_ids.append(doc_id)
             flat_tfs.append(tf)
+        positions, offsets = index.raw_positions(token)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        position_chunks.append(np.asarray(positions, dtype=np.int32))
+        offset_chunks.append(offsets[1:] - offsets[0] + n_positions)
+        n_positions += int(offsets[-1] - offsets[0])
 
     page_blob = bytearray()
     page_offsets = np.zeros(4 * index.n_documents + 1, dtype=np.int64)
@@ -168,6 +192,7 @@ def build_index_artifact(
         "fingerprint_digest": index.fingerprint_digest(),
         "n_tokens": len(tokens),
         "n_postings": len(flat_ids),
+        "n_positions": n_positions,
     }
     sections = {
         "token_blob": np.frombuffer(bytes(token_blob), dtype=np.uint8),
@@ -175,7 +200,15 @@ def build_index_artifact(
         "posting_offsets": posting_offsets,
         "doc_ids": np.asarray(flat_ids, dtype=np.int64),
         "tfs": np.asarray(flat_tfs, dtype=np.float64),
+        "positions": np.concatenate(
+            [np.zeros(0, dtype=np.int32), *position_chunks]
+        ),
+        "position_offsets": np.concatenate(offset_chunks),
         "lengths": np.asarray(index.lengths, dtype=np.float64),
+        "n_words": np.asarray(
+            [index.n_words(doc_id) for doc_id in range(index.n_documents)],
+            dtype=np.int64,
+        ),
         "page_blob": np.frombuffer(bytes(page_blob), dtype=np.uint8),
         "page_offsets": page_offsets,
     }
@@ -313,6 +346,35 @@ class FrozenMmapIndex:
             return ()
         ids, tfs = arrays
         return [(int(doc_id), float(tf)) for doc_id, tf in zip(ids, tfs)]
+
+    def raw_positions(self, token: str) -> tuple[Sequence[int], Sequence[int]]:
+        row = self._rows().get(token)
+        if row is None:
+            return (), (0,)
+        posting_offsets = self._sections["posting_offsets"]
+        offsets = self._sections["position_offsets"][
+            int(posting_offsets[row]) : int(posting_offsets[row + 1]) + 1
+        ]
+        return self._sections["positions"][offsets[0] : offsets[-1]], offsets
+
+    def word_positions(self, token: str, doc_id: int) -> Sequence[int]:
+        row = self._rows().get(token)
+        if row is None:
+            return ()
+        posting_offsets = self._sections["posting_offsets"]
+        start = int(posting_offsets[row])
+        ids = self._sections["doc_ids"][start : int(posting_offsets[row + 1])]
+        found = int(ids.searchsorted(doc_id))
+        if found == ids.shape[0] or ids[found] != doc_id:
+            return ()
+        offsets = self._sections["position_offsets"]
+        posting = start + found
+        return self._sections["positions"][
+            offsets[posting] : offsets[posting + 1]
+        ].tolist()
+
+    def n_words(self, doc_id: int) -> int:
+        return int(self._sections["n_words"][doc_id])
 
     def page(self, doc_id: int) -> WebPage:
         page = self._page_cache.get(doc_id)

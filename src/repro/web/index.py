@@ -5,14 +5,25 @@ word tokens).  Title tokens are counted with a configurable boost, because
 entity homepages carry the entity name in the title and should outrank
 pages that merely mention it.
 
+Positional postings
+-------------------
+Every (token, doc) posting also records the positions, in the body's
+whitespace split (``body.split()``), of the words that yield the token,
+and every document records its body word count.  The search engine marks
+a query's hits from these to pick its query-biased snippet window without
+re-tokenising the body.  Body tokens are therefore counted word by word;
+no token spans whitespace, so that is the same token sequence as
+``tokenize(body)``.  Postings and positions live in flat typed arrays per
+token (doc ids, term frequencies, int32 positions and per-posting offsets
+into them), never in per-posting Python objects.
+
 Freeze lifecycle
 ----------------
-The index has two representations per token: an append-only build list
-(postings accumulate in Python lists) and a frozen query view (postings as
-numpy arrays so BM25 scoring is vectorised per token).  Freezing is *lazy
-and per token*: the first query touching a token materialises its arrays,
-and :meth:`add` merely marks the touched tokens dirty so only *their*
-arrays are rebuilt on next access.  Interleaving ``add`` and ``search``
+The index has two representations per token: append-only build arrays
+and a frozen query view (numpy copies, so BM25 scoring is vectorised per
+token).  Freezing is *lazy and per token*: the first query touching a
+token materialises its arrays, and :meth:`add` merely drops the touched
+tokens' views so only *their* arrays are rebuilt on next access.  Interleaving ``add`` and ``search``
 therefore never rebuilds the whole postings store -- the cost of an add is
 proportional to the page being added, and the cost of a query to the
 tokens it actually uses.  Document-length arrays follow the same rule:
@@ -22,7 +33,8 @@ tokens it actually uses.  Document-length arrays follow the same rule:
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +52,28 @@ class Posting:
     term_frequency: float
 
 
+class _TokenPostings:
+    """One token's postings as flat typed arrays, in append (doc id) order.
+
+    The positions of posting ``i`` are
+    ``positions[position_offsets[i] : position_offsets[i + 1]]``.
+    """
+
+    __slots__ = ("doc_ids", "tfs", "positions", "position_offsets")
+
+    def __init__(self) -> None:
+        self.doc_ids = array("q")
+        self.tfs = array("d")
+        self.positions = array("i")
+        self.position_offsets = array("q", [0])
+
+    def append(self, doc_id: int, tf: float, positions: Sequence[int]) -> None:
+        self.doc_ids.append(doc_id)
+        self.tfs.append(tf)
+        self.positions.extend(positions)
+        self.position_offsets.append(len(self.positions))
+
+
 class InvertedIndex:
     """Token -> postings map with the corpus statistics BM25 needs."""
 
@@ -50,10 +84,10 @@ class InvertedIndex:
             raise ValueError(f"title_boost must be >= 1.0, got {title_boost}")
         self.title_boost = title_boost
         self._pages: list[WebPage] = []
-        self._building: dict[str, list[tuple[int, float]]] = {}
-        # Frozen per-token views plus the set of tokens whose view is stale.
+        self._building: dict[str, _TokenPostings] = {}
+        self._n_words = array("q")
+        # Frozen per-token views; add() drops the views it makes stale.
         self._frozen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._dirty: set[str] = set()
         self._doc_lengths: list[float] = []
         self._lengths_array: np.ndarray | None = None
         self._total_length = 0.0
@@ -101,47 +135,54 @@ class InvertedIndex:
 
     def add(self, page: WebPage) -> int:
         """Index *page* and return its document id."""
+        return self._add(page, {})
+
+    def add_many(self, pages: Iterable[WebPage]) -> list[int]:
+        """Bulk-index *pages*, returning their document ids.
+
+        Equivalent to calling :meth:`add` per page, but the word ->
+        tokens memo is shared across the batch, so each distinct body
+        word is tokenised once per call rather than once per page.
+        Under the lazy per-token freeze there is no global rebuild either
+        way: each touched token's frozen view is invalidated once and
+        rebuilt on next query.
+        """
+        word_tokens: dict[str, list[str]] = {}
+        return [self._add(page, word_tokens) for page in pages]
+
+    def _add(self, page: WebPage, word_tokens: dict[str, list[str]]) -> int:
         doc_id = len(self._pages)
         self._pages.append(page)
         self._fold_page(page)
-        counts: Counter[str] = Counter()
+        counts: dict[str, float] = {}
+        count = counts.get
         for token in tokenize(page.title):
-            counts[token] += self.title_boost
-        for token in tokenize(page.body):
-            counts[token] += 1.0
+            counts[token] = count(token, 0.0) + self.title_boost
+        positions: dict[str, list[int]] = {}
+        words = page.body.split()
+        for position, word in enumerate(words):
+            tokens = word_tokens.get(word)
+            if tokens is None:
+                tokens = word_tokens[word] = tokenize(word)
+            for token in tokens:
+                counts[token] = count(token, 0.0) + 1.0
+                seen = positions.get(token)
+                if seen is None:
+                    positions[token] = [position]
+                elif seen[-1] != position:
+                    seen.append(position)
+        self._n_words.append(len(words))
         length = float(sum(counts.values()))
         self._doc_lengths.append(length)
         self._total_length += length
         self._lengths_array = None
         for token, frequency in counts.items():
-            self._building.setdefault(token, []).append((doc_id, frequency))
-            if token in self._frozen:
-                self._dirty.add(token)
+            postings = self._building.get(token)
+            if postings is None:
+                postings = self._building[token] = _TokenPostings()
+            postings.append(doc_id, frequency, positions.get(token, ()))
+            self._frozen.pop(token, None)
         return doc_id
-
-    def add_many(self, pages: Iterable[WebPage]) -> list[int]:
-        """Bulk-index *pages*, returning their document ids.
-
-        Equivalent to calling :meth:`add` per page; kept as a single entry
-        point so callers indexing whole crawls state the intent and future
-        bulk-only optimisations have a seam.  Under the lazy per-token
-        freeze there is no global rebuild either way: each touched token's
-        frozen view is invalidated once and rebuilt on next query.
-        """
-        return [self.add(page) for page in pages]
-
-    # -- freeze / thaw -----------------------------------------------------------------
-
-    def _freeze_token(self, token: str) -> tuple[np.ndarray, np.ndarray] | None:
-        entries = self._building.get(token)
-        if entries is None:
-            return None
-        ids = np.asarray([doc_id for doc_id, _tf in entries], dtype=np.int64)
-        tfs = np.asarray([tf for _doc_id, tf in entries], dtype=np.float64)
-        frozen = (ids, tfs)
-        self._frozen[token] = frozen
-        self._dirty.discard(token)
-        return frozen
 
     # -- statistics --------------------------------------------------------------------
 
@@ -168,16 +209,23 @@ class InvertedIndex:
 
     def document_frequency(self, token: str) -> int:
         """Number of documents containing *token*."""
-        entries = self._building.get(token)
-        return 0 if entries is None else len(entries)
+        postings = self._building.get(token)
+        return 0 if postings is None else len(postings.doc_ids)
 
     def posting_arrays(self, token: str) -> tuple[np.ndarray, np.ndarray] | None:
         """(doc_ids, term_frequencies) arrays for *token*, or ``None``."""
-        if token not in self._dirty:
-            frozen = self._frozen.get(token)
-            if frozen is not None:
-                return frozen
-        return self._freeze_token(token)
+        frozen = self._frozen.get(token)
+        if frozen is None:
+            postings = self._building.get(token)
+            if postings is None:
+                return None
+            # Copies: the build arrays keep growing, and a live buffer
+            # export would make them refuse to resize.
+            frozen = self._frozen[token] = (
+                np.array(postings.doc_ids, dtype=np.int64),
+                np.array(postings.tfs, dtype=np.float64),
+            )
+        return frozen
 
     def postings(self, token: str) -> list[Posting]:
         """The postings list of *token* (empty when unindexed)."""
@@ -189,6 +237,23 @@ class InvertedIndex:
             Posting(doc_id=int(doc_id), term_frequency=float(tf))
             for doc_id, tf in zip(ids, tfs)
         ]
+
+    def word_positions(self, token: str, doc_id: int) -> Sequence[int]:
+        """Ascending positions in ``page(doc_id).body.split()`` of the
+        words that yield *token* (empty when the body has none)."""
+        postings = self._building.get(token)
+        if postings is None:
+            return ()
+        doc_ids = postings.doc_ids
+        row = bisect_left(doc_ids, doc_id)
+        if row == len(doc_ids) or doc_ids[row] != doc_id:
+            return ()
+        offsets = postings.position_offsets
+        return postings.positions[offsets[row] : offsets[row + 1]]
+
+    def n_words(self, doc_id: int) -> int:
+        """Number of words in ``page(doc_id).body.split()``."""
+        return self._n_words[doc_id]
 
     def page(self, doc_id: int) -> WebPage:
         """The indexed page with this id."""
@@ -202,14 +267,25 @@ class InvertedIndex:
         return iter(sorted(self._building))
 
     def raw_postings(self, token: str) -> Sequence[tuple[int, float]]:
-        """The append-order ``(doc_id, tf)`` build list for *token*.
+        """The append-order ``(doc_id, tf)`` pairs of *token*.
 
         Exposed for artifact builders that compact the whole vocabulary
         at once: unlike :meth:`posting_arrays` this does not materialise
         (and cache) a frozen numpy view per token, so a full-index sweep
         does not double the resident postings store.
         """
-        return self._building.get(token, ())
+        postings = self._building.get(token)
+        if postings is None:
+            return ()
+        return list(zip(postings.doc_ids, postings.tfs))
+
+    def raw_positions(self, token: str) -> tuple[Sequence[int], Sequence[int]]:
+        """*token*'s flat word positions and per-posting offsets into them
+        (``len(raw_postings(token)) + 1`` offsets, starting at 0)."""
+        postings = self._building.get(token)
+        if postings is None:
+            return (), (0,)
+        return postings.positions, postings.position_offsets
 
     def content_digest(self) -> str:
         """Hex digest of the indexed *content* (titles, bodies, boost).

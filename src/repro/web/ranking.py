@@ -39,41 +39,11 @@ def bm25_norms(
 ) -> np.ndarray:
     """Per-document length normalisation ``1 - b + b * len/avg_len``.
 
-    The single definition shared by the dense scorer, the sparse scorer
-    and the search engine's per-batch norms cache.
+    The single definition shared by the scorer and the search engine's
+    norms cache.
     """
     average_length = index.average_length or 1.0
     return 1.0 - parameters.b + parameters.b * (index.lengths / average_length)
-
-
-def bm25_score_array(
-    index: IndexBackend,
-    query_tokens: list[str],
-    parameters: BM25Parameters | None = None,
-) -> np.ndarray:
-    """Dense BM25 score per document (zeros for non-matching documents).
-
-    Uses the standard idf form ``ln(1 + (N - df + 0.5) / (df + 0.5))``,
-    which is non-negative for any document frequency.
-    """
-    parameters = parameters or BM25Parameters()
-    n_docs = index.n_documents
-    scores = np.zeros(n_docs, dtype=np.float64)
-    if n_docs == 0 or not query_tokens:
-        return scores
-    norms = bm25_norms(index, parameters)
-    for token in query_tokens:
-        arrays = index.posting_arrays(token)
-        if arrays is None:
-            continue
-        ids, tfs = arrays
-        df = ids.shape[0]
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        gains = idf * (tfs * (parameters.k1 + 1.0)) / (
-            tfs + parameters.k1 * norms[ids]
-        )
-        np.add.at(scores, ids, gains)
-    return scores
 
 
 def bm25_matched_scores(
@@ -84,13 +54,13 @@ def bm25_matched_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """BM25 over matching documents only: ``(doc_ids, scores)`` arrays.
 
-    Sparse counterpart of :func:`bm25_score_array`: cost is proportional to
-    the postings touched, not the corpus size, which is what a batched
-    caller issuing hundreds of queries needs.  ``doc_ids`` is ascending;
-    ``scores`` accumulates per-token gains in query-token order, the exact
-    float-addition order of the dense scorer, so both agree bitwise.
-    *norms* lets the caller hoist the per-document length normalisation
-    out of a query loop.
+    Uses the standard idf form ``ln(1 + (N - df + 0.5) / (df + 0.5))``,
+    which is non-negative for any document frequency.  Cost is
+    proportional to the postings touched, not the corpus size.
+    ``doc_ids`` is ascending; ``scores`` accumulates per-token gains in
+    query-token order, so a document's score is the same float sum a
+    dense per-document accumulator would give.  *norms* lets the caller
+    hoist the per-document length normalisation out of a query loop.
     """
     parameters = parameters or BM25Parameters()
     n_docs = index.n_documents
@@ -117,19 +87,8 @@ def bm25_matched_scores(
     all_ids = np.concatenate(id_chunks)
     all_gains = np.concatenate(gain_chunks)
     matched, inverse = np.unique(all_ids, return_inverse=True)
-    # bincount sums weights in array order == token order per document,
-    # matching np.add.at accumulation in the dense scorer.
+    # bincount sums weights in array order == token order per document.
     scores = np.bincount(inverse, weights=all_gains, minlength=matched.shape[0])
     positive = scores > 0.0
     return matched[positive], scores[positive]
 
-
-def bm25_scores(
-    index: IndexBackend,
-    query_tokens: list[str],
-    parameters: BM25Parameters | None = None,
-) -> dict[int, float]:
-    """BM25 scores as a doc-id -> score mapping (matching documents only)."""
-    array = bm25_score_array(index, query_tokens, parameters)
-    matched = np.flatnonzero(array > 0.0)
-    return {int(doc_id): float(array[doc_id]) for doc_id in matched}

@@ -6,21 +6,18 @@ English results only.  Each query charges a configurable latency to the
 shared :class:`~repro.clock.VirtualClock`; the Section 6.4 efficiency
 experiment reads that clock.
 
-Two query entry points share one ranking core:
-
-* :meth:`SearchEngine.search` -- one query, the seed per-cell contract
-  (failures raise), a fresh dense BM25 pass and fresh snippet extraction
-  per call;
-* :meth:`SearchEngine.search_many` -- a batch of queries for table-at-a-time
-  annotation.  Latency accounting is per unique issued query *string* (a
-  remote engine is hit once per distinct request), in first-occurrence
-  order, so for a batch of distinct queries the clock and the failure
-  injector see exactly what per-query :meth:`search` calls would.  Compute
-  is amortised much harder: result lists are cached per query *token
-  signature* (tokenisation drops digits and stopwords, so many distinct
-  strings rank identically), BM25 runs sparsely over only the matched
-  postings, and query-biased snippet extraction reuses per-page word/token
-  position maps instead of re-tokenising every body for every query.
+One query entry point, :meth:`SearchEngine.search_many`, resolves a batch
+of queries for table-at-a-time annotation; :meth:`SearchEngine.search` is
+``search_many([query])[0]`` that raises on failure instead of answering
+``None``.  Latency accounting is per unique issued query *string* (a
+remote engine is hit once per distinct request), in first-occurrence
+order, so for a batch of distinct queries the clock and the failure
+injector see exactly what one :meth:`search` call per query would.
+Compute is amortised: result lists are cached per query *token
+signature* (tokenisation drops digits and stopwords, so many distinct
+strings rank identically), BM25 runs sparsely over only the matched
+postings, and query-biased snippets come from the index's positional
+postings -- a body is split only to render its winning window.
 
 Failure injection: setting :attr:`SearchEngine.available` to ``False`` makes
 every query raise :class:`SearchEngineUnavailable`, and ``failure_rate``
@@ -38,7 +35,7 @@ installed via :attr:`SearchEngine.fault_plan`
 (a :class:`repro.resilience.FaultPlan`).
 
 The signature -> results cache is also *durable*: :meth:`SearchEngine.save_results_cache`
-writes it (with the per-page snippet-window maps) to disk, fingerprinted by
+writes it (with the BM25 length norms) to disk, fingerprinted by
 the corpus content (size, urls, indexed titles/bodies) and the BM25
 parameters, and :meth:`SearchEngine.load_results_cache` warms a fresh
 engine -- in another process -- over the same corpus.  Saves are
@@ -87,16 +84,10 @@ from repro.text.tokenization import tokenize
 from repro.web.backends import IndexBackend
 from repro.web.documents import WebPage
 from repro.web.index import InvertedIndex
-from repro.web.ranking import (
-    BM25Parameters,
-    bm25_matched_scores,
-    bm25_norms,
-    bm25_score_array,
-)
+from repro.web.ranking import BM25Parameters, bm25_matched_scores, bm25_norms
 from repro.web.snippets import (
     DEFAULT_SNIPPET_WORDS,
     best_window_start,
-    extract_snippet,
     render_window,
 )
 
@@ -153,17 +144,9 @@ class SearchEngine:
         # mutable in-memory by default, or an injected frozen mmap-backed
         # index shared zero-copy across processes.
         self._index: IndexBackend = index if index is not None else InvertedIndex()
-        # -- batched-path compute caches (pages are immutable; ranking
-        # caches are invalidated whenever the corpus grows) --------------
+        # -- query compute caches (invalidated whenever the corpus grows) --
         # token signature -> ranked SearchResult list
         self._results_cache: dict[tuple, list[SearchResult]] = {}
-        # doc_id -> (body words, token -> word positions)
-        self._page_windows: dict[
-            int, tuple[list[str], dict[str, list[int]]]
-        ] = {}
-        # body word -> its word tokens (shared across pages; bodies reuse
-        # a modest vocabulary, so this short-circuits most tokenisation)
-        self._word_tokens: dict[str, tuple[str, ...]] = {}
         self._norms: np.ndarray | None = None
         self._cache_n_docs = 0
         self._cache_parameters = self.parameters
@@ -219,37 +202,16 @@ class SearchEngine:
     def search(self, query: str, k: int = 10) -> list[SearchResult]:
         """Top-*k* English results for *query*, best first.
 
-        Raises :class:`SearchEngineUnavailable` when the engine is marked
-        down or the request is dropped by failure injection.  An empty or
-        no-match query yields an empty result list, as a real engine would.
+        ``search_many([query], k)[0]``, except that a failed request
+        raises :class:`SearchEngineUnavailable` with its reason ("search
+        engine is down", "request dropped by fault plan" or "request
+        dropped").  An empty or no-match query yields an empty result
+        list, as a real engine would.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        reason = self._issue_request(query)
-        if reason is not None:
-            raise SearchEngineUnavailable(reason)
-        tokens = self._effective_tokens(query)
-        scores = bm25_score_array(self._index, tokens, self.parameters)
-        matched = np.flatnonzero(scores > 0.0)
-        if matched.size == 0:
-            return []
-        # Deterministic order: score descending, then doc id ascending.
-        order = matched[np.lexsort((matched, -scores[matched]))]
-        results: list[SearchResult] = []
-        for doc_id in order:
-            page = self._index.page(int(doc_id))
-            if page.language != "en":
-                continue
-            results.append(
-                SearchResult(
-                    url=page.url,
-                    title=page.title,
-                    snippet=extract_snippet(page.body, query),
-                )
-            )
-            if len(results) == k:
-                break
-        return results
+        outcome = self._resolve([query], k)[query]
+        if isinstance(outcome, str):
+            raise SearchEngineUnavailable(outcome)
+        return list(outcome)
 
     def search_many(
         self, queries: Sequence[str], k: int = 10
@@ -264,30 +226,33 @@ class SearchEngine:
         to calling :meth:`search` per query.  Unlike :meth:`search`,
         failures are reported per query rather than raised, so one dropped
         request cannot abort a whole table.
-
-        Results are byte-identical to :meth:`search`; only the compute is
-        amortised (signature-level result caching, sparse BM25, pooled
-        snippet extraction).
         """
+        with span("search.search_many", n_queries=len(queries)) as many_span:
+            resolved = self._resolve(queries, k)
+            many_span.tag(n_unique=len(resolved))
+        # Copy per entry: callers may mutate their result lists without
+        # corrupting the signature cache.
+        return [
+            None if isinstance(resolved[query], str) else list(resolved[query])
+            for query in queries
+        ]
+
+    def _resolve(
+        self, queries: Sequence[str], k: int
+    ) -> dict[str, list[SearchResult] | str]:
+        """Issue each unique query once: its cached result list, or the
+        failure reason :meth:`_issue_request` gave when it was dropped."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self._validate_caches()
-        resolved: dict[str, list[SearchResult] | None] = {}
-        with span("search.search_many", n_queries=len(queries)) as many_span:
-            for query in queries:
-                if query in resolved:
-                    continue
-                if self._issue_request(query) is not None:
-                    resolved[query] = None
-                    continue
-                resolved[query] = self._ranked_results(query, k)
-            many_span.tag(n_unique=len(resolved))
-        # Copy per entry: callers may mutate their result lists without
-        # corrupting the signature cache (search() hands out fresh lists too).
-        return [
-            None if resolved[query] is None else list(resolved[query])
-            for query in queries
-        ]
+        resolved: dict[str, list[SearchResult] | str] = {}
+        for query in queries:
+            if query not in resolved:
+                reason = self._issue_request(query)
+                resolved[query] = (
+                    reason if reason is not None else self._ranked_results(query, k)
+                )
+        return resolved
 
     def _issue_request(self, query: str) -> str | None:
         """Account one issued request and decide its fate.
@@ -336,14 +301,10 @@ class SearchEngine:
         """
         self._query_occurrences.clear()
 
-    # -- ranking core (batched path) ------------------------------------------------------
+    # -- ranking core ---------------------------------------------------------------------
 
     def _validate_caches(self) -> None:
-        """Drop ranking caches when the corpus or BM25 parameters changed.
-
-        Per-page structures (:attr:`_page_windows`) survive: pages are
-        immutable and doc ids append-only.
-        """
+        """Drop ranking caches when the corpus or BM25 parameters changed."""
         n_docs = self._index.n_documents
         if n_docs != self._cache_n_docs or self.parameters != self._cache_parameters:
             self._results_cache.clear()
@@ -353,15 +314,15 @@ class SearchEngine:
             self._cache_parameters = self.parameters
 
     def reset_compute_caches(self) -> None:
-        """Forget every batched-path compute cache.
+        """Forget every query compute cache: ranked results and length norms.
 
-        Results, length norms, page window maps and word tokenisations are
-        all rebuilt on demand; accounting state (clock, query counts, rng)
-        is untouched.  Benchmarks call this to measure true cold starts.
+        This is what "cold" means: empty query caches over a built
+        (positional) index.  Snippet windows are not a cache -- they come
+        from the index's word positions, which are corpus data and stay.
+        Accounting state (clock, query counts, rng) is untouched.
+        Benchmarks call this to measure cold passes.
         """
         self._results_cache.clear()
-        self._page_windows.clear()
-        self._word_tokens.clear()
         self._norms = None
         self._results_file.forget()
 
@@ -408,11 +369,6 @@ class SearchEngine:
         """
         return {
             "results": {**existing["results"], **fresh["results"]},
-            "page_windows": {
-                **existing["page_windows"],
-                **fresh["page_windows"],
-            },
-            "word_tokens": {**existing["word_tokens"], **fresh["word_tokens"]},
             "norms": (
                 fresh["norms"] if fresh["norms"] is not None else existing["norms"]
             ),
@@ -421,24 +377,14 @@ class SearchEngine:
     @staticmethod
     def _payload_sizes(payload: dict) -> tuple:
         """Entry counts of a results payload (see :class:`CacheFileSync`)."""
-        return (
-            len(payload["results"]),
-            len(payload["page_windows"]),
-            len(payload["word_tokens"]),
-            payload["norms"] is not None,
-        )
+        return (len(payload["results"]), payload["norms"] is not None)
 
     def _results_payload(self) -> dict:
         """The persisted view of the compute caches (shallow references)."""
-        return {
-            "results": self._results_cache,
-            "page_windows": self._page_windows,
-            "word_tokens": self._word_tokens,
-            "norms": self._norms,
-        }
+        return {"results": self._results_cache, "norms": self._norms}
 
     def save_results_cache(self, path) -> bool:
-        """Persist the signature -> results cache (and window maps) to *path*.
+        """Persist the signature -> results cache (and length norms) to *path*.
 
         The file is fingerprinted by :meth:`cache_fingerprint`; stale
         in-memory entries are dropped first so a cache surviving corpus
@@ -501,8 +447,6 @@ class SearchEngine:
 
     def _absorb_results(self, payload: dict) -> None:
         self._results_cache.update(payload["results"])
-        self._page_windows.update(payload["page_windows"])
-        self._word_tokens.update(payload["word_tokens"])
         if self._norms is None and payload["norms"] is not None:
             self._norms = payload["norms"]
         self._cache_n_docs = self._index.n_documents
@@ -512,12 +456,12 @@ class SearchEngine:
 
     @property
     def cache_hits(self) -> int:
-        """Batched-path ranking lookups served from cache."""
+        """Ranking lookups served from cache."""
         return self._cache_hits
 
     @property
     def cache_misses(self) -> int:
-        """Batched-path ranking lookups that had to compute."""
+        """Ranking lookups that had to compute."""
         return self._cache_misses
 
     @property
@@ -582,10 +526,6 @@ class SearchEngine:
         self._results_cache[signature] = results
         return results
 
-    def _effective_tokens(self, query: str) -> list[str]:
-        """Query tokens minus stopwords and ubiquitous terms."""
-        return self._filter_tokens(tokenize(query))
-
     def _filter_tokens(self, tokens: list[str]) -> list[str]:
         """Stopword and document-frequency filtering of query tokens."""
         tokens = [t for t in tokens if t not in ENGLISH_STOPWORDS]
@@ -600,7 +540,7 @@ class SearchEngine:
         # made only of common words should still return *something*.
         return filtered or tokens
 
-    # -- amortised snippet extraction -----------------------------------------------------
+    # -- positional snippet extraction ---------------------------------------------------
 
     def _snippet_for(
         self,
@@ -608,45 +548,24 @@ class SearchEngine:
         query_tokens: frozenset[str],
         max_words: int = DEFAULT_SNIPPET_WORDS,
     ) -> str:
-        """Query-biased snippet of an indexed page, amortised across queries.
+        """Query-biased snippet of an indexed page: the densest
+        *max_words*-word body window for *query_tokens*, ellipsised when
+        truncated, or the leading window when no token occurs in the body.
 
-        Produces byte-identical output to
-        :func:`repro.web.snippets.extract_snippet` but tokenises each body
-        word at most once ever (and each distinct word string once across
-        all pages): the body's per-token word positions are cached on
-        first use, and each query then marks its hit positions and takes
-        the best window with a cumulative-sum sweep.
+        Hits come from the index's word positions, so the body is split
+        only to render the chosen window.
         """
-        entry = self._page_windows.get(doc_id)
-        if entry is None:
-            words = self._index.page(doc_id).body.split()
-            word_tokens = self._word_tokens
-            by_token: dict[str, list[int]] = {}
-            for position, word in enumerate(words):
-                tokens = word_tokens.get(word)
-                if tokens is None:
-                    tokens = tuple(tokenize(word))
-                    word_tokens[word] = tokens
-                for token in tokens:
-                    by_token.setdefault(token, []).append(position)
-            entry = (words, by_token)
-            self._page_windows[doc_id] = entry
-        words, positions = entry
-        n_words = len(words)
-        if n_words <= max_words:
-            return " ".join(words)
+        index = self._index
+        n_words = index.n_words(doc_id)
         hits = None
-        for token in query_tokens:
-            token_positions = positions.get(token)
-            if token_positions is None:
-                continue
-            if hits is None:
-                hits = bytearray(n_words)
-            for position in token_positions:
-                hits[position] = 1
-        if hits is None:
-            # No query token in the body: the leading window wins.
-            best_start = 0
-        else:
-            best_start = best_window_start(hits, n_words, max_words)
-        return render_window(words, best_start, max_words)
+        if n_words > max_words:  # a shorter body is its own snippet
+            for token in query_tokens:
+                positions = index.word_positions(token, doc_id)
+                if positions:
+                    if hits is None:
+                        hits = bytearray(n_words)
+                    for position in positions:
+                        hits[position] = 1
+        # No query token in the body: the leading window wins.
+        best_start = 0 if hits is None else best_window_start(hits, n_words, max_words)
+        return render_window(index.page(doc_id).body.split(), best_start, max_words)

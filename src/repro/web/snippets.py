@@ -1,16 +1,16 @@
-"""Query-biased snippet extraction.
+"""Query-biased snippet windows.
 
 Real engines summarise a result page with a ~20-word window centred on the
 query terms ("most of them are less than 20 words long", Section 5.2).  We
 reproduce that: find the body window with the highest density of query
 tokens and render it, ellipsised when it does not span the whole body.
+The search engine marks a query's hits from the index's word positions
+(:meth:`repro.web.search.SearchEngine._snippet_for`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from repro.text.tokenization import tokenize
 
 DEFAULT_SNIPPET_WORDS = 20
 
@@ -21,9 +21,7 @@ def best_window_start(
     """First start of the densest *max_words* window over per-word *hits*.
 
     Ties keep the earliest window (only a strictly higher score moves the
-    window), so an all-zero *hits* yields the leading window.  Shared by
-    :func:`extract_snippet` and the search engine's amortised extractor so
-    the two stay byte-identical by construction.
+    window), so an all-zero *hits* yields the leading window.
     """
     window_score = sum(hits[:max_words])
     best_score = window_score
@@ -43,27 +41,3 @@ def render_window(words: list[str], best_start: int, max_words: int) -> str:
     suffix = " ..." if best_start + max_words < len(words) else ""
     return f"{prefix}{' '.join(window)}{suffix}"
 
-
-def extract_snippet(
-    body: str, query: str, max_words: int = DEFAULT_SNIPPET_WORDS
-) -> str:
-    """Best *max_words*-word window of *body* for *query*.
-
-    Falls back to the leading window when no query token occurs in the
-    body.  The returned snippet preserves the original word forms (only
-    whitespace is normalised) and carries a trailing ellipsis when
-    truncated.
-    """
-    if max_words < 1:
-        raise ValueError(f"max_words must be >= 1, got {max_words}")
-    words = body.split()
-    if len(words) <= max_words:
-        return " ".join(words)
-    query_tokens = set(tokenize(query))
-    lowered = [tokenize(word) for word in words]
-    hits = [
-        1 if any(token in query_tokens for token in word_tokens) else 0
-        for word_tokens in lowered
-    ]
-    best_start = best_window_start(hits, len(words), max_words)
-    return render_window(words, best_start, max_words)

@@ -191,6 +191,45 @@ class TestEngineCacheRoundTrip:
         monkeypatch.setattr(persistence, "CACHE_FORMAT_VERSION", 999)
         assert engine.load_results_cache(tmp_path / "cache.bin") is False
 
+    def test_persisted_payload_is_results_and_norms_only(self, tmp_path):
+        engine = _make_engine()
+        engine.search_many(_NAMES, k=5)
+        engine.save_results_cache(tmp_path / "cache.bin")
+        with open(tmp_path / "cache.bin", "rb") as handle:
+            blob = pickle.load(handle)
+        assert blob["format_version"] == persistence.CACHE_FORMAT_VERSION
+        assert sorted(blob["payload"]) == ["norms", "results"]
+
+    def test_version_1_file_with_page_windows_cold_starts(self, tmp_path):
+        # The format-1 payload also pickled per-page snippet windows; such
+        # a file, even for this very corpus, must cold-start, and the next
+        # save must replace it with the current format.
+        engine = _make_engine()
+        path = tmp_path / "cache.bin"
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {
+                    "format_version": 1,
+                    "kind": "search-results",
+                    "fingerprint": engine.cache_fingerprint(),
+                    "payload": {
+                        "results": {},
+                        "page_windows": {0: (["melisse"], {"melisse": [0]})},
+                        "word_tokens": {"melisse": ("melisse",)},
+                        "norms": None,
+                    },
+                },
+                handle,
+            )
+        assert engine.load_results_cache(path) is False
+        engine.search_many(_NAMES, k=5)
+        assert engine.save_results_cache(path) is True
+        with open(path, "rb") as handle:
+            blob = pickle.load(handle)
+        assert blob["format_version"] == persistence.CACHE_FORMAT_VERSION
+        assert sorted(blob["payload"]) == ["norms", "results"]
+        assert _make_engine().load_results_cache(path) is True
+
     def test_stale_in_memory_entries_not_saved(self, tmp_path):
         # Growing the corpus after a search must not leak pre-growth
         # results into the persisted file.

@@ -25,6 +25,7 @@ never what any layer above computes.  This suite pins:
 """
 
 import dataclasses
+import logging
 import os
 import pickle
 import random
@@ -42,12 +43,17 @@ from repro.clock import VirtualClock
 from repro.core.annotator import EntityAnnotator
 from repro.core.config import AnnotatorConfig
 from repro.core.parallel import annotate_tables_parallel
-from repro.persistence import ArtifactError, save_array_artifact
+from repro.persistence import (
+    ArtifactError,
+    open_array_artifact,
+    save_array_artifact,
+)
 from repro.service import protocol
 from repro.service.daemon import AnnotationService, ServiceConfig
 from repro.tables.model import Column, ColumnType, Table
 from repro.web.backends import (
     INDEX_ARTIFACT_KIND,
+    INDEX_LAYOUT_VERSION,
     FrozenIndexError,
     FrozenMmapIndex,
     IndexBackend,
@@ -79,6 +85,21 @@ def _make_engine(index=None) -> SearchEngine:
             ]
         )
     return engine
+
+
+def _layout_1_artifact(index, path):
+    """An index artifact in layout 1: no positional sections."""
+    build_index_artifact(index, path)
+    header, sections = open_array_artifact(path, INDEX_ARTIFACT_KIND)
+    header = {**header, "layout_version": 1}
+    del header["n_positions"]
+    sections = {
+        name: np.array(array)
+        for name, array in sections.items()
+        if name not in ("positions", "position_offsets", "n_words")
+    }
+    save_array_artifact(path, INDEX_ARTIFACT_KIND, header, sections)
+    return path
 
 
 def _train(seed=1) -> SnippetTypeClassifier:
@@ -239,6 +260,25 @@ class TestArtifactContracts:
         )
         with pytest.raises(ArtifactError):
             FrozenMmapIndex.open(path)
+
+    def test_layout_1_artifact_rejected(self, tmp_path):
+        path = _layout_1_artifact(_make_engine().index, tmp_path / "v1.reproidx")
+        with pytest.raises(ArtifactError, match="index layout 1"):
+            FrozenMmapIndex.open(path)
+
+    def test_ensure_rebuilds_layout_1_artifact(self, tmp_path, caplog):
+        index = _make_engine().index
+        path = _layout_1_artifact(index, tmp_path / "index.reproidx")
+        with caplog.at_level(logging.WARNING, logger="repro.web.backends"):
+            frozen = ensure_index_artifact(index, path)
+        assert any(
+            "index.artifact_unusable" in record.message for record in caplog.records
+        )
+        header, _sections = open_array_artifact(path, INDEX_ARTIFACT_KIND)
+        assert header["layout_version"] == INDEX_LAYOUT_VERSION
+        assert [frozen.n_words(doc) for doc in range(index.n_documents)] == [
+            index.n_words(doc) for doc in range(index.n_documents)
+        ]
 
     def test_truncated_file_raises(self, tmp_path):
         path = build_index_artifact(

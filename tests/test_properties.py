@@ -9,6 +9,7 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from search_reference import extract_snippet
 
 from repro.classify.metrics import f_measure
 from repro.core.clustering import cluster_snippets, cosine_similarity
@@ -21,7 +22,6 @@ from repro.tables.io import table_from_csv, table_from_json, table_to_csv, table
 from repro.tables.model import Column, Table
 from repro.text.pipeline import TextPipeline
 from repro.text.tokenization import tokenize
-from repro.web.snippets import extract_snippet
 
 # -- strategies ---------------------------------------------------------------------
 

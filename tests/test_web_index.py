@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from search_reference import bm25_score_array, bm25_scores
 
 from repro.web.documents import WebPage
 from repro.web.index import InvertedIndex
-from repro.web.ranking import BM25Parameters, bm25_score_array, bm25_scores
+from repro.web.ranking import BM25Parameters
 
 
 def _page(url, title, body, language="en"):

