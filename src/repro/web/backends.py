@@ -2,8 +2,9 @@
 
 The retrieval layer (BM25 in :mod:`repro.web.ranking`, the engine in
 :mod:`repro.web.search`) needs a small surface from its index: postings
-arrays per token, per-posting body word positions, document lengths and
-word counts, the page store, corpus statistics and a content digest.
+arrays per token, per-posting body word positions, document lengths,
+word counts and an English mask, the page store, corpus statistics and
+a content digest.
 :class:`IndexBackend` names that surface, and two implementations
 provide it:
 
@@ -97,6 +98,9 @@ class IndexBackend(Protocol):
 
     @property
     def lengths(self) -> np.ndarray: ...
+
+    @property
+    def english_mask(self) -> np.ndarray: ...
 
     def document_length(self, doc_id: int) -> float: ...
 
@@ -247,6 +251,7 @@ class FrozenMmapIndex:
         self._fingerprint_digest = str(header["fingerprint_digest"])
         self._sections = sections
         self._token_rows: dict[str, int] | None = None
+        self._english: np.ndarray | None = None
         self._page_cache: dict[int, WebPage] = {}
 
     @classmethod
@@ -306,6 +311,22 @@ class FrozenMmapIndex:
     @property
     def lengths(self) -> np.ndarray:
         return self._sections["lengths"]
+
+    @property
+    def english_mask(self) -> np.ndarray:
+        """Derived once from the language spans of the page blob, without
+        decoding a page: a span is English iff its bytes are ``b"en"``."""
+        if self._english is None:
+            blob = self._sections["page_blob"]
+            offsets = self._sections["page_offsets"]
+            starts = offsets[3::4]
+            english = (offsets[4::4] - starts) == 2
+            first = starts[english]
+            english[english] = (blob[first] == ord("e")) & (
+                blob[first + 1] == ord("n")
+            )
+            self._english = english
+        return self._english
 
     def document_length(self, doc_id: int) -> float:
         return float(self._sections["lengths"][doc_id])

@@ -26,8 +26,9 @@ token materialises its arrays, and :meth:`add` merely drops the touched
 tokens' views so only *their* arrays are rebuilt on next access.  Interleaving ``add`` and ``search``
 therefore never rebuilds the whole postings store -- the cost of an add is
 proportional to the page being added, and the cost of a query to the
-tokens it actually uses.  Document-length arrays follow the same rule:
-``lengths`` is re-materialised only after a page was added.
+tokens it actually uses.  The per-document arrays follow the same rule:
+``lengths`` and ``english_mask`` are re-materialised only after a page
+was added.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class InvertedIndex:
         self._frozen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._doc_lengths: list[float] = []
         self._lengths_array: np.ndarray | None = None
+        self._english = bytearray()
+        self._english_array: np.ndarray | None = None
         self._total_length = 0.0
         self._init_hashers()
 
@@ -172,6 +175,8 @@ class InvertedIndex:
                 elif seen[-1] != position:
                     seen.append(position)
         self._n_words.append(len(words))
+        self._english.append(page.language == "en")
+        self._english_array = None
         length = float(sum(counts.values()))
         self._doc_lengths.append(length)
         self._total_length += length
@@ -203,6 +208,16 @@ class InvertedIndex:
         if self._lengths_array is None:
             self._lengths_array = np.asarray(self._doc_lengths, dtype=np.float64)
         return self._lengths_array
+
+    @property
+    def english_mask(self) -> np.ndarray:
+        """Per-document booleans, true where ``page.language == "en"``
+        (frozen view)."""
+        if self._english_array is None:
+            self._english_array = np.frombuffer(
+                bytes(self._english), dtype=np.bool_
+            )
+        return self._english_array
 
     def document_length(self, doc_id: int) -> float:
         return self._doc_lengths[doc_id]

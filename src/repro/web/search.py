@@ -16,8 +16,14 @@ injector see exactly what one :meth:`search` call per query would.
 Compute is amortised: result lists are cached per query *token
 signature* (tokenisation drops digits and stopwords, so many distinct
 strings rank identically), BM25 runs sparsely over only the matched
-postings, and query-biased snippets come from the index's positional
-postings -- a body is split only to render its winning window.
+postings, and only the top k are ranked: the matched documents are masked
+to English ones with the index's per-document English mask, every
+document scoring at least the k-th best score is kept (so ties at the
+boundary survive), and only that small set is sorted by score descending,
+then doc id ascending -- the same k a full sort would give.  Pages are
+loaded only for the results.  Query-biased snippets come from the index's
+positional postings: the window is chosen from the sorted hit positions
+alone, and a body is split only to render it.
 
 Failure injection: setting :attr:`SearchEngine.available` to ``False`` makes
 every query raise :class:`SearchEngineUnavailable`, and ``failure_rate``
@@ -505,24 +511,26 @@ class SearchEngine:
         matched, scores = bm25_matched_scores(
             self._index, effective, self.parameters, norms=self._norms
         )
+        # English documents only, then every one scoring at least the
+        # k-th best (so ties at the boundary survive), ordered by score
+        # descending, then doc id ascending.
+        english = self._index.english_mask[matched]
+        matched, scores = matched[english], scores[english]
+        if matched.size > k:
+            threshold = np.partition(scores, matched.size - k)[matched.size - k]
+            top = scores >= threshold
+            matched, scores = matched[top], scores[top]
+        token_set = signature[1]
         results: list[SearchResult] = []
-        if matched.size:
-            # Deterministic order: score descending, then doc id ascending.
-            order = matched[np.lexsort((matched, -scores))]
-            token_set = signature[1]
-            for doc_id in order:
-                page = self._index.page(int(doc_id))
-                if page.language != "en":
-                    continue
-                results.append(
-                    SearchResult(
-                        url=page.url,
-                        title=page.title,
-                        snippet=self._snippet_for(int(doc_id), token_set),
-                    )
+        for doc_id in matched[np.lexsort((matched, -scores))[:k]].tolist():
+            page = self._index.page(doc_id)
+            results.append(
+                SearchResult(
+                    url=page.url,
+                    title=page.title,
+                    snippet=self._snippet_for(doc_id, token_set),
                 )
-                if len(results) == k:
-                    break
+            )
         self._results_cache[signature] = results
         return results
 
@@ -553,19 +561,14 @@ class SearchEngine:
         truncated, or the leading window when no token occurs in the body.
 
         Hits come from the index's word positions, so the body is split
-        only to render the chosen window.
+        only to render the chosen window, and the window is found from
+        the hit positions alone (:func:`best_window_start`).
         """
         index = self._index
-        n_words = index.n_words(doc_id)
-        hits = None
-        if n_words > max_words:  # a shorter body is its own snippet
+        best_start = 0
+        if index.n_words(doc_id) > max_words:  # a shorter body is its own snippet
+            hits: set[int] = set()
             for token in query_tokens:
-                positions = index.word_positions(token, doc_id)
-                if positions:
-                    if hits is None:
-                        hits = bytearray(n_words)
-                    for position in positions:
-                        hits[position] = 1
-        # No query token in the body: the leading window wins.
-        best_start = 0 if hits is None else best_window_start(hits, n_words, max_words)
+                hits.update(index.word_positions(token, doc_id))
+            best_start = best_window_start(sorted(hits), max_words)
         return render_window(index.page(doc_id).body.split(), best_start, max_words)

@@ -11,6 +11,11 @@ in-memory :class:`~repro.web.index.InvertedIndex` and for the frozen
   body -- for bodies shorter than, as long as and longer than the window,
   possessives, digits, punctuation-only words, non-ASCII whitespace,
   tokens found only in a title and queries matching nothing;
+* the window picked from hit positions alone
+  (:func:`~repro.web.snippets.best_window_start`) equals the per-word
+  scan :func:`window_scan_start` -- with several equally dense windows
+  (the earliest wins), hits only in the last window and bodies of
+  exactly ``max_words + 1`` words;
 * every posting's term frequency equals ``title_boost`` times the title's
   token count plus the body's, as whole-text :func:`tokenize` counts them,
   which pins that tokenising the body word by word loses nothing;
@@ -25,7 +30,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from search_reference import bm25_score_array, extract_snippet
+from search_reference import (
+    bm25_score_array,
+    extract_snippet,
+    window_scan_start,
+)
 
 from repro.text.tokenization import tokenize
 from repro.web.backends import FrozenMmapIndex, build_index_artifact
@@ -33,7 +42,7 @@ from repro.web.documents import WebPage
 from repro.web.index import InvertedIndex
 from repro.web.ranking import bm25_matched_scores
 from repro.web.search import SearchEngine
-from repro.web.snippets import DEFAULT_SNIPPET_WORDS
+from repro.web.snippets import DEFAULT_SNIPPET_WORDS, best_window_start
 
 # Body words never contain "q", so the q-words titles may carry yield
 # title-only tokens.  "İ" lower-cases to two characters and "é" is not a
@@ -114,6 +123,58 @@ def test_search_snippets_around_the_window_size(n_words, backend):
             for hit in engine.search(query, k=5):
                 page = next(p for p in pages if p.url == hit.url)
                 assert hit.snippet == extract_snippet(page.body, query)
+
+
+@st.composite
+def _hit_patterns(draw):
+    """``(per-word 0/1 hits, max_words)`` for a body longer than the window:
+    random hits, a periodic pattern (every window that starts on a period
+    boundary is equally dense), hits only in the last window, and bodies
+    of exactly ``max_words + 1`` words."""
+    max_words = draw(st.integers(min_value=1, max_value=DEFAULT_SNIPPET_WORDS))
+    shape = draw(st.sampled_from(["random", "periodic", "last", "one-over"]))
+    if shape == "one-over":
+        n_words = max_words + 1
+    else:
+        n_words = draw(st.integers(min_value=max_words + 1, max_value=80))
+    if shape == "periodic":
+        period = draw(st.integers(min_value=1, max_value=max_words + 3))
+        phase = draw(st.integers(min_value=0, max_value=period - 1))
+        return [int(i % period == phase) for i in range(n_words)], max_words
+    hits = draw(st.lists(st.integers(0, 1), min_size=n_words, max_size=n_words))
+    if shape == "last":
+        hits[: n_words - max_words] = [0] * (n_words - max_words)
+    return hits, max_words
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=_hit_patterns())
+def test_window_from_hit_positions_equals_the_scan(pattern):
+    hits, max_words = pattern
+    positions = [position for position, hit in enumerate(hits) if hit]
+    assert best_window_start(positions, max_words) == (
+        window_scan_start(hits, max_words)
+    )
+
+
+@pytest.mark.parametrize("backend", ["memory", "mmap"])
+@pytest.mark.parametrize(
+    "hit_positions",
+    [[0, 5, 10, 15, 20], [2, 9, 16], [19, 20], [20], [0, 20], [40], [18, 19]],
+)
+@pytest.mark.parametrize("n_words", [21, 41])
+def test_engine_windows_on_tied_and_trailing_hits(backend, hit_positions, n_words):
+    words = [f"filler{'abcde'[i % 5]}" for i in range(n_words)]
+    for position in hit_positions:
+        if position < n_words:
+            words[position] = "melisse"
+    pages = _pages([("Melisse", " ".join(words))])
+    (memory, frozen), tmp = _indexes(pages)
+    with tmp:
+        engine = SearchEngine(index=memory if backend == "memory" else frozen)
+        assert engine._snippet_for(0, frozenset({"melisse"})) == (
+            extract_snippet(pages[0].body, "melisse")
+        )
 
 
 @settings(max_examples=60, deadline=None)
