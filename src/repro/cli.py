@@ -40,15 +40,16 @@ the label memo, ``label_memo.cache`` -- the only on-disk cache format.
 Saves are merge-on-save under an advisory lock, so concurrent
 invocations sharing a cache directory never lose entries.
 
-``--index-backend memory|mmap`` picks the index storage backend
-(:mod:`repro.web.backends`).  ``mmap`` swaps the engine onto a frozen
-on-disk artifact -- built on demand, or reused from ``--index-artifact``
-/ ``<cache-dir>/index.reproidx`` when its fingerprint still matches the
-world -- so every worker process and daemon on the host shares one
-physical copy of the postings through the OS page cache instead of
-pickling or duplicating the index per process.  ``index build`` writes
-that artifact explicitly (same ``--small``/``--seed`` world knobs), so
-fleets can pay the compaction once up front.
+``--index-backend memory|mmap`` picks where the frozen index's arrays
+live (:mod:`repro.web.backends`).  ``mmap`` swaps the engine onto the
+same layout mapped from an on-disk artifact -- written on demand, or
+reused from ``--index-artifact`` / ``<cache-dir>/index.reproidx`` when
+its fingerprint still matches the world -- so every worker process and
+daemon on the host shares one physical copy of the postings through the
+OS page cache instead of pickling or duplicating the index per process.
+``index build`` writes that artifact explicitly (same
+``--small``/``--seed`` world knobs), so fleets can write it once up
+front.
 
 ``serve`` keeps the warm engine resident: one process pays the cold start,
 then any number of ``client`` invocations (or :class:`ServiceClient`
@@ -415,8 +416,8 @@ def _index_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments index",
         description=(
-            "Compact the world's inverted index into a frozen artifact "
-            "that any number of processes open via mmap (used by "
+            "Save the world's frozen index as an artifact that any "
+            "number of processes map read-only (used by "
             "--index-backend mmap)."
         ),
     )
@@ -443,7 +444,7 @@ def _index_main(argv: list[str]) -> int:
         help="rebuild even when the existing artifact's fingerprint matches",
     )
     args = parser.parse_args(argv)
-    from repro.web.backends import build_index_artifact, ensure_index_artifact
+    from repro.web.backends import ensure_index_artifact
 
     config = (
         WorldConfig.small(seed=args.seed)
@@ -460,7 +461,7 @@ def _index_main(argv: list[str]) -> int:
     )
     start = time.time()
     if args.force:
-        build_index_artifact(index, args.out)
+        index.save(args.out)
     else:
         ensure_index_artifact(index, args.out)
     print(

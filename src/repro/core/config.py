@@ -5,11 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 INDEX_BACKENDS = ("memory", "mmap")
-"""The recognised index storage backends (see :mod:`repro.web.backends`):
-``"memory"`` is the mutable in-process :class:`~repro.web.index.InvertedIndex`,
-``"mmap"`` serves queries from a frozen on-disk artifact that all workers
-and daemons on a host share zero-copy through the OS page cache.  Single
-source of truth for the CLI (``--index-backend``, ``index build``)."""
+"""Where the frozen index's arrays live (see :mod:`repro.web.backends`):
+``"memory"`` keeps the :class:`~repro.web.index.FrozenIndex` the engine
+froze on its own heap, ``"mmap"`` maps the same layout from an artifact
+file that all workers and daemons on a host share zero-copy through the
+OS page cache.  The query code is the same for both.  Single source of
+truth for the CLI (``--index-backend``, ``index build``)."""
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ Every file carries three guards checked on load:
     means the world changed -- corpus grew, classifier retrained -- and
     the cache is silently treated as cold, mirroring the in-memory
     invalidation hooks (``SearchEngine._validate_caches`` drops ranking
-    caches whenever the corpus grows).
+    caches whenever the BM25 parameters change).
 
 Concurrency
 -----------
@@ -472,7 +472,7 @@ class CacheFileSync:
 
 # -- flat array artifacts --------------------------------------------------------------
 #
-# The frozen index backend (repro.web.backends) persists compacted numpy
+# The frozen index (repro.web.index.FrozenIndex.save) persists its numpy
 # sections in a single file so N processes can ``np.memmap`` it and the OS
 # page cache holds exactly one physical copy.  The container is deliberately
 # generic -- named 1-D/2-D sections plus a JSON header -- and reuses the

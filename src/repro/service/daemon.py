@@ -337,9 +337,9 @@ class AnnotationService:
         payload["uptime_seconds"] = time.monotonic() - self.started_at
         payload["batch_window_ms"] = self.config.batch_window_ms
         payload["max_batch_tables"] = self.config.max_batch_tables
-        # Which index storage backend this daemon serves from ("memory":
-        # a private in-process copy; "mmap": a frozen artifact shared
-        # zero-copy with every other process that opened it).
+        # Where this daemon's frozen index lives ("memory": a private
+        # in-process copy; "mmap": an artifact mapping shared zero-copy
+        # with every other process that opened it).
         payload["index_backend"] = self.annotator.engine.index.backend_name
         return Response(ok=True, request_id=request.request_id, result=payload)
 

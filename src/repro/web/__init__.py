@@ -7,7 +7,11 @@ Only results in English are considered."  This package provides that
 contract over a synthetic corpus:
 
 * :mod:`repro.web.documents` -- the page model;
-* :mod:`repro.web.index` -- an inverted index with term statistics;
+* :mod:`repro.web.index` -- the inverted index: an :class:`IndexBuilder`
+  that takes every page, then one immutable CSR :class:`FrozenIndex`
+  that answers every query (build, freeze, then query);
+* :mod:`repro.web.backends` -- where that index's arrays live: in RAM,
+  or mapped from an artifact file shared by every process on a host;
 * :mod:`repro.web.ranking` -- BM25 scoring;
 * :mod:`repro.web.snippets` -- query-biased snippet extraction;
 * :mod:`repro.web.search` -- the engine facade with top-k results, an
@@ -15,13 +19,14 @@ contract over a synthetic corpus:
 """
 
 from repro.web.documents import WebPage
-from repro.web.index import InvertedIndex
+from repro.web.index import FrozenIndex, IndexBuilder
 from repro.web.ranking import BM25Parameters
 from repro.web.search import SearchEngine, SearchEngineUnavailable, SearchResult
 
 __all__ = [
     "BM25Parameters",
-    "InvertedIndex",
+    "FrozenIndex",
+    "IndexBuilder",
     "SearchEngine",
     "SearchEngineUnavailable",
     "SearchResult",

@@ -1,34 +1,37 @@
-"""Inverted index over web pages.
+"""The inverted index over web pages: build once, freeze, then query.
 
 Tokenisation matches :func:`repro.text.tokenization.tokenize` (lower-case
 word tokens).  Title tokens are counted with a configurable boost, because
 entity homepages carry the entity name in the title and should outrank
 pages that merely mention it.
 
-Positional postings
--------------------
-Every (token, doc) posting also records the positions, in the body's
-whitespace split (``body.split()``), of the words that yield the token,
-and every document records its body word count.  The search engine marks
-a query's hits from these to pick its query-biased snippet window without
-re-tokenising the body.  Body tokens are therefore counted word by word;
-no token spans whitespace, so that is the same token sequence as
-``tokenize(body)``.  Postings and positions live in flat typed arrays per
-token (doc ids, term frequencies, int32 positions and per-posting offsets
-into them), never in per-posting Python objects.
+Lifecycle
+---------
+An :class:`IndexBuilder` takes pages (:meth:`~IndexBuilder.add`,
+:meth:`~IndexBuilder.add_many`) into flat append-only arrays and folds
+each into two incremental corpus digests.  :meth:`IndexBuilder.freeze`
+turns it, once, into an immutable :class:`FrozenIndex` and releases the
+build arrays; the builder takes no page after that.  There is one frozen
+layout (CSR, :data:`SECTIONS`):
 
-Freeze lifecycle
-----------------
-The index has two representations per token: append-only build arrays
-and a frozen query view (numpy copies, so BM25 scoring is vectorised per
-token).  Freezing is *lazy and per token*: the first query touching a
-token materialises its arrays, and :meth:`add` merely drops the touched
-tokens' views so only *their* arrays are rebuilt on next access.  Interleaving ``add`` and ``search``
-therefore never rebuilds the whole postings store -- the cost of an add is
-proportional to the page being added, and the cost of a query to the
-tokens it actually uses.  The per-document arrays follow the same rule:
-``lengths`` and ``english_mask`` are re-materialised only after a page
-was added.
+* ``token_blob``/``token_offsets`` -- the vocabulary, sorted, utf-8;
+* ``posting_offsets`` -- each token's slice of ``doc_ids``/``tfs`` (its
+  postings in ascending doc id order, ``int64``/``float64``);
+* ``positions``/``position_offsets`` -- each posting's ascending ``int32``
+  positions, in ``body.split()``, of the words that yield the token;
+* ``lengths``/``n_words`` -- per-document BM25 length and body word count;
+* ``page_blob``/``page_offsets`` -- every page's url, title, body and
+  language, utf-8, four offsets per page.
+
+The digests, ``title_boost`` and ``average_length`` live in the header.
+The sections are numpy arrays in RAM (straight from :meth:`freeze`) or
+plain ``np.ndarray`` views over a read-only mapping of an artifact
+(:meth:`FrozenIndex.open`); the query code is the same either way, and
+:meth:`FrozenIndex.save` writes the sections verbatim.
+
+Body tokens are counted word by word, so every word's position is known;
+no token spans whitespace, so that is the same token sequence as
+``tokenize(body)``.
 """
 
 from __future__ import annotations
@@ -36,84 +39,94 @@ from __future__ import annotations
 import hashlib
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.observability.tracing import span
+from repro.persistence import (
+    ArtifactError,
+    open_array_artifact,
+    save_array_artifact,
+)
 from repro.text.tokenization import tokenize
 from repro.web.documents import WebPage
 
+INDEX_ARTIFACT_KIND = "inverted-index"
+"""``kind`` guard of index artifacts in the persistence container."""
 
-@dataclass(frozen=True, slots=True)
-class Posting:
-    """One (document, term-frequency) entry of a postings list."""
+INDEX_LAYOUT_VERSION = 2
+"""Bump when the index section layout changes; old artifacts are rejected.
 
-    doc_id: int
-    term_frequency: float
+Version 2 added the positional sections (``positions``,
+``position_offsets``, ``n_words``)."""
+
+SECTIONS = (
+    "token_blob",
+    "token_offsets",
+    "posting_offsets",
+    "doc_ids",
+    "tfs",
+    "positions",
+    "position_offsets",
+    "lengths",
+    "n_words",
+    "page_blob",
+    "page_offsets",
+)
+"""The frozen index's arrays, in the order an artifact stores them."""
 
 
-class _TokenPostings:
-    """One token's postings as flat typed arrays, in append (doc id) order.
+class FrozenIndexError(RuntimeError):
+    """A page was added to an index that is already frozen."""
 
-    The positions of posting ``i`` are
-    ``positions[position_offsets[i] : position_offsets[i + 1]]``.
+
+def _cumulative(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]`` as ``int64``: CSR offsets from counts."""
+    offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+class IndexBuilder:
+    """Takes pages into flat append-only arrays until :meth:`freeze`.
+
+    Postings are appended in add order, one ``(token id, doc id, tf,
+    number of positions)`` row each, with their positions concatenated;
+    :meth:`freeze` sorts them by token once.  A few large arrays rather
+    than four per token: freed, they go back to the operating system.
     """
-
-    __slots__ = ("doc_ids", "tfs", "positions", "position_offsets")
-
-    def __init__(self) -> None:
-        self.doc_ids = array("q")
-        self.tfs = array("d")
-        self.positions = array("i")
-        self.position_offsets = array("q", [0])
-
-    def append(self, doc_id: int, tf: float, positions: Sequence[int]) -> None:
-        self.doc_ids.append(doc_id)
-        self.tfs.append(tf)
-        self.positions.extend(positions)
-        self.position_offsets.append(len(self.positions))
-
-
-class InvertedIndex:
-    """Token -> postings map with the corpus statistics BM25 needs."""
-
-    backend_name = "memory"
 
     def __init__(self, title_boost: float = 3.0) -> None:
         if title_boost < 1.0:
             raise ValueError(f"title_boost must be >= 1.0, got {title_boost}")
         self.title_boost = title_boost
-        self._pages: list[WebPage] = []
-        self._building: dict[str, _TokenPostings] = {}
+        self._token_ids: dict[str, int] | None = {}
+        self._token_of = array("i")
+        self._doc_of = array("q")
+        self._tfs = array("d")
+        self._n_positions = array("q")
+        self._positions = array("i")
+        self._lengths = array("d")
         self._n_words = array("q")
-        # Frozen per-token views; add() drops the views it makes stale.
-        self._frozen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._doc_lengths: list[float] = []
-        self._lengths_array: np.ndarray | None = None
-        self._english = bytearray()
-        self._english_array: np.ndarray | None = None
         self._total_length = 0.0
-        self._init_hashers()
-
-    def _init_hashers(self) -> None:
-        """(Re)build the incremental corpus hashers from the current pages.
-
-        Two live hashers fold every page in at :meth:`add` time, so
-        :meth:`content_digest` and :meth:`fingerprint_digest` are O(1)
-        regardless of corpus size instead of O(corpus) per call after each
-        growth.  Called from ``__init__`` (empty corpus, cheap) and from
-        ``__setstate__`` (hash objects cannot be pickled, so an unpickled
-        index replays its pages once -- the same cost the old lazy
-        recompute paid on first use).
-        """
+        self._page_blob = bytearray()
+        self._page_offsets = array("q", [0])
+        self._word_tokens: dict[str, list[str]] = {}
         self._content_hasher = hashlib.sha256()
-        self._content_hasher.update(repr(self.title_boost).encode())
+        self._content_hasher.update(repr(title_boost).encode())
         self._pages_hasher = hashlib.sha256()
-        for page in self._pages:
-            self._fold_page(page)
 
-    def _fold_page(self, page: WebPage) -> None:
+    def add(self, page: WebPage) -> int:
+        """Index *page* and return its document id."""
+        if self._token_ids is None:
+            raise FrozenIndexError("this builder was frozen; build a new one")
+        doc_id = len(self._lengths)
+        for field in (page.url, page.title, page.body, page.language):
+            self._page_blob += field.encode("utf-8")
+            self._page_offsets.append(len(self._page_blob))
         self._content_hasher.update(b"\x00t\x00")
         self._content_hasher.update(page.title.encode())
         self._content_hasher.update(b"\x00b\x00")
@@ -122,47 +135,13 @@ class InvertedIndex:
         self._pages_hasher.update(b"\x00")
         self._pages_hasher.update(page.language.encode())
         self._pages_hasher.update(b"\x00")
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # sha256 objects do not pickle; __setstate__ rebuilds them.
-        del state["_content_hasher"]
-        del state["_pages_hasher"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._init_hashers()
-
-    # -- construction ---------------------------------------------------------------
-
-    def add(self, page: WebPage) -> int:
-        """Index *page* and return its document id."""
-        return self._add(page, {})
-
-    def add_many(self, pages: Iterable[WebPage]) -> list[int]:
-        """Bulk-index *pages*, returning their document ids.
-
-        Equivalent to calling :meth:`add` per page, but the word ->
-        tokens memo is shared across the batch, so each distinct body
-        word is tokenised once per call rather than once per page.
-        Under the lazy per-token freeze there is no global rebuild either
-        way: each touched token's frozen view is invalidated once and
-        rebuilt on next query.
-        """
-        word_tokens: dict[str, list[str]] = {}
-        return [self._add(page, word_tokens) for page in pages]
-
-    def _add(self, page: WebPage, word_tokens: dict[str, list[str]]) -> int:
-        doc_id = len(self._pages)
-        self._pages.append(page)
-        self._fold_page(page)
         counts: dict[str, float] = {}
         count = counts.get
         for token in tokenize(page.title):
             counts[token] = count(token, 0.0) + self.title_boost
         positions: dict[str, list[int]] = {}
         words = page.body.split()
+        word_tokens = self._word_tokens
         for position, word in enumerate(words):
             tokens = word_tokens.get(word)
             if tokens is None:
@@ -175,157 +154,272 @@ class InvertedIndex:
                 elif seen[-1] != position:
                     seen.append(position)
         self._n_words.append(len(words))
-        self._english.append(page.language == "en")
-        self._english_array = None
         length = float(sum(counts.values()))
-        self._doc_lengths.append(length)
+        self._lengths.append(length)
         self._total_length += length
-        self._lengths_array = None
+        token_ids = self._token_ids
         for token, frequency in counts.items():
-            postings = self._building.get(token)
-            if postings is None:
-                postings = self._building[token] = _TokenPostings()
-            postings.append(doc_id, frequency, positions.get(token, ()))
-            self._frozen.pop(token, None)
+            seen = positions.get(token, ())
+            self._token_of.append(token_ids.setdefault(token, len(token_ids)))
+            self._doc_of.append(doc_id)
+            self._tfs.append(frequency)
+            self._n_positions.append(len(seen))
+            self._positions.extend(seen)
         return doc_id
 
-    # -- statistics --------------------------------------------------------------------
+    def add_many(self, pages: Iterable[WebPage]) -> list[int]:
+        """Index *pages* in order, returning their document ids."""
+        return [self.add(page) for page in pages]
 
-    @property
-    def n_documents(self) -> int:
-        return len(self._pages)
+    def freeze(self) -> FrozenIndex:
+        """The CSR layout of every page added, as an in-RAM
+        :class:`FrozenIndex`.  Each build array is released as soon as
+        its sorted copy exists; the builder takes no page afterwards."""
+        token_ids, self._token_ids = self._token_ids, None
+        tokens = sorted(token_ids)
+        rank = np.empty(len(tokens), dtype=np.int32)
+        rank[[token_ids[token] for token in tokens]] = np.arange(
+            len(tokens), dtype=np.int32
+        )
+        keys = rank[np.frombuffer(self._token_of, dtype=np.int32)]
+        self._token_of = None
+        # Stable: each token's postings stay in doc id order.
+        order = np.argsort(keys, kind="stable")
+        posting_offsets = _cumulative(np.bincount(keys, minlength=len(tokens)))
+        del keys
+        doc_ids = np.frombuffer(self._doc_of, dtype=np.int64)[order]
+        self._doc_of = None
+        tfs = np.frombuffer(self._tfs, dtype=np.float64)[order]
+        self._tfs = None
+        # Each posting's run of positions moves from its add-order start
+        # to its place in token order.
+        counts = np.frombuffer(self._n_positions, dtype=np.int64)
+        starts = np.cumsum(counts)
+        starts -= counts
+        starts = starts[order]
+        counts = counts[order]
+        self._n_positions = None
+        del order
+        position_offsets = _cumulative(counts)
+        starts -= position_offsets[:-1]
+        gather = np.repeat(starts, counts)
+        del starts, counts
+        gather += np.arange(gather.shape[0], dtype=np.int64)
+        positions = np.frombuffer(self._positions, dtype=np.int32)[gather]
+        self._positions = None
+        del gather
+        encoded = [token.encode("utf-8") for token in tokens]
+        n_documents = len(self._lengths)
+        content_digest = self._content_hasher.hexdigest()
+        fingerprint = self._pages_hasher.copy()
+        fingerprint.update(content_digest.encode())
+        header = {
+            "layout_version": INDEX_LAYOUT_VERSION,
+            "title_boost": self.title_boost,
+            "n_documents": n_documents,
+            "average_length": (
+                self._total_length / n_documents if n_documents else 0.0
+            ),
+            "content_digest": content_digest,
+            "fingerprint_digest": fingerprint.hexdigest(),
+            "n_tokens": len(tokens),
+            "n_postings": int(doc_ids.shape[0]),
+            "n_positions": int(positions.shape[0]),
+        }
+        sections = {
+            "token_blob": np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            "token_offsets": _cumulative(
+                np.fromiter(map(len, encoded), np.int64, len(encoded))
+            ),
+            "posting_offsets": posting_offsets,
+            "doc_ids": doc_ids,
+            "tfs": tfs,
+            "positions": positions,
+            "position_offsets": position_offsets,
+            "lengths": np.frombuffer(self._lengths, dtype=np.float64),
+            "n_words": np.frombuffer(self._n_words, dtype=np.int64),
+            "page_blob": np.frombuffer(self._page_blob, dtype=np.uint8),
+            "page_offsets": np.frombuffer(self._page_offsets, dtype=np.int64),
+        }
+        self._lengths = self._n_words = self._page_blob = None
+        self._page_offsets = self._word_tokens = None
+        return FrozenIndex(header, sections)
 
-    @property
-    def average_length(self) -> float:
-        """Mean indexed document length (0.0 for an empty index)."""
-        if not self._pages:
-            return 0.0
-        return self._total_length / len(self._pages)
 
-    @property
-    def lengths(self) -> np.ndarray:
-        """Document lengths as an array (frozen view)."""
-        if self._lengths_array is None:
-            self._lengths_array = np.asarray(self._doc_lengths, dtype=np.float64)
-        return self._lengths_array
+class FrozenIndex:
+    """The immutable CSR index every query reads (see the module docs).
 
-    @property
-    def english_mask(self) -> np.ndarray:
-        """Per-document booleans, true where ``page.language == "en"``
-        (frozen view)."""
-        if self._english_array is None:
-            self._english_array = np.frombuffer(
-                bytes(self._english), dtype=np.bool_
+    Everything the ranking layer reads per query is precomputed at
+    construction: the token -> ``(start, stop)`` posting span map with
+    Python int bounds, and ``memoryview``\\ s over the sections that are
+    probed one element at a time (:meth:`word_positions`,
+    :meth:`n_words`, :meth:`page`), which answer Python ints without a
+    numpy scalar.  :attr:`path` is the artifact the sections are mapped
+    from, or ``None`` when they live in RAM; a mapped index pickles as
+    that path, so a ``spawn`` worker re-opens the shared mapping instead
+    of receiving the arrays.
+    """
+
+    def __init__(
+        self, header: dict, sections: dict[str, np.ndarray], path=None
+    ) -> None:
+        self.path = None if path is None else Path(path)
+        self._header = header
+        self._sections = sections
+        self.title_boost = float(header["title_boost"])
+        self.n_documents = int(header["n_documents"])
+        self.average_length = float(header["average_length"])
+        self.lengths = sections["lengths"]
+        blob = bytes(sections["token_blob"])
+        bounds = sections["token_offsets"].tolist()
+        postings = sections["posting_offsets"].tolist()
+        self._spans = {
+            blob[bounds[row] : bounds[row + 1]].decode("utf-8"): (
+                postings[row],
+                postings[row + 1],
             )
-        return self._english_array
+            for row in range(len(bounds) - 1)
+        }
+        self._doc_id_view = memoryview(sections["doc_ids"])
+        self._positions_view = memoryview(sections["positions"])
+        self._position_offsets_view = memoryview(sections["position_offsets"])
+        self._n_words_view = memoryview(sections["n_words"])
+        self._page_blob_view = memoryview(sections["page_blob"])
+        self._page_offsets_view = memoryview(sections["page_offsets"])
+        self._page_cache: dict[int, WebPage] = {}
 
-    def document_length(self, doc_id: int) -> float:
-        return self._doc_lengths[doc_id]
+    @property
+    def backend_name(self) -> str:
+        """Where the sections live: ``"mmap"`` or ``"memory"``."""
+        return "memory" if self.path is None else "mmap"
+
+    # -- storage ---------------------------------------------------------------------
+
+    @classmethod
+    def open(cls, path, lock_timeout: float | None = None) -> FrozenIndex:
+        """Map the artifact at *path* read-only; raises :class:`ArtifactError`."""
+        with span("index.attach", path=str(path)):
+            header, sections = open_array_artifact(
+                path, INDEX_ARTIFACT_KIND, lock_timeout=lock_timeout
+            )
+            if header.get("layout_version") != INDEX_LAYOUT_VERSION:
+                raise ArtifactError(
+                    f"{path} uses index layout "
+                    f"{header.get('layout_version')!r}, "
+                    f"expected {INDEX_LAYOUT_VERSION}"
+                )
+            try:
+                # Plain views: every np.memmap slice pays a subclass round trip.
+                arrays = {name: sections[name].view(np.ndarray) for name in SECTIONS}
+                return cls(header, arrays, path)
+            except (KeyError, ValueError) as error:
+                raise ArtifactError(f"{path} has corrupt sections: {error}") from None
+
+    def save(self, path, lock_timeout: float | None = None) -> Path:
+        """Write the header and sections verbatim to an artifact at *path*
+        (atomic and advisory-locked, see
+        :func:`repro.persistence.save_array_artifact`)."""
+        if not save_array_artifact(
+            path, INDEX_ARTIFACT_KIND, self._header, self._sections, lock_timeout
+        ):
+            raise ArtifactError(f"could not acquire the artifact lock to write {path}")
+        return Path(path)
+
+    def __reduce__(self):
+        if self.path is not None:
+            return (FrozenIndex.open, (str(self.path),))
+        return (FrozenIndex, (self._header, self._sections))
+
+    # -- queries ---------------------------------------------------------------------
+
+    @cached_property
+    def english_mask(self) -> np.ndarray:
+        """Per-document booleans, true where ``page.language == "en"``,
+        read from the language spans of the page blob without decoding
+        a page."""
+        blob = self._sections["page_blob"]
+        offsets = self._sections["page_offsets"]
+        starts = offsets[3::4]
+        english = (offsets[4::4] - starts) == 2
+        first = starts[english]
+        english[english] = (blob[first] == ord("e")) & (blob[first + 1] == ord("n"))
+        return english
 
     def document_frequency(self, token: str) -> int:
         """Number of documents containing *token*."""
-        postings = self._building.get(token)
-        return 0 if postings is None else len(postings.doc_ids)
+        start, stop = self._spans.get(token, (0, 0))
+        return stop - start
 
     def posting_arrays(self, token: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """(doc_ids, term_frequencies) arrays for *token*, or ``None``."""
-        frozen = self._frozen.get(token)
-        if frozen is None:
-            postings = self._building.get(token)
-            if postings is None:
-                return None
-            # Copies: the build arrays keep growing, and a live buffer
-            # export would make them refuse to resize.
-            frozen = self._frozen[token] = (
-                np.array(postings.doc_ids, dtype=np.int64),
-                np.array(postings.tfs, dtype=np.float64),
-            )
-        return frozen
-
-    def postings(self, token: str) -> list[Posting]:
-        """The postings list of *token* (empty when unindexed)."""
-        arrays = self.posting_arrays(token)
-        if arrays is None:
-            return []
-        ids, tfs = arrays
-        return [
-            Posting(doc_id=int(doc_id), term_frequency=float(tf))
-            for doc_id, tf in zip(ids, tfs)
-        ]
+        """(doc_ids, term_frequencies) views for *token*, or ``None``."""
+        bounds = self._spans.get(token)
+        if bounds is None:
+            return None
+        start, stop = bounds
+        return (
+            self._sections["doc_ids"][start:stop],
+            self._sections["tfs"][start:stop],
+        )
 
     def word_positions(self, token: str, doc_id: int) -> Sequence[int]:
         """Ascending positions in ``page(doc_id).body.split()`` of the
-        words that yield *token* (empty when the body has none)."""
-        postings = self._building.get(token)
-        if postings is None:
+        words that yield *token* (empty when the body has none), as a
+        read-only view of ints."""
+        bounds = self._spans.get(token)
+        if bounds is None:
             return ()
-        doc_ids = postings.doc_ids
-        row = bisect_left(doc_ids, doc_id)
-        if row == len(doc_ids) or doc_ids[row] != doc_id:
+        start, stop = bounds
+        doc_ids = self._doc_id_view
+        row = bisect_left(doc_ids, doc_id, start, stop)
+        if row == stop or doc_ids[row] != doc_id:
             return ()
-        offsets = postings.position_offsets
-        return postings.positions[offsets[row] : offsets[row + 1]]
+        offsets = self._position_offsets_view
+        return self._positions_view[offsets[row] : offsets[row + 1]]
 
     def n_words(self, doc_id: int) -> int:
         """Number of words in ``page(doc_id).body.split()``."""
-        return self._n_words[doc_id]
+        return self._n_words_view[doc_id]
 
     def page(self, doc_id: int) -> WebPage:
-        """The indexed page with this id."""
-        return self._pages[doc_id]
+        """The indexed page with this id (decoded once, then memoised)."""
+        try:
+            return self._page_cache[doc_id]
+        except KeyError:
+            pass
+        if not 0 <= doc_id < self.n_documents:
+            raise IndexError(f"no document {doc_id}")
+        blob, offsets = self._page_blob_view, self._page_offsets_view
+        base = 4 * doc_id
+        url, title, body, language = (
+            str(blob[offsets[base + i] : offsets[base + i + 1]], "utf-8")
+            for i in range(4)
+        )
+        page = WebPage(url=url, title=title, body=body, language=language)
+        self._page_cache[doc_id] = page
+        return page
 
     def vocabulary_size(self) -> int:
-        return len(self._building)
+        return len(self._spans)
 
     def tokens(self) -> Iterator[str]:
         """Iterate the vocabulary in sorted order (deterministic)."""
-        return iter(sorted(self._building))
-
-    def raw_postings(self, token: str) -> Sequence[tuple[int, float]]:
-        """The append-order ``(doc_id, tf)`` pairs of *token*.
-
-        Exposed for artifact builders that compact the whole vocabulary
-        at once: unlike :meth:`posting_arrays` this does not materialise
-        (and cache) a frozen numpy view per token, so a full-index sweep
-        does not double the resident postings store.
-        """
-        postings = self._building.get(token)
-        if postings is None:
-            return ()
-        return list(zip(postings.doc_ids, postings.tfs))
-
-    def raw_positions(self, token: str) -> tuple[Sequence[int], Sequence[int]]:
-        """*token*'s flat word positions and per-posting offsets into them
-        (``len(raw_postings(token)) + 1`` offsets, starting at 0)."""
-        postings = self._building.get(token)
-        if postings is None:
-            return (), (0,)
-        return postings.positions, postings.position_offsets
+        return iter(self._spans)
 
     def content_digest(self) -> str:
-        """Hex digest of the indexed *content* (titles, bodies, boost).
+        """Hex digest of the indexed content: the title boost and every
+        page's title and body, in add order.
 
-        The hasher is incremental -- each :meth:`add` folds the page in
-        -- so this is O(1) however large the corpus.  Together with the
-        tokenizer (fixed) and :attr:`title_boost` the hashed text fully
-        determines every postings list, so two indexes agree on this
-        digest iff they rank identically -- which is what persisted
-        ranking caches need to check.  Hashing only shapes (url, title,
-        length) is not enough: two corpora whose bodies differ can
-        collide on all three and would then validate each other's caches.
+        With the tokenizer (fixed) these fully determine every postings
+        list, so two indexes agree on this digest iff they rank
+        identically -- which is what persisted ranking caches need to
+        check.  Hashing only shapes (url, title, length) is not enough:
+        two corpora whose bodies differ can collide on all three.
         """
-        return self._content_hasher.hexdigest()
+        return self._header["content_digest"]
 
     def fingerprint_digest(self) -> str:
-        """Hex digest identifying the corpus for cache validation.
-
-        Folds every page's (url, language) pair plus the full
-        :meth:`content_digest`, in add order.  This is the digest
-        :meth:`repro.web.search.SearchEngine.cache_fingerprint` embeds,
-        kept here so every backend (in-memory or frozen artifact) can
-        answer it without re-walking the page store.  O(1): both
-        underlying hashers are maintained incrementally and copied.
-        """
-        hasher = self._pages_hasher.copy()
-        hasher.update(self.content_digest().encode())
-        return hasher.hexdigest()
+        """Hex digest identifying the corpus for cache validation: every
+        page's (url, language) pair, in add order, then
+        :meth:`content_digest`.  This is the digest
+        :meth:`repro.web.search.SearchEngine.cache_fingerprint` embeds."""
+        return self._header["fingerprint_digest"]

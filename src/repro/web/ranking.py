@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.web.backends import IndexBackend
+from repro.web.index import FrozenIndex
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class BM25Parameters:
 
 
 def bm25_norms(
-    index: IndexBackend, parameters: BM25Parameters
+    index: FrozenIndex, parameters: BM25Parameters
 ) -> np.ndarray:
     """Per-document length normalisation ``1 - b + b * len/avg_len``.
 
@@ -47,7 +47,7 @@ def bm25_norms(
 
 
 def bm25_matched_scores(
-    index: IndexBackend,
+    index: FrozenIndex,
     query_tokens: list[str],
     parameters: BM25Parameters | None = None,
     norms: np.ndarray | None = None,

@@ -87,9 +87,8 @@ from repro.persistence import CacheFileSync
 from repro.resilience import FaultPlan, deterministic_unit
 from repro.text.stopwords import ENGLISH_STOPWORDS
 from repro.text.tokenization import tokenize
-from repro.web.backends import IndexBackend
 from repro.web.documents import WebPage
-from repro.web.index import InvertedIndex
+from repro.web.index import FrozenIndex, FrozenIndexError, IndexBuilder
 from repro.web.ranking import BM25Parameters, bm25_matched_scores, bm25_norms
 from repro.web.snippets import (
     DEFAULT_SNIPPET_WORDS,
@@ -129,7 +128,7 @@ class SearchEngine:
         parameters: BM25Parameters | None = None,
         failure_rate: float = 0.0,
         seed: int = 13,
-        index: IndexBackend | None = None,
+        index: FrozenIndex | None = None,
     ) -> None:
         if not 0.0 <= failure_rate <= 1.0:
             raise ValueError(f"failure_rate must be in [0, 1], got {failure_rate}")
@@ -146,15 +145,14 @@ class SearchEngine:
         # occurrence index keys the failure-rate draw and FaultPlan's
         # fail-first-K schedule, and gives retries a fresh draw.
         self._query_occurrences: dict[str, int] = {}
-        # The index storage backend (repro.web.backends.IndexBackend):
-        # mutable in-memory by default, or an injected frozen mmap-backed
-        # index shared zero-copy across processes.
-        self._index: IndexBackend = index if index is not None else InvertedIndex()
-        # -- query compute caches (invalidated whenever the corpus grows) --
+        # Pages go into the builder until first use freezes it (see
+        # `index`); an injected index is frozen already.
+        self._builder = IndexBuilder() if index is None else None
+        self._index = index
+        # -- query compute caches (invalidated when the BM25 parameters change) --
         # token signature -> ranked SearchResult list
         self._results_cache: dict[tuple, list[SearchResult]] = {}
         self._norms: np.ndarray | None = None
-        self._cache_n_docs = 0
         self._cache_parameters = self.parameters
         self.query_count = 0
         # What the last load/save of the results cache file left in sync
@@ -171,23 +169,39 @@ class SearchEngine:
     # -- corpus ------------------------------------------------------------------------
 
     def add_page(self, page: WebPage) -> None:
-        """Add one page to the searchable corpus."""
-        self._index.add(page)
+        """Add one page to the searchable corpus.
+
+        Build, freeze, then query: pages can be added only until the
+        first query or read of :attr:`index` freezes the corpus; after
+        that this raises :class:`~repro.web.index.FrozenIndexError` and
+        changes nothing.
+        """
+        self._open_builder().add(page)
 
     def add_pages(self, pages) -> None:
-        """Bulk-index many pages in one indexing pass."""
-        self._index.add_many(pages)
+        """Add many pages, in order (see :meth:`add_page`)."""
+        self._open_builder().add_many(pages)
+
+    def _open_builder(self) -> IndexBuilder:
+        if self._builder is None:
+            raise FrozenIndexError(
+                "the corpus is frozen once queried: add every page first"
+            )
+        return self._builder
 
     @property
-    def n_pages(self) -> int:
-        return self._index.n_documents
-
-    @property
-    def index(self) -> IndexBackend:
-        """The index storage backend serving this engine's queries."""
+    def index(self) -> FrozenIndex:
+        """The frozen index serving this engine's queries.  The first
+        read freezes the pages added so far and releases the builder."""
+        if self._builder is not None:
+            self._index, self._builder = self._builder.freeze(), None
         return self._index
 
-    def use_index_backend(self, backend: IndexBackend) -> None:
+    def __getstate__(self) -> dict:
+        self.index  # a builder's hashers do not pickle; its frozen index does
+        return self.__dict__
+
+    def use_index_backend(self, backend: FrozenIndex) -> None:
         """Swap the engine onto *backend* (e.g. a frozen mmap artifact).
 
         The replacement must index the *same corpus* -- same content
@@ -196,7 +210,7 @@ class SearchEngine:
         verbatim: cached values are pure functions of (corpus,
         parameters), never of the storage representation.
         """
-        if backend.content_digest() != self._index.content_digest():
+        if backend.content_digest() != self.index.content_digest():
             raise ValueError(
                 "cannot swap index backends across different corpora: "
                 "content digests differ"
@@ -250,6 +264,9 @@ class SearchEngine:
         failure reason :meth:`_issue_request` gave when it was dropped."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        # The first query freezes the corpus, answered or not; the ranking
+        # helpers below read the frozen index as `self._index`.
+        self.index
         self._validate_caches()
         resolved: dict[str, list[SearchResult] | str] = {}
         for query in queries:
@@ -310,13 +327,11 @@ class SearchEngine:
     # -- ranking core ---------------------------------------------------------------------
 
     def _validate_caches(self) -> None:
-        """Drop ranking caches when the corpus or BM25 parameters changed."""
-        n_docs = self._index.n_documents
-        if n_docs != self._cache_n_docs or self.parameters != self._cache_parameters:
+        """Drop ranking caches when the BM25 parameters changed."""
+        if self.parameters != self._cache_parameters:
             self._results_cache.clear()
             self._norms = None
             self._results_file.forget()
-            self._cache_n_docs = n_docs
             self._cache_parameters = self.parameters
 
     def reset_compute_caches(self) -> None:
@@ -337,24 +352,22 @@ class SearchEngine:
     def cache_fingerprint(self) -> tuple:
         """Identity token versioning the on-disk ranking caches.
 
-        Covers the state the in-memory cache-drop hook
-        (:meth:`_validate_caches`) watches -- corpus size plus the BM25
-        parametrisation -- and, because a file may meet an engine the
-        in-memory hook never could, actual corpus identity: page urls plus
-        the index's content digest over every indexed title and body
-        (which fully determine the postings).  Hashing only url/title/
-        length let two corpora whose *bodies* differ but collide on those
-        fields validate each other's persisted results -- and serve wrong
-        rankings; folding the indexed token content in closes that hole.
+        Covers the BM25 parametrisation the in-memory cache-drop hook
+        (:meth:`_validate_caches`) watches and, because a file may meet
+        an engine over another corpus, corpus identity: its size, page
+        urls and languages, and the index's content digest over every
+        indexed title and body (which fully determine the postings).
+        Hashing only url/title/length let two corpora whose *bodies*
+        differ but collide on those fields validate each other's
+        persisted results -- and serve wrong rankings; folding the
+        indexed token content in closes that hole.
 
-        The digest itself is the backend's
-        (:meth:`~repro.web.index.InvertedIndex.fingerprint_digest`): the
-        in-memory backend maintains it incrementally, the frozen mmap
-        backend stores it in the artifact header, and both produce the
-        same bytes for the same corpus -- so caches written under one
-        backend warm an engine running the other.
+        The digest is the frozen index's
+        (:meth:`~repro.web.index.FrozenIndex.fingerprint_digest`), kept in
+        its header wherever its arrays live -- so caches written under
+        one storage backend warm an engine running the other.
         """
-        index = self._index
+        index = self.index
         return (
             "bm25",
             index.n_documents,
@@ -392,12 +405,12 @@ class SearchEngine:
     def save_results_cache(self, path) -> bool:
         """Persist the signature -> results cache (and length norms) to *path*.
 
-        The file is fingerprinted by :meth:`cache_fingerprint`; stale
-        in-memory entries are dropped first so a cache surviving corpus
-        growth is never written out.  The write is merge-on-save under an
-        advisory lock (see :func:`repro.persistence.save_cache_payload`):
-        entries already persisted by another process against the same
-        fingerprint survive.  A save that would change nothing -- the
+        The file is fingerprinted by :meth:`cache_fingerprint`; entries
+        computed under other BM25 parameters are dropped first.  The
+        write is merge-on-save under an advisory lock (see
+        :func:`repro.persistence.save_cache_payload`): entries already
+        persisted by another process against the same fingerprint
+        survive.  A save that would change nothing -- the
         file is unchanged since this engine last loaded or saved it and
         already holds every entry -- is skipped (see
         :class:`~repro.persistence.CacheFileSync`).  Returns ``False``
@@ -430,10 +443,10 @@ class SearchEngine:
         fingerprint (same corpus size and BM25 parameters) and was merged
         in -- or is unchanged since this engine last read or wrote it and
         already merged in, when nothing is read at all; anything else --
-        missing file, other format version, corpus grown since the save
-        -- leaves the engine cold and returns ``False``.  Accounting
-        state (clock, query counts, rng) is never restored: a warm start
-        changes compute, not protocol semantics.
+        missing file, other format version, other corpus -- leaves the
+        engine cold and returns ``False``.  Accounting state (clock,
+        query counts, rng) is never restored: a warm start changes
+        compute, not protocol semantics.
         """
         self._validate_caches()
         read = self._results_file.load(
@@ -455,7 +468,6 @@ class SearchEngine:
         self._results_cache.update(payload["results"])
         if self._norms is None and payload["norms"] is not None:
             self._norms = payload["norms"]
-        self._cache_n_docs = self._index.n_documents
         self._cache_parameters = self.parameters
 
     # -- cache IO accounting ---------------------------------------------------------------
@@ -506,15 +518,16 @@ class SearchEngine:
             self._cache_hits += 1
             return cached
         self._cache_misses += 1
+        index = self._index
         if self._norms is None:
-            self._norms = bm25_norms(self._index, self.parameters)
+            self._norms = bm25_norms(index, self.parameters)
         matched, scores = bm25_matched_scores(
-            self._index, effective, self.parameters, norms=self._norms
+            index, effective, self.parameters, norms=self._norms
         )
         # English documents only, then every one scoring at least the
         # k-th best (so ties at the boundary survive), ordered by score
         # descending, then doc id ascending.
-        english = self._index.english_mask[matched]
+        english = index.english_mask[matched]
         matched, scores = matched[english], scores[english]
         if matched.size > k:
             threshold = np.partition(scores, matched.size - k)[matched.size - k]
@@ -523,7 +536,7 @@ class SearchEngine:
         token_set = signature[1]
         results: list[SearchResult] = []
         for doc_id in matched[np.lexsort((matched, -scores))[:k]].tolist():
-            page = self._index.page(doc_id)
+            page = index.page(doc_id)
             results.append(
                 SearchResult(
                     url=page.url,
@@ -537,13 +550,11 @@ class SearchEngine:
     def _filter_tokens(self, tokens: list[str]) -> list[str]:
         """Stopword and document-frequency filtering of query tokens."""
         tokens = [t for t in tokens if t not in ENGLISH_STOPWORDS]
-        n_docs = self._index.n_documents
-        if n_docs == 0:
+        index = self._index
+        if index.n_documents == 0:
             return tokens
-        cap = MAX_DF_RATIO * n_docs
-        filtered = [
-            t for t in tokens if self._index.document_frequency(t) <= cap
-        ]
+        cap = MAX_DF_RATIO * index.n_documents
+        filtered = [t for t in tokens if index.document_frequency(t) <= cap]
         # If the cap removed everything, keep the original tokens: a query
         # made only of common words should still return *something*.
         return filtered or tokens

@@ -1,4 +1,10 @@
-"""Reference oracles for the search engine's ranking and snippets.
+"""Reference oracles for the index, the search engine's ranking and snippets.
+
+:class:`ReferenceIndex` is the inverted index spelled out with dicts
+(token -> {doc: (tf, positions)}), sharing nothing with
+:mod:`repro.web.index` but :func:`~repro.text.tokenization.tokenize`, so
+tests can check every :class:`~repro.web.index.FrozenIndex` accessor
+against it, wherever the frozen arrays live.
 
 The engine scores sparsely (:func:`repro.web.ranking.bm25_matched_scores`),
 selects only the top k English documents
@@ -14,18 +20,72 @@ every word -- kept only so the tests can check the engine against them.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 
 from repro.text.tokenization import tokenize
-from repro.web.backends import IndexBackend
+from repro.web.documents import WebPage
+from repro.web.index import FrozenIndex
 from repro.web.ranking import BM25Parameters, bm25_norms
 from repro.web.snippets import DEFAULT_SNIPPET_WORDS, render_window
 
 
+class ReferenceIndex:
+    """The index's contents, computed page by page with dicts.
+
+    A posting's tf is ``title_boost`` per title token plus 1.0 per body
+    token; its positions are the indexes, in ``body.split()``, of the
+    words whose tokens include it.  A document's length is the sum of
+    its tfs, and the digests hash the documented page fields in order.
+    """
+
+    def __init__(self, pages: list[WebPage], title_boost: float = 3.0) -> None:
+        self.pages = list(pages)
+        self.title_boost = title_boost
+        self.postings: dict[str, dict[int, tuple[float, list[int]]]] = {}
+        self.lengths: list[float] = []
+        self.n_words: list[int] = []
+        content = hashlib.sha256(repr(title_boost).encode())
+        identity = hashlib.sha256()
+        for doc_id, page in enumerate(self.pages):
+            tfs: dict[str, float] = {}
+            positions: dict[str, list[int]] = {}
+            for token in tokenize(page.title):
+                tfs[token] = tfs.get(token, 0.0) + title_boost
+            words = page.body.split()
+            for position, word in enumerate(words):
+                for token in tokenize(word):
+                    tfs[token] = tfs.get(token, 0.0) + 1.0
+                    hits = positions.setdefault(token, [])
+                    if position not in hits:
+                        hits.append(position)
+            for token, tf in tfs.items():
+                self.postings.setdefault(token, {})[doc_id] = (
+                    tf, positions.get(token, []),
+                )
+            self.lengths.append(float(sum(tfs.values())))
+            self.n_words.append(len(words))
+            content.update(b"\x00t\x00" + page.title.encode())
+            content.update(b"\x00b\x00" + page.body.encode())
+            identity.update(page.url.encode() + b"\x00")
+            identity.update(page.language.encode() + b"\x00")
+        self.content_digest = content.hexdigest()
+        identity.update(self.content_digest.encode())
+        self.fingerprint_digest = identity.hexdigest()
+        total = 0.0
+        for length in self.lengths:  # left to right, as a running sum
+            total += length
+        self.average_length = total / len(self.pages) if self.pages else 0.0
+        self.english_mask = [page.language == "en" for page in self.pages]
+
+    def word_positions(self, token: str, doc_id: int) -> list[int]:
+        return self.postings.get(token, {}).get(doc_id, (0.0, []))[1]
+
+
 def bm25_score_array(
-    index: IndexBackend,
+    index: FrozenIndex,
     query_tokens: list[str],
     parameters: BM25Parameters | None = None,
 ) -> np.ndarray:
@@ -51,7 +111,7 @@ def bm25_score_array(
 
 
 def bm25_scores(
-    index: IndexBackend,
+    index: FrozenIndex,
     query_tokens: list[str],
     parameters: BM25Parameters | None = None,
 ) -> dict[int, float]:
@@ -62,7 +122,7 @@ def bm25_scores(
 
 
 def ranked_doc_ids(
-    index: IndexBackend, query_tokens: list[str], k: int
+    index: FrozenIndex, query_tokens: list[str], k: int
 ) -> list[int]:
     """The top-*k* English documents for *query_tokens*, best first.
 

@@ -37,6 +37,7 @@ from repro.service import protocol
 from repro.service.daemon import AnnotationService, ServiceConfig
 from repro.tables.model import Column, ColumnType, Table
 from repro.web.documents import WebPage
+from repro.web.index import FrozenIndexError
 from repro.web.ranking import BM25Parameters
 from repro.web.search import SearchEngine
 
@@ -230,17 +231,22 @@ class TestEngineCacheRoundTrip:
         assert sorted(blob["payload"]) == ["norms", "results"]
         assert _make_engine().load_results_cache(path) is True
 
-    def test_stale_in_memory_entries_not_saved(self, tmp_path):
-        # Growing the corpus after a search must not leak pre-growth
-        # results into the persisted file.
+    def test_add_page_after_a_query_changes_nothing(self, tmp_path):
+        # Build, freeze, then query: a page offered after the first query
+        # is refused before it can touch the index or either cache.
+        path = tmp_path / "cache.bin"
         engine = _make_engine()
         engine.search_many(_NAMES, k=5)
-        engine.add_page(WebPage(url="https://x/new", title="New", body="new page"))
-        engine.save_results_cache(tmp_path / "cache.bin")
-        fresh = _make_engine()
-        fresh.add_page(WebPage(url="https://x/new", title="New", body="new page"))
-        assert fresh.load_results_cache(tmp_path / "cache.bin") is True
-        assert not fresh._results_cache  # nothing stale came along
+        engine.save_results_cache(path)
+        index, results = engine.index, dict(engine._results_cache)
+        sync = vars(engine._results_file).copy()
+        with pytest.raises(FrozenIndexError):
+            engine.add_page(WebPage(url="https://x/new", title="New", body="new page"))
+        assert engine.index is index and index.n_documents == 3 * 8
+        assert engine._results_cache == results
+        assert vars(engine._results_file) == sync
+        engine.save_results_cache(path)
+        assert engine.cache_saves == 1  # still in sync: nothing to write
 
 
 class TestLabelMemoRoundTrip:
@@ -428,16 +434,6 @@ class TestSkipUnchangedIO:
         engine.reset_compute_caches()
         engine.save_results_cache(path)
         assert engine.cache_saves == 1
-
-    def test_corpus_growth_forgets(self, tmp_path):
-        path = self._saved(tmp_path)
-        engine = _make_engine()
-        engine.load_results_cache(path)
-        engine.add_page(WebPage(url="https://x/new", title="New", body="new page"))
-        assert engine.load_results_cache(path) is False
-        engine.save_results_cache(path)
-        assert engine.cache_saves == 1
-        assert _make_engine().load_results_cache(path) is False
 
     def test_classifier_swap_forgets(self, classifier, tmp_path):
         annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())

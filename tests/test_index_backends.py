@@ -1,24 +1,26 @@
-"""Parity and contracts of the pluggable index storage backends.
+"""Parity and contracts of the two index storage backends.
 
-The frozen mmap backend (:class:`repro.web.backends.FrozenMmapIndex`)
-must be a pure *storage* change: compacting an
-:class:`~repro.web.index.InvertedIndex` into an artifact and serving
-queries from the memory-mapped file may change where the postings live,
-never what any layer above computes.  This suite pins:
+Serving a :class:`~repro.web.index.FrozenIndex` from a mapped artifact
+(``mmap``) instead of from the arrays the engine froze (``memory``) must
+be a pure *storage* change: it may change where the postings live, never
+what any layer above computes.  This suite pins:
 
 * the CSR round-trip -- every token, posting array (values *and*
-  dtypes), document length, page and corpus statistic identical between
-  the in-memory index and the reopened artifact, plus a Hypothesis
-  property test over arbitrary corpora (partition-exact and
-  order-preserving);
+  dtypes, plain ``np.ndarray`` views when mapped), document length, page
+  and corpus statistic identical between the in-RAM index and the
+  reopened artifact, plus a Hypothesis property test over arbitrary
+  corpora (partition-exact and order-preserving); each accessor is
+  checked against a dict oracle in ``tests/test_index_oracle.py``;
 * both content digests preserved bit for bit, so persisted caches keyed
   by ``cache_fingerprint`` interoperate across backends;
+* deterministic artifacts -- saving one index twice, or re-saving an
+  opened artifact, writes identical bytes;
 * ranking/annotation parity at every granularity -- raw search, per-cell
   path, batched path, ``workers=2`` under both ``fork`` and ``spawn``,
   and the resident service -- byte-identical annotations and equal
   :class:`~repro.core.results.RunDiagnostics` (worker loads normalised:
   busy seconds and RSS are real measurements);
-* the artifact contract -- pickling by path, refusal to mutate, loud
+* the artifact contract -- pickling by path, no page after a query, loud
   :class:`~repro.persistence.ArtifactError` on foreign kinds, foreign
   layout versions and truncated files, and ``ensure_index_artifact``
   reusing a fresh artifact while rebuilding a stale or corrupt one.
@@ -36,6 +38,7 @@ import pytest
 from annotation_reference import annotate_table_per_cell
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from search_reference import ReferenceIndex
 
 from repro.classify.dataset import TextDataset
 from repro.classify.snippet import SnippetTypeClassifier
@@ -51,17 +54,15 @@ from repro.persistence import (
 from repro.service import protocol
 from repro.service.daemon import AnnotationService, ServiceConfig
 from repro.tables.model import Column, ColumnType, Table
-from repro.web.backends import (
+from repro.web.backends import ensure_index_artifact
+from repro.web.documents import WebPage
+from repro.web.index import (
     INDEX_ARTIFACT_KIND,
     INDEX_LAYOUT_VERSION,
+    FrozenIndex,
     FrozenIndexError,
-    FrozenMmapIndex,
-    IndexBackend,
-    build_index_artifact,
-    ensure_index_artifact,
+    IndexBuilder,
 )
-from repro.web.documents import WebPage
-from repro.web.index import InvertedIndex
 from repro.web.search import SearchEngine
 
 _WORDS = "exhibit gallery paintings curator collection museum".split()
@@ -69,7 +70,7 @@ _NAMES = [f"Venue {i}" for i in range(24)]
 _TYPE_KEYS = ["museum", "restaurant"]
 
 
-def _make_engine(index=None) -> SearchEngine:
+def _make_engine(index=None, extra_pages=()) -> SearchEngine:
     engine = SearchEngine(clock=VirtualClock(), index=index)
     if index is None:
         rng = random.Random(0)
@@ -84,12 +85,13 @@ def _make_engine(index=None) -> SearchEngine:
                 for i in range(4)
             ]
         )
+        engine.add_pages(extra_pages)
     return engine
 
 
 def _layout_1_artifact(index, path):
     """An index artifact in layout 1: no positional sections."""
-    build_index_artifact(index, path)
+    index.save(path)
     header, sections = open_array_artifact(path, INDEX_ARTIFACT_KIND)
     header = {**header, "layout_version": 1}
     del header["n_positions"]
@@ -132,14 +134,14 @@ def classifier() -> SnippetTypeClassifier:
 @pytest.fixture(scope="module")
 def artifact_path(tmp_path_factory):
     """One artifact built from the canonical test engine's index."""
-    return build_index_artifact(
-        _make_engine().index, tmp_path_factory.mktemp("idx") / "index.reproidx"
+    return _make_engine().index.save(
+        tmp_path_factory.mktemp("idx") / "index.reproidx"
     )
 
 
 @pytest.fixture()
-def frozen(artifact_path) -> FrozenMmapIndex:
-    return FrozenMmapIndex.open(artifact_path)
+def frozen(artifact_path) -> FrozenIndex:
+    return FrozenIndex.open(artifact_path)
 
 
 def _normalised(diagnostics):
@@ -158,10 +160,15 @@ def _normalised(diagnostics):
 
 
 class TestArtifactRoundTrip:
-    def test_satisfies_the_backend_protocol(self, frozen):
-        assert isinstance(frozen, IndexBackend)
-        assert isinstance(InvertedIndex(), IndexBackend)
+    def test_backend_name_says_where_the_arrays_live(self, frozen):
         assert frozen.backend_name == "mmap"
+        assert _make_engine().index.backend_name == "memory"
+
+    def test_mapped_sections_are_plain_ndarrays(self, frozen):
+        # np.memmap slices pay a subclass round trip on every access.
+        ids, tfs = frozen.posting_arrays(next(frozen.tokens()))
+        assert type(ids) is np.ndarray and type(tfs) is np.ndarray
+        assert type(frozen.lengths) is np.ndarray
 
     def test_corpus_statistics_identical(self, frozen):
         index = _make_engine().index
@@ -186,7 +193,6 @@ class TestArtifactRoundTrip:
             assert frozen.document_frequency(token) == index.document_frequency(
                 token
             )
-            assert frozen.postings(token) == index.postings(token)
 
     def test_posting_arrays_are_views_not_copies(self, frozen):
         ids, tfs = frozen.posting_arrays(next(frozen.tokens()))
@@ -228,10 +234,27 @@ class TestArtifactRoundTrip:
 
     def test_refuses_mutation(self, frozen):
         page = WebPage(url="https://x/new", title="New", body="new venue")
+        engine = _make_engine(index=frozen)
         with pytest.raises(FrozenIndexError):
-            frozen.add(page)
+            engine.add_page(page)
         with pytest.raises(FrozenIndexError):
-            frozen.add_many([page])
+            engine.add_pages([page])
+        builder = IndexBuilder()
+        builder.freeze()
+        with pytest.raises(FrozenIndexError):
+            builder.add(page)
+
+    def test_saving_twice_writes_identical_bytes(self, tmp_path):
+        index = _make_engine().index
+        first = index.save(tmp_path / "first.reproidx")
+        second = index.save(tmp_path / "second.reproidx")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_resaving_an_opened_artifact_writes_identical_bytes(
+        self, artifact_path, tmp_path
+    ):
+        copy = FrozenIndex.open(artifact_path).save(tmp_path / "copy.reproidx")
+        assert copy.read_bytes() == artifact_path.read_bytes()
 
 
 # ------------------------------------------------------------------------- contracts
@@ -240,7 +263,7 @@ class TestArtifactRoundTrip:
 class TestArtifactContracts:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ArtifactError):
-            FrozenMmapIndex.open(tmp_path / "absent.reproidx")
+            FrozenIndex.open(tmp_path / "absent.reproidx")
 
     def test_foreign_kind_rejected(self, tmp_path):
         path = tmp_path / "other.reproidx"
@@ -248,7 +271,7 @@ class TestArtifactContracts:
             path, "not-an-index", {}, {"x": np.zeros(3, dtype=np.int64)}
         )
         with pytest.raises(ArtifactError):
-            FrozenMmapIndex.open(path)
+            FrozenIndex.open(path)
 
     def test_foreign_layout_version_rejected(self, tmp_path):
         path = tmp_path / "future.reproidx"
@@ -259,12 +282,12 @@ class TestArtifactContracts:
             {"x": np.zeros(3, dtype=np.int64)},
         )
         with pytest.raises(ArtifactError):
-            FrozenMmapIndex.open(path)
+            FrozenIndex.open(path)
 
     def test_layout_1_artifact_rejected(self, tmp_path):
         path = _layout_1_artifact(_make_engine().index, tmp_path / "v1.reproidx")
         with pytest.raises(ArtifactError, match="index layout 1"):
-            FrozenMmapIndex.open(path)
+            FrozenIndex.open(path)
 
     def test_ensure_rebuilds_layout_1_artifact(self, tmp_path, caplog):
         index = _make_engine().index
@@ -281,12 +304,10 @@ class TestArtifactContracts:
         ]
 
     def test_truncated_file_raises(self, tmp_path):
-        path = build_index_artifact(
-            _make_engine().index, tmp_path / "cut.reproidx"
-        )
+        path = _make_engine().index.save(tmp_path / "cut.reproidx")
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(ArtifactError):
-            FrozenMmapIndex.open(path)
+            FrozenIndex.open(path)
 
     def test_ensure_reuses_fresh_artifact(self, tmp_path):
         index = _make_engine().index
@@ -298,11 +319,12 @@ class TestArtifactContracts:
         assert second.fingerprint_digest() == first.fingerprint_digest()
 
     def test_ensure_rebuilds_stale_artifact(self, tmp_path):
-        engine = _make_engine()
         path = tmp_path / "index.reproidx"
-        ensure_index_artifact(engine.index, path)
-        engine.add_page(
-            WebPage(url="https://x/extra", title="Extra", body="extra venue")
+        ensure_index_artifact(_make_engine().index, path)
+        engine = _make_engine(
+            extra_pages=[
+                WebPage(url="https://x/extra", title="Extra", body="extra venue")
+            ]
         )
         frozen = ensure_index_artifact(engine.index, path)
         assert frozen.fingerprint_digest() == engine.index.fingerprint_digest()
@@ -471,26 +493,29 @@ _page_texts = st.lists(
 )
 def test_artifact_round_trip_is_partition_exact(bodies, title_boost):
     """For any corpus: the CSR build partitions every posting into exactly
-    one token row, preserves per-token append order, and reproduces pages,
+    one token row, preserves per-token doc order, and reproduces pages,
     lengths and digests bit for bit after a reopen."""
-    index = InvertedIndex(title_boost=title_boost)
-    index.add_many(
+    pages = [
         WebPage(url=f"https://x/{i}", title=f"p{i}", body=body)
         for i, body in enumerate(bodies)
-    )
+    ]
+    reference = ReferenceIndex(pages, title_boost)
+    builder = IndexBuilder(title_boost=title_boost)
+    builder.add_many(pages)
+    index = builder.freeze()
     with tempfile.TemporaryDirectory() as tmp:
-        frozen = FrozenMmapIndex.open(
-            build_index_artifact(index, os.path.join(tmp, "index.reproidx"))
-        )
+        frozen = FrozenIndex.open(index.save(os.path.join(tmp, "index.reproidx")))
         assert list(frozen.tokens()) == list(index.tokens())
         total_postings = 0
         for token in index.tokens():
-            mem = list(index.raw_postings(token))
+            expected = [
+                (doc_id, tf) for doc_id, (tf, _) in reference.postings[token].items()
+            ]
             got = list(zip(*[part.tolist() for part in frozen.posting_arrays(token)]))
-            assert got == mem  # order-preserving, value-exact
-            total_postings += len(mem)
+            assert got == expected  # order-preserving, value-exact
+            total_postings += len(expected)
         assert total_postings == sum(
-            len(index.raw_postings(token)) for token in frozen.tokens()
+            len(postings) for postings in reference.postings.values()
         )
         assert frozen.n_documents == index.n_documents
         assert frozen.average_length == index.average_length

@@ -1,11 +1,11 @@
-"""Positional postings: parity with the reference oracles on both backends.
+"""Positional postings: parity with the reference oracles, in RAM and mapped.
 
 The index records, per (token, doc) posting, the positions of the body
 words that yield the token, and the search engine builds query-biased
 snippets from those positions alone.  These properties pin that design
-against the straightforward versions in ``search_reference.py``, for the
-in-memory :class:`~repro.web.index.InvertedIndex` and for the frozen
-:class:`~repro.web.backends.FrozenMmapIndex` built from it:
+against the straightforward versions in ``search_reference.py``, for a
+:class:`~repro.web.index.FrozenIndex` in RAM and mapped from its saved
+artifact:
 
 * every snippet equals :func:`extract_snippet`, which re-tokenises the
   body -- for bodies shorter than, as long as and longer than the window,
@@ -37,9 +37,8 @@ from search_reference import (
 )
 
 from repro.text.tokenization import tokenize
-from repro.web.backends import FrozenMmapIndex, build_index_artifact
 from repro.web.documents import WebPage
-from repro.web.index import InvertedIndex
+from repro.web.index import FrozenIndex, IndexBuilder
 from repro.web.ranking import bm25_matched_scores
 from repro.web.search import SearchEngine
 from repro.web.snippets import DEFAULT_SNIPPET_WORDS, best_window_start
@@ -71,14 +70,14 @@ _query = st.lists(
 
 
 def _indexes(pages, title_boost=3.0):
-    """The in-memory index over *pages* and a frozen copy of it, as the
-    pair ``(memory, mmap)``; the artifact's directory is returned too."""
-    memory = InvertedIndex(title_boost=title_boost)
-    memory.add_many(pages)
+    """The frozen index over *pages* in RAM and mapped from a saved
+    artifact, as the pair ``(memory, mmap)``; the artifact's directory is
+    returned too."""
+    builder = IndexBuilder(title_boost=title_boost)
+    builder.add_many(pages)
+    memory = builder.freeze()
     tmp = tempfile.TemporaryDirectory()
-    frozen = FrozenMmapIndex.open(
-        build_index_artifact(memory, os.path.join(tmp.name, "index.reproidx"))
-    )
+    frozen = FrozenIndex.open(memory.save(os.path.join(tmp.name, "index.reproidx")))
     return (memory, frozen), tmp
 
 
@@ -200,7 +199,7 @@ def test_word_by_word_counts_equal_whole_text_tokenisation(docs, title_boost):
                     if found.size:
                         got[token] = float(tfs[found[0]])
                 assert got == dict(expected)
-                assert index.document_length(doc_id) == float(
+                assert index.lengths[doc_id] == float(
                     sum(expected.values())
                 )
                 words = page.body.split()

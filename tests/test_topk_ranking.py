@@ -1,7 +1,7 @@
-"""Top-k selection and the English mask, on both index backends.
+"""Top-k selection and the English mask, in RAM and mapped.
 
 The engine ranks only what it keeps: it masks the matched documents to
-English ones (:attr:`~repro.web.backends.IndexBackend.english_mask`),
+English ones (:attr:`~repro.web.index.FrozenIndex.english_mask`),
 keeps every document scoring at least the k-th best score, and sorts just
 that set by (score descending, doc id ascending).  These tests pin that
 design against :func:`search_reference.ranked_doc_ids`, the full sort of
@@ -11,8 +11,7 @@ every matched document walked past the non-English ones:
   score ties straddling k-th place), interleaved non-English pages, and
   every k from 1 to past the English match count;
 * the mask equals ``[page(d).language == "en" ...]`` on an empty index,
-  an all-French corpus, a memory index grown after a query, and on mmap
-  without decoding a page.
+  an all-French corpus, and on mmap without decoding a page.
 """
 
 import os
@@ -25,9 +24,8 @@ from hypothesis import strategies as st
 from search_reference import ranked_doc_ids
 
 from repro.text.tokenization import tokenize
-from repro.web.backends import FrozenMmapIndex, build_index_artifact
 from repro.web.documents import WebPage
-from repro.web.index import InvertedIndex
+from repro.web.index import FrozenIndex, IndexBuilder
 from repro.web.search import SearchEngine
 
 _VOCAB = ["hotel", "melisse", "quay", "gallery", "museum", "chef", "rooms"]
@@ -44,12 +42,11 @@ _query = st.lists(_word, min_size=1, max_size=3).map(" ".join)
 
 def _indexes(pages):
     """``(memory, mmap)`` over *pages*, and the artifact's directory."""
-    memory = InvertedIndex()
-    memory.add_many(pages)
+    builder = IndexBuilder()
+    builder.add_many(pages)
+    memory = builder.freeze()
     tmp = tempfile.TemporaryDirectory()
-    frozen = FrozenMmapIndex.open(
-        build_index_artifact(memory, os.path.join(tmp.name, "index.reproidx"))
-    )
+    frozen = FrozenIndex.open(memory.save(os.path.join(tmp.name, "index.reproidx")))
     return (memory, frozen), tmp
 
 
@@ -166,26 +163,6 @@ def test_an_all_french_corpus_answers_nothing(backend):
         index = memory if backend == "memory" else frozen
         assert not index.english_mask.any()
         assert SearchEngine(index=index).search("hotel melisse", k=3) == []
-
-
-def test_memory_mask_grows_with_pages_added_after_a_query():
-    engine = SearchEngine()
-    engine.add_pages([
-        WebPage(url="https://x/0", title="Gallery", body="gallery museum"),
-        WebPage(url="https://x/1", title="Chef", body="chef rooms"),
-    ])
-    assert [hit.url for hit in engine.search("gallery")] == ["https://x/0"]
-    # A French page that would outrank page 0, then an English one.
-    engine.add_page(WebPage(url="https://x/2", title="Gallery Gallery",
-                            body="gallery gallery gallery", language="fr"))
-    assert engine.index.english_mask.tolist() == [True, True, False]
-    assert [hit.url for hit in engine.search("gallery")] == ["https://x/0"]
-    engine.add_page(WebPage(url="https://x/3", title="Gallery Gallery",
-                            body="gallery gallery gallery"))
-    assert engine.index.english_mask.tolist() == [True, True, False, True]
-    assert [hit.url for hit in engine.search("gallery")] == [
-        "https://x/3", "https://x/0",
-    ]
 
 
 def test_mmap_mask_decodes_no_page():

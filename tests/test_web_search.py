@@ -6,6 +6,7 @@ from search_reference import extract_snippet
 from repro.clock import VirtualClock
 from repro.resilience import FaultPlan
 from repro.web.documents import WebPage
+from repro.web.index import FrozenIndexError
 from repro.web.search import SearchEngine, SearchEngineUnavailable
 
 
@@ -206,19 +207,25 @@ class TestSearchMany:
         assert any(r is not None for r in many)
         assert len(results) == 2
 
-    def test_results_reflect_pages_added_after_a_batch(self):
+    def test_pages_added_after_a_batch_are_refused(self):
         engine = _engine()
         before = engine.search_many(["melisse"], k=10)[0]
-        engine.add_page(
-            WebPage(
-                url="https://x/melisse-new",
-                title="Melisse Melisse Melisse",
-                body="melisse melisse melisse melisse",
+        with pytest.raises(FrozenIndexError):
+            engine.add_page(
+                WebPage(
+                    url="https://x/melisse-new",
+                    title="Melisse Melisse Melisse",
+                    body="melisse melisse melisse melisse",
+                )
             )
-        )
-        after = engine.search_many(["melisse"], k=10)[0]
-        assert len(after) == len(before) + 1
-        assert after[0].url == "https://x/melisse-new"
+        assert engine.search_many(["melisse"], k=10)[0] == before
+
+    def test_a_failed_query_freezes_the_corpus_too(self):
+        engine = _engine()
+        engine.available = False
+        assert engine.search_many(["melisse"]) == [None]
+        with pytest.raises(FrozenIndexError):
+            engine.add_pages([WebPage(url="https://x/late", title="Late", body="late")])
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
