@@ -20,9 +20,10 @@ round trip and one classifier call per cell -- lives with the tests, in
 compared against.
 
 The batched path amortises across calls through two long-lived memos: a
-snippet-text -> label memo (classification is a pure function of the text)
-that :meth:`CellAnnotator.save_label_memo` /
-:meth:`~CellAnnotator.load_label_memo` can persist to disk so a second
+snippet-text -> label memo (classification is a pure function of the
+text), a :class:`~repro.persistence.PersistedDict` that
+:meth:`CellAnnotator.save_label_memo` /
+:meth:`~CellAnnotator.load_label_memo` persist to disk so a second
 process starts warm, and the optional shared :class:`SnippetCache`.
 
 The :class:`SnippetCache` counts a miss for every lookup that finds
@@ -47,7 +48,7 @@ from typing import Sequence
 from repro.classify.snippet import SnippetTypeClassifier
 from repro.core.config import AnnotatorConfig
 from repro.observability.tracing import span
-from repro.persistence import CacheFileSync
+from repro.persistence import PersistedDict
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.web.search import SearchEngine
 
@@ -105,11 +106,6 @@ class SnippetCache:
         return self.hits / total if total else 0.0
 
 
-def _memo_sizes(memo: dict) -> tuple:
-    """Entry count of a label memo (see :class:`CacheFileSync`)."""
-    return (len(memo),)
-
-
 class CellAnnotator:
     """Annotates individual cell values against a set of target types."""
 
@@ -139,20 +135,14 @@ class CellAnnotator:
         # snippet text -> label, filled by the batched path.  Classification
         # is a pure function of the text, so a long-lived annotator streaming
         # many tables about overlapping entities classifies each distinct
-        # snippet once.  Bounded by the distinct snippets seen; invalidated
-        # automatically when self.classifier is swapped out.
-        self._label_memo: dict[str, str] = {}
+        # snippet once.  Bounded by the distinct snippets seen; cleared
+        # automatically when self.classifier is swapped out.  Owns its
+        # cache file and that file's IO counters.
+        self._label_memo = PersistedDict("label-memo")
         self._label_memo_owner: SnippetTypeClassifier = classifier
-        # What the last load/save of the label memo file left in sync
-        # (repro.persistence.CacheFileSync); forgotten with the memo.
-        self._memo_file = CacheFileSync()
-        # -- label-memo IO accounting (observability only) ----------------
+        # -- label-memo accounting (observability only) --------------------
         self._memo_hits = 0
         self._memo_misses = 0
-        self._cache_loads = 0
-        self._cache_saves = 0
-        self._cache_load_bytes = 0
-        self._cache_save_bytes = 0
 
     # -- one cell ----------------------------------------------------------------------
 
@@ -401,85 +391,26 @@ class CellAnnotator:
 
     # -- label-memo lifecycle and persistence ---------------------------------------------
 
-    def _active_label_memo(self) -> dict[str, str]:
-        """The lifetime snippet -> label memo, reset on classifier swap."""
+    def _active_label_memo(self) -> PersistedDict:
+        """The lifetime snippet -> label memo, cleared on classifier swap."""
         if self._label_memo_owner is not self.classifier:
-            self._label_memo = {}
+            self._label_memo.clear()
             self._label_memo_owner = self.classifier
-            self._memo_file.forget()
         return self._label_memo
-
-    # -- cache IO accounting ---------------------------------------------------------------
-
-    @property
-    def memo_hits(self) -> int:
-        """Snippet classifications served from the memo."""
-        return self._memo_hits
-
-    @property
-    def memo_misses(self) -> int:
-        """Snippet classifications that had to run the classifier."""
-        return self._memo_misses
-
-    @property
-    def cache_loads(self) -> int:
-        """Memo file loads that read the file."""
-        return self._cache_loads
-
-    @property
-    def cache_saves(self) -> int:
-        """Memo file saves that wrote the file."""
-        return self._cache_saves
-
-    @property
-    def cache_load_bytes(self) -> int:
-        """Bytes read to warm the memo."""
-        return self._cache_load_bytes
-
-    @property
-    def cache_save_bytes(self) -> int:
-        """Bytes written persisting the memo."""
-        return self._cache_save_bytes
-
-    @staticmethod
-    def merge_label_memos(existing: dict, fresh: dict) -> dict:
-        """Union two persisted snippet -> label memos of one fingerprint.
-
-        Classification is a pure function of the snippet text under one
-        fitted classifier (the fingerprint guards that), so same-keyed
-        entries agree and the merge is the combined key set.  Concurrent
-        workers sharing a cache directory each fold their shard's labels
-        in instead of overwriting each other's.
-        """
-        return {**existing, **fresh}
 
     def save_label_memo(self, path) -> bool:
         """Persist the lifetime snippet -> label memo to *path*.
 
-        The payload is fingerprinted with the fitted classifier's identity
-        (backend, labels, weights): a process holding a differently trained
-        classifier will refuse to load it rather than serve wrong labels.
-        The write is merge-on-save under an advisory lock, so another
-        worker's entries (same fingerprint) are never discarded, and it
-        is skipped when the file is unchanged since this annotator last
-        loaded or saved it and already holds every label (see
-        :class:`~repro.persistence.CacheFileSync`); returns ``False``
+        The file is fingerprinted with the fitted classifier's identity
+        (backend, labels, weights): a process holding a differently
+        trained classifier will refuse to load it rather than serve wrong
+        labels.  The write is merge-on-save under an advisory lock, and
+        skipped when the file already holds every label (see
+        :meth:`repro.persistence.PersistedDict.save`); returns ``False``
         when the lock timed out and the save was skipped.
         """
-        written = self._memo_file.save(
-            path,
-            "label-memo",
-            self.classifier.fingerprint(),
-            _memo_sizes,
-            dict(self._active_label_memo()),
-            merge=self.merge_label_memos,
-        )
-        if written is None:
-            return False
-        if written:
-            self._cache_saves += 1
-            self._cache_save_bytes += written
-        return True
+        memo = self._active_label_memo()  # a classifier swap clears first
+        return memo.save(path, self.classifier.fingerprint())
 
     def load_label_memo(self, path) -> bool:
         """Warm the snippet -> label memo from *path*.
@@ -490,21 +421,20 @@ class CellAnnotator:
         wrote it and the memo already holds it); stale or foreign files
         are ignored and ``False`` is returned.
         """
-        memo = self._active_label_memo()  # a classifier swap forgets first
-        read = self._memo_file.load(
-            path,
-            "label-memo",
-            self.classifier.fingerprint(),
-            _memo_sizes,
-            lambda: memo,
-            memo.update,
-        )
-        if read is None:
-            return False
-        if read:
-            self._cache_loads += 1
-            self._cache_load_bytes += read
-        return True
+        memo = self._active_label_memo()  # a classifier swap clears first
+        return memo.load(path, self.classifier.fingerprint())
+
+    # -- memo accounting ---------------------------------------------------------------------
+
+    @property
+    def memo_hits(self) -> int:
+        """Snippet classifications served from the memo."""
+        return self._memo_hits
+
+    @property
+    def memo_misses(self) -> int:
+        """Snippet classifications that had to run the classifier."""
+        return self._memo_misses
 
     # -- Equation 1 --------------------------------------------------------------------
 

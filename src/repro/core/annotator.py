@@ -92,7 +92,7 @@ from repro.core.results import (
 )
 from repro.geo.geocoder import Geocoder
 from repro.observability.tracing import span
-from repro.persistence import lock_wait_seconds
+from repro.persistence import PersistedDict, lock_wait_seconds
 from repro.tables.model import Table
 from repro.web.search import SearchEngine
 
@@ -470,7 +470,7 @@ class EntityAnnotator:
         that save was skipped).  A write that would change nothing -- the
         file is unchanged since this annotator last loaded or saved it
         and already holds every entry -- is skipped and reported ``True``
-        (see :class:`repro.persistence.CacheFileSync`).
+        (see :class:`repro.persistence.PersistedDict`).
         """
         cache_dir = Path(cache_dir)
         with span("cache.flush"):
@@ -520,7 +520,12 @@ class EntityAnnotator:
     @property
     def cache_load_bytes(self) -> int:
         """Bytes of cache files read warm-starting this annotator (lifetime)."""
-        return self.engine.cache_load_bytes + self.cell_annotator.cache_load_bytes
+        return sum(cache.load_bytes for cache in self._persisted_caches())
+
+    def _persisted_caches(self) -> tuple[PersistedDict, PersistedDict]:
+        """The engine's results cache and the label memo, each of which
+        counts the IO on its own file."""
+        return self.engine._results_cache, self.cell_annotator._label_memo
 
     def _counters(self) -> dict[str, float]:
         """Snapshot of the counters :class:`RunDiagnostics` deltas over,
@@ -529,6 +534,7 @@ class EntityAnnotator:
         cells = self.cell_annotator
         engine = self.engine
         clock = engine.clock
+        files = self._persisted_caches()
         return {
             "search_failures": cells.failure_count,
             "cache_hits": cache.hits if cache is not None else 0,
@@ -542,10 +548,10 @@ class EntityAnnotator:
             "results_cache_misses": engine.cache_misses,
             "label_memo_hits": cells.memo_hits,
             "label_memo_misses": cells.memo_misses,
-            "cache_loads": engine.cache_loads + cells.cache_loads,
-            "cache_saves": engine.cache_saves + cells.cache_saves,
-            "cache_load_bytes": engine.cache_load_bytes + cells.cache_load_bytes,
-            "cache_save_bytes": engine.cache_save_bytes + cells.cache_save_bytes,
+            "cache_loads": sum(f.loads for f in files),
+            "cache_saves": sum(f.saves for f in files),
+            "cache_load_bytes": sum(f.load_bytes for f in files),
+            "cache_save_bytes": sum(f.save_bytes for f in files),
             "cache_lock_wait_seconds": lock_wait_seconds(),
         }
 

@@ -1045,7 +1045,7 @@ def annotate_tables_parallel(
     the parent loads them before starting the pool, so every worker --
     crash replacements included -- inherits the warm caches
     copy-on-write and its own ``load_caches`` reads nothing (see
-    :class:`repro.persistence.CacheFileSync`); under ``spawn`` each
+    :class:`repro.persistence.PersistedDict`); under ``spawn`` each
     worker loads its own copy.  Every worker merge-saves its caches once
     at the end of the run (each worker has its own command pipe, so
     exactly one flush lands on each), and a save is skipped when the

@@ -4,16 +4,18 @@ The batched annotation engine earns most of its speed from caches that are
 pure functions of immutable inputs: the search engine's token-signature ->
 ranked-results cache (valid for one exact corpus and one BM25
 parametrisation) and the annotator's snippet -> label memo (valid for one
-fitted classifier).  This module gives both a common durable format so a
-second process -- or a second CLI invocation -- starts warm instead of
-recomputing them.
+fitted classifier).  Both are one class, :class:`PersistedDict`: a plain
+``dict`` in memory that loads from and merge-saves to one pickled file,
+so a second process -- or a second CLI invocation -- starts warm instead
+of recomputing them.  The file holds the dict itself, nothing derived
+from it.
 
 Every file carries three guards checked on load:
 
 ``format_version``
     bumped whenever the payload layout changes; old files are ignored;
 ``kind``
-    what the payload is (``"search-results"``, ``"label-memo"``), so a
+    what the dict is (``"search-results"``, ``"label-memo"``), so a
     file can never be loaded into the wrong cache;
 ``fingerprint``
     the producer's identity token (corpus content digest + BM25 parameters
@@ -26,32 +28,32 @@ Every file carries three guards checked on load:
 Concurrency
 -----------
 A cache directory may be shared by several worker processes (the
-``annotate_tables(workers=N)`` execution layer).  Two mechanisms make that
-safe:
+``annotate_tables(workers=N)`` execution layer).  Three mechanisms make
+that safe and cheap:
 
 * **advisory file locking** -- every save takes an exclusive ``flock`` on
   a ``<name>.lock`` sidecar, every load a shared one, so a read never
   observes a half-finished merge and two writers serialise.  Lock waits
   are bounded (:data:`DEFAULT_LOCK_TIMEOUT`); on timeout a load reports a
-  cold start (``None``) and a save is skipped (``False``) rather than
+  cold start and a save is skipped (both ``False``) rather than
   deadlocking -- persistence is an optimisation, never a correctness
   dependency.  On platforms without ``fcntl`` locking degrades to
   best-effort unlocked operation (writes stay atomic either way).
-* **merge-on-save** -- a saver may pass a ``merge`` hook; under the
-  exclusive lock the existing payload (same version, kind and
-  fingerprint) is loaded and merged with the fresh one before the
-  replace, so a worker's save never discards entries another worker
-  persisted in the meantime.  Without a hook the historical
-  last-writer-wins replace is kept.
-* **skipping IO that changes nothing** -- :class:`CacheFileSync`
-  remembers each file's stat stamp from the last load or save, so a
-  warm process does not re-read a file it already holds, nor rewrite
-  one that already holds everything it has.
+* **merge-on-save** -- under the exclusive lock the existing file's dict
+  (same version, kind and fingerprint) is unioned with memory, fresh
+  entries winning, before the replace, so a worker's save never discards
+  entries another worker persisted in the meantime.
+* **skipping IO that changes nothing** -- a :class:`PersistedDict`
+  remembers the file's stat stamp from its last load or save, so a warm
+  process does not re-read a file it already holds, nor rewrite one that
+  already holds everything it has.
 
 Writes go through a temporary file and ``os.replace`` so a crashed writer
 never leaves a truncated cache behind; the temporary file is unlinked even
-when serialisation fails (disk full, unpicklable payload).  Loads treat
-*any* unreadable file as a cold start rather than an error.
+when serialisation fails (disk full, unpicklable value).  Loads treat
+*any* unreadable file as a cold start rather than an error.  A file's
+bytes are a function of its entries and their insertion order alone, so
+one workload writes the same bytes under any ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -80,15 +82,17 @@ try:  # POSIX advisory locking; degrade gracefully elsewhere.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-CACHE_FORMAT_VERSION = 2
-"""Bump when the persisted payload layout changes; old files are ignored."""
+CACHE_FORMAT_VERSION = 3
+"""Bump when the persisted payload layout changes; old files are ignored.
+Version 3 holds a plain dict (version 2 was ``{results, norms}``)."""
 
 DEFAULT_LOCK_TIMEOUT = 10.0
 """Seconds a save/load waits for the advisory lock before giving up.
 
-Resolved at *call* time when ``lock_timeout`` is left ``None``, so a
-long-lived process (the resident annotation service) -- or a test -- can
-tighten every subsequent save/load by rebinding this module attribute."""
+Read at *call* time (by every cache save and load, and by artifact calls
+left at ``lock_timeout=None``), so a long-lived process (the resident
+annotation service) -- or a test -- can tighten every subsequent wait by
+rebinding this module attribute."""
 
 _LOCK_POLL_SECONDS = 0.02
 """Base interval between non-blocking lock attempts while waiting."""
@@ -218,129 +222,33 @@ def _read_blob(path) -> dict | None:
     return blob
 
 
-def _payload_of(blob: dict | None, kind: str, fingerprint: Any) -> Any | None:
-    """Extract the payload of a guarded blob iff every guard matches."""
-    if blob is None:
-        return None
-    if blob.get("format_version") != CACHE_FORMAT_VERSION:
-        return None
-    if blob.get("kind") != kind:
-        return None
-    if blob.get("fingerprint") != fingerprint:
-        return None
-    return blob.get("payload")
-
-
-def save_cache_payload(
-    path,
-    kind: str,
-    fingerprint: Any,
-    payload: Any,
-    merge: Callable[[Any, Any], Any] | None = None,
-    lock_timeout: float | None = None,
-) -> bool:
-    """Atomically write *payload* with version/kind/fingerprint guards.
-
-    With a *merge* hook, the write is load-merge-replace under an
-    exclusive advisory lock: an existing compatible payload (same format
-    version, kind and fingerprint) is combined via ``merge(existing,
-    payload)`` first, so concurrent savers sharing one cache directory
-    union their entries instead of clobbering each other.  An existing
-    *incompatible* file (stale fingerprint, other kind) is simply
-    replaced.
-
-    Returns ``True`` when the file was written; ``False`` when the lock
-    could not be acquired within *lock_timeout* and the save was skipped
-    (the cache on disk is then simply missing this process's entries --
-    an optimisation lost, never a correctness problem).  Serialisation
-    errors (unpicklable payload, disk full) still propagate, but never
-    leave a ``*.tmp.<pid>`` file behind.
-    """
-    return (
-        _save_payload(path, kind, fingerprint, payload, merge, lock_timeout)
-        is not None
-    )
-
-
-def _save_payload(path, kind, fingerprint, payload, merge, lock_timeout):
-    """:func:`save_cache_payload`, returning ``(payload written, stamp of
-    the written file)``, or ``None`` on a lock timeout.  The stamp is
-    taken before the lock is released, so it names exactly this write."""
-    if lock_timeout is None:
-        lock_timeout = DEFAULT_LOCK_TIMEOUT
-    path = Path(path)
+@contextmanager
+def _atomic_replace(path: Path):
+    """A binary handle on a temp file beside *path* that replaces *path*
+    when the block exits cleanly.  The temp file never outlives the block,
+    even when writing raised (disk full, unpicklable value), so a failed
+    write leaves the old file, and nothing else, behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp_path = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
-        with _locked(path, exclusive=True, timeout=lock_timeout):
-            if merge is not None:
-                existing = _payload_of(_read_blob(path), kind, fingerprint)
-                if existing is not None:
-                    payload = merge(existing, payload)
-            blob = {
-                "format_version": CACHE_FORMAT_VERSION,
-                "kind": kind,
-                "fingerprint": fingerprint,
-                "payload": payload,
-            }
-            tmp_path = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+        with open(tmp_path, "wb") as handle:
+            yield handle
+        os.replace(tmp_path, path)
+    finally:
+        if tmp_path.exists():
             try:
-                with open(tmp_path, "wb") as handle:
-                    pickle.dump(blob, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_path, path)
-            finally:
-                # pickle.dump may have raised (disk full, unpicklable
-                # payload) before the replace: never leak the temp file.
-                if tmp_path.exists():
-                    try:
-                        tmp_path.unlink()
-                    except OSError:  # pragma: no cover - racing unlink
-                        pass
-            stamp = _file_stamp(path)
-    except CacheLockTimeout:
-        return None
-    return payload, stamp
-
-
-def load_cache_payload(
-    path,
-    kind: str,
-    fingerprint: Any,
-    lock_timeout: float | None = None,
-) -> Any | None:
-    """Read a payload saved by :func:`save_cache_payload`, or ``None``.
-
-    ``None`` means "start cold": the file is missing, unreadable, from a
-    different format version, of a different kind, was produced against a
-    different fingerprint (the corpus grew, the classifier was retrained,
-    the parameters changed) -- or the shared advisory lock could not be
-    acquired within *lock_timeout* (another process is mid-merge and
-    stuck; cold-starting beats crashing or hanging).
-    """
-    loaded = _load_payload(path, kind, fingerprint, lock_timeout)
-    return None if loaded is None else loaded[0]
-
-
-def _load_payload(path, kind, fingerprint, lock_timeout):
-    """:func:`load_cache_payload`, returning ``(payload, stamp of the file
-    read)``, or ``None`` for a cold start.  Writers need the exclusive
-    lock, so the stamp taken under the shared one names the bytes read."""
-    if lock_timeout is None:
-        lock_timeout = DEFAULT_LOCK_TIMEOUT
-    try:
-        with _locked(Path(path), exclusive=False, timeout=lock_timeout):
-            payload = _payload_of(_read_blob(path), kind, fingerprint)
-            stamp = _file_stamp(path)
-    except CacheLockTimeout:
-        return None
-    if payload is None:
-        return None
-    return payload, stamp
+                tmp_path.unlink()
+            except OSError:  # pragma: no cover - racing unlink
+                pass
 
 
 def _file_stamp(path) -> tuple | None:
-    """``(device, inode, size, mtime_ns, ctime_ns)`` of *path*, or ``None``
-    when it is missing.  Every write replaces the file (a new inode, new
-    times), so an equal stamp means the file was not rewritten."""
+    """``(device, inode, size, mtime_ns, ctime_ns)`` of *path* (a path or
+    an open descriptor), or ``None`` when it is missing.  Every write
+    replaces the file (a new inode, new times), so while the stamped
+    inode is held open (:func:`_pin`), and so cannot be freed and its
+    number handed to a new file, an equal stamp means the file was not
+    rewritten."""
     try:
         stat = os.stat(path)
     except OSError:
@@ -354,120 +262,224 @@ def _file_stamp(path) -> tuple | None:
     )
 
 
-class CacheFileSync:
-    """Skips the loads and saves of one cache file that would change nothing.
+def _pin(path):
+    """An open handle on the file at *path*, or ``None`` when it vanished.
 
-    Each in-memory cache persisted as a pickled file (the engine's
-    results cache, the annotator's label memo) owns one.  From its last
-    load or save of the file it remembers the file's stamp
-    (:func:`_file_stamp`), whether memory then held everything in the
-    file, whether the file held everything in memory, and memory's
-    entry counts.  A load is skipped while the file is unchanged and
-    memory holds all of it; a save is skipped while the file is
-    unchanged, holds all of memory, and nothing was inserted since.
-    Entries are append-only between clears, so equal counts mean no
-    inserts; the owner calls :meth:`forget` on every clear, fingerprint
-    change and classifier swap, and any change to the file changes its
-    stamp.
+    Filesystems hand a freed inode number to the next file they create
+    (ext4 does so at once), and timestamps may be as coarse as a clock
+    tick, so a file written to replace another of the same size within
+    one tick can carry its exact stamp.  Holding the stamped file open
+    keeps its inode allocated, so no other file can.  Without POSIX
+    locking (and its replace-while-open semantics) nothing is pinned and
+    every load and save does its IO.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        return None
+    try:
+        return open(path, "rb", buffering=0)
+    except OSError:
+        return None
 
-    *sizes* maps a payload -- a loaded one, or the view of memory the
-    owner passes in -- to its entry counts.  A load folds the file into
-    memory and a save merges memory into the file, so one side always
-    holds the other, and equal counts then mean equal key sets.
+
+class PersistedDict(dict):
+    """A dict that loads from, and merge-saves to, one guarded cache file.
+
+    Lookups and inserts are the plain dict operations; the class adds
+    :meth:`load` and :meth:`save`, the IO counters :attr:`loads`,
+    :attr:`saves`, :attr:`load_bytes` and :attr:`save_bytes`
+    (observability only, never semantics), and what its last load or
+    save of the file left in sync.
+
+    That sync state is the file's stamp (:func:`_file_stamp`; the file
+    is held open, see :func:`_pin`), path and fingerprint, memory's entry
+    count, whether memory then held everything in the file and whether
+    the file held everything in memory.  A load is skipped while the file is unchanged and memory
+    holds all of it; a save is skipped while the file is unchanged, holds
+    all of memory, and nothing was inserted since.  Entries are only
+    inserted between clears, so an equal count means no inserts;
+    :meth:`clear` forgets the file, and any change to the file changes
+    its stamp.  A load folds the file into memory and a save merges
+    memory into the file, so one side always holds the other, and equal
+    counts then mean equal key sets.
+
+    A pickled copy (a spawned worker) keeps its entries and counters and
+    reads the file for itself.
+
+    >>> import os, tempfile
+    >>> tmp = tempfile.TemporaryDirectory()
+    >>> path = os.path.join(tmp.name, "label_memo.cache")
+    >>> memo = PersistedDict("label-memo")
+    >>> memo["hotel melisse rooms"] = "hotel"
+    >>> memo.save(path, "classifier-1")
+    True
+    >>> warm = PersistedDict("label-memo")
+    >>> warm.load(path, "classifier-1"), dict(warm), warm.loads
+    (True, {'hotel melisse rooms': 'hotel'}, 1)
+    >>> warm.load(path, "classifier-1"), warm.loads  # unchanged: not read
+    (True, 1)
+    >>> PersistedDict("label-memo").load(path, "classifier-2")
+    False
+    >>> tmp.cleanup()
     """
 
-    def __init__(self) -> None:
-        self.forget()
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+        self.loads = 0
+        self.saves = 0
+        self.load_bytes = 0
+        self.save_bytes = 0
+        self._pinned = None
+        self._forget()
 
     def __reduce__(self):
-        # The stamps describe what this process read or wrote; a pickled
-        # copy (a spawned worker) re-reads for itself.
-        return (CacheFileSync, ())
+        counters = {
+            name: getattr(self, name)
+            for name in ("loads", "saves", "load_bytes", "save_bytes")
+        }
+        return (type(self), (self.kind,), counters, None, iter(self.items()))
 
-    def forget(self) -> None:
-        """Drop everything remembered: the next load and save do IO."""
-        self._key: tuple | None = None
-        self._stamp: tuple | None = None
-        self._counts: tuple | None = None
+    def __del__(self) -> None:
+        self._forget()  # closes the pinned file
+
+    def clear(self) -> None:
+        """Drop every entry, and what the last load or save left in sync."""
+        super().clear()
+        self._forget()
+
+    def _forget(self) -> None:
+        if self._pinned is not None:
+            self._pinned.close()
+        self._pinned = None
+        self._synced: tuple | None = None
+        self._count = 0
         self._memory_has_file = False
         self._file_has_memory = False
 
     def _unchanged(self, path, fingerprint) -> bool:
-        return (
-            self._stamp is not None
-            and self._key == self._key_of(path, fingerprint)
-            and _file_stamp(path) == self._stamp
+        # Every guard a load checks, and the stamp: a file of another
+        # format version or fingerprint, or one rewritten since, is never
+        # the one remembered.
+        return self._synced == (
+            os.fspath(path),
+            fingerprint,
+            CACHE_FORMAT_VERSION,
+            _file_stamp(path),
         )
 
-    @staticmethod
-    def _key_of(path, fingerprint) -> tuple:
-        # Every guard a load checks: a file of another format version or
-        # fingerprint is never the one remembered.
-        return (os.fspath(path), fingerprint, CACHE_FORMAT_VERSION)
+    def _remember(self, path, fingerprint, pinned, count, file_count, loaded):
+        """Remember the *pinned* file in sync; returns its size (0 when it
+        vanished under us and nothing is remembered)."""
+        self._forget()
+        if pinned is None:
+            return 0
+        stamp = _file_stamp(pinned.fileno())
+        self._pinned = pinned
+        self._synced = (os.fspath(path), fingerprint, CACHE_FORMAT_VERSION, stamp)
+        self._count = count
+        self._memory_has_file = loaded or count == file_count
+        self._file_has_memory = not loaded or count == file_count
+        return stamp[2]
 
-    def _remember(self, path, fingerprint, stamp, counts, file_counts, loaded):
-        self._key = self._key_of(path, fingerprint)
-        self._stamp = stamp
-        self._counts = counts
-        self._memory_has_file = loaded or counts == file_counts
-        self._file_has_memory = not loaded or counts == file_counts
+    def _entries_in(self, path, fingerprint) -> dict | None:
+        """The entries of the file at *path* iff every guard matches."""
+        blob = _read_blob(path)
+        if (
+            blob is None
+            or blob.get("format_version") != CACHE_FORMAT_VERSION
+            or blob.get("kind") != self.kind
+            or blob.get("fingerprint") != fingerprint
+        ):
+            return None
+        entries = blob.get("payload")
+        return entries if isinstance(entries, dict) else None
 
-    def load(
-        self,
-        path,
-        kind: str,
-        fingerprint: Any,
-        sizes: Callable[[Any], tuple],
-        memory: Callable[[], Any],
-        absorb: Callable[[Any], None],
-    ) -> int | None:
-        """Fold the file into memory unless memory already holds it.
+    def load(self, path, fingerprint: Any) -> bool:
+        """Fold the file at *path*, written under *fingerprint*, into memory.
 
-        *absorb* merges a loaded payload into memory; *memory* returns
-        memory's payload-shaped view.  Returns the bytes read (0 when the
-        read was skipped), or ``None`` for a cold start (see
-        :func:`load_cache_payload`).
+        ``False`` means "start cold": the file is missing, unreadable,
+        from another format version, of another kind, was written
+        against another *fingerprint* (the corpus changed, the classifier
+        was retrained, the parameters changed) -- or the shared lock
+        could not be taken within :data:`DEFAULT_LOCK_TIMEOUT` (another
+        process is mid-merge and stuck; cold-starting beats crashing or
+        hanging).  ``True`` also when the read was skipped because memory
+        already holds the unchanged file.
         """
         if self._memory_has_file and self._unchanged(path, fingerprint):
-            return 0
-        loaded = _load_payload(path, kind, fingerprint, None)
-        if loaded is None:
-            self.forget()
-            return None
-        payload, stamp = loaded
-        absorb(payload)
-        self._remember(
-            path, fingerprint, stamp, sizes(memory()), sizes(payload), True
+            return True
+        try:
+            with _locked(Path(path), exclusive=False, timeout=DEFAULT_LOCK_TIMEOUT):
+                entries = self._entries_in(path, fingerprint)
+                # Writers need the exclusive lock, so this is the file
+                # just read.
+                pinned = _pin(path) if entries is not None else None
+        except CacheLockTimeout:
+            entries = None
+        if entries is None:
+            self._forget()
+            return False
+        self.update(entries)
+        read = self._remember(
+            path, fingerprint, pinned, len(self), len(entries), True
         )
-        return stamp[2] if stamp is not None else 0  # the file's size
+        if read:
+            self.loads += 1
+            self.load_bytes += read
+        return True
 
-    def save(
-        self,
-        path,
-        kind: str,
-        fingerprint: Any,
-        sizes: Callable[[Any], tuple],
-        payload: Any,
-        merge: Callable[[Any, Any], Any],
-    ) -> int | None:
-        """Merge-save *payload*, a snapshot of memory, unless the file
-        already holds it.  Returns the bytes written (0 when the write
-        was skipped), or ``None`` when a lock timeout skipped it (see
-        :func:`save_cache_payload`)."""
-        counts = sizes(payload)
+    def save(self, path, fingerprint: Any) -> bool:
+        """Merge memory into the file at *path* under *fingerprint*.
+
+        Under an exclusive lock, the entries of an existing compatible
+        file (same format version, kind and fingerprint) are kept and
+        memory's added over them, so concurrent savers sharing one cache
+        directory union their entries instead of clobbering each other;
+        an incompatible file is replaced.  The write is atomic.
+
+        Returns ``True`` when the file holds memory -- also when the
+        write was skipped because the file is unchanged and already held
+        it -- and ``False`` when the lock could not be taken within
+        :data:`DEFAULT_LOCK_TIMEOUT` and the save was skipped (the file
+        then lacks this process's entries: an optimisation lost, never a
+        correctness problem).  Serialisation errors propagate but leave
+        the old file and no temp file behind.
+        """
         if (
             self._file_has_memory
-            and counts == self._counts
+            and len(self) == self._count
             and self._unchanged(path, fingerprint)
         ):
-            return 0
-        saved = _save_payload(path, kind, fingerprint, payload, merge, None)
-        if saved is None:
-            self.forget()
-            return None
-        written, stamp = saved
-        self._remember(path, fingerprint, stamp, counts, sizes(written), False)
-        return stamp[2] if stamp is not None else 0  # the file's size
+            return True
+        snapshot = dict(self)
+        path = Path(path)
+        try:
+            with _locked(path, exclusive=True, timeout=DEFAULT_LOCK_TIMEOUT):
+                entries = self._entries_in(path, fingerprint)
+                if entries is None:
+                    entries = snapshot
+                else:
+                    entries.update(snapshot)
+                blob = {
+                    "format_version": CACHE_FORMAT_VERSION,
+                    "kind": self.kind,
+                    "fingerprint": fingerprint,
+                    "payload": entries,
+                }
+                with _atomic_replace(path) as handle:
+                    pickle.dump(blob, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                # Opened before the lock is released: this write's file.
+                pinned = _pin(path)
+        except CacheLockTimeout:
+            self._forget()
+            return False
+        written = self._remember(
+            path, fingerprint, pinned, len(snapshot), len(entries), False
+        )
+        if written:
+            self.saves += 1
+            self.save_bytes += written
+        return True
 
 
 # -- flat array artifacts --------------------------------------------------------------
@@ -517,12 +529,11 @@ def save_array_artifact(
 
     Returns ``True`` when the artifact was written; ``False`` when the
     exclusive advisory lock could not be acquired within *lock_timeout*
-    (mirroring :func:`save_cache_payload`).
+    (mirroring :meth:`PersistedDict.save`).
     """
     if lock_timeout is None:
         lock_timeout = DEFAULT_LOCK_TIMEOUT
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
     section_meta: dict[str, dict[str, Any]] = {}
     offset = 0
@@ -547,25 +558,16 @@ def save_array_artifact(
     ).encode("utf-8")
     try:
         with _locked(path, exclusive=True, timeout=lock_timeout):
-            tmp_path = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-            try:
-                with open(tmp_path, "wb") as handle:
-                    handle.write(ARTIFACT_MAGIC)
-                    handle.write(struct.pack("<Q", len(metadata)))
-                    handle.write(metadata)
-                    data_start = _aligned(handle.tell())
-                    for name, array in arrays.items():
-                        # seek leaves alignment gaps zero-filled.
-                        handle.seek(data_start + section_meta[name]["offset"])
-                        if array.size:
-                            handle.write(memoryview(array))
-                os.replace(tmp_path, path)
-            finally:
-                if tmp_path.exists():
-                    try:
-                        tmp_path.unlink()
-                    except OSError:  # pragma: no cover - racing unlink
-                        pass
+            with _atomic_replace(path) as handle:
+                handle.write(ARTIFACT_MAGIC)
+                handle.write(struct.pack("<Q", len(metadata)))
+                handle.write(metadata)
+                data_start = _aligned(handle.tell())
+                for name, array in arrays.items():
+                    # seek leaves alignment gaps zero-filled.
+                    handle.seek(data_start + section_meta[name]["offset"])
+                    if array.size:
+                        handle.write(memoryview(array))
     except CacheLockTimeout:
         return False
     return True

@@ -40,13 +40,16 @@ issues of a query, every Nth request, outage windows, latency spikes) are
 installed via :attr:`SearchEngine.fault_plan`
 (a :class:`repro.resilience.FaultPlan`).
 
-The signature -> results cache is also *durable*: :meth:`SearchEngine.save_results_cache`
-writes it (with the BM25 length norms) to disk, fingerprinted by
-the corpus content (size, urls, indexed titles/bodies) and the BM25
-parameters, and :meth:`SearchEngine.load_results_cache` warms a fresh
-engine -- in another process -- over the same corpus.  Saves are
-merge-on-save under an advisory file lock, so concurrent workers sharing
-one cache directory union their entries instead of clobbering each other.
+The signature -> results cache is also *durable*: it is a
+:class:`~repro.persistence.PersistedDict`, which
+:meth:`SearchEngine.save_results_cache` writes to disk as a plain dict,
+fingerprinted by the corpus content (size, urls, indexed titles/bodies)
+and the BM25 parameters, and :meth:`SearchEngine.load_results_cache`
+warms a fresh engine -- in another process -- over the same corpus.
+Saves are merge-on-save under an advisory file lock, so concurrent workers
+sharing one cache directory union their entries instead of clobbering each
+other.  The BM25 length norms are not persisted: they are a pure function
+of the index and the parameters, recomputed in microseconds.
 
 >>> from repro.clock import VirtualClock
 >>> from repro.web.documents import WebPage
@@ -83,7 +86,7 @@ import numpy as np
 
 from repro.clock import VirtualClock
 from repro.observability.tracing import span
-from repro.persistence import CacheFileSync
+from repro.persistence import PersistedDict
 from repro.resilience import FaultPlan, deterministic_unit
 from repro.text.stopwords import ENGLISH_STOPWORDS
 from repro.text.tokenization import tokenize
@@ -150,21 +153,15 @@ class SearchEngine:
         self._builder = IndexBuilder() if index is None else None
         self._index = index
         # -- query compute caches (invalidated when the BM25 parameters change) --
-        # token signature -> ranked SearchResult list
-        self._results_cache: dict[tuple, list[SearchResult]] = {}
+        # token signature -> ranked SearchResult list; owns its cache file
+        # and that file's IO counters.
+        self._results_cache = PersistedDict("search-results")
         self._norms: np.ndarray | None = None
         self._cache_parameters = self.parameters
         self.query_count = 0
-        # What the last load/save of the results cache file left in sync
-        # (repro.persistence.CacheFileSync); forgotten on every clear.
-        self._results_file = CacheFileSync()
-        # -- cache IO accounting (observability only; never semantics) ---
+        # -- ranking cache accounting (observability only; never semantics) --
         self._cache_hits = 0
         self._cache_misses = 0
-        self._cache_loads = 0
-        self._cache_saves = 0
-        self._cache_load_bytes = 0
-        self._cache_save_bytes = 0
 
     # -- corpus ------------------------------------------------------------------------
 
@@ -331,7 +328,6 @@ class SearchEngine:
         if self.parameters != self._cache_parameters:
             self._results_cache.clear()
             self._norms = None
-            self._results_file.forget()
             self._cache_parameters = self.parameters
 
     def reset_compute_caches(self) -> None:
@@ -345,7 +341,6 @@ class SearchEngine:
         """
         self._results_cache.clear()
         self._norms = None
-        self._results_file.forget()
 
     # -- cache persistence ----------------------------------------------------------------
 
@@ -375,73 +370,27 @@ class SearchEngine:
             self.parameters.as_tuple(),
         )
 
-    @staticmethod
-    def merge_results_payloads(existing: dict, fresh: dict) -> dict:
-        """Union two persisted ranking payloads of one fingerprint.
-
-        Every entry is a pure function of (corpus, parameters, query), so
-        same-keyed entries are interchangeable and the union is simply the
-        combined key set (fresh entries win ties).  This is the
-        merge-on-save hook that lets concurrent workers share one cache
-        directory: a worker persisting its shard's entries folds in --
-        never clobbers -- what other workers already saved.
-        """
-        return {
-            "results": {**existing["results"], **fresh["results"]},
-            "norms": (
-                fresh["norms"] if fresh["norms"] is not None else existing["norms"]
-            ),
-        }
-
-    @staticmethod
-    def _payload_sizes(payload: dict) -> tuple:
-        """Entry counts of a results payload (see :class:`CacheFileSync`)."""
-        return (len(payload["results"]), payload["norms"] is not None)
-
-    def _results_payload(self) -> dict:
-        """The persisted view of the compute caches (shallow references)."""
-        return {"results": self._results_cache, "norms": self._norms}
-
     def save_results_cache(self, path) -> bool:
-        """Persist the signature -> results cache (and length norms) to *path*.
+        """Persist the signature -> results cache to *path*.
 
         The file is fingerprinted by :meth:`cache_fingerprint`; entries
         computed under other BM25 parameters are dropped first.  The
-        write is merge-on-save under an advisory lock (see
-        :func:`repro.persistence.save_cache_payload`): entries already
+        write is merge-on-save under an advisory lock, and skipped when
+        the file already holds every entry (see
+        :meth:`repro.persistence.PersistedDict.save`): entries already
         persisted by another process against the same fingerprint
-        survive.  A save that would change nothing -- the
-        file is unchanged since this engine last loaded or saved it and
-        already holds every entry -- is skipped (see
-        :class:`~repro.persistence.CacheFileSync`).  Returns ``False``
-        when the lock could not be acquired and the save was skipped.
+        survive.  Returns ``False`` when the lock could not be acquired
+        and the save was skipped.
         """
         self._validate_caches()
-        snapshot = {
-            name: dict(value) if isinstance(value, dict) else value
-            for name, value in self._results_payload().items()
-        }
-        written = self._results_file.save(
-            path,
-            "search-results",
-            self.cache_fingerprint(),
-            self._payload_sizes,
-            snapshot,
-            merge=self.merge_results_payloads,
-        )
-        if written is None:
-            return False
-        if written:
-            self._cache_saves += 1
-            self._cache_save_bytes += written
-        return True
+        return self._results_cache.save(path, self.cache_fingerprint())
 
     def load_results_cache(self, path) -> bool:
-        """Warm the compute caches from a file written by :meth:`save_results_cache`.
+        """Warm the results cache from a file written by :meth:`save_results_cache`.
 
         Returns ``True`` when the file matched this engine's current
-        fingerprint (same corpus size and BM25 parameters) and was merged
-        in -- or is unchanged since this engine last read or wrote it and
+        fingerprint (same corpus and BM25 parameters) and was merged in
+        -- or is unchanged since this engine last read or wrote it and
         already merged in, when nothing is read at all; anything else --
         missing file, other format version, other corpus -- leaves the
         engine cold and returns ``False``.  Accounting state (clock,
@@ -449,28 +398,9 @@ class SearchEngine:
         compute, not protocol semantics.
         """
         self._validate_caches()
-        read = self._results_file.load(
-            path,
-            "search-results",
-            self.cache_fingerprint(),
-            self._payload_sizes,
-            self._results_payload,
-            self._absorb_results,
-        )
-        if read is None:
-            return False
-        if read:
-            self._cache_loads += 1
-            self._cache_load_bytes += read
-        return True
+        return self._results_cache.load(path, self.cache_fingerprint())
 
-    def _absorb_results(self, payload: dict) -> None:
-        self._results_cache.update(payload["results"])
-        if self._norms is None and payload["norms"] is not None:
-            self._norms = payload["norms"]
-        self._cache_parameters = self.parameters
-
-    # -- cache IO accounting ---------------------------------------------------------------
+    # -- ranking cache accounting -----------------------------------------------------------
 
     @property
     def cache_hits(self) -> int:
@@ -482,37 +412,19 @@ class SearchEngine:
         """Ranking lookups that had to compute."""
         return self._cache_misses
 
-    @property
-    def cache_loads(self) -> int:
-        """Cache file loads that read the file."""
-        return self._cache_loads
-
-    @property
-    def cache_saves(self) -> int:
-        """Cache file saves that wrote the file."""
-        return self._cache_saves
-
-    @property
-    def cache_load_bytes(self) -> int:
-        """Bytes read to warm this engine."""
-        return self._cache_load_bytes
-
-    @property
-    def cache_save_bytes(self) -> int:
-        """Bytes written persisting this engine's caches."""
-        return self._cache_save_bytes
-
     def _ranked_results(self, query: str, k: int) -> list[SearchResult]:
         """Top-*k* results, cached per token signature.
 
         Ranking depends only on the effective token sequence and snippet
         extraction only on the query token set, so queries differing in
         digits, punctuation or filtered words (``"Melisse #1"`` versus
-        ``"Melisse #2"``) share one computation.
+        ``"Melisse #2"``) share one computation.  The token set is kept
+        sorted, so a pickled signature does not follow string-hash order
+        and the cache file's bytes do not depend on ``PYTHONHASHSEED``.
         """
         query_tokens = tokenize(query)
         effective = self._filter_tokens(query_tokens)
-        signature = (tuple(effective), frozenset(query_tokens), k)
+        signature = (tuple(effective), tuple(sorted(set(query_tokens))), k)
         cached = self._results_cache.get(signature)
         if cached is not None:
             self._cache_hits += 1
@@ -541,7 +453,7 @@ class SearchEngine:
                 SearchResult(
                     url=page.url,
                     title=page.title,
-                    snippet=self._snippet_for(doc_id, token_set),
+                    snippet=self._snippet_for(doc_id, page.body, token_set),
                 )
             )
         self._results_cache[signature] = results
@@ -564,16 +476,19 @@ class SearchEngine:
     def _snippet_for(
         self,
         doc_id: int,
-        query_tokens: frozenset[str],
+        body: str,
+        query_tokens: Sequence[str],
         max_words: int = DEFAULT_SNIPPET_WORDS,
     ) -> str:
-        """Query-biased snippet of an indexed page: the densest
-        *max_words*-word body window for *query_tokens*, ellipsised when
-        truncated, or the leading window when no token occurs in the body.
+        """Query-biased snippet of indexed page *doc_id*, whose body is
+        *body*: the densest *max_words*-word body window for the distinct
+        *query_tokens*, ellipsised when truncated, or the leading window
+        when no token occurs in the body.
 
-        Hits come from the index's word positions, so the body is split
-        only to render the chosen window, and the window is found from
-        the hit positions alone (:func:`best_window_start`).
+        Hits come from the index's word positions, and the window is
+        found from the hit positions alone (:func:`best_window_start`);
+        the body is split only up to the window's end (the unsplit rest
+        is one more piece, which is all the trailing ellipsis needs).
         """
         index = self._index
         best_start = 0
@@ -582,4 +497,5 @@ class SearchEngine:
             for token in query_tokens:
                 hits.update(index.word_positions(token, doc_id))
             best_start = best_window_start(sorted(hits), max_words)
-        return render_window(index.page(doc_id).body.split(), best_start, max_words)
+        words = body.split(None, best_start + max_words)
+        return render_window(words, best_start, max_words)

@@ -10,13 +10,14 @@ this suite pins the three guarantees that make that safe
 * **no corruption** -- interleaved multi-process savers always leave a
   loadable file containing the union of everybody's entries;
 * **bounded waiting** -- a held lock makes loads report a cold start
-  (``None``/``False``) and saves report a skip (``False``) after the
-  timeout instead of deadlocking or crashing.
+  and saves report a skip (both ``False``) after the timeout instead of
+  deadlocking or crashing.
 """
 
 import multiprocessing
 import os
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -29,6 +30,18 @@ fcntl = pytest.importorskip("fcntl")
 
 _WORDS = "exhibit gallery paintings curator collection museum".split()
 _NAMES = [f"Venue {i}" for i in range(12)]
+
+
+def _saved(path, fingerprint, entries) -> persistence.PersistedDict:
+    cache = persistence.PersistedDict("k")
+    cache.update(entries)
+    assert cache.save(path, fingerprint) is True
+    return cache
+
+
+def _loaded(path, fingerprint) -> dict | None:
+    cache = persistence.PersistedDict("k")
+    return dict(cache) if cache.load(path, fingerprint) else None
 
 
 def _make_engine() -> SearchEngine:
@@ -69,27 +82,20 @@ class TestMergeOnSave:
 
     def test_incompatible_existing_file_is_replaced_not_merged(self, tmp_path):
         path = tmp_path / "cache.bin"
-        persistence.save_cache_payload(path, "k", "old-fingerprint", {"a": 1})
-        assert persistence.save_cache_payload(
-            path,
-            "k",
-            "new-fingerprint",
-            {"b": 2},
-            merge=lambda old, new: {**old, **new},
-        )
-        # The stale-fingerprint payload must not leak into the new file.
-        assert persistence.load_cache_payload(path, "k", "new-fingerprint") == {
-            "b": 2
-        }
-        assert persistence.load_cache_payload(path, "k", "old-fingerprint") is None
+        _saved(path, "old-fingerprint", {"a": 1})
+        _saved(path, "new-fingerprint", {"b": 2})
+        # The stale-fingerprint entries must not leak into the new file.
+        assert _loaded(path, "new-fingerprint") == {"b": 2}
+        assert _loaded(path, "old-fingerprint") is None
 
-    def test_merge_hook_unions_payloads(self, tmp_path):
+    def test_save_unions_file_and_memory(self, tmp_path):
         path = tmp_path / "cache.bin"
-        persistence.save_cache_payload(path, "k", "f", {"a": 1})
-        persistence.save_cache_payload(
-            path, "k", "f", {"b": 2}, merge=lambda old, new: {**old, **new}
-        )
-        assert persistence.load_cache_payload(path, "k", "f") == {"a": 1, "b": 2}
+        _saved(path, "f", {"a": 1, "b": 1})
+        # A writer that never loaded the file keeps its entries and
+        # adds its own, its value winning a shared key.
+        writer = _saved(path, "f", {"b": 2, "c": 2})
+        assert _loaded(path, "f") == {"a": 1, "b": 2, "c": 2}
+        assert writer == {"b": 2, "c": 2}  # memory is not widened
 
 
 def _worker_save(cache_dir: str, queries: list[str], rounds: int) -> None:
@@ -133,80 +139,84 @@ class TestMultiProcessSharing:
             assert fresh._results_cache[signature] == results
 
 
+@pytest.fixture()
+def fast_lock_timeout(monkeypatch):
+    # Cache saves and loads read the module constant at call time.
+    monkeypatch.setattr(persistence, "DEFAULT_LOCK_TIMEOUT", 0.05)
+
+
+@contextmanager
+def _lock_held(path):
+    """An exclusively-held advisory lock on a cache file's sidecar."""
+    fd = os.open(persistence.lock_path_for(path), os.O_RDWR | os.O_CREAT)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    try:
+        yield path
+    finally:
+        fcntl.flock(fd, fcntl.LOCK_UN)
+        os.close(fd)
+
+
 class TestLockTimeout:
     @pytest.fixture()
-    def held_lock(self, tmp_path):
-        """An exclusively-held advisory lock on a cache file's sidecar."""
+    def held_lock(self, tmp_path, fast_lock_timeout):
         path = tmp_path / "cache.bin"
-        persistence.save_cache_payload(path, "k", "f", {"a": 1})
-        fd = os.open(persistence.lock_path_for(path), os.O_RDWR | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        try:
+        _saved(path, "f", {"a": 1})
+        with _lock_held(path):
             yield path
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
 
     def test_load_cold_starts_on_lock_timeout(self, held_lock):
-        assert (
-            persistence.load_cache_payload(held_lock, "k", "f", lock_timeout=0.05)
-            is None
-        )
+        cache = persistence.PersistedDict("k")
+        assert cache.load(held_lock, "f") is False
+        assert cache == {} and cache.loads == 0
 
     def test_save_skips_on_lock_timeout(self, held_lock):
-        assert (
-            persistence.save_cache_payload(
-                held_lock, "k", "f", {"b": 2}, lock_timeout=0.05
-            )
-            is False
-        )
+        before = held_lock.read_bytes()
+        cache = persistence.PersistedDict("k")
+        cache["b"] = 2
+        assert cache.save(held_lock, "f") is False
+        assert cache.saves == 0
         # The skipped save wrote nothing: no temp files appeared.
         assert not list(held_lock.parent.glob("*.tmp.*"))
+        assert held_lock.read_bytes() == before
 
-    def test_engine_load_survives_held_lock(self, tmp_path):
+    def test_engine_load_survives_held_lock(self, tmp_path, fast_lock_timeout):
         # End-to-end: a stuck lock means the engine cold-starts, never
         # crashes or hangs.
         engine = _make_engine()
         engine.search_many(_NAMES[:2], k=5)
         path = tmp_path / "search_results.cache"
         assert engine.save_results_cache(path) is True
-        fd = os.open(persistence.lock_path_for(path), os.O_RDWR | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        try:
+        with _lock_held(path):
             fresh = _make_engine()
-            assert (
-                persistence.load_cache_payload(
-                    path,
-                    "search-results",
-                    fresh.cache_fingerprint(),
-                    lock_timeout=0.05,
-                )
-                is None
-            )
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
+            assert fresh.load_results_cache(path) is False
+            assert not fresh._results_cache
+        assert fresh.load_results_cache(path) is True
 
     def test_released_lock_restores_service(self, tmp_path):
         path = tmp_path / "cache.bin"
-        persistence.save_cache_payload(path, "k", "f", {"a": 1})
-        assert persistence.load_cache_payload(path, "k", "f") == {"a": 1}
+        _saved(path, "f", {"a": 1})
+        assert _loaded(path, "f") == {"a": 1}
 
 
 class TestTempFileHygiene:
     def test_failed_dump_leaks_no_temp_file(self, tmp_path):
-        # Unpicklable payloads (like lambdas) make pickle.dump raise; the
+        # Unpicklable values (like lambdas) make pickle.dump raise; the
         # temp file must be cleaned up and no partial cache left behind.
         path = tmp_path / "cache.bin"
+        cache = persistence.PersistedDict("k")
+        cache["a"] = lambda: None
         with pytest.raises(Exception):
-            persistence.save_cache_payload(path, "k", "f", lambda: None)
+            cache.save(path, "f")
         assert not list(tmp_path.glob("*.tmp.*"))
         assert not path.exists()
 
     def test_failed_dump_preserves_existing_file(self, tmp_path):
         path = tmp_path / "cache.bin"
-        persistence.save_cache_payload(path, "k", "f", {"a": 1})
+        _saved(path, "f", {"a": 1})
+        cache = persistence.PersistedDict("k")
+        cache["b"] = lambda: None
         with pytest.raises(Exception):
-            persistence.save_cache_payload(path, "k", "f", lambda: None)
+            cache.save(path, "f")
         assert not list(tmp_path.glob("*.tmp.*"))
-        assert persistence.load_cache_payload(path, "k", "f") == {"a": 1}
+        assert _loaded(path, "f") == {"a": 1}

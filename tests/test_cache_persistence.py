@@ -109,7 +109,7 @@ class TestEngineCacheRoundTrip:
         engine.search_many(_NAMES, k=5)
         engine.save_results_cache(tmp_path / "cache.bin")
         assert engine.load_results_cache(tmp_path / "cache.bin") is True
-        assert engine.cache_loads == 0  # the file holds nothing new
+        assert engine._results_cache.loads == 0  # the file holds nothing new
 
     def test_missing_file_is_cold_start(self, tmp_path):
         engine = _make_engine()
@@ -192,44 +192,58 @@ class TestEngineCacheRoundTrip:
         monkeypatch.setattr(persistence, "CACHE_FORMAT_VERSION", 999)
         assert engine.load_results_cache(tmp_path / "cache.bin") is False
 
-    def test_persisted_payload_is_results_and_norms_only(self, tmp_path):
+    def test_persisted_payload_is_the_results_dict(self, tmp_path):
         engine = _make_engine()
         engine.search_many(_NAMES, k=5)
         engine.save_results_cache(tmp_path / "cache.bin")
         with open(tmp_path / "cache.bin", "rb") as handle:
             blob = pickle.load(handle)
         assert blob["format_version"] == persistence.CACHE_FORMAT_VERSION
-        assert sorted(blob["payload"]) == ["norms", "results"]
+        assert type(blob["payload"]) is dict
+        assert blob["payload"] == dict(engine._results_cache)
 
     def test_version_1_file_with_page_windows_cold_starts(self, tmp_path):
-        # The format-1 payload also pickled per-page snippet windows; such
-        # a file, even for this very corpus, must cold-start, and the next
-        # save must replace it with the current format.
+        # The format-1 payload also pickled per-page snippet windows, and
+        # format 2 the BM25 norms beside the results; either file, even
+        # for this very corpus, must cold-start, and the next save must
+        # replace it with the current format's plain dict.
         engine = _make_engine()
-        path = tmp_path / "cache.bin"
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {
-                    "format_version": 1,
-                    "kind": "search-results",
-                    "fingerprint": engine.cache_fingerprint(),
-                    "payload": {
-                        "results": {},
-                        "page_windows": {0: (["melisse"], {"melisse": [0]})},
-                        "word_tokens": {"melisse": ("melisse",)},
-                        "norms": None,
+        engine.search_many(_NAMES[:1], k=5)
+        stale_entries = dict(engine._results_cache)
+        engine.reset_compute_caches()
+        legacy = {
+            1: {
+                "results": stale_entries,
+                "page_windows": {0: (["melisse"], {"melisse": [0]})},
+                "word_tokens": {"melisse": ("melisse",)},
+                "norms": None,
+            },
+            2: {"results": stale_entries, "norms": None},
+        }
+        for version, payload in legacy.items():
+            path = tmp_path / f"cache-{version}.bin"
+            with open(path, "wb") as handle:
+                pickle.dump(
+                    {
+                        "format_version": version,
+                        "kind": "search-results",
+                        "fingerprint": engine.cache_fingerprint(),
+                        "payload": payload,
                     },
-                },
-                handle,
-            )
-        assert engine.load_results_cache(path) is False
-        engine.search_many(_NAMES, k=5)
-        assert engine.save_results_cache(path) is True
-        with open(path, "rb") as handle:
-            blob = pickle.load(handle)
-        assert blob["format_version"] == persistence.CACHE_FORMAT_VERSION
-        assert sorted(blob["payload"]) == ["norms", "results"]
-        assert _make_engine().load_results_cache(path) is True
+                    handle,
+                )
+            assert engine.load_results_cache(path) is False
+            assert not engine._results_cache
+            fresh = _make_engine()
+            fresh.search_many(_NAMES[1:], k=5)
+            assert fresh.save_results_cache(path) is True
+            with open(path, "rb") as handle:
+                blob = pickle.load(handle)
+            assert blob["format_version"] == persistence.CACHE_FORMAT_VERSION
+            # Replaced, not merged: nothing of the old payload survives.
+            assert blob["payload"] == dict(fresh._results_cache)
+            assert not set(stale_entries) & set(blob["payload"])
+            assert _make_engine().load_results_cache(path) is True
 
     def test_add_page_after_a_query_changes_nothing(self, tmp_path):
         # Build, freeze, then query: a page offered after the first query
@@ -239,14 +253,14 @@ class TestEngineCacheRoundTrip:
         engine.search_many(_NAMES, k=5)
         engine.save_results_cache(path)
         index, results = engine.index, dict(engine._results_cache)
-        sync = vars(engine._results_file).copy()
+        sync = vars(engine._results_cache).copy()
         with pytest.raises(FrozenIndexError):
             engine.add_page(WebPage(url="https://x/new", title="New", body="new page"))
         assert engine.index is index and index.n_documents == 3 * 8
         assert engine._results_cache == results
-        assert vars(engine._results_file) == sync
+        assert vars(engine._results_cache) == sync
         engine.save_results_cache(path)
-        assert engine.cache_saves == 1  # still in sync: nothing to write
+        assert engine._results_cache.saves == 1  # still in sync: nothing to write
 
 
 class TestLabelMemoRoundTrip:
@@ -294,29 +308,49 @@ class TestLabelMemoRoundTrip:
 
 
 class TestPayloadHelpers:
+    """``PersistedDict`` on its own: guards, directories and failed writes."""
+
+    @staticmethod
+    def _saved(path, fingerprint, entries) -> persistence.PersistedDict:
+        cache = persistence.PersistedDict("k")
+        cache.update(entries)
+        assert cache.save(path, fingerprint) is True
+        return cache
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "x.bin"
-        persistence.save_cache_payload(path, "k", ("f", 1), {"a": 1})
-        assert persistence.load_cache_payload(path, "k", ("f", 1)) == {"a": 1}
+        self._saved(path, ("f", 1), {"a": 1})
+        loaded = persistence.PersistedDict("k")
+        assert loaded.load(path, ("f", 1)) is True
+        assert loaded == {"a": 1}
+        assert (loaded.loads, loaded.load_bytes) == (1, path.stat().st_size)
 
     def test_fingerprint_mismatch(self, tmp_path):
         path = tmp_path / "x.bin"
-        persistence.save_cache_payload(path, "k", ("f", 1), {"a": 1})
-        assert persistence.load_cache_payload(path, "k", ("f", 2)) is None
+        self._saved(path, ("f", 1), {"a": 1})
+        loaded = persistence.PersistedDict("k")
+        assert loaded.load(path, ("f", 2)) is False
+        assert loaded == {} and loaded.loads == 0
+        assert persistence.PersistedDict("other").load(path, ("f", 1)) is False
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "x.bin"
-        persistence.save_cache_payload(path, "k", "f", [1, 2])
-        assert persistence.load_cache_payload(path, "k", "f") == [1, 2]
+        self._saved(path, "f", {1: [1, 2]})
+        loaded = persistence.PersistedDict("k")
+        assert loaded.load(path, "f") is True
+        assert loaded == {1: [1, 2]}
 
     def test_failed_dump_cleans_up_temp_file(self, tmp_path):
-        # Regression: an unpicklable payload (or a full disk) used to
+        # Regression: an unpicklable value (or a full disk) used to
         # strand a ``*.tmp.<pid>`` file next to the cache.
         path = tmp_path / "x.bin"
+        cache = persistence.PersistedDict("k")
+        cache["a"] = lambda: None
         with pytest.raises(Exception):
-            persistence.save_cache_payload(path, "k", "f", lambda: None)
+            cache.save(path, "f")
         assert list(tmp_path.iterdir()) in ([], [persistence.lock_path_for(path)])
         assert not path.exists()
+        assert cache.saves == 0
 
 
 def _file_state(path) -> tuple:
@@ -326,7 +360,7 @@ def _file_state(path) -> tuple:
 
 
 class TestSkipUnchangedIO:
-    """``CacheFileSync``: loads and saves that would change nothing are
+    """``PersistedDict``: loads and saves that would change nothing are
     skipped; anything that might have changed either side is not."""
 
     def _saved(self, tmp_path, queries=_NAMES):
@@ -340,10 +374,10 @@ class TestSkipUnchangedIO:
         path = self._saved(tmp_path)
         engine = _make_engine()
         assert engine.load_results_cache(path) is True
-        read = engine.cache_load_bytes
-        assert read == path.stat().st_size and engine.cache_loads == 1
+        read = engine._results_cache.load_bytes
+        assert read == path.stat().st_size and engine._results_cache.loads == 1
         assert engine.load_results_cache(path) is True
-        assert engine.cache_load_bytes == read and engine.cache_loads == 1
+        assert engine._results_cache.load_bytes == read and engine._results_cache.loads == 1
 
     def test_save_after_load_leaves_the_file_untouched(self, tmp_path):
         path = self._saved(tmp_path)
@@ -353,7 +387,7 @@ class TestSkipUnchangedIO:
         engine.search_many(_NAMES, k=5)  # every answer already cached
         assert engine.save_results_cache(path) is True
         assert _file_state(path) == before
-        assert engine.cache_saves == 0 and engine.cache_save_bytes == 0
+        assert engine._results_cache.saves == 0 and engine._results_cache.save_bytes == 0
 
     def test_save_after_an_insert_writes(self, tmp_path):
         path = self._saved(tmp_path, queries=_NAMES[:1])
@@ -361,7 +395,7 @@ class TestSkipUnchangedIO:
         engine.load_results_cache(path)
         engine.search_many(_NAMES, k=5)  # two new signatures
         engine.save_results_cache(path)
-        assert engine.cache_saves == 1
+        assert engine._results_cache.saves == 1
         fresh = _make_engine()
         fresh.load_results_cache(path)
         assert len(fresh._results_cache) == len(engine._results_cache)
@@ -375,7 +409,7 @@ class TestSkipUnchangedIO:
         engine.save_results_cache(path)  # the file gains this entry
         assert len(engine._results_cache) == 1
         assert engine.load_results_cache(path) is True
-        assert engine.cache_loads == 1 and len(engine._results_cache) == 2
+        assert engine._results_cache.loads == 1 and len(engine._results_cache) == 2
 
     def test_replaced_file_is_never_skipped(self, tmp_path):
         path = self._saved(tmp_path)
@@ -385,11 +419,11 @@ class TestSkipUnchangedIO:
         copy.write_bytes(path.read_bytes())
         copy.replace(path)  # same bytes, new inode
         assert engine.load_results_cache(path) is True
-        assert engine.cache_loads == 2
+        assert engine._results_cache.loads == 2
         copy.write_bytes(path.read_bytes())
         copy.replace(path)
         engine.save_results_cache(path)
-        assert engine.cache_saves == 1
+        assert engine._results_cache.saves == 1
 
     def test_deleted_file_is_never_skipped(self, tmp_path):
         path = self._saved(tmp_path)
@@ -397,7 +431,7 @@ class TestSkipUnchangedIO:
         engine.load_results_cache(path)
         path.unlink()
         engine.save_results_cache(path)
-        assert engine.cache_saves == 1 and path.exists()
+        assert engine._results_cache.saves == 1 and path.exists()
         path.unlink()
         assert engine.load_results_cache(path) is False
 
@@ -410,7 +444,7 @@ class TestSkipUnchangedIO:
         other.save_results_cache(path)  # same path, other fingerprint
         assert engine.load_results_cache(path) is False
         engine.save_results_cache(path)
-        assert engine.cache_saves == 1
+        assert engine._results_cache.saves == 1
         assert _make_engine().load_results_cache(path) is True
 
     def test_load_into_a_non_empty_engine_still_saves(self, tmp_path):
@@ -419,7 +453,7 @@ class TestSkipUnchangedIO:
         engine.search_many(["gallery paintings"], k=5)  # not in the file
         engine.load_results_cache(path)
         engine.save_results_cache(path)
-        assert engine.cache_saves == 1
+        assert engine._results_cache.saves == 1
         fresh = _make_engine()
         fresh.load_results_cache(path)
         assert len(fresh._results_cache) == 2
@@ -430,10 +464,10 @@ class TestSkipUnchangedIO:
         engine.load_results_cache(path)
         engine.reset_compute_caches()
         assert engine.load_results_cache(path) is True
-        assert engine.cache_loads == 2 and engine._results_cache
+        assert engine._results_cache.loads == 2 and engine._results_cache
         engine.reset_compute_caches()
         engine.save_results_cache(path)
-        assert engine.cache_saves == 1
+        assert engine._results_cache.saves == 1
 
     def test_classifier_swap_forgets(self, classifier, tmp_path):
         annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
@@ -443,12 +477,12 @@ class TestSkipUnchangedIO:
             classifier, _make_engine(), AnnotatorConfig()
         ).cell_annotator
         assert cells.load_label_memo(tmp_path / LABEL_MEMO_FILE) is True
-        read = cells.cache_load_bytes
+        read = cells._label_memo.load_bytes
         # A retrained twin has the same fingerprint, but the swap resets
         # the memo, so the file must be read again.
         cells.classifier = _train()
         assert cells.load_label_memo(tmp_path / LABEL_MEMO_FILE) is True
-        assert cells.cache_load_bytes == 2 * read
+        assert cells._label_memo.load_bytes == 2 * read
         assert cells._label_memo
         before = _file_state(tmp_path / LABEL_MEMO_FILE)
         assert cells.save_label_memo(tmp_path / LABEL_MEMO_FILE) is True
@@ -460,7 +494,7 @@ class TestSkipUnchangedIO:
         engine.load_results_cache(path)
         copy = pickle.loads(pickle.dumps(engine))
         assert copy.load_results_cache(path) is True
-        assert copy.cache_load_bytes == 2 * engine.cache_load_bytes
+        assert copy._results_cache.load_bytes == 2 * engine._results_cache.load_bytes
 
 
 # -------------------------------------------------------------- warm-start parity

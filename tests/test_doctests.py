@@ -16,6 +16,7 @@ import repro.core.clustering
 import repro.eval.reporting
 import repro.geo.gazetteer
 import repro.kb.catalogue
+import repro.persistence
 import repro.service.protocol
 import repro.synth.rng
 import repro.tables.model
@@ -36,6 +37,7 @@ _MODULES = [
     repro.eval.reporting,
     repro.geo.gazetteer,
     repro.kb.catalogue,
+    repro.persistence,
     repro.service.protocol,
     repro.synth.rng,
     repro.tables.model,

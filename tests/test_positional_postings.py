@@ -103,7 +103,10 @@ def test_snippets_equal_the_oracle(docs, queries, max_words):
             for query in queries:
                 tokens = frozenset(tokenize(query))
                 for doc_id, page in enumerate(pages):
-                    assert engine._snippet_for(doc_id, tokens, max_words) == (
+                    snippet = engine._snippet_for(
+                        doc_id, page.body, tokens, max_words
+                    )
+                    assert snippet == (
                         extract_snippet(page.body, query, max_words)
                     ), (index.backend_name, page.body, query)
 
@@ -171,7 +174,7 @@ def test_engine_windows_on_tied_and_trailing_hits(backend, hit_positions, n_word
     (memory, frozen), tmp = _indexes(pages)
     with tmp:
         engine = SearchEngine(index=memory if backend == "memory" else frozen)
-        assert engine._snippet_for(0, frozenset({"melisse"})) == (
+        assert engine._snippet_for(0, pages[0].body, frozenset({"melisse"})) == (
             extract_snippet(pages[0].body, "melisse")
         )
 
