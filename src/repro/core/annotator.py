@@ -92,7 +92,7 @@ from repro.core.results import (
 )
 from repro.geo.geocoder import Geocoder
 from repro.observability.tracing import span
-from repro.persistence import PersistedDict, lock_wait_seconds
+from repro.persistence import lock_wait_seconds
 from repro.tables.model import Table
 from repro.web.search import SearchEngine
 
@@ -517,16 +517,6 @@ class EntityAnnotator:
         """
         return self.cell_annotator.failure_count
 
-    @property
-    def cache_load_bytes(self) -> int:
-        """Bytes of cache files read warm-starting this annotator (lifetime)."""
-        return sum(cache.load_bytes for cache in self._persisted_caches())
-
-    def _persisted_caches(self) -> tuple[PersistedDict, PersistedDict]:
-        """The engine's results cache and the label memo, each of which
-        counts the IO on its own file."""
-        return self.engine._results_cache, self.cell_annotator._label_memo
-
     def _counters(self) -> dict[str, float]:
         """Snapshot of the counters :class:`RunDiagnostics` deltas over,
         keyed by diagnostics field name."""
@@ -534,7 +524,8 @@ class EntityAnnotator:
         cells = self.cell_annotator
         engine = self.engine
         clock = engine.clock
-        files = self._persisted_caches()
+        # The results cache and the label memo each count their own file IO.
+        files = (engine._results_cache, cells._label_memo)
         return {
             "search_failures": cells.failure_count,
             "cache_hits": cache.hits if cache is not None else 0,

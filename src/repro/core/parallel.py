@@ -208,7 +208,7 @@ def _worker_main(
     Commands (tuples, first element the kind): ``("task", index, units,
     type_keys)`` runs the annotator's raw pass over the units and answers
     ``("done", index, pid, result, busy_seconds, (peak_rss_kb,
-    attach_seconds, attach_rss_kb, cache_load_bytes, spans, metrics))``
+    attach_seconds, attach_rss_kb, attach_io, spans))``
     -- *result* a :class:`~repro.core.results.BatchAnnotationResult`
     holding one raw annotation per unit, in unit order -- or ``("error",
     index, pid, error)``; ``("flush",)`` merge-saves the caches and answers
@@ -223,20 +223,17 @@ def _worker_main(
     engine's index is a shared mmap artifact) and loading caches;
     *attach_seconds* is how long that took; *peak_rss_kb* is the highest
     resident size sampled (at entry, after attach, after each task);
-    *cache_load_bytes* is what the warm start actually read -- the whole
-    pickled cache files under ``spawn``, nothing under ``fork``, whose
-    parent loaded them before starting the pool.
+    *attach_io* is the warm start's cache IO as a :class:`RunDiagnostics`
+    part -- the whole pickled cache files under ``spawn``, nothing under
+    ``fork``, whose parent loaded them before starting the pool.
 
     *obs* is the parent's observability context, ``(tracing_enabled,
     trace_id)``: under ``spawn`` the module globals do not carry over, so
     the parent ships them explicitly (the fork path inherits them
     anyway, and re-enabling is idempotent).  With tracing on, the spans
-    this worker recorded per task (element 4 of the stats tuple) and its
-    per-task metrics-registry dict (element 5) ship home inside the
-    ``done`` message; the parent splices the spans into its own
-    :class:`~repro.observability.tracing.TraceBuffer` and merges the
-    registry, exactly like ``RunDiagnostics.combined`` folds worker
-    diagnostics.
+    this worker recorded per task (element 4 of the stats tuple) ship
+    home inside the ``done`` message; the parent splices them into its
+    own :class:`~repro.observability.tracing.TraceBuffer`.
     """
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group.  The *parent* owns interrupt handling (stop dispatching,
@@ -258,16 +255,15 @@ def _worker_main(
         annotator = pickle.loads(pickled_annotator)
     if annotator is None:  # pragma: no cover - defensive
         raise RuntimeError("worker started without an annotator payload")
-    # Delta, not absolute: a fork worker inherits the parent's lifetime
-    # IO counters, and only what *this* process read to warm up belongs
-    # in its load accounting.
-    load_bytes_before = annotator.cache_load_bytes
+    # A delta, like every cache IO outside a task window: a fork worker
+    # inherits the parent's lifetime counters.
+    before = annotator._counters()
     if cache_dir is not None:
         # Warm start from the shared cache directory.  A cold report is
         # fine (first worker ever, stale fingerprint, lock timeout): the
         # caches are an optimisation, never a correctness dependency.
         annotator.load_caches(cache_dir)
-    cache_load_bytes = max(0, annotator.cache_load_bytes - load_bytes_before)
+    attach_io = annotator._diagnostics_since(before, n_tables=0, n_cells=0)
     attach_seconds = time.perf_counter() - attach_start
     attach_rss_kb = max(0, _current_rss_kb() - rss_at_entry)
     # Sampled peak: entry, post-attach, then after every task.  A true
@@ -293,14 +289,8 @@ def _worker_main(
                 busy = time.perf_counter() - start
                 peak_rss_kb = max(peak_rss_kb, _current_rss_kb())
                 task_spans: list = []
-                task_metrics: dict = {}
                 if tracing.tracing_enabled():
                     task_spans = tracing.get_buffer().drain()
-                    registry = obs_metrics.MetricsRegistry()
-                    registry.inc("pool.tasks")
-                    registry.inc("pool.task_cells", result.diagnostics.n_cells)
-                    registry.observe("pool.task_seconds", busy)
-                    task_metrics = registry.to_dict()
                 conn.send(
                     (
                         "done",
@@ -312,9 +302,8 @@ def _worker_main(
                             peak_rss_kb,
                             attach_seconds,
                             attach_rss_kb,
-                            cache_load_bytes,
+                            attach_io,
                             task_spans,
-                            task_metrics,
                         ),
                     )
                 )
@@ -432,7 +421,7 @@ class _WorkerPool:
         where ``completed[index] = (index, result, pid, busy_seconds,
         worker_stats)`` (*result* the task's raw
         :class:`~repro.core.results.BatchAnnotationResult`,
-        *worker_stats* the worker's six-element stats tuple).  A
+        *worker_stats* the worker's five-element stats tuple).  A
         worker *exception* (the task itself raised) aborts the run as the
         executor-based layer did: dispatch stops, in-flight tasks drain,
         and the caller raises the first error after the cache flush.  A
@@ -455,16 +444,15 @@ class _WorkerPool:
                 _, index, pid, result, busy, worker_stats = message
                 completed[index] = (index, result, pid, busy, worker_stats)
                 worker.inflight = None
-                # Ship-home splice: the worker's spans land in the
-                # parent's buffer, its per-task registry merges into the
-                # parent's -- the metrics analogue of
-                # ``RunDiagnostics.combined``.
-                if worker_stats[4]:
+                # Traced runs only: the worker's spans land in the
+                # parent's buffer, and the task's metrics are recorded
+                # from this message.
+                if self._obs[0]:
                     tracing.get_buffer().extend(worker_stats[4])
-                if worker_stats[5]:
-                    obs_metrics.get_registry().merge(
-                        obs_metrics.MetricsRegistry.from_dict(worker_stats[5])
-                    )
+                    registry = obs_metrics.get_registry()
+                    registry.inc("pool.tasks")
+                    registry.inc("pool.task_cells", result.diagnostics.n_cells)
+                    registry.observe("pool.task_seconds", busy)
             elif kind == "error":
                 _, index, pid, error = message
                 errored.add(index)
@@ -923,7 +911,7 @@ def _worker_loads(
             peak_rss_kb=max(r[4][0] for r in group),
             attach_seconds=group[0][4][1],
             attach_rss_kb=group[0][4][2],
-            cache_load_bytes=group[0][4][3],
+            cache_load_bytes=group[0][4][3].cache_load_bytes,
         )
         for worker_id, (_, group) in enumerate(sorted(by_pid.items()))
     ]
@@ -1050,11 +1038,11 @@ def annotate_tables_parallel(
     at the end of the run (each worker has its own command pipe, so
     exactly one flush lands on each), and a save is skipped when the
     file is unchanged and already holds everything the worker has.  The
-    parent's warm start and the workers' saves happen outside every task
-    window, so their cache IO is folded into the run's diagnostics
-    separately.  Afterwards the parent reloads the caches -- reading
-    only files a worker changed -- so follow-up in-process work benefits
-    from the workers' effort.
+    parent's warm start and each worker's warm start and save happen
+    outside every task window; each is measured as one more diagnostics
+    part and folded into the run's.  Afterwards the parent reloads the
+    caches -- reading only files a worker changed -- so follow-up
+    in-process work benefits from the workers' effort.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -1074,8 +1062,9 @@ def annotate_tables_parallel(
             f"{multiprocessing.get_all_start_methods()}, got {method!r}"
         )
     context = multiprocessing.get_context(method)
-    # Cache IO outside every task window -- the parent's warm start and
-    # the workers' end-of-run saves -- folded into the run's diagnostics.
+    # Cache IO outside every task window -- the parent's warm start, the
+    # workers' warm starts and their end-of-run saves -- each measured as
+    # one more diagnostics part and folded into the run's.
     cache_io: list[RunDiagnostics] = []
     global _FORK_PAYLOAD
     if method == "fork":
@@ -1156,6 +1145,9 @@ def annotate_tables_parallel(
             whole.degraded.extend(annotation.degraded)
     for position, annotation in raw.items():
         run.merge_table(annotator.postprocess_table(tables[position], annotation))
+    # Each worker process's warm start, once: every stats tuple it sent
+    # carries the same attach IO.
+    cache_io.extend({result[2]: result[4][3] for result in results}.values())
     combined = RunDiagnostics.combined(parts + cache_io)
     worker_loads = _worker_loads(results, n_workers)
     run.diagnostics = replace(
@@ -1170,11 +1162,6 @@ def annotate_tables_parallel(
             for unit in units
             if unit.row_start == 0 and unit.row_stop < tables[unit.table_index].n_rows
         ),
-        # Task-window deltas miss the workers' attach-time warm starts
-        # (they happen before any task); fold the per-worker bytes in so
-        # the corpus view reports everything the pool read to get warm.
-        cache_load_bytes=combined.cache_load_bytes
-        + sum(load.cache_load_bytes for load in worker_loads),
     )
     if cache_dir is not None:
         annotator.load_caches(cache_dir)

@@ -13,16 +13,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Sequence
 
 
-def _ratio(numerator: float, denominator: float) -> float:
-    """``numerator / denominator`` with the shared zero-denominator guard.
-
-    Every derived rate in this module (cache hit rates, coalescing ratio,
-    batch sizes) goes through this one helper so "0.0 before the first
-    event" is a single policy, not a per-property reimplementation.
-    """
-    return numerator / denominator if denominator else 0.0
-
-
 @dataclass(frozen=True)
 class WorkerLoad:
     """What one worker process actually did during a parallel corpus run.
@@ -227,7 +217,8 @@ class RunDiagnostics:
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of this run's cache lookups served from the cache."""
-        return _ratio(self.cache_hits, self.cache_hits + self.cache_misses)
+        lookups = self.cache_hits + self.cache_misses
+        return self.cache_hits / lookups if lookups else 0.0
 
     def to_dict(self) -> dict:
         """JSON-serialisable snapshot: every counter plus derived ratios.
@@ -279,9 +270,8 @@ class RunDiagnostics:
         view leaves them 0 and the scheduler stamps them afterwards.
         """
         summed = {
-            spec.name: sum(getattr(part, spec.name) for part in parts)
-            for spec in fields(cls)
-            if spec.name not in _RUN_LEVEL_FIELDS
+            name: sum(getattr(part, name) for part in parts)
+            for name in SUMMED_FIELDS
         }
         return cls(
             worker_loads=tuple(
@@ -291,12 +281,15 @@ class RunDiagnostics:
         )
 
 
-_RUN_LEVEL_FIELDS = frozenset(
-    {"worker_loads", "effective_chunk_cost", "tables_split"}
+SUMMED_FIELDS = tuple(
+    spec.name
+    for spec in fields(RunDiagnostics)
+    if spec.name not in {"worker_loads", "effective_chunk_cost", "tables_split"}
 )
-""":class:`RunDiagnostics` fields :meth:`~RunDiagnostics.combined` does
-not sum: per-worker loads concatenate, and the other two are scheduler
-facts stamped onto the combined view afterwards."""
+""":class:`RunDiagnostics` fields :meth:`~RunDiagnostics.combined` sums:
+every field but the per-worker loads, which concatenate, and the two
+scheduler facts stamped onto the combined view afterwards.  The resident
+service records every part it folds under these names."""
 
 
 @dataclass
@@ -316,119 +309,6 @@ class BatchAnnotationResult:
 
     annotations: list[TableAnnotation]
     diagnostics: RunDiagnostics
-
-
-@dataclass
-class ServiceStats:
-    """Lifetime counters of one resident annotation service.
-
-    Maintained by :class:`repro.service.daemon.AnnotationService` across
-    every micro-batch it processes; a ``stats`` request returns a snapshot.
-
-    ``requests``
-        annotation requests answered (``annotate_table`` and
-        ``annotate_cells``; ``ping``/``stats`` are not counted);
-    ``batches``
-        pooled corpus passes executed -- each coalesces every compatible
-        request that arrived within one batching window;
-    ``tables`` / ``cells``
-        work those passes covered (a cells request counts as one table);
-    ``queries_issued`` / ``cache_hits`` / ``cache_misses``
-        the folded :class:`RunDiagnostics` counters of every pass, so the
-        resident engine's warmth is visible across requests;
-    ``search_failures``
-        cells whose engine request failed, summed over all passes;
-    ``search_retries`` / ``breaker_opens`` / ``degraded_cells`` /
-    ``repaired_cells``
-        the folded resilience counters of every pass (see
-        :class:`RunDiagnostics`);
-    ``poisoned_requests``
-        requests isolated by batch bisection and failed individually after
-        their pooled pass raised (the rest of the batch was served);
-    ``flushes``
-        cache flushes performed (periodic and shutdown);
-    ``results_cache_hits`` / ``results_cache_misses`` /
-    ``label_memo_hits`` / ``label_memo_misses`` / ``cache_loads`` /
-    ``cache_saves`` / ``cache_load_bytes`` / ``cache_save_bytes`` /
-    ``cache_lock_wait_seconds``
-        the folded cache-IO counters of every pass (see
-        :class:`RunDiagnostics`), so the cost of keeping the resident
-        process warm -- and the cache-file payloads it moves -- is
-        visible from a ``stats`` request.
-    """
-
-    requests: int = 0
-    batches: int = 0
-    tables: int = 0
-    cells: int = 0
-    queries_issued: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    search_failures: int = 0
-    search_retries: int = 0
-    breaker_opens: int = 0
-    degraded_cells: int = 0
-    repaired_cells: int = 0
-    poisoned_requests: int = 0
-    flushes: int = 0
-    results_cache_hits: int = 0
-    results_cache_misses: int = 0
-    label_memo_hits: int = 0
-    label_memo_misses: int = 0
-    cache_loads: int = 0
-    cache_saves: int = 0
-    cache_load_bytes: int = 0
-    cache_save_bytes: int = 0
-    cache_lock_wait_seconds: float = 0.0
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Mean tables per pooled pass (0.0 before the first batch)."""
-        return _ratio(self.tables, self.batches)
-
-    @property
-    def coalescing_ratio(self) -> float:
-        """Requests answered per corpus pass paid: > 1 means micro-batching
-        coalesced concurrent requests into shared pooled passes."""
-        return _ratio(self.requests, self.batches)
-
-    @property
-    def warm_hit_rate(self) -> float:
-        """Fraction of snippet-cache lookups served warm across requests."""
-        return _ratio(self.cache_hits, self.cache_hits + self.cache_misses)
-
-    def record_batch(self, n_requests: int, diagnostics: RunDiagnostics) -> None:
-        """Fold one pooled pass into the lifetime counters."""
-        self.requests += n_requests
-        self.batches += 1
-        self.tables += diagnostics.n_tables
-        self.cells += diagnostics.n_cells
-        for name in _FOLDED_DIAGNOSTICS:
-            setattr(self, name, getattr(self, name) + getattr(diagnostics, name))
-
-    def to_payload(self) -> dict:
-        """JSON-serialisable snapshot (counters plus derived ratios).
-
-        Built by introspecting the dataclass fields, so a lifetime counter
-        added to the dataclass is automatically part of the ``stats``
-        payload (a completeness test pins this).
-        """
-        payload = {
-            spec.name: getattr(self, spec.name) for spec in fields(self)
-        }
-        payload["mean_batch_size"] = self.mean_batch_size
-        payload["coalescing_ratio"] = self.coalescing_ratio
-        payload["warm_hit_rate"] = self.warm_hit_rate
-        return payload
-
-
-_FOLDED_DIAGNOSTICS = tuple(
-    spec.name
-    for spec in fields(ServiceStats)
-    if spec.name in RunDiagnostics.__dataclass_fields__
-)
-""":class:`RunDiagnostics` counters :meth:`ServiceStats.record_batch`
-folds by name (every field the two classes share)."""
 
 
 @dataclass

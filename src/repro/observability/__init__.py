@@ -12,11 +12,12 @@ The package has three members, each usable on its own:
     next to nothing.
 
 ``repro.observability.metrics``
-    A process-wide registry of counters, gauges and fixed-bucket latency
-    histograms with an associative ``merge()`` contract, so pool workers
-    ship their registries back to the parent exactly like
-    ``RunDiagnostics.combined`` folds worker diagnostics.  The registry
-    renders Prometheus-style text exposition for the daemon's ``metrics``
+    Registries of counters, gauges and fixed-bucket latency histograms
+    with an associative ``merge()`` contract: a process-wide one (pool
+    and lock-wait metrics) and one per resident service, which records
+    every request, batch, flush and folded ``RunDiagnostics`` part and
+    whose view is the ``stats`` answer.  Merged, the two render the
+    Prometheus-style text exposition of the daemon's ``metrics``
     request.
 
 ``repro.observability.log``

@@ -1,10 +1,9 @@
-"""Process-wide metrics registry: counters, gauges, latency histograms.
+"""Metrics registries: counters, gauges, latency histograms.
 
-The registry mirrors the accounting discipline of
-``RunDiagnostics.combined``: every metric type defines an *associative and
-commutative* merge, so pool workers can ship their registries back to the
-parent in any order (and any grouping) and the fold lands on the same
-totals —
+Every metric type defines an *associative and commutative* merge, so
+registries fold in any order (and any grouping) and land on the same
+totals (the daemon merges one registry per batch into its lifetime
+registry, and that with the process-wide one to answer ``metrics``) —
 
 * counters merge by summation,
 * gauges merge by maximum (a high-water mark: peak RSS, peak queue depth),
@@ -197,7 +196,7 @@ class MetricsRegistry:
             registry.merge(part)
         return registry
 
-    # -- serialisation (pool ship-home, wire payloads) ----------------
+    # -- snapshot (one lock hold) -------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         with self._lock:
@@ -208,21 +207,6 @@ class MetricsRegistry:
                     name: h.to_dict() for name, h in self._histograms.items()
                 },
             }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "MetricsRegistry":
-        registry = cls()
-        registry._counters = {
-            str(k): float(v) for k, v in payload.get("counters", {}).items()
-        }
-        registry._gauges = {
-            str(k): float(v) for k, v in payload.get("gauges", {}).items()
-        }
-        registry._histograms = {
-            str(k): Histogram.from_dict(v)
-            for k, v in payload.get("histograms", {}).items()
-        }
-        return registry
 
     # -- exposition ---------------------------------------------------
 

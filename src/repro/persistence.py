@@ -435,7 +435,10 @@ class PersistedDict(dict):
         file (same format version, kind and fingerprint) are kept and
         memory's added over them, so concurrent savers sharing one cache
         directory union their entries instead of clobbering each other;
-        an incompatible file is replaced.  The write is atomic.
+        an incompatible file is replaced.  The write is atomic.  A file
+        unchanged since memory last held all of it is not read: memory
+        is written as it is, the same entries in memory's insertion
+        order (readers fold a file into a dict, so order is never read).
 
         Returns ``True`` when the file holds memory -- also when the
         write was skipped because the file is unchanged and already held
@@ -455,7 +458,10 @@ class PersistedDict(dict):
         path = Path(path)
         try:
             with _locked(path, exclusive=True, timeout=DEFAULT_LOCK_TIMEOUT):
-                entries = self._entries_in(path, fingerprint)
+                # A file unchanged since memory held all of it has
+                # nothing to merge in: memory is written without a read.
+                unread = self._memory_has_file and self._unchanged(path, fingerprint)
+                entries = None if unread else self._entries_in(path, fingerprint)
                 if entries is None:
                     entries = snapshot
                 else:

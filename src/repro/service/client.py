@@ -75,12 +75,15 @@ class ServiceClient:
         return self._request(protocol.ping_request(self._id()))
 
     def stats(self) -> dict:
-        """The daemon's lifetime :class:`~repro.core.results.ServiceStats`
-        snapshot (plus uptime and batching configuration)."""
+        """The daemon's lifetime counters and ratios, read from one
+        snapshot of its metrics registry (plus uptime and batching
+        configuration)."""
         return self._request(protocol.stats_request(self._id()))
 
     def metrics(self) -> str:
-        """The daemon's metrics registry as Prometheus text exposition."""
+        """The daemon's metrics as Prometheus text exposition: every
+        counter ``stats`` reports, under its registry name, plus latency
+        histograms and the process-wide pool and lock-wait metrics."""
         result = self._request(protocol.metrics_request(self._id()))
         return result.get("exposition", "")
 

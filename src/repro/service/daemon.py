@@ -4,11 +4,12 @@ Two layers:
 
 :class:`AnnotationService`
     The socket-free core: a request queue, the **micro-batching admission
-    layer**, lifetime :class:`~repro.core.results.ServiceStats`, and the
-    cache-flush lifecycle.  Concurrently-arriving ``annotate_table`` /
-    ``annotate_cells`` requests are coalesced -- first arrival opens a
-    batching window of ``batch_window_ms``, everything that lands before
-    it closes (up to ``max_batch_tables``) joins the same pooled
+    layer**, one lifetime metrics registry (the ``stats`` answer is a view
+    of it), and the cache-flush lifecycle.  Concurrently-arriving
+    ``annotate_table`` / ``annotate_cells`` requests are coalesced --
+    first arrival opens a batching window of ``batch_window_ms``,
+    everything that lands before it closes (up to ``max_batch_tables``)
+    joins the same pooled
     :meth:`~repro.core.annotator.EntityAnnotator.annotate_batch` pass --
     then each request gets exactly its own slice of the merged result
     back.  Requests with different ``type_keys`` never share a pass (the
@@ -43,9 +44,10 @@ import time
 from dataclasses import dataclass
 
 from repro.core.annotator import EntityAnnotator
-from repro.core.results import ServiceStats, TableAnnotation
+from repro.core.results import SUMMED_FIELDS, RunDiagnostics, TableAnnotation
 from repro.observability import metrics as obs_metrics
 from repro.observability import tracing
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import span
 from repro.persistence import PeriodicFlusher
 from repro.service import protocol
@@ -113,6 +115,55 @@ class ServiceConfig:
             )
 
 
+_STATS_VIEW = (
+    ("requests", "service.batched_requests", int),
+    ("batches", "service.batches", int),
+    ("tables", "annotation.n_tables", int),
+    ("cells", "annotation.n_cells", int),
+    ("queries_issued", "annotation.queries_issued", int),
+    ("cache_hits", "annotation.cache_hits", int),
+    ("cache_misses", "annotation.cache_misses", int),
+    ("search_failures", "annotation.search_failures", int),
+    ("search_retries", "annotation.search_retries", int),
+    ("breaker_opens", "annotation.breaker_opens", int),
+    ("degraded_cells", "annotation.degraded_cells", int),
+    ("repaired_cells", "annotation.repaired_cells", int),
+    ("poisoned_requests", "service.poisoned_requests", int),
+    ("flushes", "service.flushes", int),
+    ("results_cache_hits", "annotation.results_cache_hits", int),
+    ("results_cache_misses", "annotation.results_cache_misses", int),
+    ("label_memo_hits", "annotation.label_memo_hits", int),
+    ("label_memo_misses", "annotation.label_memo_misses", int),
+    ("cache_loads", "annotation.cache_loads", int),
+    ("cache_saves", "annotation.cache_saves", int),
+    ("cache_load_bytes", "annotation.cache_load_bytes", int),
+    ("cache_save_bytes", "annotation.cache_save_bytes", int),
+    ("cache_lock_wait_seconds", "annotation.cache_lock_wait_seconds", float),
+)
+"""The ``stats`` answer's counters, in payload order: ``(key, registry
+counter, JSON type)``.  ``requests`` counts annotation requests answered
+by a pooled pass; the ``annotation.*`` counters are the service's folded
+:class:`RunDiagnostics` parts, passes and cache IO outside them alike."""
+
+
+def _ratio(numerator: float, denominator: float) -> float:
+    return numerator / denominator if denominator else 0.0
+
+
+def _part(
+    diagnostics: RunDiagnostics, counts: dict[str, int]
+) -> MetricsRegistry:
+    """A registry of one diagnostics part's counters plus *counts*, for
+    :attr:`AnnotationService.registry` to merge under one lock hold (so no
+    snapshot sees half of them)."""
+    part = MetricsRegistry()
+    for name in SUMMED_FIELDS:
+        part.inc("annotation." + name, getattr(diagnostics, name))
+    for name, amount in counts.items():
+        part.inc(name, amount)
+    return part
+
+
 class _Pending:
     """One queued annotation request and the slot its answer lands in."""
 
@@ -150,14 +201,16 @@ class AnnotationService:
     ) -> None:
         self.annotator = annotator
         self.config = config or ServiceConfig()
-        self.stats = ServiceStats()
+        self.registry = MetricsRegistry()
+        """Every lifetime counter of this service: requests, batches,
+        poisoned requests, flushes and each folded diagnostics part (as
+        ``annotation.<RunDiagnostics field>``)."""
         self.started_at = time.monotonic()
         self._queue: queue.Queue[_Pending] = queue.Queue()
         self._pending_count = 0
         self._pending_lock = threading.Lock()
         self._running = threading.Event()
         self._draining = False
-        self._stats_lock = threading.Lock()
         self._annotator_lock = threading.Lock()
         self._batcher: threading.Thread | None = None
         self._flusher: PeriodicFlusher | None = None
@@ -169,18 +222,14 @@ class AnnotationService:
         if self._batcher is not None:
             raise RuntimeError("service already started")
         if self.config.cache_dir is not None:
-            # The warm-start happens before the first pass, so per-pass
-            # diagnostics never see it; fold the attach-time loads into
-            # the lifetime stats directly, as the pool workers do.
-            load_before = self.annotator.cache_load_bytes
-            loaded = self.annotator.load_caches(self.config.cache_dir)
-            with self._stats_lock:
-                self.stats.cache_loads += sum(
-                    1 for warm in loaded.values() if warm
-                )
-                self.stats.cache_load_bytes += max(
-                    0, self.annotator.cache_load_bytes - load_before
-                )
+            # The warm start happens before the first pass, so no pass
+            # diagnostics see it: it is measured as a part of its own.
+            before = self.annotator._counters()
+            self.annotator.load_caches(self.config.cache_dir)
+            loaded = self.annotator._diagnostics_since(
+                before, n_tables=0, n_cells=0
+            )
+            self.registry.merge(_part(loaded, {}))
             if self.config.flush_interval_seconds > 0:
                 self._flusher = PeriodicFlusher(
                     self.flush, self.config.flush_interval_seconds
@@ -230,19 +279,42 @@ class AnnotationService:
         if self.config.cache_dir is None:
             return {}
         with self._annotator_lock:
+            before = self.annotator._counters()
             saved = self.annotator.save_caches(self.config.cache_dir)
-        with self._stats_lock:
-            self.stats.flushes += 1
+            io = self.annotator._diagnostics_since(
+                before, n_tables=0, n_cells=0
+            )
+        self.registry.merge(_part(io, {"service.flushes": 1}))
         return saved
+
+    def stats(self) -> dict:
+        """The lifetime counters and their ratios, as the ``stats`` and
+        ``shutdown`` answers report them: a view of one :attr:`registry`
+        snapshot."""
+        counters = self.registry.to_dict()["counters"]
+        payload = {
+            key: cast(counters.get(counter, 0))
+            for key, counter, cast in _STATS_VIEW
+        }
+        payload["mean_batch_size"] = _ratio(
+            payload["tables"], payload["batches"]
+        )
+        payload["coalescing_ratio"] = _ratio(
+            payload["requests"], payload["batches"]
+        )
+        payload["warm_hit_rate"] = _ratio(
+            payload["cache_hits"], payload["cache_hits"] + payload["cache_misses"]
+        )
+        return payload
 
     # -- request admission --------------------------------------------------------------
 
     def submit(self, request: Request) -> Response:
         """Answer one request (blocking; annotation ops wait for their batch).
 
-        Every request is measured into the process-wide metrics registry
-        (a counter per op plus latency histograms -- the surface the
-        ``metrics`` op exposes) and, when tracing is enabled, wrapped in a
+        Every request is measured into :attr:`registry` (a counter per op
+        plus latency histograms -- the surface the ``metrics`` op exposes)
+        and, when tracing is enabled, wrapped in a
         ``service.request`` span tagged with the caller's ``trace_id``.
         """
         t0 = time.perf_counter()
@@ -257,7 +329,7 @@ class AnnotationService:
             if request.trace_id is not None:
                 tracing.set_trace_id(None)
         elapsed = time.perf_counter() - t0
-        registry = obs_metrics.get_registry()
+        registry = self.registry
         registry.inc("service.requests")
         registry.inc(f"service.requests.{request.op}")
         if not response.ok:
@@ -332,8 +404,7 @@ class AnnotationService:
         )
 
     def _stats_snapshot(self, request: Request) -> Response:
-        with self._stats_lock:
-            payload = self.stats.to_payload()
+        payload = self.stats()
         payload["uptime_seconds"] = time.monotonic() - self.started_at
         payload["batch_window_ms"] = self.config.batch_window_ms
         payload["max_batch_tables"] = self.config.max_batch_tables
@@ -344,18 +415,21 @@ class AnnotationService:
         return Response(ok=True, request_id=request.request_id, result=payload)
 
     def _metrics(self, request: Request) -> Response:
-        """The process-wide registry as Prometheus text exposition."""
+        """This service's registry merged with the process-wide one (pool
+        and lock-wait metrics), as Prometheus text exposition."""
         with self._pending_lock:
             depth = self._pending_count
-        registry = obs_metrics.get_registry()
-        registry.set_gauge("service.pending_requests", depth)
-        registry.set_gauge(
+        self.registry.set_gauge("service.pending_requests", depth)
+        self.registry.set_gauge(
             "service.uptime_seconds", time.monotonic() - self.started_at
+        )
+        merged = MetricsRegistry.merged(
+            [obs_metrics.get_registry(), self.registry]
         )
         return Response(
             ok=True,
             request_id=request.request_id,
-            result={"exposition": registry.render_prometheus()},
+            result={"exposition": merged.render_prometheus()},
         )
 
     def _shutdown(self, request: Request) -> Response:
@@ -365,12 +439,13 @@ class AnnotationService:
         while self._pending_count and time.monotonic() < deadline:
             time.sleep(0.02)
         saved = self.flush() if self.config.cache_dir is not None else {}
-        with self._stats_lock:
-            stats = self.stats.to_payload()
         return Response(
             ok=True,
             request_id=request.request_id,
-            result={"saved": {k: bool(v) for k, v in saved.items()}, "stats": stats},
+            result={
+                "saved": {k: bool(v) for k, v in saved.items()},
+                "stats": self.stats(),
+            },
         )
 
     # -- the micro-batcher --------------------------------------------------------------
@@ -435,7 +510,6 @@ class AnnotationService:
             for pending in group
             if pending.request.trace_id
         ]
-        registry = obs_metrics.get_registry()
         tracing.set_trace_id(trace_ids[0] if trace_ids else None)
         batch_t0 = time.perf_counter()
         try:
@@ -453,12 +527,10 @@ class AnnotationService:
                         workers=self.config.workers,
                     )
         except Exception as error:  # answer, never kill the batcher
-            registry.inc("service.batch_failures")
+            self.registry.inc("service.batch_failures")
             if len(group) == 1:
                 pending = group[0]
-                with self._stats_lock:
-                    self.stats.poisoned_requests += 1
-                registry.inc("service.poisoned_requests")
+                self.registry.inc("service.poisoned_requests")
                 pending.resolve(
                     Response(
                         ok=False,
@@ -473,13 +545,14 @@ class AnnotationService:
             return
         finally:
             tracing.set_trace_id(None)
-        registry.inc("service.batches")
-        registry.inc("service.batched_requests", len(group))
-        registry.observe(
+        part = _part(
+            result.diagnostics,
+            {"service.batches": 1, "service.batched_requests": len(group)},
+        )
+        part.observe(
             "service.batch_latency_seconds", time.perf_counter() - batch_t0
         )
-        with self._stats_lock:
-            self.stats.record_batch(len(group), result.diagnostics)
+        self.registry.merge(part)
         for pending, annotation in zip(group, result.annotations):
             pending.resolve(self._respond(pending, annotation))
 

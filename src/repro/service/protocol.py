@@ -15,11 +15,12 @@ Operations:
 ``ping``
     liveness + version handshake;
 ``stats``
-    a :class:`~repro.core.results.ServiceStats` snapshot;
+    the service's lifetime counters and ratios, a view of one snapshot
+    of its metrics registry (plus uptime and batching configuration);
 ``metrics``
-    the daemon's process-wide metrics registry rendered as
-    Prometheus-style text exposition (``{"exposition": "..."}``) for a
-    fleet scraper to poll;
+    the service's metrics registry merged with the process-wide one
+    (pool and lock-wait metrics), rendered as Prometheus-style text
+    exposition (``{"exposition": "..."}``) for a fleet scraper to poll;
 ``annotate_table``
     payload ``{"table": <table payload>, "type_keys": [...]}``, answered
     with ``{"annotation": <annotation payload>}``;

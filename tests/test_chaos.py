@@ -365,9 +365,9 @@ class TestBatchPoisonIsolation:
             assert not poisoned.ok
             assert "annotation failed" in poisoned.error
             assert all(response.ok for response in by_name.values())
-            assert service.stats.poisoned_requests == 1
+            assert service.stats()["poisoned_requests"] == 1
             # The healthy four were served by the bisected sub-passes.
-            assert service.stats.requests == 4
+            assert service.stats()["requests"] == 4
             reference = EntityAnnotator(
                 classifier, _make_engine(), AnnotatorConfig()
             )
@@ -394,8 +394,8 @@ class TestBatchPoisonIsolation:
                 protocol.annotate_table_request(table, _TYPE_KEYS, "1")
             )
             assert response.ok
-            assert service.stats.poisoned_requests == 0
-            assert service.stats.batches == 1
+            assert service.stats()["poisoned_requests"] == 0
+            assert service.stats()["batches"] == 1
         finally:
             service.stop()
 

@@ -10,10 +10,11 @@ The contracts under test:
   Prometheus text exposition parses line by line;
 * **structured logging** -- every event is one JSON object carrying the
   event name and the active trace id;
-* **diagnostics completeness** -- every ``RunDiagnostics`` /
-  ``ServiceStats`` dataclass field reaches ``to_dict()`` /
-  ``to_payload()``, and ``combined`` sums every per-part counter
-  (introspected, so a new counter cannot silently go missing);
+* **diagnostics completeness** -- every ``RunDiagnostics`` field
+  reaches ``to_dict()``, ``combined`` sums every per-part counter
+  (introspected, so a new counter cannot silently go missing), and the
+  service's ``stats`` view reads every counter it reports from the
+  service's registry, agreeing with the ``metrics`` exposition;
 * **parity** -- annotations are byte-identical with tracing enabled at
   every tier (per-cell, batched, corpus, multi-worker pool, service),
   because spans only observe;
@@ -38,7 +39,7 @@ from repro.classify.snippet import SnippetTypeClassifier
 from repro.clock import VirtualClock
 from repro.core.annotator import EntityAnnotator
 from repro.core.config import AnnotatorConfig
-from repro.core.results import RunDiagnostics, ServiceStats
+from repro.core.results import SUMMED_FIELDS, RunDiagnostics
 from repro.observability import metrics as obs_metrics
 from repro.observability import tracing
 from repro.observability.log import get_logger
@@ -49,6 +50,7 @@ from repro.observability.metrics import (
 )
 from repro.observability.tracing import TraceBuffer, span
 from repro.resilience import FaultPlan
+from repro.service import daemon as daemon_module
 from repro.service import protocol
 from repro.service.daemon import AnnotationService, ServiceConfig
 from repro.tables.model import Column, ColumnType, Table
@@ -294,13 +296,6 @@ class TestMetrics:
         backward = MetricsRegistry.merged([b, a]).to_dict()
         assert forward == backward
 
-    def test_registry_round_trips_through_dict(self):
-        registry = _registry_from(
-            [("counter", "a.hits", 3), ("gauge", "c.depth", 2), ("histogram", "b.miss", 1)]
-        )
-        clone = MetricsRegistry.from_dict(registry.to_dict())
-        assert clone.to_dict() == registry.to_dict()
-
     def test_prometheus_exposition_parses(self):
         registry = MetricsRegistry()
         registry.inc("service.requests", 3)
@@ -400,24 +395,48 @@ class TestDiagnosticsCompleteness:
                 f"combined() does not sum {spec.name}"
             )
 
-    def test_service_stats_payload_covers_every_field(self):
-        stats = ServiceStats(
-            **{
-                spec.name: index + 1
-                for index, spec in enumerate(fields(ServiceStats))
-            }
+    def test_service_stats_payload_covers_every_field(self, classifier):
+        service = AnnotationService(
+            EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         )
-        payload = stats.to_payload()
-        for spec in fields(ServiceStats):
-            assert spec.name in payload, f"to_payload() misses {spec.name}"
-            assert payload[spec.name] == getattr(stats, spec.name)
+        part = _diagnostics_with(1)
+        counts = {
+            "service.batches": 2,
+            "service.batched_requests": 3,
+            "service.poisoned_requests": 4,
+            "service.flushes": 5,
+        }
+        service.registry.merge(daemon_module._part(part, counts))
+        for name in SUMMED_FIELDS:
+            assert service.registry.counter_value(
+                "annotation." + name
+            ) == getattr(part, name), f"a part's {name} is not recorded"
+        payload = service.stats()
+        assert {
+            key: payload[key]
+            for key in ("requests", "batches", "poisoned_requests", "flushes")
+        } == {"requests": 3, "batches": 2, "poisoned_requests": 4, "flushes": 5}
+        assert (payload["tables"], payload["cells"]) == (
+            part.n_tables,
+            part.n_cells,
+        )
+        # Every other counter is the folded diagnostics field of its name.
+        shared = [key for key in payload if key in RunDiagnostics.__dataclass_fields__]
+        assert len(shared) == 17
+        for key in shared:
+            assert payload[key] == getattr(part, key), key
+        assert payload["mean_batch_size"] == part.n_tables / 2
+        assert payload["coalescing_ratio"] == 3 / 2
+        assert payload["warm_hit_rate"] == part.cache_hit_rate
         json.dumps(payload)
 
-    def test_zero_denominator_guards(self):
-        stats = ServiceStats()
-        assert stats.mean_batch_size == 0.0
-        assert stats.coalescing_ratio == 0.0
-        assert stats.warm_hit_rate == 0.0
+    def test_zero_denominator_guards(self, classifier):
+        stats = AnnotationService(
+            EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
+        ).stats()
+        assert stats["mean_batch_size"] == 0.0
+        assert stats["coalescing_ratio"] == 0.0
+        assert stats["warm_hit_rate"] == 0.0
         diagnostics = RunDiagnostics(
             n_tables=0,
             n_cells=0,
@@ -572,6 +591,93 @@ class TestServiceObservability:
             r"repro_service_annotate_latency_seconds_count (\d+)", text
         )
         assert match and int(match.group(1)) == 1
+
+    def test_stats_and_metrics_agree(self, classifier, tmp_path):
+        annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
+        real_annotate_batch = annotator.annotate_batch
+
+        def poisoned_annotate_batch(tables, type_keys, **kwargs):
+            if any(table.name == "poison" for table in tables):
+                raise RuntimeError("simulated annotator blow-up")
+            return real_annotate_batch(tables, type_keys, **kwargs)
+
+        annotator.annotate_batch = poisoned_annotate_batch
+        service = AnnotationService(
+            annotator, ServiceConfig(batch_window_ms=0.0, cache_dir=str(tmp_path))
+        ).start()
+        try:
+            tables = _corpus(n_tables=3, rows_per_table=3)
+            for index, table in enumerate(tables):
+                assert service.submit(
+                    protocol.annotate_table_request(table, _TYPE_KEYS, str(index))
+                ).ok
+            poison = Table(name="poison", columns=[Column("Name", ColumnType.TEXT)])
+            poison.append_row([_NAMES[0]])
+            assert not service.submit(
+                protocol.annotate_table_request(poison, _TYPE_KEYS, "p")
+            ).ok
+            service.flush()
+            stats = service.submit(protocol.stats_request("s")).result
+            text = service.submit(protocol.metrics_request("m")).result[
+                "exposition"
+            ]
+        finally:
+            service.stop()
+        assert (
+            stats["requests"],
+            stats["batches"],
+            stats["poisoned_requests"],
+            stats["flushes"],
+        ) == (3, 3, 1, 1)
+        assert stats["queries_issued"] > 0
+        assert stats["cache_saves"] == 2
+        exposed = {
+            name: float(value)
+            for name, value in re.findall(r"^(repro_\w+_total) (\S+)$", text, re.M)
+        }
+        shared = {
+            "requests": "repro_service_batched_requests_total",
+            "batches": "repro_service_batches_total",
+            "poisoned_requests": "repro_service_poisoned_requests_total",
+            "flushes": "repro_service_flushes_total",
+            "tables": "repro_annotation_n_tables_total",
+            "cells": "repro_annotation_n_cells_total",
+            "queries_issued": "repro_annotation_queries_issued_total",
+        }
+        shared.update(
+            {
+                key: f"repro_annotation_{key}_total"
+                for key in stats
+                if key.startswith(("cache_", "results_cache_", "label_memo_"))
+            }
+        )
+        assert len(shared) == 18
+        for key, series in shared.items():
+            assert exposed[series] == stats[key], key
+        # The payload's keys and JSON types, in order.
+        floats = {
+            "cache_lock_wait_seconds",
+            "mean_batch_size",
+            "coalescing_ratio",
+            "warm_hit_rate",
+            "uptime_seconds",
+            "batch_window_ms",
+        }
+        assert [(key, type(value)) for key, value in stats.items()] == [
+            (key, str if key == "index_backend" else float if key in floats else int)
+            for key in (
+                "requests", "batches", "tables", "cells", "queries_issued",
+                "cache_hits", "cache_misses", "search_failures",
+                "search_retries", "breaker_opens", "degraded_cells",
+                "repaired_cells", "poisoned_requests", "flushes",
+                "results_cache_hits", "results_cache_misses",
+                "label_memo_hits", "label_memo_misses", "cache_loads",
+                "cache_saves", "cache_load_bytes", "cache_save_bytes",
+                "cache_lock_wait_seconds", "mean_batch_size",
+                "coalescing_ratio", "warm_hit_rate", "uptime_seconds",
+                "batch_window_ms", "max_batch_tables", "index_backend",
+            )
+        ]
 
     def test_request_trace_links_admission_batch_and_stages(self, classifier):
         table = _corpus(n_tables=1, rows_per_table=3)[0]

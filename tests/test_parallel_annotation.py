@@ -337,6 +337,23 @@ class TestWarmPoolCacheIO:
         assert busy
         assert all(load.cache_load_bytes > 0 for load in busy)
 
+    def test_spawn_loads_count_every_file_read(self, classifier, tmp_path):
+        tables = _corpus()
+        self._seed(classifier, tmp_path, tables)
+        file_bytes = sum(
+            (tmp_path / name).stat().st_size
+            for name in (ENGINE_CACHE_FILE, LABEL_MEMO_FILE)
+        )
+        diagnostics = self._pool_run(
+            classifier, tmp_path, tables, "spawn"
+        ).diagnostics
+        busy = [load for load in diagnostics.worker_loads if load.n_tasks]
+        # Each worker that reported in read both files once, and nothing
+        # new was written for the parent to read back.
+        assert all(load.cache_load_bytes == file_bytes for load in busy)
+        assert diagnostics.cache_loads == 2 * len(busy)
+        assert diagnostics.cache_load_bytes == file_bytes * len(busy)
+
 
 def _skewed_corpus(giant_rows=12, n_small=6, small_rows=2) -> list[Table]:
     """One giant table followed by small distinct-content tables."""
@@ -836,8 +853,9 @@ class TestWorkStealing:
             clock_charges=0,
             virtual_seconds=0.0,
         )
+        attach_io = RunDiagnostics.combined([])
         loads = _worker_loads(
-            [(0, run, 4242, 2.0, (51200, 0.25, 4096, 0, [], {}))], n_workers=2
+            [(0, run, 4242, 2.0, (51200, 0.25, 4096, attach_io, []))], n_workers=2
         )
         assert len(loads) == 2
         assert loads[0].n_tasks == 1 and loads[0].busy_seconds == 2.0

@@ -1,7 +1,7 @@
 """``PersistedDict``: what its skip logic may never do, and its file bytes.
 
-Two properties of the one class both amortisation caches persist through
-(:mod:`repro.persistence`):
+Three properties of the one class both amortisation caches persist
+through (:mod:`repro.persistence`):
 
 * **no interleaving loses an entry** -- a Hypothesis state machine drives
   two dicts sharing one file through inserts, saves, loads, clears and
@@ -9,6 +9,9 @@ Two properties of the one class both amortisation caches persist through
   saver of another, a raw rewrite that drops entries, a deletion), and
   checks every skipped or performed load and save against a model of
   what memory and the file must hold;
+* **a save reads only what memory may lack** -- after a load, an insert
+  and a save read nothing, while a file rewritten since is still read
+  and merged;
 * **the bytes are deterministic** -- two processes that differ only in
   ``PYTHONHASHSEED`` write byte-identical results and label-memo files.
 """
@@ -164,6 +167,57 @@ TwoDictsOneFile.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 test_no_interleaving_loses_an_entry = TwoDictsOneFile.TestCase
+
+
+# ------------------------------------------------------------ reads a save skips
+
+
+@pytest.fixture()
+def counted_reads(monkeypatch):
+    """Every path ``_read_blob`` opens, in order."""
+    reads = []
+    read_blob = persistence._read_blob
+
+    def counting(path):
+        reads.append(path)
+        return read_blob(path)
+
+    monkeypatch.setattr(persistence, "_read_blob", counting)
+    return reads
+
+
+def test_a_save_after_a_load_reads_nothing(tmp_path, counted_reads):
+    path = tmp_path / "cache.bin"
+    assert _dict_of([1, 2]).save(path, FINGERPRINT)
+    cache = persistence.PersistedDict("k")
+    assert cache.load(path, FINGERPRINT)
+    cache[3] = _value(3)
+    counted_reads.clear()
+    assert cache.save(path, FINGERPRINT)
+    assert counted_reads == []
+    fresh = persistence.PersistedDict("k")
+    assert fresh.load(path, FINGERPRINT)
+    assert dict(fresh) == {key: _value(key) for key in (1, 2, 3)}
+    for held in (cache, fresh):
+        held.clear()
+
+
+def test_a_save_still_merges_a_file_rewritten_since(tmp_path, counted_reads):
+    path = tmp_path / "cache.bin"
+    assert _dict_of([1]).save(path, FINGERPRINT)
+    cache = persistence.PersistedDict("k")
+    assert cache.load(path, FINGERPRINT)
+    other = _dict_of([2])
+    assert other.save(path, FINGERPRINT)  # merges: the file holds 1 and 2
+    cache[3] = _value(3)
+    counted_reads.clear()
+    assert cache.save(path, FINGERPRINT)
+    assert counted_reads == [path]
+    fresh = persistence.PersistedDict("k")
+    assert fresh.load(path, FINGERPRINT)
+    assert dict(fresh) == {key: _value(key) for key in (1, 2, 3)}
+    for held in (cache, other, fresh):
+        held.clear()
 
 
 # ------------------------------------------------------------ deterministic bytes

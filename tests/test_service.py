@@ -275,11 +275,11 @@ class TestAnnotationService:
             for thread in threads:
                 thread.join()
             assert all(response.ok for response in responses)
-            assert service.stats.requests == n_clients
-            assert service.stats.batches == 1
-            assert service.stats.coalescing_ratio == n_clients
+            assert service.stats()["requests"] == n_clients
+            assert service.stats()["batches"] == 1
+            assert service.stats()["coalescing_ratio"] == n_clients
             # Overlapping queries across clients: issued once for the tick.
-            assert service.stats.queries_issued == len(_MUSEUMS)
+            assert service.stats()["queries_issued"] == len(_MUSEUMS)
             # Every client still got exactly its own table's answer.
             reference = _annotator(classifier)
             for index, response in enumerate(responses):
@@ -316,8 +316,8 @@ class TestAnnotationService:
             for thread in threads:
                 thread.join()
             assert all(response.ok for response in responses)
-            assert service.stats.requests == 2
-            assert service.stats.batches == 2  # one pooled pass per key set
+            assert service.stats()["requests"] == 2
+            assert service.stats()["batches"] == 2  # one pooled pass per key set
             museum_only = protocol.annotation_from_payload(
                 responses[0].result["annotation"]
             )
@@ -355,8 +355,8 @@ class TestAnnotationService:
         pending.abandoned = True
         service._process([pending])
         assert not pending.done.is_set()
-        assert service.stats.requests == 0
-        assert service.stats.batches == 0
+        assert service.stats()["requests"] == 0
+        assert service.stats()["batches"] == 0
         assert annotator.engine.query_count == 0
 
     def test_rejects_after_stop(self, classifier):
@@ -611,3 +611,59 @@ class TestSharedCacheDir:
                 saved = daemon.service.flush()
                 assert saved == {"search_results": True, "label_memo": True}
                 assert (cache_dir / "search_results.cache").exists()
+
+
+# ------------------------------------------------------------- cache IO in stats
+
+
+def _cache_bytes(cache_dir) -> int:
+    return sum(
+        (cache_dir / name).stat().st_size
+        for name in ("search_results.cache", "label_memo.cache")
+    )
+
+
+class TestStatsCountCacheIO:
+    """Cache IO outside a pass -- the warm start and every flush -- is
+    measured as one more diagnostics part, so ``cache_loads`` /
+    ``cache_saves`` count exactly the files their byte counters read or
+    wrote."""
+
+    def test_a_flush_that_writes_counts_its_saves(self, classifier, tmp_path):
+        service = AnnotationService(
+            _annotator(classifier), ServiceConfig(cache_dir=str(tmp_path))
+        ).start()
+        try:
+            assert service.submit(
+                protocol.annotate_table_request(
+                    _table("t", _MUSEUMS), _TYPE_KEYS, "1"
+                )
+            ).ok
+            assert service.flush() == {"search_results": True, "label_memo": True}
+            stats = service.submit(protocol.stats_request("2")).result
+        finally:
+            service.stop()
+        assert stats["flushes"] == 1
+        assert stats["cache_saves"] == 2
+        assert stats["cache_save_bytes"] == _cache_bytes(tmp_path)
+
+    def test_a_warm_start_counts_the_files_it_reads(self, classifier, tmp_path):
+        _annotator(classifier).annotate_tables(
+            [_table("t", _MUSEUMS)], _TYPE_KEYS, cache_dir=tmp_path
+        )
+        preloaded = _annotator(classifier)
+        preloaded.load_caches(tmp_path)
+        for annotator, loads, load_bytes in (
+            (_annotator(classifier), 2, _cache_bytes(tmp_path)),
+            # Memory already holds both unchanged files: nothing is read.
+            (preloaded, 0, 0),
+        ):
+            service = AnnotationService(
+                annotator, ServiceConfig(cache_dir=str(tmp_path))
+            ).start()
+            stats = service.submit(protocol.stats_request("1")).result
+            service.stop()
+            assert (stats["cache_loads"], stats["cache_load_bytes"]) == (
+                loads,
+                load_bytes,
+            )
