@@ -444,15 +444,12 @@ class _WorkerPool:
                 _, index, pid, result, busy, worker_stats = message
                 completed[index] = (index, result, pid, busy, worker_stats)
                 worker.inflight = None
-                # Traced runs only: the worker's spans land in the
-                # parent's buffer, and the task's metrics are recorded
-                # from this message.
-                if self._obs[0]:
+                registry = obs_metrics.get_registry()
+                registry.inc("pool.tasks")
+                registry.inc("pool.task_cells", result.diagnostics.n_cells)
+                registry.observe("pool.task_seconds", busy)
+                if self._obs[0]:  # traced: the worker's spans join the parent's
                     tracing.get_buffer().extend(worker_stats[4])
-                    registry = obs_metrics.get_registry()
-                    registry.inc("pool.tasks")
-                    registry.inc("pool.task_cells", result.diagnostics.n_cells)
-                    registry.observe("pool.task_seconds", busy)
             elif kind == "error":
                 _, index, pid, error = message
                 errored.add(index)

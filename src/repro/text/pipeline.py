@@ -52,15 +52,10 @@ class TextPipeline:
     def tokens(self, text: str) -> list[str]:
         """Lower-cased, stopword-filtered, stemmed tokens of *text*.
 
-        Shares the per-token memo with :meth:`counts`, so a pipeline that
-        has featurised a snippet re-tokenises its words without paying the
-        stopword lookup or the stemmer again (and vice versa).  The loop
-        hoists every per-token attribute lookup (memo access, the mapper,
-        the sentinel, the result append) into locals: this is the hottest
-        pure-Python path of the engine -- every snippet classified and
-        every page indexed streams through it -- and the hoisting alone is
-        worth ~1.6x on warm-memo snippets (see the micro-benchmark note in
-        ``docs/architecture.md``).
+        Shares the per-token memo with :meth:`counts`, so each distinct
+        token pays the stopword lookup and the stemmer once.  Training
+        snippets and each new snippet word the vectorizer memoises come
+        through here; per-token lookups are hoisted into locals.
         """
         memo = self._token_memo()
         memo_get = memo.get

@@ -57,6 +57,11 @@ class Vocabulary:
         """Feature index of *token*, or ``None`` when out of vocabulary."""
         return self._index.get(token)
 
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """Feature index of each token, ``-1`` when out of vocabulary."""
+        get = self._index.get
+        return [get(token, -1) for token in tokens]
+
     def token_at(self, index: int) -> str:
         """Inverse lookup; raises ``IndexError`` for invalid indices."""
         return self._tokens[index]

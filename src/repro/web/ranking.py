@@ -55,11 +55,11 @@ def bm25_matched_scores(
     """BM25 over matching documents only: ``(doc_ids, scores)`` arrays.
 
     Uses the standard idf form ``ln(1 + (N - df + 0.5) / (df + 0.5))``,
-    which is non-negative for any document frequency.  Cost is
-    proportional to the postings touched, not the corpus size.
-    ``doc_ids`` is ascending; ``scores`` accumulates per-token gains in
-    query-token order, so a document's score is the same float sum a
-    dense per-document accumulator would give.  *norms* lets the caller
+    which is non-negative for any document frequency.  The gains of the
+    postings touched go into one ``bincount`` over the documents, whose
+    positive entries are the matches: ``doc_ids`` is ascending, and each
+    score accumulates per-token gains in query-token order, the same
+    float sum a dense per-document accumulator would give.  *norms* lets the caller
     hoist the per-document length normalisation out of a query loop.
     """
     parameters = parameters or BM25Parameters()
@@ -84,11 +84,8 @@ def bm25_matched_scores(
         id_chunks.append(ids)
     if not id_chunks:
         return empty
-    all_ids = np.concatenate(id_chunks)
-    all_gains = np.concatenate(gain_chunks)
-    matched, inverse = np.unique(all_ids, return_inverse=True)
     # bincount sums weights in array order == token order per document.
-    scores = np.bincount(inverse, weights=all_gains, minlength=matched.shape[0])
-    positive = scores > 0.0
-    return matched[positive], scores[positive]
-
+    ids, gains = np.concatenate(id_chunks), np.concatenate(gain_chunks)
+    scores = np.bincount(ids, weights=gains, minlength=n_docs)
+    matched = np.flatnonzero(scores > 0.0)
+    return matched, scores[matched]

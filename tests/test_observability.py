@@ -525,6 +525,25 @@ class TestTracingParity:
         )
 
 
+# --------------------------------------------------------- pool task counters
+
+
+class TestPoolTaskCounters:
+    def test_untraced_pool_run_counts_every_task(self, classifier):
+        assert not tracing.tracing_enabled()
+        tables = _corpus(n_tables=8)
+        run = EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig()
+        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
+        loads = run.diagnostics.worker_loads
+        n_tasks = sum(load.n_tasks for load in loads)
+        assert n_tasks >= 2
+        registry = obs_metrics.get_registry()
+        assert registry.counter_value("pool.tasks") == n_tasks
+        assert registry.counter_value("pool.task_cells") == run.diagnostics.n_cells
+        assert tracing.get_buffer().snapshot() == []
+
+
 # --------------------------------------------------------- pool crash tolerance
 
 
