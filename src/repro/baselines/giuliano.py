@@ -18,20 +18,20 @@ asserted by its benchmark.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.classify.dataset import TextDataset
 from repro.core.annotation import SnippetCache
 from repro.core.clustering import cosine_similarity
 from repro.core.config import AnnotatorConfig
 from repro.core.preprocessing import Preprocessor
-from repro.core.results import AnnotationRun, CellAnnotation, TableAnnotation
+from repro.core.results import CellAnnotation, PerTableAnnotator, TableAnnotation
 from repro.tables.model import Table
 from repro.text.pipeline import TextPipeline
 from repro.web.search import SearchEngine, SearchEngineUnavailable
 
 
-class GiulianoAnnotator:
+class GiulianoAnnotator(PerTableAnnotator):
     """Nearest-centroid snippet similarity annotation."""
 
     def __init__(
@@ -134,12 +134,3 @@ class GiulianoAnnotator:
                     )
                 )
         return annotation
-
-    def annotate_tables(
-        self, tables: Iterable[Table], type_keys: Sequence[str]
-    ) -> AnnotationRun:
-        """Annotate a corpus."""
-        run = AnnotationRun()
-        for table in tables:
-            run.tables[table.name] = self.annotate_table(table, type_keys)
-        return run

@@ -19,16 +19,16 @@ paper's central criticism -- which the coverage experiment (X1) quantifies.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.config import AnnotatorConfig
 from repro.core.preprocessing import Preprocessor
-from repro.core.results import AnnotationRun, CellAnnotation, TableAnnotation
+from repro.core.results import CellAnnotation, PerTableAnnotator, TableAnnotation
 from repro.kb.catalogue import Catalogue
 from repro.tables.model import Table
 
 
-class LimayeAnnotator:
+class LimayeAnnotator(PerTableAnnotator):
     """Catalogue lookup + column-majority collective assignment."""
 
     def __init__(
@@ -79,12 +79,3 @@ class LimayeAnnotator:
                     )
                 )
         return annotation
-
-    def annotate_tables(
-        self, tables: Iterable[Table], type_keys: Sequence[str]
-    ) -> AnnotationRun:
-        """Annotate a corpus."""
-        run = AnnotationRun()
-        for table in tables:
-            run.tables[table.name] = self.annotate_table(table, type_keys)
-        return run

@@ -10,18 +10,18 @@ TIN issues no search queries; it is the zero-cost baseline.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.config import AnnotatorConfig
 from repro.core.preprocessing import Preprocessor
-from repro.core.results import AnnotationRun, CellAnnotation, TableAnnotation
+from repro.core.results import CellAnnotation, PerTableAnnotator, TableAnnotation
 from repro.synth.types import type_spec
 from repro.tables.model import Table
 from repro.text.porter import stem
 from repro.text.tokenization import tokenize
 
 
-class TypeInNameAnnotator:
+class TypeInNameAnnotator(PerTableAnnotator):
     """Annotates cells whose text contains the type word."""
 
     def __init__(self, config: AnnotatorConfig | None = None) -> None:
@@ -59,12 +59,3 @@ class TypeInNameAnnotator:
                     )
                     break
         return annotation
-
-    def annotate_tables(
-        self, tables: Iterable[Table], type_keys: Sequence[str]
-    ) -> AnnotationRun:
-        """Annotate a corpus."""
-        run = AnnotationRun()
-        for table in tables:
-            run.tables[table.name] = self.annotate_table(table, type_keys)
-        return run

@@ -11,12 +11,12 @@ main algorithm, since both issue the same per-cell queries.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.annotation import SnippetCache
 from repro.core.config import AnnotatorConfig
 from repro.core.preprocessing import Preprocessor
-from repro.core.results import AnnotationRun, CellAnnotation, TableAnnotation
+from repro.core.results import CellAnnotation, PerTableAnnotator, TableAnnotation
 from repro.synth.types import type_spec
 from repro.tables.model import Table
 from repro.text.porter import stem
@@ -24,7 +24,7 @@ from repro.text.tokenization import tokenize
 from repro.web.search import SearchEngine, SearchEngineUnavailable
 
 
-class TypeInSnippetAnnotator:
+class TypeInSnippetAnnotator(PerTableAnnotator):
     """Annotates cells whose snippets mostly contain the type word."""
 
     def __init__(
@@ -89,12 +89,3 @@ class TypeInSnippetAnnotator:
                     )
                 )
         return annotation
-
-    def annotate_tables(
-        self, tables: Iterable[Table], type_keys: Sequence[str]
-    ) -> AnnotationRun:
-        """Annotate a corpus."""
-        run = AnnotationRun()
-        for table in tables:
-            run.tables[table.name] = self.annotate_table(table, type_keys)
-        return run

@@ -43,11 +43,6 @@ OTHER_LABEL = "__other__"
 
 _BACKENDS = ("svm", "bayes", "kernel-svm")
 
-_MIN_CHUNK_SNIPPETS = 64
-"""Smallest chunk worth dispatching to a scoring thread; batches below
-twice this size are classified inline (thread dispatch would cost more
-than the GEMM it parallelises)."""
-
 
 class SnippetTypeClassifier:
     """Multi-class snippet classifier over a set of entity types.
@@ -101,42 +96,16 @@ class SnippetTypeClassifier:
         """Type of the entity *snippet* describes (or :data:`OTHER_LABEL`)."""
         return self.classify_many([snippet])[0]
 
-    def classify_many(
-        self, snippets: Sequence[str], workers: int = 1
-    ) -> list[str]:
+    def classify_many(self, snippets: Sequence[str]) -> list[str]:
         """Classify a batch of snippets at once (one vectorizer pass).
 
         Margin backends abstain with :data:`OTHER_LABEL` when no binary
         classifier fires; Naive Bayes always returns its arg-max posterior.
-
-        With ``workers > 1`` the batch is split into per-worker chunks and
-        each chunk's featurisation + one-vs-rest scoring runs on its own
-        thread, so the stacked-weights GEMM proceeds across cores to the
-        extent the underlying kernels release the GIL.  Labels per snippet
-        are a pure function of the text, so chunking never changes the
-        output -- chunk results are concatenated back in input order.
         """
         if self._model is None:
             raise RuntimeError("SnippetTypeClassifier is not fitted")
         if not snippets:
             return []
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and len(snippets) >= 2 * _MIN_CHUNK_SNIPPETS:
-            from concurrent.futures import ThreadPoolExecutor
-
-            n_chunks = min(workers, len(snippets) // _MIN_CHUNK_SNIPPETS)
-            bounds = np.linspace(0, len(snippets), n_chunks + 1).astype(int)
-            chunks = [
-                snippets[bounds[i] : bounds[i + 1]] for i in range(n_chunks)
-            ]
-            with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-                parts = list(pool.map(self._classify_chunk, chunks))
-            return [label for part in parts for label in part]
-        return self._classify_chunk(snippets)
-
-    def _classify_chunk(self, snippets: Sequence[str]) -> list[str]:
-        """One vectorise + score pass over a (sub-)batch of snippets."""
         X = self.vectorizer.transform(snippets)
         if isinstance(self._model, MultinomialNaiveBayes):
             return self._model.predict(X)

@@ -260,10 +260,11 @@ def _add_index_backend_arguments(parser: argparse.ArgumentParser) -> None:
         choices=list(INDEX_BACKENDS),
         default="memory",
         help=(
-            "index storage backend: 'memory' (default) keeps the mutable "
-            "in-process inverted index; 'mmap' serves from a frozen "
-            "on-disk artifact that every worker process and daemon on "
-            "this host shares zero-copy through the OS page cache"
+            "where the frozen index's arrays live: 'memory' (default) "
+            "keeps them on this process's heap; 'mmap' maps the same "
+            "layout from an on-disk artifact that every worker process "
+            "and daemon on this host shares zero-copy through the OS "
+            "page cache"
         ),
     )
     parser.add_argument(

@@ -297,9 +297,7 @@ class CellAnnotator:
                 pooled.append(snippet)
         if pooled:
             with span("annotate.classify_gemm", n_snippets=len(pooled)):
-                labels = self.classifier.classify_many(
-                    pooled, workers=self.config.classify_workers
-                )
+                labels = self.classifier.classify_many(pooled)
             for snippet, position in pool_index.items():
                 label_memo[snippet] = labels[position]
 
@@ -423,18 +421,6 @@ class CellAnnotator:
         """
         memo = self._active_label_memo()  # a classifier swap clears first
         return memo.load(path, self.classifier.fingerprint())
-
-    # -- memo accounting ---------------------------------------------------------------------
-
-    @property
-    def memo_hits(self) -> int:
-        """Snippet classifications served from the memo."""
-        return self._memo_hits
-
-    @property
-    def memo_misses(self) -> int:
-        """Snippet classifications that had to run the classifier."""
-        return self._memo_misses
 
     # -- Equation 1 --------------------------------------------------------------------
 

@@ -12,20 +12,21 @@
 3. **Post-processing** (:mod:`~repro.core.postprocessing`) eliminates
    spurious annotations via the column-coherence score (Equation 2).
 
-There is one pipeline.  :meth:`EntityAnnotator.annotate_tables` runs a
+There is one pipeline.  :meth:`EntityAnnotator.annotate_batch` runs a
 single *raw pass* -- pre-processing, one pooled
 :meth:`~repro.core.annotation.CellAnnotator.annotate_values` batch, and
 the end-of-run repair when ``config.retries > 0`` -- over units of work,
 each a table at a corpus position plus a half-open row range
 (:class:`~repro.core.parallel.TableSlice`; a whole table is ``[0,
-n_rows)``), then post-processes every table once.  The candidate cells
-of *every* table are pooled, so a query string shared by several tables
-is searched, classified and voted on exactly once for the whole run.
-:meth:`~EntityAnnotator.annotate_table` is that pass over one table,
-:meth:`~EntityAnnotator.annotate_batch` wraps it for independent
-requests, and every worker-pool task runs the same raw pass (the parent
-post-processes).  The returned :class:`~repro.core.results.AnnotationRun`
-carries corpus-wide :class:`~repro.core.results.RunDiagnostics`, and
+n_rows)``), then post-processes every table once and answers by input
+position.  The candidate cells of *every* table are pooled, so a query
+string shared by several tables is searched, classified and voted on
+exactly once for the whole run.  Every worker-pool task runs the same
+raw pass (the parent post-processes).
+:meth:`~EntityAnnotator.annotate_tables` merges that answer by table
+name into an :class:`~repro.core.results.AnnotationRun` carrying the
+corpus-wide :class:`~repro.core.results.RunDiagnostics`, and
+:meth:`~EntityAnnotator.annotate_table` takes its element 0.
 :meth:`EntityAnnotator.save_caches` / :meth:`~EntityAnnotator.load_caches`
 persist the engine's amortisation state so a second process starts warm.
 The per-cell reference the parity suites compare against lives with the
@@ -71,7 +72,6 @@ tests, in ``tests/annotation_reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -79,6 +79,7 @@ from repro.classify.snippet import SnippetTypeClassifier
 from repro.core.annotation import CellAnnotator, SnippetCache
 from repro.core.config import AnnotatorConfig
 from repro.core.disambiguation import SpatialContextExtractor
+from repro.core import parallel
 from repro.core.parallel import TableSlice
 from repro.core.postprocessing import eliminate_spurious
 from repro.core.preprocessing import Preprocessor
@@ -154,11 +155,11 @@ class EntityAnnotator:
     ) -> TableAnnotation:
         """Annotate one table for the requested types (all three stages).
 
-        Exactly ``annotate_tables([table], type_keys)``: the same pass,
-        repair included, so one table answers the same here, through
-        :meth:`annotate_batch` and through the resident service.
+        Element 0 of ``annotate_batch([table], type_keys)``: the same
+        pass, repair included, so one table answers the same here, in a
+        corpus and through the resident service.
         """
-        return self.annotate_tables([table], type_keys).tables[table.name]
+        return self.annotate_batch([table], type_keys).annotations[0]
 
     def _row_contexts(self, table: Table) -> dict[int, str]:
         """Disambiguated per-row city contexts (empty when disabled)."""
@@ -234,65 +235,85 @@ class EntityAnnotator:
         workers: int = 1,
         cache_dir=None,
     ) -> AnnotationRun:
-        """Annotate a whole corpus in one pooled engine/classifier pass.
+        """Annotate a whole corpus: :meth:`annotate_batch`, merged by name.
 
-        Corpus-at-a-time: candidate cells and spatial contexts are computed
-        per table (as always), then every (value, context) pair of every
-        table goes through a single
+        A corpus may hold several distinct tables sharing a name; their
+        annotations merge, in corpus order, into one
+        :class:`~repro.core.results.TableAnnotation`
+        (:meth:`~repro.core.results.AnnotationRun.merge_table`).  The
+        returned run carries the pass's corpus-wide
+        :class:`~repro.core.results.RunDiagnostics`; *workers* and
+        *cache_dir* are :meth:`annotate_batch`'s.
+        """
+        batch = self.annotate_batch(
+            tables, type_keys, workers=workers, cache_dir=cache_dir
+        )
+        run = AnnotationRun(diagnostics=batch.diagnostics)
+        for annotation in batch.annotations:
+            run.merge_table(annotation)
+        return run
+
+    def annotate_batch(
+        self,
+        tables: Iterable[Table],
+        type_keys: Sequence[str],
+        *,
+        workers: int = 1,
+        cache_dir=None,
+    ) -> BatchAnnotationResult:
+        """The one annotation pass: every table pre-processed, annotated in
+        one pooled batch and post-processed.
+
+        ``annotations[i]`` answers input table ``i``, positionally: two
+        same-named tables (two service requests shipping ``"directory"``)
+        each get their own annotation.  Candidate cells and spatial
+        contexts are computed per table, then every (value, context)
+        pair of every table goes through a single
         :meth:`~repro.core.annotation.CellAnnotator.annotate_values` batch
-        -- one :meth:`~repro.web.search.SearchEngine.search_many` for the
-        corpus, one pooled ``classify_many``, one Equation 1 vote per
-        distinct query -- and the decisions are demultiplexed back into
-        per-table annotations (post-processing stays per table).
+        -- one :meth:`~repro.web.search.SearchEngine.search_many`, one
+        pooled ``classify_many``, one Equation 1 vote per distinct query
+        -- and the decisions are demultiplexed back into per-table
+        annotations, each post-processed once against its own table.
+        ``diagnostics`` cover the whole pass.
 
         Output is identical to calling :meth:`annotate_table` once per
-        table.  Accounting is identical too whenever a
-        shared :class:`~repro.core.annotation.SnippetCache` is in play or
-        no query string repeats across tables; without a cache, a query
+        table.  Accounting is identical too whenever a shared
+        :class:`~repro.core.annotation.SnippetCache` is in play or no
+        query string repeats across tables; without a cache, a query
         shared by several tables is issued (and charged) once here versus
         once per table there -- the protocol-level amortisation that is
-        the point of the corpus path.  The one caveat to output equality:
-        a *failed* repeated query is final for the whole run here, while
+        the point of the pooled pass.  The one caveat to output equality:
+        a *failed* repeated query is final for the whole pass here, while
         the per-table loop re-issues it table by table (failures are never
         cached) and each re-issue is a fresh occurrence with a fresh
         deterministic failure draw, so under failure injection the two
-        protocols can legitimately diverge on repeated queries; with a
-        healthy engine, a fully-down engine, or distinct queries, they
-        cannot.
+        can legitimately diverge on repeated queries; with a healthy
+        engine, a fully-down engine, or distinct queries, they cannot.
 
-        The returned run carries corpus-aggregated
-        :class:`~repro.core.results.RunDiagnostics` spanning every table
-        of the run.
-
-        ``workers=N`` distributes the corpus across ``N`` worker
-        *processes* (see :mod:`repro.core.parallel`): the parent
+        ``workers=N`` (with more than one table) distributes the tables
+        across ``N`` worker *processes*
+        (:func:`repro.core.parallel.annotate_tables_parallel`): the parent
         enqueues cost-bounded chunk tasks (``config.chunk_cost_target``
         cells per task, 0 = automatic) that idle workers pull as they
-        finish -- skew-tolerant, a giant table no longer serialises the
-        run on one unlucky worker.  Each worker warm-starts from
-        *cache_dir* (when given; forked workers inherit the caches the
-        parent loaded once before the fork), runs the same raw pass over
-        the units it pulls, and merge-saves its caches back once at the
-        end of the run -- unless the files already hold everything it
-        has -- so concurrent workers share one cache directory without
-        losing entries; the parent post-processes every table once.  The
-        run's ``diagnostics.worker_loads`` record what every worker
-        really did (tasks, cells, busy seconds; see
-        ``RunDiagnostics.imbalance_ratio``).  Annotations are
+        finish, every worker runs the same raw pass over the units it
+        pulls, and the parent post-processes every table once.  Each
+        worker warm-starts from *cache_dir* (when given; forked workers
+        inherit the caches the parent loaded once before the fork) and
+        merge-saves its caches back once at the end of the run -- unless
+        the files already hold everything it has -- so concurrent workers
+        share one cache directory without losing entries.
+        ``diagnostics.worker_loads`` record what every worker really did
+        (see ``RunDiagnostics.imbalance_ratio``).  Annotations are
         byte-identical to ``workers=1`` on a healthy (or fully-down)
-        engine -- same-named tables merge in corpus order everywhere.
-        Failure injection is deterministic per (query, occurrence), so
-        workers agree with the corpus path on
-        every query's *first* issue; repeats inside different tasks may
-        still diverge, exactly like the corpus-vs-per-table caveat
-        above.  A worker that *dies* mid-run no longer aborts the corpus:
-        its task is requeued onto a fresh worker up to
-        ``config.task_retries`` times, then quarantined with its units'
-        candidate cells marked degraded (see :mod:`repro.core.parallel`).
+        engine; under failure injection, repeats of a query inside
+        different tasks may diverge exactly like the per-table caveat
+        above.  A worker that *dies* mid-run is survived: its task is
+        requeued onto a fresh worker up to ``config.task_retries`` times,
+        then quarantined with its units' candidate cells marked degraded.
         With ``workers=1``, *cache_dir* warm-starts this process before
-        the run and merge-saves after it -- the same contract, minus the
-        pool.  The end-of-corpus repair pass (``config.retries > 0``)
-        runs inside whichever process executes the raw pass.
+        the pass and merge-saves after it -- the same contract, minus the
+        pool.  The end-of-pass repair (``config.retries > 0``) runs inside
+        whichever process executes the raw pass.
         """
         tables = list(tables)
         type_keys = list(type_keys)
@@ -301,9 +322,7 @@ class EntityAnnotator:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if workers > 1 and len(tables) > 1:
-            from repro.core.parallel import annotate_tables_parallel
-
-            return annotate_tables_parallel(
+            return parallel.annotate_tables_parallel(
                 self, tables, type_keys, workers=workers, cache_dir=cache_dir
             )
         raw = self._annotate_units(
@@ -311,10 +330,13 @@ class EntityAnnotator:
             type_keys,
             cache_dir=cache_dir,
         )
-        run = AnnotationRun(diagnostics=raw.diagnostics)
-        for table, annotation in zip(tables, raw.annotations):
-            run.merge_table(self.postprocess_table(table, annotation))
-        return run
+        return BatchAnnotationResult(
+            annotations=[
+                self.postprocess_table(table, annotation)
+                for table, annotation in zip(tables, raw.annotations)
+            ],
+            diagnostics=raw.diagnostics,
+        )
 
     def _annotate_units(
         self, units: Sequence[TableSlice], type_keys: list[str], cache_dir=None
@@ -388,70 +410,6 @@ class EntityAnnotator:
             ),
         )
 
-    def annotate_batch(
-        self,
-        tables: Sequence[Table],
-        type_keys: Sequence[str],
-        *,
-        workers: int = 1,
-        cache_dir=None,
-    ) -> BatchAnnotationResult:
-        """One pooled corpus pass over a pre-batched list of *requests*.
-
-        The demux-friendly sibling of :meth:`annotate_tables`, built for
-        callers that batch *independent* requests -- the resident
-        annotation service's micro-batcher coalescing concurrent clients
-        into one tick (:mod:`repro.service.daemon`).  The engine and
-        classifier economics are exactly the corpus path's (one
-        ``search_many`` per distinct query, one pooled classify, one
-        Equation 1 vote per distinct query), but the result demultiplexes
-        *positionally*: ``annotations[i]`` answers input table ``i``, and
-        two requests shipping same-named tables each get their own
-        annotation instead of being merged into one
-        :class:`~repro.core.results.TableAnnotation` -- an
-        :class:`AnnotationRun` keyed by name could not tell their cells
-        apart again.
-
-        Implemented by aliasing each input table to a unique internal
-        name, running the ordinary :meth:`annotate_tables` machinery
-        (including ``workers``/``cache_dir``, so a large batch may shard
-        across the worker pool), and renaming each annotation back.
-        Annotations are byte-identical to calling :meth:`annotate_table`
-        per table on an equally-warm annotator -- the service parity
-        contract ``tests/test_service.py`` pins down.
-        """
-        tables = list(tables)
-        aliased = [
-            Table(name=f"__batch-{index}__", columns=table.columns, rows=table.rows)
-            for index, table in enumerate(tables)
-        ]
-        run = self.annotate_tables(
-            aliased, type_keys, workers=workers, cache_dir=cache_dir
-        )
-        annotations: list[TableAnnotation] = []
-        for index, table in enumerate(tables):
-            aliased_annotation = run.tables.get(f"__batch-{index}__")
-            if aliased_annotation is None:
-                annotations.append(TableAnnotation(table_name=table.name))
-            else:
-                annotations.append(
-                    TableAnnotation(
-                        table_name=table.name,
-                        cells=[
-                            replace(cell, table_name=table.name)
-                            for cell in aliased_annotation.cells
-                        ],
-                        degraded=[
-                            replace(cell, table_name=table.name)
-                            for cell in aliased_annotation.degraded
-                        ],
-                    )
-                )
-        assert run.diagnostics is not None
-        return BatchAnnotationResult(
-            annotations=annotations, diagnostics=run.diagnostics
-        )
-
     # -- cache persistence ------------------------------------------------------------------
 
     def save_caches(self, cache_dir) -> dict[str, bool]:
@@ -504,18 +462,27 @@ class EntityAnnotator:
                 ),
             }
 
-    # -- diagnostics ------------------------------------------------------------------------
-
-    @property
-    def search_failures(self) -> int:
-        """Cells skipped because the engine was unavailable (lifetime).
-
-        Aggregates over every table this annotator ever touched; the
-        per-run view -- aggregated across the tables of one corpus run
-        rather than whatever the last table happened to see -- lives on
-        :attr:`AnnotationRun.diagnostics`.
+    def cache_io(
+        self, cache_dir, *, save: bool = False
+    ) -> tuple[dict[str, bool], RunDiagnostics]:
+        """:meth:`load_caches` (with *save*, :meth:`save_caches`) outside
+        any pass, measured: returns ``(answer, part)``, *part* that IO as
+        one :class:`RunDiagnostics` part for the caller to fold in.  The
+        pool's fork-parent load, each worker's warm start and flush, and
+        the service's warm start and flushes all go through here.  With
+        *cache_dir* ``None`` nothing is read or written.
         """
-        return self.cell_annotator.failure_count
+        # A delta, like every cache IO count: a forked worker inherits
+        # the parent's lifetime counters.
+        before = self._counters()
+        answer: dict[str, bool] = {}
+        if cache_dir is not None:
+            answer = (
+                self.save_caches(cache_dir) if save else self.load_caches(cache_dir)
+            )
+        return answer, self._diagnostics_since(before, n_tables=0, n_cells=0)
+
+    # -- diagnostics ------------------------------------------------------------------------
 
     def _counters(self) -> dict[str, float]:
         """Snapshot of the counters :class:`RunDiagnostics` deltas over,
@@ -535,10 +502,10 @@ class EntityAnnotator:
             "virtual_seconds": clock.elapsed_seconds,
             "search_retries": cells.retry_count,
             "breaker_opens": cells.breaker.opens,
-            "results_cache_hits": engine.cache_hits,
-            "results_cache_misses": engine.cache_misses,
-            "label_memo_hits": cells.memo_hits,
-            "label_memo_misses": cells.memo_misses,
+            "results_cache_hits": engine._cache_hits,
+            "results_cache_misses": engine._cache_misses,
+            "label_memo_hits": cells._memo_hits,
+            "label_memo_misses": cells._memo_misses,
             "cache_loads": sum(f.loads for f in files),
             "cache_saves": sum(f.saves for f in files),
             "cache_load_bytes": sum(f.load_bytes for f in files),

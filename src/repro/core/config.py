@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 INDEX_BACKENDS = ("memory", "mmap")
-"""Where the frozen index's arrays live (see :mod:`repro.web.backends`):
+"""Where the frozen index's arrays live (see :mod:`repro.web.index`):
 ``"memory"`` keeps the :class:`~repro.web.index.FrozenIndex` the engine
 froze on its own heap, ``"mmap"`` maps the same layout from an artifact
 file that all workers and daemons on a host share zero-copy through the
@@ -29,14 +29,7 @@ class AnnotatorConfig:
     use_postprocessing: bool = True
     use_spatial_disambiguation: bool = False
     use_repetition_factor: bool = True
-    disambiguation_max_iterations: int = 30
-    disambiguation_epsilon: float = 1e-9
     seed: int = 13
-    classify_workers: int = 1
-    """Scoring threads for pooled snippet classification: the one-vs-rest
-    GEMM is chunked across this many threads (labels are unchanged -- a
-    pure function of the snippet text -- only the wall-clock drops on
-    multi-core hosts).  1 keeps the single-threaded seed behaviour."""
 
     retries: int = 0
     """Extra search attempts after a dropped request, per query.  0
@@ -111,15 +104,6 @@ class AnnotatorConfig:
             raise ValueError(
                 "long_value_token_limit must be >= 1, got "
                 f"{self.long_value_token_limit}"
-            )
-        if self.disambiguation_max_iterations < 1:
-            raise ValueError(
-                "disambiguation_max_iterations must be >= 1, got "
-                f"{self.disambiguation_max_iterations}"
-            )
-        if self.classify_workers < 1:
-            raise ValueError(
-                f"classify_workers must be >= 1, got {self.classify_workers}"
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")

@@ -28,6 +28,12 @@ from repro.tables.model import ColumnType, Table
 
 CellKey = tuple[int, int]
 
+MAX_ITERATIONS = 30
+"""Upper bound on score sweeps of the voting graph."""
+
+EPSILON = 1e-9
+"""The sweeps stop once no node's score moves by this much."""
+
 
 @dataclass(frozen=True)
 class ToponymNode:
@@ -75,7 +81,7 @@ class ToponymDisambiguator:
             by_cell.setdefault((node.row, node.column), []).append(i)
 
         iterations = 0
-        for iterations in range(1, self.config.disambiguation_max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             raw = {
                 i: sum(scores[v] for v in in_neighbours.get(i, ()))
                 for i in range(len(nodes))
@@ -88,7 +94,7 @@ class ToponymDisambiguator:
                         new_scores[i] = raw[i] / total
             delta = max(abs(new_scores[i] - scores[i]) for i in range(len(nodes)))
             scores = new_scores
-            if delta < self.config.disambiguation_epsilon:
+            if delta < EPSILON:
                 break
         outcome.iterations = iterations
 

@@ -22,7 +22,7 @@ from repro.core.annotation import CellAnnotator, SnippetCache
 from repro.core.config import AnnotatorConfig
 from repro.core.postprocessing import eliminate_spurious
 from repro.core.preprocessing import Preprocessor
-from repro.core.results import AnnotationRun, CellAnnotation, TableAnnotation
+from repro.core.results import CellAnnotation, PerTableAnnotator, TableAnnotation
 from repro.kb.catalogue import Catalogue
 from repro.tables.model import Table
 from repro.web.search import SearchEngine
@@ -47,7 +47,7 @@ class HybridStats:
         return self.catalogue_hits / self.total_cells
 
 
-class HybridAnnotator:
+class HybridAnnotator(PerTableAnnotator):
     """Catalogue lookups for known entities, web search for the rest."""
 
     def __init__(
@@ -113,10 +113,3 @@ class HybridAnnotator:
                 use_repetition_factor=self.config.use_repetition_factor,
             )
         return annotation
-
-    def annotate_tables(self, tables, type_keys) -> AnnotationRun:
-        """Annotate a corpus."""
-        run = AnnotationRun()
-        for table in tables:
-            run.tables[table.name] = self.annotate_table(table, type_keys)
-        return run

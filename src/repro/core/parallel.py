@@ -1,6 +1,6 @@
 """Process-pool execution layer for corpus annotation.
 
-``EntityAnnotator.annotate_tables(..., workers=N)`` distributes a corpus
+``EntityAnnotator.annotate_batch(..., workers=N)`` distributes a corpus
 across ``N`` worker processes.  Each worker holds a full copy of the
 annotator (classifier, engine, config), optionally warm-starts from a
 shared cache directory (under ``fork``, by inheriting the caches the
@@ -12,11 +12,11 @@ entries -- see :mod:`repro.persistence`).  A unit is a table at a corpus
 position plus a half-open row range (:class:`TableSlice`; a whole table
 is ``[0, n_rows)``).  Each task's raw annotations ship home in unit
 order.  The parent collects them by corpus *position*, never by name, so
-two distinct tables sharing a name stay apart until each has been
-post-processed once against its own full table; the finished tables are
-then **merged** by name in corpus order, exactly as ``workers=1`` merges
-them.  The task diagnostics fold into one corpus-wide view with
-per-worker load accounting (:class:`~repro.core.results.WorkerLoad`).
+two distinct tables sharing a name stay apart, and post-processes each
+once against its own full table; the answer is positional, exactly as
+``workers=1`` answers.  The task diagnostics fold into one corpus-wide
+view with per-worker load accounting
+(:class:`~repro.core.results.WorkerLoad`).
 
 The parent dispatches cost-bounded *chunk* tasks -- consecutive tables
 packed until a cell-count budget is reached, a giant table travelling
@@ -98,7 +98,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None  # type: ignore[assignment]
 
 from repro.core.results import (
-    AnnotationRun,
     BatchAnnotationResult,
     DegradedCell,
     RunDiagnostics,
@@ -255,15 +254,10 @@ def _worker_main(
         annotator = pickle.loads(pickled_annotator)
     if annotator is None:  # pragma: no cover - defensive
         raise RuntimeError("worker started without an annotator payload")
-    # A delta, like every cache IO outside a task window: a fork worker
-    # inherits the parent's lifetime counters.
-    before = annotator._counters()
-    if cache_dir is not None:
-        # Warm start from the shared cache directory.  A cold report is
-        # fine (first worker ever, stale fingerprint, lock timeout): the
-        # caches are an optimisation, never a correctness dependency.
-        annotator.load_caches(cache_dir)
-    attach_io = annotator._diagnostics_since(before, n_tables=0, n_cells=0)
+    # Warm start from the shared cache directory.  A cold report is fine
+    # (first worker ever, stale fingerprint, lock timeout): the caches are
+    # an optimisation, never a correctness dependency.
+    _, attach_io = annotator.cache_io(cache_dir)
     attach_seconds = time.perf_counter() - attach_start
     attach_rss_kb = max(0, _current_rss_kb() - rss_at_entry)
     # Sampled peak: entry, post-attach, then after every task.  A true
@@ -310,15 +304,11 @@ def _worker_main(
         elif kind == "flush":
             # The flush runs outside every task window, so its cache IO
             # ships home in the ack for the parent to fold in.
-            before = annotator._counters()
             try:
-                annotator.save_caches(cache_dir)
+                _, saved = annotator.cache_io(cache_dir, save=True)
             except Exception as error:
                 conn.send(("flush-error", os.getpid(), _portable_error(error)))
             else:
-                saved = annotator._diagnostics_since(
-                    before, n_tables=0, n_cells=0
-                )
                 conn.send(("flushed", os.getpid(), saved))
         elif kind == "stop":
             break
@@ -980,7 +970,7 @@ def annotate_tables_parallel(
     cache_dir=None,
     on_worker_spawn: Callable[[int], None] | None = None,
     start_method: str | None = None,
-) -> AnnotationRun:
+) -> BatchAnnotationResult:
     """Annotate *tables* across a pool of *workers* processes.
 
     The task-queue -> warm-start -> raw pass -> merge-save data flow
@@ -991,12 +981,14 @@ def annotate_tables_parallel(
     units (:class:`TableSlice`) and every worker runs the annotator's
     raw pass over them; this parent collects the raw annotations by
     corpus position and post-processes each table once, against the
-    full original table.  Returns one :class:`AnnotationRun` whose
-    ``tables`` are in original corpus order (same-named tables merged,
-    exactly as the sequential path merges them), whose ``diagnostics``
-    are the :meth:`RunDiagnostics.combined` fold of every task's in task
-    order, and whose ``diagnostics.worker_loads`` record what each pool
-    process really did (tasks, tables, cells, busy seconds -- see
+    full original table.  Returns the same positional
+    :class:`~repro.core.results.BatchAnnotationResult` as the in-process
+    pass (``EntityAnnotator.annotate_batch``): ``annotations[i]``
+    answers ``tables[i]``, same-named tables kept apart; its
+    ``diagnostics`` are the :meth:`RunDiagnostics.combined` fold of every
+    task's in task order plus the cache IO outside them, and
+    ``diagnostics.worker_loads`` record what each pool process really
+    did (tasks, tables, cells, busy seconds -- see
     ``RunDiagnostics.imbalance_ratio``).  ``diagnostics.tables_split``
     counts the tables cut into several row ranges;
     ``diagnostics.effective_chunk_cost`` records the chunk budget the
@@ -1047,10 +1039,8 @@ def annotate_tables_parallel(
     config = annotator.config
     task_items, effective_chunk_cost = _build_tasks(tables, workers, config)
     tasks = _as_units(task_items)
-    run = AnnotationRun()
     if not tasks:
-        run.diagnostics = RunDiagnostics.combined([])
-        return run
+        return BatchAnnotationResult([], RunDiagnostics.combined([]))
     n_workers = min(workers, len(tasks))
     method = start_method if start_method is not None else _start_method()
     if method not in multiprocessing.get_all_start_methods():
@@ -1062,7 +1052,7 @@ def annotate_tables_parallel(
     # Cache IO outside every task window -- the parent's warm start, the
     # workers' warm starts and their end-of-run saves -- each measured as
     # one more diagnostics part and folded into the run's.
-    cache_io: list[RunDiagnostics] = []
+    io_parts: list[RunDiagnostics] = []
     global _FORK_PAYLOAD
     if method == "fork":
         payload = None
@@ -1070,11 +1060,7 @@ def annotate_tables_parallel(
             # Load once, here: the workers inherit the warm caches
             # copy-on-write, and their own load_caches finds the files
             # unchanged and reads nothing.
-            before = annotator._counters()
-            annotator.load_caches(cache_dir)
-            cache_io.append(
-                annotator._diagnostics_since(before, n_tables=0, n_cells=0)
-            )
+            io_parts.append(annotator.cache_io(cache_dir)[1])
         _FORK_PAYLOAD = annotator
     else:
         payload = pickle.dumps(annotator, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1102,7 +1088,7 @@ def annotate_tables_parallel(
                 # paid for is kept; a flush error only propagates when
                 # nothing more important already wants to.
                 flush_errors, flush_io = pool.flush()
-                cache_io.extend(flush_io)
+                io_parts.extend(flush_io)
                 if flush_errors and not errors:
                     errors = flush_errors
             pool.shutdown()
@@ -1117,12 +1103,11 @@ def annotate_tables_parallel(
     # and carry their raw annotations in unit order, so walking them in
     # task order visits every table's row ranges in corpus and row
     # order.  Raw annotations gather by corpus *position* (quarantined
-    # tasks contribute degraded placeholders), each table is
-    # post-processed once against its full original table, and only then
-    # do same-named tables merge, in corpus order -- byte-identical to
-    # the workers=1 run.
+    # tasks contribute degraded placeholders) and each table is
+    # post-processed once against its full original table --
+    # byte-identical to the workers=1 pass.
     quarantined_tasks = set(quarantined)
-    raw: dict[int, TableAnnotation] = {}
+    raw = [TableAnnotation(table_name=table.name) for table in tables]
     parts: list[RunDiagnostics] = []
     results = []
     for index, units in enumerate(tasks):
@@ -1135,21 +1120,14 @@ def annotate_tables_parallel(
             continue
         parts.append(part.diagnostics)
         for unit, annotation in zip(units, part.annotations):
-            whole = raw.setdefault(
-                unit.table_index, TableAnnotation(table_name=unit.table_name)
-            )
-            whole.cells.extend(annotation.cells)
-            whole.degraded.extend(annotation.degraded)
-    for position, annotation in raw.items():
-        run.merge_table(annotator.postprocess_table(tables[position], annotation))
+            raw[unit.table_index].cells.extend(annotation.cells)
+            raw[unit.table_index].degraded.extend(annotation.degraded)
     # Each worker process's warm start, once: every stats tuple it sent
     # carries the same attach IO.
-    cache_io.extend({result[2]: result[4][3] for result in results}.values())
-    combined = RunDiagnostics.combined(parts + cache_io)
-    worker_loads = _worker_loads(results, n_workers)
-    run.diagnostics = replace(
-        combined,
-        worker_loads=worker_loads,
+    io_parts.extend({result[2]: result[4][3] for result in results}.values())
+    diagnostics = replace(
+        RunDiagnostics.combined(parts + io_parts),
+        worker_loads=_worker_loads(results, n_workers),
         tasks_requeued=requeued,
         tasks_quarantined=len(quarantined),
         effective_chunk_cost=effective_chunk_cost,
@@ -1160,6 +1138,10 @@ def annotate_tables_parallel(
             if unit.row_start == 0 and unit.row_stop < tables[unit.table_index].n_rows
         ),
     )
+    annotations = [
+        annotator.postprocess_table(table, annotation)
+        for table, annotation in zip(tables, raw)
+    ]
     if cache_dir is not None:
         annotator.load_caches(cache_dir)
-    return run
+    return BatchAnnotationResult(annotations, diagnostics)

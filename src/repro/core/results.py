@@ -10,7 +10,9 @@ answers the row-level question; :class:`AnnotationRun` aggregates a corpus.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+from repro.tables.model import Table
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class RunDiagnostics:
 
     Snapshot deltas over the *whole* run -- every table, not just the last
     one -- taken around the annotation work by the annotator's one raw
-    pass, which :meth:`repro.core.annotator.EntityAnnotator.annotate_tables`
+    pass, which :meth:`repro.core.annotator.EntityAnnotator.annotate_batch`
     and every worker-pool task run:
 
     ``search_failures``
@@ -294,17 +296,17 @@ service records every part it folds under these names."""
 
 @dataclass
 class BatchAnnotationResult:
-    """Per-request demux view of one pooled corpus pass.
+    """The positional answer of one pooled annotation pass.
 
     Produced by :meth:`repro.core.annotator.EntityAnnotator.annotate_batch`
-    for a pre-pooled request batch (the resident service's micro-batcher),
-    and -- holding raw, not yet post-processed annotations, one per unit
-    -- by the annotator's raw pass that every worker-pool task runs:
-    ``annotations[i]`` is the :class:`TableAnnotation` of the *i*-th input
-    table, positionally -- same-named tables are **never** merged, unlike
-    :class:`AnnotationRun`, because two independent requests may
-    legitimately ship tables with the same name and each must get its own
-    answer back.  ``diagnostics`` aggregate over the whole pooled pass.
+    (in process or across the worker pool) with post-processed
+    annotations, and -- holding raw annotations, one per unit -- by the
+    raw pass every worker-pool task runs.  ``annotations[i]`` answers the
+    *i*-th input, positionally: same-named tables are **never** merged,
+    so two independent service requests shipping tables with the same
+    name each get their own answer back; :class:`AnnotationRun` is the
+    by-name view ``annotate_tables`` merges from it.  ``diagnostics``
+    aggregate over the whole pooled pass.
     """
 
     annotations: list[TableAnnotation]
@@ -340,10 +342,10 @@ class AnnotationRun:
         share a name (two sites exporting ``"directory"``); their cells
         belong to the same :class:`TableAnnotation`, exactly as the
         per-cell :meth:`add` path has always treated them.  Every corpus
-        assembly point -- ``annotate_tables`` and the parallel
-        reassembly in :mod:`repro.core.parallel` -- goes through this
-        method, so duplicate names merge identically everywhere instead
-        of the last same-named table silently replacing its predecessors.
+        assembly point -- ``EntityAnnotator.annotate_tables`` and
+        :class:`PerTableAnnotator` -- goes through this method, so
+        duplicate names merge identically everywhere instead of the last
+        same-named table silently replacing its predecessors.
         """
         existing = self.tables.get(annotation.table_name)
         if existing is None:
@@ -370,3 +372,21 @@ class AnnotationRun:
 
     def __len__(self) -> int:
         return sum(len(table) for table in self.tables.values())
+
+
+class PerTableAnnotator:
+    """Base of the annotators that answer one table at a time (the
+    baselines and :class:`~repro.core.hybrid.HybridAnnotator`): a corpus
+    is :meth:`annotate_table` per table, merged by name."""
+
+    def annotate_table(self, table: Table, type_keys: Sequence[str]) -> TableAnnotation:
+        raise NotImplementedError
+
+    def annotate_tables(
+        self, tables: Iterable[Table], type_keys: Sequence[str]
+    ) -> AnnotationRun:
+        """Annotate a corpus, same-named tables merged in corpus order."""
+        run = AnnotationRun()
+        for table in tables:
+            run.merge_table(self.annotate_table(table, type_keys))
+        return run

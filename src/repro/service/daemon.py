@@ -11,8 +11,8 @@ Two layers:
     everything that lands before it closes (up to ``max_batch_tables``)
     joins the same pooled
     :meth:`~repro.core.annotator.EntityAnnotator.annotate_batch` pass --
-    then each request gets exactly its own slice of the merged result
-    back.  Requests with different ``type_keys`` never share a pass (the
+    then each request gets exactly its own positional annotation back.
+    Requests with different ``type_keys`` never share a pass (the
     Equation 1 vote is computed *over the requested types*, so pooling
     them would change answers); within a tick they form one sub-batch per
     distinct key set.
@@ -224,11 +224,7 @@ class AnnotationService:
         if self.config.cache_dir is not None:
             # The warm start happens before the first pass, so no pass
             # diagnostics see it: it is measured as a part of its own.
-            before = self.annotator._counters()
-            self.annotator.load_caches(self.config.cache_dir)
-            loaded = self.annotator._diagnostics_since(
-                before, n_tables=0, n_cells=0
-            )
+            _, loaded = self.annotator.cache_io(self.config.cache_dir)
             self.registry.merge(_part(loaded, {}))
             if self.config.flush_interval_seconds > 0:
                 self._flusher = PeriodicFlusher(
@@ -279,11 +275,7 @@ class AnnotationService:
         if self.config.cache_dir is None:
             return {}
         with self._annotator_lock:
-            before = self.annotator._counters()
-            saved = self.annotator.save_caches(self.config.cache_dir)
-            io = self.annotator._diagnostics_since(
-                before, n_tables=0, n_cells=0
-            )
+            saved, io = self.annotator.cache_io(self.config.cache_dir, save=True)
         self.registry.merge(_part(io, {"service.flushes": 1}))
         return saved
 

@@ -400,17 +400,7 @@ class SearchEngine:
         self._validate_caches()
         return self._results_cache.load(path, self.cache_fingerprint())
 
-    # -- ranking cache accounting -----------------------------------------------------------
-
-    @property
-    def cache_hits(self) -> int:
-        """Ranking lookups served from cache."""
-        return self._cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Ranking lookups that had to compute."""
-        return self._cache_misses
+    # -- cached ranking --------------------------------------------------------------------
 
     def _ranked_results(self, query: str, k: int) -> list[SearchResult]:
         """Top-*k* results, cached per token signature.

@@ -86,7 +86,7 @@ def _annotate_both(table, classifier, engine_factory, config=None, cache_factory
                 "charges": engine.clock.n_charges,
                 "seconds": engine.clock.elapsed_seconds,
                 "queries": engine.query_count,
-                "failures": annotator.search_failures,
+                "failures": annotator.cell_annotator.failure_count,
                 "cache": cache,
             }
         )

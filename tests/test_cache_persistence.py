@@ -551,7 +551,7 @@ class TestWarmStartParity:
         tables = _venue_corpus()
         reference = EntityAnnotator(
             classifier, _venue_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
+        ).annotate_batch(tables, _TYPE_KEYS)
         # Seed the shared directory, then a warm workers=2 run from it.
         config = AnnotatorConfig()
         EntityAnnotator(
@@ -565,7 +565,7 @@ class TestWarmStartParity:
             cache_dir=tmp_path,
             start_method=start_method,
         )
-        assert warm_run == reference
+        assert warm_run.annotations == reference.annotations
 
     def test_service_path(self, classifier, tmp_path):
         table = _venue_corpus(n_tables=1, rows_per_table=6)[0]

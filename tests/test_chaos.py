@@ -137,7 +137,7 @@ class TestWorkerCrashRecovery:
         cache_dir = tmp_path / "cache"
         reference = EntityAnnotator(
             classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS, cache_dir=cache_dir)
+        ).annotate_batch(tables, _TYPE_KEYS, cache_dir=cache_dir)
         engine = _make_engine()
         engine.fault_plan = FaultPlan(
             kill_on_query="Venue 5",
@@ -156,9 +156,7 @@ class TestWorkerCrashRecovery:
         assert (tmp_path / "kill.token").exists()
         assert run.diagnostics.tasks_requeued >= 1
         assert len(spawned) == 3  # two workers and one replacement
-        assert repr(sorted(run.tables.items())) == repr(
-            sorted(reference.tables.items())
-        )
+        assert repr(run.annotations) == repr(reference.annotations)
         assert run.diagnostics.results_cache_misses == 0
         assert run.diagnostics.label_memo_misses == 0
         assert all(

@@ -83,31 +83,6 @@ class TestSnippetTypeClassifier:
     def test_empty_batch(self, fitted):
         assert fitted.classify_many([]) == []
 
-    def test_chunked_workers_match_single_thread(self, fitted):
-        # Chunked multi-threaded scoring is a pure throughput knob: the
-        # labels must be byte-identical, in input order, at any worker
-        # count -- including batches big enough to actually split.
-        rng = random.Random(3)
-        pools = list(_POOLS.values())
-        snippets = [
-            " ".join(rng.choices(pools[i % len(pools)], k=10))
-            for i in range(300)
-        ]
-        reference = fitted.classify_many(snippets)
-        for workers in (2, 3, 8):
-            assert fitted.classify_many(snippets, workers=workers) == reference
-
-    def test_small_batches_skip_thread_dispatch(self, fitted):
-        # Below the chunking threshold the inline path answers.
-        snippets = ["curator gallery exhibit"] * 5
-        assert fitted.classify_many(snippets, workers=4) == fitted.classify_many(
-            snippets
-        )
-
-    def test_workers_must_be_positive(self, fitted):
-        with pytest.raises(ValueError, match="workers"):
-            fitted.classify_many(["curator gallery exhibit"], workers=0)
-
     def test_evaluate_reports_per_type(self, fitted):
         report = fitted.evaluate(_corpus(8, seed=9))
         assert set(report.per_class) == {"museum", "restaurant", "singer"}

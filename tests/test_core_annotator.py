@@ -119,4 +119,4 @@ class TestAnnotateTable:
         finally:
             engine.available = True
         assert len(annotation.cells) == 0
-        assert annotator.search_failures == 2
+        assert annotator.cell_annotator.failure_count == 2

@@ -110,7 +110,7 @@ def _annotate_both(tables, classifier, engine_factory, config=None, cache_factor
                 "charges": engine.clock.n_charges,
                 "seconds": engine.clock.elapsed_seconds,
                 "queries": engine.query_count,
-                "failures": annotator.search_failures,
+                "failures": annotator.cell_annotator.failure_count,
                 "cache": cache,
             }
         )
@@ -293,7 +293,7 @@ class TestDiagnostics:
         assert second.diagnostics.queries_issued == len(_MUSEUMS)
         assert second.diagnostics.n_tables == 1
         # while the annotator-level failure counter stays lifetime
-        assert annotator.search_failures == 0
+        assert annotator.cell_annotator.failure_count == 0
 
     def test_diagnostics_excluded_from_run_equality(self, classifier):
         corpus, sequential = _annotate_both(

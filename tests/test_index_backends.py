@@ -417,7 +417,7 @@ class TestAnnotationParity:
         tables = _corpus()
         reference = EntityAnnotator(
             classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
+        ).annotate_batch(tables, _TYPE_KEYS)
 
         def parallel_run(index=None):
             return annotate_tables_parallel(
@@ -433,10 +433,8 @@ class TestAnnotationParity:
         memory_run = parallel_run()
         mmap_run = parallel_run(index=frozen)
         # Annotations byte-identical across granularities and backends.
-        assert mmap_run == memory_run == reference
-        assert repr(sorted(mmap_run.tables.items())) == repr(
-            sorted(reference.tables.items())
-        )
+        assert mmap_run.annotations == memory_run.annotations
+        assert repr(mmap_run.annotations) == repr(reference.annotations)
         # Diagnostics identical between the backends at the same
         # granularity -- query counts, cache traffic, chunking, all of it
         # (measured per-worker loads normalised; virtual seconds compared

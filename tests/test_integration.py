@@ -108,4 +108,4 @@ class TestFailureInjection:
         finally:
             engine.failure_rate = original_rate
         assert len(flaky.cells) <= len(baseline.cells)
-        assert flaky_annotator.search_failures > 0
+        assert flaky_annotator.cell_annotator.failure_count > 0

@@ -292,8 +292,8 @@ class TestWarmPoolCacheIO:
         assert all(load.cache_load_bytes == 0 for load in diagnostics.worker_loads)
         reference = EntityAnnotator(
             classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
-        assert run == reference
+        ).annotate_batch(tables, _TYPE_KEYS)
+        assert run.annotations == reference.annotations
 
     def test_cold_run_reports_the_workers_saves(self, classifier, tmp_path):
         run = self._pool_run(classifier, tmp_path, _corpus(), None)
@@ -324,8 +324,8 @@ class TestWarmPoolCacheIO:
         assert run.diagnostics.cache_save_bytes > 0
         fresh = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         fresh.load_caches(tmp_path)
-        warm = fresh.annotate_tables(tables, _TYPE_KEYS)
-        assert warm == run
+        warm = fresh.annotate_batch(tables, _TYPE_KEYS)
+        assert warm.annotations == run.annotations
         assert warm.diagnostics.results_cache_misses == 0
         assert warm.diagnostics.label_memo_misses == 0
 
@@ -776,6 +776,27 @@ class TestWorkStealing:
         )
         assert list(parallel.tables) == ["t", "mid-0", "mid-1"]
 
+    def test_batch_keeps_same_named_tables_apart(self, classifier):
+        # Two independent requests both ship a table named "directory";
+        # each travels in its own task and gets its own answer back.
+        tables = [
+            Table(
+                name="directory",
+                columns=[Column("Name", ColumnType.TEXT)],
+                rows=[[name] for name in names],
+            )
+            for names in (_NAMES[0:3], _NAMES[3:5])
+        ]
+        annotator = EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig(chunk_cost_target=1)
+        )
+        pooled = annotator.annotate_batch(tables, _TYPE_KEYS, workers=2)
+        assert sum(load.n_tasks for load in pooled.diagnostics.worker_loads) == 2
+        reference = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
+        expected = [reference.annotate_table(t, _TYPE_KEYS) for t in tables]
+        assert [len(annotation.cells) for annotation in expected] == [3, 2]
+        assert repr(pooled.annotations) == repr(expected)
+
     def test_worker_loads_sum_to_corpus_totals(self, classifier):
         tables = _skewed_corpus()
         annotator = EntityAnnotator(
@@ -808,7 +829,7 @@ class TestWorkStealing:
     def test_empty_corpus_direct_call_returns_empty_run(self, classifier):
         annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         run = annotate_tables_parallel(annotator, [], _TYPE_KEYS, workers=3)
-        assert run.tables == {}
+        assert run.annotations == []
         assert run.diagnostics.n_tables == 0
         assert run.diagnostics.n_cells == 0
         assert run.diagnostics.worker_loads == ()
@@ -881,10 +902,10 @@ class TestWorkStealing:
         tables = _corpus(n_tables=1)
         reference = EntityAnnotator(
             classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
+        ).annotate_batch(tables, _TYPE_KEYS)
         annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         run = annotate_tables_parallel(annotator, tables, _TYPE_KEYS, workers=4)
-        assert run == reference
+        assert run.annotations == reference.annotations
 
     def test_imbalance_ratio_contract(self):
         def diag(loads):
