@@ -814,8 +814,9 @@ def _build_tasks(
     chunker actually packed with, which the run's diagnostics record so
     an automatic target is never invisible.  A target below every table's
     cost degenerates to one task per table; that used to happen
-    *silently*, so it is logged here -- a warning when splitting is off
-    (the scheduler is back at its table-atomic ceiling), debug otherwise.
+    *silently*, so it is logged here -- a warning when the caller set the
+    target and splitting is off (the scheduler is back at its
+    table-atomic ceiling), debug otherwise.
     """
     target = config.chunk_cost_target or automatic_chunk_cost(tables, workers)
     slice_cost_target = 0
@@ -829,7 +830,8 @@ def _build_tasks(
     if tables:
         smallest = min(table_cost(table) for table in tables)
         if target < smallest and not slice_cost_target:
-            _LOG.warning(
+            log = _LOG.warning if config.chunk_cost_target else _LOG.debug
+            log(
                 "pool.chunk_target_degenerate",
                 target=target,
                 source="explicit" if config.chunk_cost_target else "automatic",
@@ -1125,6 +1127,14 @@ def annotate_tables_parallel(
     # Each worker process's warm start, once: every stats tuple it sent
     # carries the same attach IO.
     io_parts.extend({result[2]: result[4][3] for result in results}.values())
+    annotations = [
+        annotator.postprocess_table(table, annotation)
+        for table, annotation in zip(tables, raw)
+    ]
+    if cache_dir is not None:
+        # The parent re-reads what the workers flushed, counted like
+        # every other cache read outside a pass.
+        io_parts.append(annotator.cache_io(cache_dir)[1])
     diagnostics = replace(
         RunDiagnostics.combined(parts + io_parts),
         worker_loads=_worker_loads(results, n_workers),
@@ -1138,10 +1148,4 @@ def annotate_tables_parallel(
             if unit.row_start == 0 and unit.row_stop < tables[unit.table_index].n_rows
         ),
     )
-    annotations = [
-        annotator.postprocess_table(table, annotation)
-        for table, annotation in zip(tables, raw)
-    ]
-    if cache_dir is not None:
-        annotator.load_caches(cache_dir)
     return BatchAnnotationResult(annotations, diagnostics)

@@ -31,7 +31,7 @@ from repro.kb.knowledge_base import KnowledgeBase
 from repro.synth.rng import rng_for
 from repro.synth.types import TypeSpec
 from repro.synth.vocab import GENERIC_WEB, NOISE_TOPICS
-from repro.web.search import SearchEngine, SearchEngineUnavailable
+from repro.web.search import SearchEngine
 
 
 @dataclass
@@ -77,15 +77,8 @@ class TrainingCorpusBuilder:
         ):
             entities = rng.sample(entities, self.max_entities_per_type)
             entities.sort(key=lambda e: e.uri)
-        snippets: list[str] = []
-        for entity in entities:
-            query = f"{entity.name} {spec.type_word}"
-            try:
-                results = self.engine.search(query, k=self.snippets_per_entity)
-            except SearchEngineUnavailable:
-                continue
-            snippets.extend(result.snippet for result in results)
-        return snippets
+        queries = [f"{entity.name} {spec.type_word}" for entity in entities]
+        return self._snippets(queries)
 
     # -- background examples -----------------------------------------------------------
 
@@ -93,19 +86,30 @@ class TrainingCorpusBuilder:
         """Noise snippets for the OTHER class (random off-topic queries)."""
         rng = rng_for(self.seed, "training", "background")
         topics = sorted(NOISE_TOPICS)
-        snippets: list[str] = []
+        queries = []
         for _ in range(self.other_query_count):
             topic = topics[rng.randrange(len(topics))]
             pool = NOISE_TOPICS[topic]
             words = [pool[rng.randrange(len(pool))] for _ in range(2)]
             words.append(GENERIC_WEB[rng.randrange(len(GENERIC_WEB))])
-            query = " ".join(words)
-            try:
-                results = self.engine.search(query, k=self.snippets_per_entity)
-            except SearchEngineUnavailable:
-                continue
-            snippets.extend(result.snippet for result in results)
-        return snippets
+            queries.append(" ".join(words))
+        return self._snippets(queries)
+
+    def _snippets(self, queries: list[str]) -> list[str]:
+        """Every snippet of the top results of *queries*, in query order,
+        from one :meth:`~repro.web.search.SearchEngine.search_many` batch.
+
+        A failed request contributes nothing.  A duplicate query is issued
+        (and charged) once, but its snippets count once per occurrence.
+        """
+        return [
+            result.snippet
+            for results in self.engine.search_many(
+                queries, k=self.snippets_per_entity
+            )
+            if results is not None
+            for result in results
+        ]
 
     # -- assembled corpora ----------------------------------------------------------------
 

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from bisect import bisect_left
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -252,12 +251,13 @@ class FrozenIndex:
     Everything the ranking layer reads per query is precomputed at
     construction: the token -> ``(start, stop)`` posting span map with
     Python int bounds, and ``memoryview``\\ s over the sections that are
-    probed one element at a time (:meth:`word_positions`,
-    :meth:`n_words`, :meth:`page`), which answer Python ints without a
-    numpy scalar.  :attr:`path` is the artifact the sections are mapped
-    from, or ``None`` when they live in RAM; a mapped index pickles as
-    that path, so a ``spawn`` worker re-opens the shared mapping instead
-    of receiving the arrays.
+    probed one element at a time (:meth:`n_words`, :meth:`field`), which
+    answer Python ints and strings without a numpy scalar.  Word
+    positions are read for a whole batch of documents at once
+    (:meth:`postings_of`, :meth:`posting_positions`).  :attr:`path` is
+    the artifact the sections are mapped from, or ``None`` when they
+    live in RAM; a mapped index pickles as that path, so a ``spawn``
+    worker re-opens the shared mapping instead of receiving the arrays.
     """
 
     def __init__(
@@ -280,13 +280,9 @@ class FrozenIndex:
             )
             for row in range(len(bounds) - 1)
         }
-        self._doc_id_view = memoryview(sections["doc_ids"])
-        self._positions_view = memoryview(sections["positions"])
-        self._position_offsets_view = memoryview(sections["position_offsets"])
         self._n_words_view = memoryview(sections["n_words"])
         self._page_blob_view = memoryview(sections["page_blob"])
         self._page_offsets_view = memoryview(sections["page_offsets"])
-        self._page_cache: dict[int, WebPage] = {}
 
     @property
     def backend_name(self) -> str:
@@ -361,42 +357,56 @@ class FrozenIndex:
             self._sections["tfs"][start:stop],
         )
 
-    def word_positions(self, token: str, doc_id: int) -> Sequence[int]:
-        """Ascending positions in ``page(doc_id).body.split()`` of the
-        words that yield *token* (empty when the body has none), as a
-        read-only view of ints."""
+    def postings_of(
+        self, token: str, docs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(found, postings)``: the indexes into the int64 array *docs*
+        of the documents holding *token*, ascending, and each one's
+        posting (its row in the ``doc_ids``/``positions`` CSR), found
+        with one ``searchsorted`` over the token's postings."""
         bounds = self._spans.get(token)
-        if bounds is None:
-            return ()
+        if bounds is None or docs.size == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         start, stop = bounds
-        doc_ids = self._doc_id_view
-        row = bisect_left(doc_ids, doc_id, start, stop)
-        if row == stop or doc_ids[row] != doc_id:
-            return ()
-        offsets = self._position_offsets_view
-        return self._positions_view[offsets[row] : offsets[row + 1]]
+        ids = self._sections["doc_ids"][start:stop]
+        rows = np.searchsorted(ids, docs)
+        found = np.flatnonzero(ids[np.minimum(rows, stop - start - 1)] == docs)
+        return found, rows[found] + start
+
+    def posting_positions(
+        self, postings: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(owners, positions)``: every word position of the *postings*
+        (see :meth:`postings_of`), in order, each with the index into
+        *postings* of the posting it belongs to."""
+        offsets = self._sections["position_offsets"]
+        firsts = offsets[postings]
+        counts = offsets[postings + 1] - firsts
+        owners = np.repeat(np.arange(postings.shape[0]), counts)
+        # Each posting's run of positions, shifted from where it lands in
+        # the output to where it starts in `positions`.
+        gather = np.arange(owners.shape[0]) + np.repeat(
+            firsts - (np.cumsum(counts) - counts), counts
+        )
+        return owners, self._sections["positions"][gather]
 
     def n_words(self, doc_id: int) -> int:
         """Number of words in ``page(doc_id).body.split()``."""
         return self._n_words_view[doc_id]
 
     def page(self, doc_id: int) -> WebPage:
-        """The indexed page with this id (decoded once, then memoised)."""
-        try:
-            return self._page_cache[doc_id]
-        except KeyError:
-            pass
+        """The indexed page with this id, decoded from the page blob."""
+        url, title, body, language = (self.field(doc_id, i) for i in range(4))
+        return WebPage(url=url, title=title, body=body, language=language)
+
+    def field(self, doc_id: int, part: int) -> str:
+        """One field of page *doc_id* decoded from the page blob: *part*
+        0 is its url, 1 its title, 2 its body and 3 its language."""
         if not 0 <= doc_id < self.n_documents:
             raise IndexError(f"no document {doc_id}")
-        blob, offsets = self._page_blob_view, self._page_offsets_view
-        base = 4 * doc_id
-        url, title, body, language = (
-            str(blob[offsets[base + i] : offsets[base + i + 1]], "utf-8")
-            for i in range(4)
-        )
-        page = WebPage(url=url, title=title, body=body, language=language)
-        self._page_cache[doc_id] = page
-        return page
+        offsets = self._page_offsets_view
+        at = 4 * doc_id + part
+        return str(self._page_blob_view[offsets[at] : offsets[at + 1]], "utf-8")
 
     def vocabulary_size(self) -> int:
         return len(self._spans)

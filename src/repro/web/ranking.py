@@ -46,46 +46,52 @@ def bm25_norms(
     return 1.0 - parameters.b + parameters.b * (index.lengths / average_length)
 
 
-def bm25_matched_scores(
+def bm25_token_gains(
     index: FrozenIndex,
-    query_tokens: list[str],
-    parameters: BM25Parameters | None = None,
-    norms: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """BM25 over matching documents only: ``(doc_ids, scores)`` arrays.
+    token: str,
+    parameters: BM25Parameters,
+    norms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(doc_ids, gains)``: the BM25 gain of *token* in each document
+    holding it, doc ids ascending, or ``None`` when no document does.
 
     Uses the standard idf form ``ln(1 + (N - df + 0.5) / (df + 0.5))``,
-    which is non-negative for any document frequency.  The gains of the
-    postings touched go into one ``bincount`` over the documents, whose
-    positive entries are the matches: ``doc_ids`` is ascending, and each
-    score accumulates per-token gains in query-token order, the same
-    float sum a dense per-document accumulator would give.  *norms* lets the caller
-    hoist the per-document length normalisation out of a query loop.
+    which is positive for any document frequency, so every gain is too.
+    A pure function of the index, *parameters* and their *norms*: the
+    search engine computes it once per token and reuses it across queries.
     """
-    parameters = parameters or BM25Parameters()
-    n_docs = index.n_documents
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    if n_docs == 0 or not query_tokens:
-        return empty
-    if norms is None:
-        norms = bm25_norms(index, parameters)
-    id_chunks: list[np.ndarray] = []
-    gain_chunks: list[np.ndarray] = []
-    for token in query_tokens:
-        arrays = index.posting_arrays(token)
-        if arrays is None:
-            continue
-        ids, tfs = arrays
-        df = ids.shape[0]
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        gain_chunks.append(
-            idf * (tfs * (parameters.k1 + 1.0)) / (tfs + parameters.k1 * norms[ids])
-        )
-        id_chunks.append(ids)
-    if not id_chunks:
-        return empty
+    arrays = index.posting_arrays(token)
+    if arrays is None:
+        return None
+    ids, tfs = arrays
+    df = ids.shape[0]
+    idf = math.log(1.0 + (index.n_documents - df + 0.5) / (df + 0.5))
+    return ids, idf * (tfs * (parameters.k1 + 1.0)) / (
+        tfs + parameters.k1 * norms[ids]
+    )
+
+
+def bm25_sum(
+    n_documents: int, token_gains: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(doc_ids, scores)`` of the documents matching any of the query
+    tokens whose :func:`bm25_token_gains` are *token_gains*, in query-token
+    order.
+
+    The gains go into one ``bincount`` over the documents, whose positive
+    entries are the matches: ``doc_ids`` is ascending, and each score
+    accumulates per-token gains in query-token order, the same float sum
+    a dense per-document accumulator would give.  One token's gains are
+    its scores as they are (``0.0 + gain == gain``), returned without a
+    copy.
+    """
+    if not token_gains:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    if len(token_gains) == 1:
+        return token_gains[0]
     # bincount sums weights in array order == token order per document.
-    ids, gains = np.concatenate(id_chunks), np.concatenate(gain_chunks)
-    scores = np.bincount(ids, weights=gains, minlength=n_docs)
+    ids = np.concatenate([ids for ids, _ in token_gains])
+    gains = np.concatenate([gains for _, gains in token_gains])
+    scores = np.bincount(ids, weights=gains, minlength=n_documents)
     matched = np.flatnonzero(scores > 0.0)
     return matched, scores[matched]

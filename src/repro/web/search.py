@@ -15,15 +15,18 @@ order, so for a batch of distinct queries the clock and the failure
 injector see exactly what one :meth:`search` call per query would.
 Compute is amortised: result lists are cached per query *token
 signature* (tokenisation drops digits and stopwords, so many distinct
-strings rank identically), BM25 runs sparsely over only the matched
-postings, and only the top k are ranked: the matched documents are masked
-to English ones with the index's per-document English mask, every
-document scoring at least the k-th best score is kept (so ties at the
-boundary survive), and only that small set is sorted by score descending,
-then doc id ascending -- the same k a full sort would give.  Pages are
-loaded only for the results.  Query-biased snippets come from the index's
-positional postings: the window is chosen from the sorted hit positions
-alone, and a body is split only to render it.
+strings rank identically), and a batch resolves the signatures the cache
+lacks in bulk.  BM25 sums per-token gain arrays over only the matched
+postings, each token's computed once per cold pass, and only the top k
+are ranked: the matched documents are masked to English ones with the
+index's per-document English mask, every document scoring at least the
+k-th best score is kept (so ties at the boundary survive), and only that
+small set is sorted by score descending, then doc id ascending -- the
+same k a full sort would give.  Query-biased snippets come from the
+index's positional postings: every result's window in the batch is
+chosen from the hit positions in one array pass
+(:func:`~repro.web.snippets.batch_snippets`), and a result decodes only
+its page's url, title and body, splitting the body only to render it.
 
 Failure injection: setting :attr:`SearchEngine.available` to ``False`` makes
 every query raise :class:`SearchEngineUnavailable`, and ``failure_rate``
@@ -92,12 +95,13 @@ from repro.text.stopwords import ENGLISH_STOPWORDS
 from repro.text.tokenization import tokenize
 from repro.web.documents import WebPage
 from repro.web.index import FrozenIndex, FrozenIndexError, IndexBuilder
-from repro.web.ranking import BM25Parameters, bm25_matched_scores, bm25_norms
-from repro.web.snippets import (
-    DEFAULT_SNIPPET_WORDS,
-    best_window_start,
-    render_window,
+from repro.web.ranking import (
+    BM25Parameters,
+    bm25_norms,
+    bm25_sum,
+    bm25_token_gains,
 )
+from repro.web.snippets import batch_snippets
 
 DEFAULT_SEARCH_LATENCY = 0.3
 """Virtual seconds charged per search request."""
@@ -157,6 +161,14 @@ class SearchEngine:
         # and that file's IO counters.
         self._results_cache = PersistedDict("search-results")
         self._norms: np.ndarray | None = None
+        # token -> its BM25 (doc ids, gains) over the English documents,
+        # or None when unindexed.
+        self._gains: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
+        # doc id -> (url, title), decoded once while the results cache
+        # holds results naming them: its entries share the strings, so
+        # each document's pair is pickled once however many results hold
+        # it.
+        self._url_titles: dict[int, tuple[str, str]] = {}
         self._cache_parameters = self.parameters
         self.query_count = 0
         # -- ranking cache accounting (observability only; never semantics) --
@@ -196,7 +208,9 @@ class SearchEngine:
 
     def __getstate__(self) -> dict:
         self.index  # a builder's hashers do not pickle; its frozen index does
-        return self.__dict__
+        # The per-token gains and the (url, title) memo are rebuilt on
+        # demand; the gains would pickle a mapped index's postings.
+        return {**self.__dict__, "_gains": {}, "_url_titles": {}}
 
     def use_index_backend(self, backend: FrozenIndex) -> None:
         """Swap the engine onto *backend* (e.g. a frozen mmap artifact).
@@ -213,6 +227,9 @@ class SearchEngine:
                 "content digests differ"
             )
         self._index = backend
+        # Both hold views of, or strings decoded from, the old sections.
+        self._gains.clear()
+        self._url_titles.clear()
 
     # -- querying -----------------------------------------------------------------------
 
@@ -258,20 +275,42 @@ class SearchEngine:
         self, queries: Sequence[str], k: int
     ) -> dict[str, list[SearchResult] | str]:
         """Issue each unique query once: its cached result list, or the
-        failure reason :meth:`_issue_request` gave when it was dropped."""
+        failure reason :meth:`_issue_request` gave when it was dropped.
+
+        Result lists are cached per token signature (:meth:`_signature`).
+        The signatures the cache lacks are ranked one by one and their
+        results then rendered together (:meth:`_store_results`); a query
+        whose signature an earlier query of the batch already ranked is
+        a cache hit, as it would be one query at a time.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         # The first query freezes the corpus, answered or not; the ranking
         # helpers below read the frozen index as `self._index`.
         self.index
         self._validate_caches()
-        resolved: dict[str, list[SearchResult] | str] = {}
+        resolved: dict[str, list[SearchResult] | str | tuple] = {}
+        ranked: dict[tuple, list[int]] = {}
         for query in queries:
-            if query not in resolved:
-                reason = self._issue_request(query)
-                resolved[query] = (
-                    reason if reason is not None else self._ranked_results(query, k)
-                )
+            if query in resolved:
+                continue
+            reason = self._issue_request(query)
+            if reason is not None:
+                resolved[query] = reason
+                continue
+            signature = self._signature(query, k)
+            cached = self._results_cache.get(signature)
+            if cached is None and signature not in ranked:
+                self._cache_misses += 1
+                ranked[signature] = self._top_k(signature[0], k)
+            else:
+                self._cache_hits += 1
+            resolved[query] = signature if cached is None else cached
+        if ranked:
+            self._store_results(ranked)
+            for query, outcome in resolved.items():
+                if isinstance(outcome, tuple):
+                    resolved[query] = self._results_cache[outcome]
         return resolved
 
     def _issue_request(self, query: str) -> str | None:
@@ -326,12 +365,12 @@ class SearchEngine:
     def _validate_caches(self) -> None:
         """Drop ranking caches when the BM25 parameters changed."""
         if self.parameters != self._cache_parameters:
-            self._results_cache.clear()
-            self._norms = None
+            self.reset_compute_caches()
             self._cache_parameters = self.parameters
 
     def reset_compute_caches(self) -> None:
-        """Forget every query compute cache: ranked results and length norms.
+        """Forget every query compute cache: ranked results, the
+        (url, title) pairs they share, length norms and per-token gains.
 
         This is what "cold" means: empty query caches over a built
         (positional) index.  Snippet windows are not a cache -- they come
@@ -340,7 +379,9 @@ class SearchEngine:
         Benchmarks call this to measure cold passes.
         """
         self._results_cache.clear()
+        self._url_titles.clear()
         self._norms = None
+        self._gains.clear()
 
     # -- cache persistence ----------------------------------------------------------------
 
@@ -400,10 +441,11 @@ class SearchEngine:
         self._validate_caches()
         return self._results_cache.load(path, self.cache_fingerprint())
 
-    # -- cached ranking --------------------------------------------------------------------
+    # -- ranking and snippets ------------------------------------------------------------
 
-    def _ranked_results(self, query: str, k: int) -> list[SearchResult]:
-        """Top-*k* results, cached per token signature.
+    def _signature(self, query: str, k: int) -> tuple:
+        """The results-cache key of *query*: its effective ranking tokens,
+        its sorted distinct tokens, and *k*.
 
         Ranking depends only on the effective token sequence and snippet
         extraction only on the query token set, so queries differing in
@@ -414,40 +456,38 @@ class SearchEngine:
         """
         query_tokens = tokenize(query)
         effective = self._filter_tokens(query_tokens)
-        signature = (tuple(effective), tuple(sorted(set(query_tokens))), k)
-        cached = self._results_cache.get(signature)
-        if cached is not None:
-            self._cache_hits += 1
-            return cached
-        self._cache_misses += 1
+        return (tuple(effective), tuple(sorted(set(query_tokens))), k)
+
+    def _top_k(self, effective: Sequence[str], k: int) -> list[int]:
+        """The top-*k* English doc ids for the *effective* tokens, best first.
+
+        Each token's gains are computed once per cold pass, masked to
+        the English documents; of the documents they match, every one
+        scoring at least the k-th best is kept (so ties at the boundary
+        survive), and those are ordered by score descending, then doc id
+        ascending.
+        """
         index = self._index
-        if self._norms is None:
-            self._norms = bm25_norms(index, self.parameters)
-        matched, scores = bm25_matched_scores(
-            index, effective, self.parameters, norms=self._norms
-        )
-        # English documents only, then every one scoring at least the
-        # k-th best (so ties at the boundary survive), ordered by score
-        # descending, then doc id ascending.
-        english = index.english_mask[matched]
-        matched, scores = matched[english], scores[english]
+        token_gains = []
+        for token in effective:
+            if token not in self._gains:
+                if self._norms is None:
+                    self._norms = bm25_norms(index, self.parameters)
+                gains = bm25_token_gains(index, token, self.parameters, self._norms)
+                if gains is not None:
+                    # A document's score sums its own gains only, so
+                    # masking before the sum keeps the English scores.
+                    english = index.english_mask[gains[0]]
+                    gains = (gains[0][english], gains[1][english])
+                self._gains[token] = gains
+            if self._gains[token] is not None:
+                token_gains.append(self._gains[token])
+        matched, scores = bm25_sum(index.n_documents, token_gains)
         if matched.size > k:
             threshold = np.partition(scores, matched.size - k)[matched.size - k]
             top = scores >= threshold
             matched, scores = matched[top], scores[top]
-        token_set = signature[1]
-        results: list[SearchResult] = []
-        for doc_id in matched[np.lexsort((matched, -scores))[:k]].tolist():
-            page = index.page(doc_id)
-            results.append(
-                SearchResult(
-                    url=page.url,
-                    title=page.title,
-                    snippet=self._snippet_for(doc_id, page.body, token_set),
-                )
-            )
-        self._results_cache[signature] = results
-        return results
+        return matched[np.lexsort((matched, -scores))[:k]].tolist()
 
     def _filter_tokens(self, tokens: list[str]) -> list[str]:
         """Stopword and document-frequency filtering of query tokens."""
@@ -461,31 +501,26 @@ class SearchEngine:
         # made only of common words should still return *something*.
         return filtered or tokens
 
-    # -- positional snippet extraction ---------------------------------------------------
-
-    def _snippet_for(
-        self,
-        doc_id: int,
-        body: str,
-        query_tokens: Sequence[str],
-        max_words: int = DEFAULT_SNIPPET_WORDS,
-    ) -> str:
-        """Query-biased snippet of indexed page *doc_id*, whose body is
-        *body*: the densest *max_words*-word body window for the distinct
-        *query_tokens*, ellipsised when truncated, or the leading window
-        when no token occurs in the body.
-
-        Hits come from the index's word positions, and the window is
-        found from the hit positions alone (:func:`best_window_start`);
-        the body is split only up to the window's end (the unsplit rest
-        is one more piece, which is all the trailing ellipsis needs).
-        """
+    def _store_results(self, ranked: dict[tuple, list[int]]) -> None:
+        """Cache the results of each signature's *ranked* doc ids, their
+        snippets found for the whole batch at once
+        (:func:`~repro.web.snippets.batch_snippets`)."""
         index = self._index
-        best_start = 0
-        if index.n_words(doc_id) > max_words:  # a shorter body is its own snippet
-            hits: set[int] = set()
-            for token in query_tokens:
-                hits.update(index.word_positions(token, doc_id))
-            best_start = best_window_start(sorted(hits), max_words)
-        words = body.split(None, best_start + max_words)
-        return render_window(words, best_start, max_words)
+        url_titles = self._url_titles
+        snippets = iter(
+            batch_snippets(
+                index,
+                [(signature[1], doc_ids) for signature, doc_ids in ranked.items()],
+            )
+        )
+        for signature, doc_ids in ranked.items():
+            results: list[SearchResult] = []
+            for doc_id, snippet in zip(doc_ids, snippets):
+                url_title = url_titles.get(doc_id)
+                if url_title is None:
+                    url_title = url_titles[doc_id] = (
+                        index.field(doc_id, 0),
+                        index.field(doc_id, 1),
+                    )
+                results.append(SearchResult(*url_title, snippet))
+            self._results_cache[signature] = results

@@ -6,22 +6,28 @@
 tests can check every :class:`~repro.web.index.FrozenIndex` accessor
 against it, wherever the frozen arrays live.
 
-The engine scores sparsely (:func:`repro.web.ranking.bm25_matched_scores`),
+The engine scores sparsely (:func:`repro.web.ranking.bm25_sum` of
+per-token :func:`repro.web.ranking.bm25_token_gains`),
 selects only the top k English documents
-(:meth:`repro.web.search.SearchEngine._ranked_results`) and picks snippet
-windows from the hit positions the index records
-(:meth:`repro.web.search.SearchEngine._snippet_for`,
-:func:`repro.web.snippets.best_window_start`).  These are the
-straightforward versions -- a dense BM25 pass over every document, a full
-sort of every matched document walked past the non-English ones, and a
-snippet extractor that re-tokenises the body and slides the window over
-every word -- kept only so the tests can check the engine against them.
+(:meth:`repro.web.search.SearchEngine._top_k`) and picks the snippet
+windows of a whole batch of results at once from the hit positions the
+index records (:func:`repro.web.snippets.batch_snippets`,
+:func:`repro.web.snippets.window_starts`).  These are the straightforward
+versions -- a dense BM25 pass over every document, a full sort of every
+matched document walked past the non-English ones, one result's window
+picked from its sorted hit positions by bisection
+(:func:`best_window_start`), and a snippet extractor that re-tokenises
+the body and slides the window over every word -- kept only so the tests
+can check the engine against them.  :class:`ReferenceSearchEngine` puts
+them together into an engine that ranks and renders one result at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from repro.text.tokenization import tokenize
 from repro.web.documents import WebPage
 from repro.web.index import FrozenIndex
 from repro.web.ranking import BM25Parameters, bm25_norms
+from repro.web.search import SearchEngine, SearchResult
 from repro.web.snippets import DEFAULT_SNIPPET_WORDS, render_window
 
 
@@ -82,6 +89,21 @@ class ReferenceIndex:
 
     def word_positions(self, token: str, doc_id: int) -> list[int]:
         return self.postings.get(token, {}).get(doc_id, (0.0, []))[1]
+
+
+def batch_word_positions(
+    index: FrozenIndex, token: str, docs: list[int]
+) -> list[list[int]]:
+    """Per entry of *docs* (any order, repeats allowed), the positions of
+    *token* in that document's body, as the index's batch accessors
+    (:meth:`~repro.web.index.FrozenIndex.postings_of`,
+    :meth:`~repro.web.index.FrozenIndex.posting_positions`) answer them."""
+    found, postings = index.postings_of(token, np.array(docs, dtype=np.int64))
+    owners, positions = index.posting_positions(postings)
+    answer: list[list[int]] = [[] for _ in docs]
+    for owner, position in zip(owners.tolist(), positions.tolist()):
+        answer[int(found[owner])].append(position)
+    return answer
 
 
 def bm25_score_array(
@@ -142,6 +164,28 @@ def ranked_doc_ids(
     return ranked
 
 
+def best_window_start(hits: Sequence[int], max_words: int) -> int:
+    """First start of the densest *max_words* window over a body whose
+    query hits are at the sorted, distinct word positions *hits*.
+
+    Ties keep the earliest window, so no hits yields the leading window.
+    The earliest densest window starts at 0 or ends on a hit (otherwise
+    the window one word earlier would score as much), so only those
+    starts are scored, each by one bisection: O(h log h) in the number
+    of hits, whatever the body length.
+    """
+    best_start = 0
+    best_score = bisect_left(hits, max_words)
+    for end, position in enumerate(hits, 1):
+        start = position - max_words + 1
+        if start > 0:
+            score = end - bisect_left(hits, start, 0, end)
+            if score > best_score:
+                best_score = score
+                best_start = start
+    return best_start
+
+
 def window_scan_start(hits: list[int], max_words: int) -> int:
     """First start of the densest *max_words* window over per-word 0/1
     *hits*, found by sliding the window over every word.
@@ -160,6 +204,20 @@ def window_scan_start(hits: list[int], max_words: int) -> int:
     return best_start
 
 
+def scan_window_start(
+    words: list[str], query_tokens, max_words: int = DEFAULT_SNIPPET_WORDS
+) -> int:
+    """The window start :func:`extract_snippet` picks over *words* for the
+    distinct *query_tokens*: each word re-tokenised, then the scan."""
+    if len(words) <= max_words:
+        return 0
+    hits = [
+        1 if any(token in query_tokens for token in tokenize(word)) else 0
+        for word in words
+    ]
+    return window_scan_start(hits, max_words)
+
+
 def extract_snippet(
     body: str, query: str, max_words: int = DEFAULT_SNIPPET_WORDS
 ) -> str:
@@ -175,10 +233,40 @@ def extract_snippet(
     words = body.split()
     if len(words) <= max_words:
         return " ".join(words)
-    query_tokens = set(tokenize(query))
-    hits = [
-        1 if any(token in query_tokens for token in tokenize(word)) else 0
-        for word in words
-    ]
-    best_start = window_scan_start(hits, max_words)
+    best_start = scan_window_start(words, set(tokenize(query)), max_words)
     return render_window(words, best_start, max_words)
+
+
+class ReferenceSearchEngine(SearchEngine):
+    """The search engine ranking with the dense oracle and rendering each
+    result on its own: a full sort (:func:`ranked_doc_ids`), the window
+    found by re-tokenising the body (:func:`scan_window_start`), and one
+    decoded page kept per document for good, so every result naming a
+    document shares its url and title strings.  Request accounting and
+    the results cache are the engine's own, so the two engines' caches
+    can be compared entry by entry and pickled byte by byte.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._pages: dict[int, WebPage] = {}
+
+    def _top_k(self, effective: list[str], k: int) -> list[int]:
+        return ranked_doc_ids(self._index, effective, k)
+
+    def _store_results(self, ranked: dict[tuple, list[int]]) -> None:
+        for signature, doc_ids in ranked.items():
+            results = []
+            for doc_id in doc_ids:
+                page = self._pages.get(doc_id)
+                if page is None:
+                    page = self._pages[doc_id] = self._index.page(doc_id)
+                words = page.body.split()
+                start = scan_window_start(words, set(signature[1]))
+                snippet = render_window(
+                    page.body.split(None, start + DEFAULT_SNIPPET_WORDS),
+                    start,
+                    DEFAULT_SNIPPET_WORDS,
+                )
+                results.append(SearchResult(page.url, page.title, snippet))
+            self._results_cache[signature] = results

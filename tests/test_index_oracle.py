@@ -5,8 +5,9 @@ mapped (saved, then :meth:`~repro.web.index.FrozenIndex.open`\\ ed), the
 frozen index must answer exactly what
 :class:`search_reference.ReferenceIndex` computes page by page with
 dicts: the sorted vocabulary, every posting's doc ids and tf values with
-their dtypes, word positions, document lengths, word counts, the English
-mask, pages, the mean length and both digests.  Comparing the two storage
+their dtypes, word positions (read for a batch of documents), document
+lengths, word counts, the English mask, pages, the mean length and both
+digests.  Comparing the two storage
 backends with each other would only test the shared code; the oracle
 shares nothing with the index but the tokenizer.
 """
@@ -17,7 +18,7 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from search_reference import ReferenceIndex
+from search_reference import ReferenceIndex, batch_word_positions
 
 from repro.web.documents import WebPage
 from repro.web.index import FrozenIndex, IndexBuilder
@@ -42,6 +43,9 @@ def _check(index: FrozenIndex, reference: ReferenceIndex) -> None:
     assert index.average_length == reference.average_length
     assert index.content_digest() == reference.content_digest
     assert index.fingerprint_digest() == reference.fingerprint_digest
+    # Every document, last first and twice: the batch accessors take
+    # documents in any order.
+    docs = list(reversed(range(len(pages)))) * 2
     assert list(index.tokens()) == sorted(reference.postings)
     assert index.vocabulary_size() == len(reference.postings)
     for token, postings in reference.postings.items():
@@ -51,13 +55,12 @@ def _check(index: FrozenIndex, reference: ReferenceIndex) -> None:
         assert ids.tolist() == sorted(postings)
         assert tfs.tolist() == [postings[doc][0] for doc in sorted(postings)]
         assert index.document_frequency(token) == len(postings)
-        for doc_id in range(len(pages)):
-            assert list(index.word_positions(token, doc_id)) == (
-                reference.word_positions(token, doc_id)
-            )
+        assert batch_word_positions(index, token, docs) == [
+            reference.word_positions(token, doc_id) for doc_id in docs
+        ]
     assert index.posting_arrays("zzz-unindexed") is None
     assert index.document_frequency("zzz-unindexed") == 0
-    assert list(index.word_positions("zzz-unindexed", 0)) == []
+    assert batch_word_positions(index, "zzz-unindexed", docs) == [[] for _ in docs]
     assert index.lengths.dtype == np.float64
     assert index.lengths.tolist() == reference.lengths
     assert index.english_mask.dtype == np.bool_

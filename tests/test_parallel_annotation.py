@@ -304,6 +304,23 @@ class TestWarmPoolCacheIO:
             + (tmp_path / LABEL_MEMO_FILE).stat().st_size
         )
 
+    def test_cold_run_counts_the_parents_reload(self, classifier, tmp_path):
+        annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
+        files = (annotator.engine._results_cache, annotator.cell_annotator._label_memo)
+        run = annotate_tables_parallel(
+            annotator, _corpus(), _TYPE_KEYS, workers=2, cache_dir=tmp_path
+        )
+        # Nothing to read before the pool; afterwards the parent reads
+        # back both files the workers wrote, and the run counts it.
+        assert [persisted.loads for persisted in files] == [1, 1]
+        assert run.diagnostics.cache_loads == 2
+        assert run.diagnostics.cache_load_bytes == sum(
+            persisted.load_bytes for persisted in files
+        ) == sum(
+            (tmp_path / name).stat().st_size
+            for name in (ENGINE_CACHE_FILE, LABEL_MEMO_FILE)
+        )
+
     def test_new_entries_are_merged_and_a_fresh_annotator_loads_the_union(
         self, classifier, tmp_path
     ):
@@ -348,11 +365,12 @@ class TestWarmPoolCacheIO:
             classifier, tmp_path, tables, "spawn"
         ).diagnostics
         busy = [load for load in diagnostics.worker_loads if load.n_tasks]
-        # Each worker that reported in read both files once, and nothing
-        # new was written for the parent to read back.
+        # Each worker that reported in read both files once, nothing new
+        # was written, and the parent, which never read them before the
+        # pool, read both back once after it.
         assert all(load.cache_load_bytes == file_bytes for load in busy)
-        assert diagnostics.cache_loads == 2 * len(busy)
-        assert diagnostics.cache_load_bytes == file_bytes * len(busy)
+        assert diagnostics.cache_loads == 2 * len(busy) + 2
+        assert diagnostics.cache_load_bytes == file_bytes * (len(busy) + 1)
 
 
 def _skewed_corpus(giant_rows=12, n_small=6, small_rows=2) -> list[Table]:
@@ -634,6 +652,31 @@ class TestChunkTargetFloor:
         ]
         assert any("below every table's cost" in message for message in warnings)
         assert any("split_giant_tables" in message for message in warnings)
+
+    @pytest.mark.parametrize(
+        ("chunk_cost_target", "level"), [(0, "DEBUG"), (1, "WARNING")]
+    )
+    def test_only_an_explicit_degenerate_target_warns(
+        self, classifier, caplog, chunk_cost_target, level
+    ):
+        # Three tables of cost 3: the automatic target ceil(9 / (2 * 4)) = 2
+        # is below every table's cost too, which is the intended outcome
+        # of a small run, not something to warn about.
+        tables = _corpus(n_tables=3)
+        assert automatic_chunk_cost(tables, 2) < 3
+        with caplog.at_level("DEBUG", logger="repro.core.parallel"):
+            run = EntityAnnotator(
+                classifier,
+                _make_engine(),
+                AnnotatorConfig(chunk_cost_target=chunk_cost_target),
+            ).annotate_tables(tables, _TYPE_KEYS, workers=2)
+        assert sum(load.n_tasks for load in run.diagnostics.worker_loads) == 3
+        degenerate = [
+            record.levelname
+            for record in caplog.records
+            if "pool.chunk_target_degenerate" in record.message
+        ]
+        assert degenerate == [level]
 
     def test_target_one_with_splitting_slices_to_the_one_row_floor(
         self, classifier, caplog

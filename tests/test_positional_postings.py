@@ -7,19 +7,22 @@ against the straightforward versions in ``search_reference.py``, for a
 :class:`~repro.web.index.FrozenIndex` in RAM and mapped from its saved
 artifact:
 
-* every snippet equals :func:`extract_snippet`, which re-tokenises the
-  body -- for bodies shorter than, as long as and longer than the window,
+* every snippet :func:`~repro.web.snippets.batch_snippets` renders
+  equals :func:`extract_snippet`, which re-tokenises the body -- for
+  bodies shorter than, as long as and longer than the window,
   possessives, digits, punctuation-only words, non-ASCII whitespace,
   tokens found only in a title and queries matching nothing;
-* the window picked from hit positions alone
-  (:func:`~repro.web.snippets.best_window_start`) equals the per-word
-  scan :func:`window_scan_start` -- with several equally dense windows
-  (the earliest wins), hits only in the last window and bodies of
-  exactly ``max_words + 1`` words;
+* the window picked from hit positions alone (the oracle
+  :func:`best_window_start`, which ``tests/test_search_batch_oracle.py``
+  checks the batch kernel against) equals the per-word scan
+  :func:`window_scan_start` -- with several equally dense windows (the
+  earliest wins), hits only in the last window and bodies of exactly
+  ``max_words + 1`` words;
 * every posting's term frequency equals ``title_boost`` times the title's
   token count plus the body's, as whole-text :func:`tokenize` counts them,
   which pins that tokenising the body word by word loses nothing;
-* the sparse scorer the engine uses equals the dense oracle bitwise.
+* the sparse scorer the engine uses (per-token gains, then their sum)
+  equals the dense oracle bitwise.
 """
 
 import os
@@ -31,6 +34,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from search_reference import (
+    batch_word_positions,
+    best_window_start,
     bm25_score_array,
     extract_snippet,
     window_scan_start,
@@ -39,9 +44,14 @@ from search_reference import (
 from repro.text.tokenization import tokenize
 from repro.web.documents import WebPage
 from repro.web.index import FrozenIndex, IndexBuilder
-from repro.web.ranking import bm25_matched_scores
+from repro.web.ranking import (
+    BM25Parameters,
+    bm25_norms,
+    bm25_sum,
+    bm25_token_gains,
+)
 from repro.web.search import SearchEngine
-from repro.web.snippets import DEFAULT_SNIPPET_WORDS, best_window_start
+from repro.web.snippets import DEFAULT_SNIPPET_WORDS, batch_snippets
 
 # Body words never contain "q", so the q-words titles may carry yield
 # title-only tokens.  "İ" lower-cases to two characters and "é" is not a
@@ -97,15 +107,13 @@ def _pages(titles_and_bodies):
 def test_snippets_equal_the_oracle(docs, queries, max_words):
     pages = _pages(docs)
     backends, tmp = _indexes(pages)
+    every_doc = range(len(pages))
+    groups = [(frozenset(tokenize(query)), every_doc) for query in queries]
     with tmp:
         for index in backends:
-            engine = SearchEngine(index=index)
+            snippets = iter(batch_snippets(index, groups, max_words))
             for query in queries:
-                tokens = frozenset(tokenize(query))
-                for doc_id, page in enumerate(pages):
-                    snippet = engine._snippet_for(
-                        doc_id, page.body, tokens, max_words
-                    )
+                for page, snippet in zip(pages, snippets):
                     assert snippet == (
                         extract_snippet(page.body, query, max_words)
                     ), (index.backend_name, page.body, query)
@@ -173,10 +181,12 @@ def test_engine_windows_on_tied_and_trailing_hits(backend, hit_positions, n_word
     pages = _pages([("Melisse", " ".join(words))])
     (memory, frozen), tmp = _indexes(pages)
     with tmp:
-        engine = SearchEngine(index=memory if backend == "memory" else frozen)
-        assert engine._snippet_for(0, pages[0].body, frozenset({"melisse"})) == (
+        index = memory if backend == "memory" else frozen
+        assert batch_snippets(index, [({"melisse"}, [0])]) == [
             extract_snippet(pages[0].body, "melisse")
-        )
+        ]
+        hit = SearchEngine(index=index).search("melisse")[0]
+        assert hit.snippet == extract_snippet(pages[0].body, "melisse")
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,11 +218,11 @@ def test_word_by_word_counts_equal_whole_text_tokenisation(docs, title_boost):
                 words = page.body.split()
                 assert index.n_words(doc_id) == len(words)
                 for token in expected:
-                    assert list(index.word_positions(token, doc_id)) == [
+                    assert batch_word_positions(index, token, [doc_id]) == [[
                         position
                         for position, word in enumerate(words)
                         if token in tokenize(word)
-                    ]
+                    ]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,7 +237,15 @@ def test_sparse_scorer_equals_the_dense_oracle(docs, queries):
             for query in queries:
                 tokens = tokenize(query)
                 dense = bm25_score_array(index, tokens)
-                ids, scores = bm25_matched_scores(index, tokens)
+                parameters = BM25Parameters()
+                norms = bm25_norms(index, parameters)
+                gains = [
+                    bm25_token_gains(index, token, parameters, norms)
+                    for token in tokens
+                ]
+                ids, scores = bm25_sum(
+                    index.n_documents, [g for g in gains if g is not None]
+                )
                 expected_ids = np.flatnonzero(dense > 0.0)
                 assert ids.tolist() == expected_ids.tolist()
                 assert np.array_equal(scores, dense[expected_ids])

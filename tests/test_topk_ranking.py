@@ -165,16 +165,23 @@ def test_an_all_french_corpus_answers_nothing(backend):
         assert SearchEngine(index=index).search("hotel melisse", k=3) == []
 
 
-def test_mmap_mask_decodes_no_page():
+def test_mmap_mask_decodes_no_page(monkeypatch):
     pages = [
         WebPage(url=f"https://x/{i}", title="Quay", body="quay",
                 language="en" if i % 2 else "fr")
         for i in range(6)
     ]
+    decoded = []
+    field = FrozenIndex.field
+    monkeypatch.setattr(
+        FrozenIndex,
+        "field",
+        lambda self, doc_id, part: decoded.append(doc_id) or field(self, doc_id, part),
+    )
     (_, frozen), tmp = _indexes(pages)
     with tmp:
         assert frozen.english_mask.tolist() == [False, True] * 3
-        assert frozen._page_cache == {}
+        assert decoded == []
         assert frozen.english_mask.tolist() == [
             frozen.page(d).language == "en" for d in range(len(pages))
         ]
