@@ -15,14 +15,12 @@
 There is one pipeline.  :meth:`EntityAnnotator.annotate_batch` runs a
 single *raw pass* -- pre-processing, one pooled
 :meth:`~repro.core.annotation.CellAnnotator.annotate_values` batch, and
-the end-of-run repair when ``config.retries > 0`` -- over units of work,
-each a table at a corpus position plus a half-open row range
-(:class:`~repro.core.parallel.TableSlice`; a whole table is ``[0,
-n_rows)``), then post-processes every table once and answers by input
-position.  The candidate cells of *every* table are pooled, so a query
-string shared by several tables is searched, classified and voted on
-exactly once for the whole run.  Every worker-pool task runs the same
-raw pass (the parent post-processes).
+the end-of-run repair when ``config.retries > 0`` -- over whole tables,
+the unit of annotation work, then post-processes every table once and
+answers by input position.  The candidate cells of *every* table are
+pooled, so a query string shared by several tables is searched,
+classified and voted on exactly once for the whole run.  Every
+worker-pool task runs the same raw pass (the parent post-processes).
 :meth:`~EntityAnnotator.annotate_tables` merges that answer by table
 name into an :class:`~repro.core.results.AnnotationRun` carrying the
 corpus-wide :class:`~repro.core.results.RunDiagnostics`, and
@@ -80,7 +78,6 @@ from repro.core.annotation import CellAnnotator, SnippetCache
 from repro.core.config import AnnotatorConfig
 from repro.core.disambiguation import SpatialContextExtractor
 from repro.core import parallel
-from repro.core.parallel import TableSlice
 from repro.core.postprocessing import eliminate_spurious
 from repro.core.preprocessing import Preprocessor
 from repro.core.results import (
@@ -168,16 +165,13 @@ class EntityAnnotator:
         return {}
 
     def _collect_raw(
-        self, table_name: str, candidates, decisions, row_offset: int = 0
+        self, table_name: str, candidates, decisions
     ) -> TableAnnotation:
         """Fold decisions into a *raw* (pre-post-processing) annotation.
 
-        *row_offset* shifts candidate rows into the coordinates of the
-        full table: a unit's sub-table numbers its rows from 0, so the
-        raw annotations of a table's row ranges, concatenated, are
-        indistinguishable from those of the whole table.  Cells whose
-        engine request(s) ultimately failed are recorded on ``degraded``
-        -- a lossy run names its losses instead of silently shrinking.
+        Cells whose engine request(s) ultimately failed are recorded on
+        ``degraded`` -- a lossy run names its losses instead of silently
+        shrinking.
         """
         annotation = TableAnnotation(table_name=table_name)
         for candidate, decision in zip(candidates, decisions):
@@ -185,7 +179,7 @@ class EntityAnnotator:
                 annotation.add(
                     CellAnnotation(
                         table_name=table_name,
-                        row=candidate.row + row_offset,
+                        row=candidate.row,
                         column=candidate.column,
                         type_key=decision.type_key,  # type: ignore[arg-type]
                         score=decision.score,
@@ -196,7 +190,7 @@ class EntityAnnotator:
                 annotation.degraded.append(
                     DegradedCell(
                         table_name=table_name,
-                        row=candidate.row + row_offset,
+                        row=candidate.row,
                         column=candidate.column,
                         cell_value=candidate.value,
                         query=decision.query,
@@ -212,9 +206,8 @@ class EntityAnnotator:
         Post-processing is deliberately *table-global* -- the
         column-coherence score weighs whole-column value occurrences over
         all of a table's annotations -- so it runs once per table, in
-        the process that owns the whole table: pool workers annotate
-        their units raw and the parent calls this with the full
-        original table.
+        the parent process: pool workers annotate their tables raw and
+        the parent calls this with each table.
         """
         if self.config.use_postprocessing:
             with span("annotate.postprocess", table=table.name):
@@ -293,12 +286,12 @@ class EntityAnnotator:
         ``workers=N`` (with more than one table) distributes the tables
         across ``N`` worker *processes*
         (:func:`repro.core.parallel.annotate_tables_parallel`): the parent
-        enqueues cost-bounded chunk tasks (``config.chunk_cost_target``
-        cells per task, 0 = automatic) that idle workers pull as they
-        finish, every worker runs the same raw pass over the units it
-        pulls, and the parent post-processes every table once.  Each
-        worker warm-starts from *cache_dir* (when given; forked workers
-        inherit the caches the parent loaded once before the fork) and
+        enqueues cost-bounded chunk tasks (about four per worker) that
+        idle workers pull as they finish, every worker runs the same raw
+        pass over the tables it pulls, and the parent post-processes
+        every table once.  Each worker warm-starts from *cache_dir* (when
+        given; forked workers inherit the caches the parent loaded once
+        before the fork) and
         merge-saves its caches back once at the end of the run -- unless
         the files already hold everything it has -- so concurrent workers
         share one cache directory without losing entries.
@@ -309,7 +302,7 @@ class EntityAnnotator:
         different tasks may diverge exactly like the per-table caveat
         above.  A worker that *dies* mid-run is survived: its task is
         requeued onto a fresh worker up to ``config.task_retries`` times,
-        then quarantined with its units' candidate cells marked degraded.
+        then quarantined with its tables' candidate cells marked degraded.
         With ``workers=1``, *cache_dir* warm-starts this process before
         the pass and merge-saves after it -- the same contract, minus the
         pool.  The end-of-pass repair (``config.retries > 0``) runs inside
@@ -325,11 +318,7 @@ class EntityAnnotator:
             return parallel.annotate_tables_parallel(
                 self, tables, type_keys, workers=workers, cache_dir=cache_dir
             )
-        raw = self._annotate_units(
-            [TableSlice.whole(table, index) for index, table in enumerate(tables)],
-            type_keys,
-            cache_dir=cache_dir,
-        )
+        raw = self._annotate_raw(tables, type_keys, cache_dir=cache_dir)
         return BatchAnnotationResult(
             annotations=[
                 self.postprocess_table(table, annotation)
@@ -338,36 +327,30 @@ class EntityAnnotator:
             diagnostics=raw.diagnostics,
         )
 
-    def _annotate_units(
-        self, units: Sequence[TableSlice], type_keys: list[str], cache_dir=None
+    def _annotate_raw(
+        self, tables: Sequence[Table], type_keys: list[str], cache_dir=None
     ) -> BatchAnnotationResult:
         """The one annotation pass, raw: pre-processing, one pooled
         resolution and (with ``config.retries > 0``) the repair pass over
-        *units*, without post-processing.
+        *tables*, without post-processing.
 
-        ``annotations[i]`` is unit ``i``'s raw annotation, rows in the
-        full table's coordinates.  Post-processing is table-global, so
-        the caller that owns every unit of a table applies
-        :meth:`postprocess_table` once (spatial disambiguation is
-        table-global too, which is why the scheduler never splits a
-        table when it is enabled).  Diagnostics count the units'
-        candidate cells; ``n_tables`` counts the units that start at row
-        0, so summing the diagnostics of a split table's units still
-        counts it once.  *cache_dir* warm-starts before the pass and
-        merge-saves after it, inside the diagnostics window.
+        ``annotations[i]`` is table ``i``'s raw annotation; the caller
+        applies :meth:`postprocess_table` to each.  Diagnostics count the
+        tables and their candidate cells.  *cache_dir* warm-starts before
+        the pass and merge-saves after it, inside the diagnostics window.
         """
         # Snapshot before the warm start so the diagnostics cover the
         # cache IO spent serving the pass.
         before = self._counters()
         if cache_dir is not None:
             self.load_caches(cache_dir)
-        prepped: list[tuple[TableSlice, list]] = []
+        prepped: list[tuple[Table, list]] = []
         pairs: list[tuple[str, str | None]] = []
-        with span("annotate.prep", n_tables=len(units)):
-            for unit in units:
-                candidates = self.preprocessor.candidate_cells(unit.table)
-                contexts = self._row_contexts(unit.table)
-                prepped.append((unit, candidates))
+        with span("annotate.prep", n_tables=len(tables)):
+            for table in tables:
+                candidates = self.preprocessor.candidate_cells(table)
+                contexts = self._row_contexts(table)
+                prepped.append((table, candidates))
                 pairs.extend(
                     (candidate.value, contexts.get(candidate.row))
                     for candidate in candidates
@@ -384,14 +367,11 @@ class EntityAnnotator:
                 )
         annotations: list[TableAnnotation] = []
         offset = 0
-        for unit, candidates in prepped:
+        for table, candidates in prepped:
             n_cells = len(candidates)
             annotations.append(
                 self._collect_raw(
-                    unit.table_name,
-                    candidates,
-                    decisions[offset : offset + n_cells],
-                    row_offset=unit.row_start,
+                    table.name, candidates, decisions[offset : offset + n_cells]
                 )
             )
             offset += n_cells
@@ -401,7 +381,7 @@ class EntityAnnotator:
             annotations=annotations,
             diagnostics=self._diagnostics_since(
                 before,
-                n_tables=sum(1 for unit in units if unit.row_start == 0),
+                n_tables=len(tables),
                 n_cells=len(pairs),
                 degraded_cells=sum(
                     len(annotation.degraded) for annotation in annotations

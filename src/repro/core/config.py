@@ -58,40 +58,8 @@ class AnnotatorConfig:
     task_retries: int = 2
     """How many times a parallel chunk task whose worker *died* is
     requeued onto a fresh worker before the task is quarantined and its
-    tables marked degraded (see :mod:`repro.core.parallel`)."""
-
-    chunk_cost_target: int = 0
-    """Cost budget per work-stealing chunk task, in estimated cells
-    (``rows x columns``, the cheap proxy for per-table work).  Consecutive
-    small tables are packed into one task until the budget is reached; a
-    table costing more than the budget travels alone, or -- with
-    splitting enabled (``split_giant_tables``/``max_slice_cost``) -- is
-    cut into row-range slice tasks.  0 (default) sizes chunks
-    automatically from the corpus: ``total_cost / (workers * 4)``, i.e.
-    about four tasks per worker -- fine-grained enough to rebalance
-    around a giant table, coarse enough to keep per-task overhead
-    negligible."""
-
-    split_giant_tables: bool = False
-    """Let the work-stealing scheduler split a giant table into row-range
-    slice tasks (:class:`~repro.core.parallel.TableSlice`).  Off by
-    default: a table is then the atomic stealing unit, which bounds the
-    skewed-corpus speedup by the giant table's own cost.  When on, a
-    table whose estimated cost (``rows x columns``) exceeds the slice
-    budget (``max_slice_cost``, or the effective chunk cost target when
-    that is 0) is cut into contiguous row ranges, each annotated
-    independently by pool workers and reassembled -- and post-processed
-    once, whole-table -- by the parent, byte-identical to ``workers=1``.
-    Ignored whenever ``use_spatial_disambiguation`` is on (row contexts
-    are table-global, so a slice could not reproduce them)."""
-
-    max_slice_cost: int = 0
-    """Cost budget per row-range slice task, in estimated cells (same
-    unit as ``chunk_cost_target``).  A positive value also *enables*
-    splitting (no need to set ``split_giant_tables`` separately); 0
-    (default) means: when splitting is enabled, size slices to the
-    effective chunk cost target, so slices steal exactly like ordinary
-    chunks."""
+    tables marked degraded (see :mod:`repro.core.parallel`, which sizes
+    the tasks from the corpus and the worker count alone)."""
 
     def __post_init__(self) -> None:
         if self.top_k < 1:
@@ -123,16 +91,6 @@ class AnnotatorConfig:
         if self.task_retries < 0:
             raise ValueError(
                 f"task_retries must be >= 0, got {self.task_retries}"
-            )
-        if self.chunk_cost_target < 0:
-            raise ValueError(
-                "chunk_cost_target must be >= 0 (0 = automatic), got "
-                f"{self.chunk_cost_target}"
-            )
-        if self.max_slice_cost < 0:
-            raise ValueError(
-                "max_slice_cost must be >= 0 (0 = chunk cost target), got "
-                f"{self.max_slice_cost}"
             )
 
     @property

@@ -5,17 +5,18 @@ across ``N`` worker processes.  Each worker holds a full copy of the
 annotator (classifier, engine, config), optionally warm-starts from a
 shared cache directory (under ``fork``, by inheriting the caches the
 parent loaded before starting the pool), runs the annotator's one *raw
-pass* over the units of every task it pulls -- pre-processing, pooled
+pass* over the tables of every task it pulls -- pre-processing, pooled
 resolution and repair, no post-processing -- and merge-saves its caches
 back once at the end of the run (so no worker's save discards another's
-entries -- see :mod:`repro.persistence`).  A unit is a table at a corpus
-position plus a half-open row range (:class:`TableSlice`; a whole table
-is ``[0, n_rows)``).  Each task's raw annotations ship home in unit
-order.  The parent collects them by corpus *position*, never by name, so
-two distinct tables sharing a name stay apart, and post-processes each
-once against its own full table; the answer is positional, exactly as
-``workers=1`` answers.  The task diagnostics fold into one corpus-wide
-view with per-worker load accounting
+entries -- see :mod:`repro.persistence`).  A table is the unit of work:
+post-processing (Equation 2) and spatial disambiguation both read a
+whole table, so a task is a contiguous run of whole tables and ships
+home one raw annotation per table, in table order.  The parent extends
+one list with them in task order -- so it lines up with the corpus by
+*position*, never by name, and two distinct tables sharing a name stay
+apart -- and post-processes each table once against itself; the answer
+is positional, exactly as ``workers=1`` answers.  The task diagnostics
+fold into one corpus-wide view with per-worker load accounting
 (:class:`~repro.core.results.WorkerLoad`).
 
 The parent dispatches cost-bounded *chunk* tasks -- consecutive tables
@@ -24,16 +25,8 @@ alone -- and long-lived workers receive the next task the moment they
 finish one (work stealing).  A skewed corpus (one 2,000-row table next to
 hundreds of tiny ones, the shape real web-table corpora exhibit) keeps
 every worker busy: whoever draws the giant table works it while the rest
-drain the small chunks.
-
-A giant table may additionally be **split into row-range units**
-(``AnnotatorConfig.split_giant_tables`` / ``max_slice_cost``) so even the
-giant stops bounding the critical path.  A slice is an ordinary unit
-travelling as its own task, so crash recovery keeps its granularity for
-free: a worker SIGKILLed mid-slice requeues exactly that slice, and a
-poisonous slice quarantines alone (only its rows' candidate cells
-degrade).  Splitting never engages under spatial disambiguation (row
-contexts are table-global).
+drain the small chunks.  The budget is a function of the input only
+(:func:`automatic_chunk_cost`).
 
 The pool itself is hand-rolled (one duplex pipe per worker, parent-side
 dispatch) rather than a ``ProcessPoolExecutor``, because the executor
@@ -46,7 +39,7 @@ death is survivable by construction:
   respawned), up to ``AnnotatorConfig.task_retries`` times;
 * a task that keeps killing its workers -- a poison task -- is
   **quarantined**: the parent stops re-running it, marks every candidate
-  cell of its units *degraded* on the run
+  cell of its tables *degraded* on the run
   (:class:`~repro.core.results.DegradedCell`, ``reason="worker-crash"``)
   and finishes the rest of the corpus;
 * per-worker result pipes isolate crash damage: a worker killed mid-send
@@ -64,7 +57,7 @@ method the parent's annotator is inherited by reference (copy-on-write,
 no serialisation at all); under ``spawn`` or ``forkserver`` a pickled
 payload is shipped instead.  Either way every worker computes with an
 identical copy of the classifier/engine state, so annotations are a pure
-function of the task's units -- which is why a pooled run is
+function of the task's tables -- which is why a pooled run is
 byte-identical to the sequential path.  (Failure injection is
 deterministic per (seed, query, occurrence), so even a flaky engine fails
 the same queries inside a worker as the sequential run fails for each
@@ -72,10 +65,10 @@ query's first issue.)
 
 The layer stays deliberately dumb about content: query deduplication
 happens *within* a task (each worker runs the pooled raw pass over the
-task's units); a query string spanning two tasks is issued once per
+task's tables); a query string spanning two tasks is issued once per
 task, which the merged diagnostics report honestly via
 ``queries_issued``.  Chunking is a pure function of the table shapes and
-the cost budget, so a given corpus always yields the same task list.
+the worker count, so a given corpus always yields the same task list.
 """
 
 from __future__ import annotations
@@ -88,9 +81,9 @@ import signal
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from multiprocessing import connection
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence
 
 try:  # POSIX rusage for per-worker RSS accounting; absent on some hosts.
     import resource
@@ -108,11 +101,10 @@ from repro.observability import metrics as obs_metrics
 from repro.observability import tracing
 from repro.observability.log import get_logger
 from repro.observability.tracing import span
-from repro.tables.model import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotator imports us)
     from repro.core.annotator import EntityAnnotator
-    from repro.core.config import AnnotatorConfig
+    from repro.tables.model import Table
 
 _LOG = get_logger(__name__)
 
@@ -204,12 +196,12 @@ def _worker_main(
 ) -> None:
     """Worker process loop: receive commands, ship results home.
 
-    Commands (tuples, first element the kind): ``("task", index, units,
-    type_keys)`` runs the annotator's raw pass over the units and answers
+    Commands (tuples, first element the kind): ``("task", index, tables,
+    type_keys)`` runs the annotator's raw pass over the tables and answers
     ``("done", index, pid, result, busy_seconds, (peak_rss_kb,
     attach_seconds, attach_rss_kb, attach_io, spans))``
     -- *result* a :class:`~repro.core.results.BatchAnnotationResult`
-    holding one raw annotation per unit, in unit order -- or ``("error",
+    holding one raw annotation per table, in table order -- or ``("error",
     index, pid, error)``; ``("flush",)`` merge-saves the caches and answers
     ``("flushed", pid, diagnostics)``, *diagnostics* the save's cache IO
     as a :class:`RunDiagnostics` delta (or ``("flush-error", pid,
@@ -272,11 +264,11 @@ def _worker_main(
             break
         kind = message[0]
         if kind == "task":
-            _, index, units, type_keys = message
+            _, index, tables, type_keys = message
             start = time.perf_counter()
             try:
                 with span("pool.task", task_index=index, pid=os.getpid()):
-                    result = annotator._annotate_units(units, type_keys)
+                    result = annotator._annotate_raw(tables, type_keys)
             except Exception as error:
                 conn.send(("error", index, os.getpid(), _portable_error(error)))
             else:
@@ -401,7 +393,7 @@ class _WorkerPool:
 
     def run_tasks(
         self,
-        tasks: "Sequence[Sequence[TableSlice]]",
+        tasks: "Sequence[Sequence[Table]]",
         type_keys: list[str],
         task_retries: int,
     ) -> tuple[dict[int, tuple], list[int], int, list[BaseException]]:
@@ -482,7 +474,7 @@ class _WorkerPool:
     def _dispatch(
         self,
         pending: deque[int],
-        tasks: "Sequence[Sequence[TableSlice]]",
+        tasks: "Sequence[Sequence[Table]]",
         type_keys: list[str],
     ) -> None:
         for worker in self.workers:
@@ -494,7 +486,7 @@ class _WorkerPool:
                 continue  # the next reap requeues/respawns
             index = pending[0]
             try:
-                worker.conn.send(("task", index, list(tasks[index]), type_keys))
+                worker.conn.send(("task", index, tasks[index], type_keys))
             except (BrokenPipeError, OSError):
                 continue  # died between is_alive and send; reaped next tick
             pending.popleft()
@@ -660,76 +652,6 @@ class _WorkerPool:
                 pass
 
 
-@dataclass(frozen=True)
-class TableSlice:
-    """A table at a corpus position plus a half-open row range: the unit
-    of annotation work.  A whole table is the range ``[0, n_rows)``.
-
-    ``table`` is the materialised sub-table -- same name and columns,
-    ``rows[row_start:row_stop]`` -- that ships to the worker; ``rows``
-    hold references into the original row lists, so slicing is cheap.
-    ``table_index`` is the table's position in the corpus: units group
-    by *position*, never by name, because a corpus may contain several
-    distinct tables sharing a name and their units must not be
-    reassembled into one table.  Half-open ``[row_start, row_stop)``
-    ranges partition the table exactly: no row lost, none duplicated.
-    """
-
-    table_name: str
-    row_start: int
-    row_stop: int
-    table_index: int
-    table: "Table"
-
-    @classmethod
-    def whole(cls, table: "Table", table_index: int) -> "TableSlice":
-        """The unit covering all of *table*, at corpus position *table_index*."""
-        return cls(table.name, 0, table.n_rows, table_index, table)
-
-
-TaskItem = Union["Table", TableSlice]
-"""One unit of a queue task: a whole table, or a row-range slice of one.
-A slice always travels as its own single-item task, so crash recovery
-requeues (and quarantine degrades) exactly one slice."""
-
-
-def slice_table(
-    table: "Table", table_index: int, slice_cost_target: int
-) -> list[TableSlice]:
-    """Cut *table* into row-range slices of at most *slice_cost_target*
-    estimated cost each (cost model of :func:`table_cost`: rows x
-    columns).
-
-    Slices are contiguous, cover every row exactly once, and never go
-    below one row -- a one-row table is unsplittable however small the
-    budget, the same "atomic floor" a giant table had under pure
-    chunking.  The cut is a pure function of the table shape and the
-    budget, so a given corpus always yields the same slice list.
-    """
-    if slice_cost_target < 1:
-        raise ValueError(
-            f"slice_cost_target must be >= 1, got {slice_cost_target}"
-        )
-    rows_per_slice = max(1, slice_cost_target // max(1, table.n_columns))
-    slices: list[TableSlice] = []
-    for row_start in range(0, table.n_rows, rows_per_slice):
-        row_stop = min(row_start + rows_per_slice, table.n_rows)
-        slices.append(
-            TableSlice(
-                table_name=table.name,
-                row_start=row_start,
-                row_stop=row_stop,
-                table_index=table_index,
-                table=Table(
-                    name=table.name,
-                    columns=table.columns,
-                    rows=table.rows[row_start:row_stop],
-                ),
-            )
-        )
-    return slices
-
-
 def table_cost(table: "Table") -> int:
     """Cheap per-table work estimate: its cell count (``rows x columns``).
 
@@ -741,52 +663,25 @@ def table_cost(table: "Table") -> int:
     return max(1, table.n_rows * table.n_columns)
 
 
-def chunk_tables(
-    tables: "Sequence[Table]",
-    chunk_cost_target: int,
-    slice_cost_target: int = 0,
-) -> list[list[TaskItem]]:
-    """Pack *tables* into contiguous chunks of at most *chunk_cost_target*
-    estimated cost each (see :func:`table_cost`).
+def chunk_tables(tables: "Sequence[Table]", target: int) -> list[list[Table]]:
+    """Pack *tables* into contiguous chunks of at most *target* estimated
+    cost each (see :func:`table_cost`).
 
     Consecutive small tables share a chunk until adding the next one
-    would exceed the budget; with *slice_cost_target* at its default 0, a
-    table costing more than the budget on its own travels alone (tables
-    are then the atomic unit of work -- they never split).  With a
-    positive *slice_cost_target*, a multi-row table whose cost exceeds
-    that budget is instead cut into row-range slices
-    (:func:`slice_table`), each emitted as its **own single-item task**
-    so the queue -- and crash recovery -- handles slices at slice
-    granularity.  Chunks preserve the input order (a split table's
-    slices appear consecutively, in row order), so walking tasks in
-    order reproduces the corpus exactly; the packing is a pure function
-    of the table shapes and the budgets, so the same corpus always
-    yields the same task list.
+    would exceed the budget; a table costing more than the budget on its
+    own travels alone (a table is the atomic unit of work).  Chunks
+    preserve the input order, so walking tasks in order reproduces the
+    corpus exactly; the packing is a pure function of the table shapes
+    and the budget, so the same corpus always yields the same task list.
     """
-    if chunk_cost_target < 1:
-        raise ValueError(
-            f"chunk_cost_target must be >= 1, got {chunk_cost_target}"
-        )
-    if slice_cost_target < 0:
-        raise ValueError(
-            f"slice_cost_target must be >= 0 (0 = no splitting), got "
-            f"{slice_cost_target}"
-        )
-    chunks: list[list[TaskItem]] = []
-    current: list[TaskItem] = []
+    if target < 1:
+        raise ValueError(f"chunk target must be >= 1, got {target}")
+    chunks: list[list[Table]] = []
+    current: list[Table] = []
     current_cost = 0
-    for index, table in enumerate(tables):
+    for table in tables:
         cost = table_cost(table)
-        if slice_cost_target and cost > slice_cost_target and table.n_rows > 1:
-            if current:
-                chunks.append(current)
-                current, current_cost = [], 0
-            chunks.extend(
-                [table_slice]
-                for table_slice in slice_table(table, index, slice_cost_target)
-            )
-            continue
-        if current and current_cost + cost > chunk_cost_target:
+        if current and current_cost + cost > target:
             chunks.append(current)
             current, current_cost = [], 0
         current.append(table)
@@ -797,75 +692,12 @@ def chunk_tables(
 
 
 def automatic_chunk_cost(tables: "Sequence[Table]", workers: int) -> int:
-    """The default stealing budget: about :data:`CHUNKS_PER_WORKER` chunks
-    per worker -- fine-grained enough that a giant table's neighbours can
+    """The stealing budget: about :data:`CHUNKS_PER_WORKER` chunks per
+    worker -- fine-grained enough that a giant table's neighbours can
     migrate to idle workers, coarse enough that per-task overhead (pickling
     a run home) stays negligible."""
     total = sum(table_cost(table) for table in tables)
     return max(1, math.ceil(total / max(1, workers * CHUNKS_PER_WORKER)))
-
-
-def _build_tasks(
-    tables: "Sequence[Table]", workers: int, config: "AnnotatorConfig"
-) -> tuple[list[list[TaskItem]], int]:
-    """The scheduler's task list: cost-bounded chunks (and slices).
-
-    Returns ``(tasks, effective_chunk_cost)`` -- the cost target the
-    chunker actually packed with, which the run's diagnostics record so
-    an automatic target is never invisible.  A target below every table's
-    cost degenerates to one task per table; that used to happen
-    *silently*, so it is logged here -- a warning when the caller set the
-    target and splitting is off (the scheduler is back at its
-    table-atomic ceiling), debug otherwise.
-    """
-    target = config.chunk_cost_target or automatic_chunk_cost(tables, workers)
-    slice_cost_target = 0
-    # Row contexts are computed iteratively over the whole table; a slice
-    # cannot reproduce them, so splitting is gated off under spatial
-    # disambiguation rather than trading byte-parity for balance.
-    if (
-        config.split_giant_tables or config.max_slice_cost
-    ) and not config.use_spatial_disambiguation:
-        slice_cost_target = config.max_slice_cost or target
-    if tables:
-        smallest = min(table_cost(table) for table in tables)
-        if target < smallest and not slice_cost_target:
-            log = _LOG.warning if config.chunk_cost_target else _LOG.debug
-            log(
-                "pool.chunk_target_degenerate",
-                target=target,
-                source="explicit" if config.chunk_cost_target else "automatic",
-                min_table_cost=smallest,
-                msg=(
-                    "chunk cost target is below every table's cost: each "
-                    "table travels alone and the giant table bounds the "
-                    "run; enable split_giant_tables to cut rows"
-                ),
-            )
-        else:
-            _LOG.debug(
-                "pool.schedule_planned",
-                target=target,
-                source="explicit" if config.chunk_cost_target else "automatic",
-                slice_cost_target=slice_cost_target,
-            )
-    return chunk_tables(tables, target, slice_cost_target), target
-
-
-def _as_units(tasks: "Sequence[Sequence[TaskItem]]") -> list[list[TableSlice]]:
-    """Every task item as a unit: a whole table becomes its ``[0,
-    n_rows)`` range at its corpus position.  Tasks are contiguous runs of
-    the corpus, so that position is one past the previous item's."""
-    units: list[list[TableSlice]] = []
-    position = 0
-    for task in tasks:
-        units.append([])
-        for item in task:
-            if not isinstance(item, TableSlice):
-                item = TableSlice.whole(item, position)
-            units[-1].append(item)
-            position = item.table_index + 1
-    return units
 
 
 def _worker_loads(
@@ -918,40 +750,36 @@ def _worker_loads(
 
 
 def _quarantine_run(
-    annotator: "EntityAnnotator", units: "Sequence[TableSlice]"
+    annotator: "EntityAnnotator", tables: "Sequence[Table]"
 ) -> BatchAnnotationResult:
     """The degraded stand-in for a quarantined task's raw annotations.
 
-    Every candidate cell of the task's units is marked degraded with
-    ``reason="worker-crash"`` (rows in full-table coordinates); no
-    annotations, no engine traffic (the parent computes candidates
-    locally -- preprocessing never touches the network).  ``n_tables``
-    follows the unit convention: only a unit starting at row 0 counts
-    its table.
+    Every candidate cell of the task's tables is marked degraded with
+    ``reason="worker-crash"``; no annotations, no engine traffic (the
+    parent computes candidates locally -- preprocessing never touches
+    the network).
     """
     annotations = [
         TableAnnotation(
-            table_name=unit.table_name,
+            table_name=table.name,
             degraded=[
                 DegradedCell(
-                    table_name=unit.table_name,
-                    row=candidate.row + unit.row_start,
+                    table_name=table.name,
+                    row=candidate.row,
                     column=candidate.column,
                     cell_value=candidate.value,
                     reason="worker-crash",
                 )
-                for candidate in annotator.preprocessor.candidate_cells(
-                    unit.table
-                )
+                for candidate in annotator.preprocessor.candidate_cells(table)
             ],
         )
-        for unit in units
+        for table in tables
     ]
     n_cells = sum(len(annotation.degraded) for annotation in annotations)
     return BatchAnnotationResult(
         annotations=annotations,
         diagnostics=RunDiagnostics(
-            n_tables=sum(1 for unit in units if unit.row_start == 0),
+            n_tables=len(tables),
             n_cells=n_cells,
             search_failures=0,
             cache_hits=0,
@@ -976,33 +804,27 @@ def annotate_tables_parallel(
     """Annotate *tables* across a pool of *workers* processes.
 
     The task-queue -> warm-start -> raw pass -> merge-save data flow
-    described in ``docs/architecture.md``.  How tasks are cut and how
-    often a crashed one is retried come from ``annotator.config``
-    (``chunk_cost_target``, ``split_giant_tables``, ``max_slice_cost``,
-    ``task_retries``).  Every task is a list of
-    units (:class:`TableSlice`) and every worker runs the annotator's
-    raw pass over them; this parent collects the raw annotations by
-    corpus position and post-processes each table once, against the
-    full original table.  Returns the same positional
-    :class:`~repro.core.results.BatchAnnotationResult` as the in-process
-    pass (``EntityAnnotator.annotate_batch``): ``annotations[i]``
+    described in ``docs/architecture.md``.  Tasks are the chunks of
+    :func:`chunk_tables` at the :func:`automatic_chunk_cost` budget, and
+    how often a crashed one is retried comes from
+    ``annotator.config.task_retries``.  Every task is a contiguous run of
+    tables and every worker runs the annotator's raw pass over them;
+    this parent collects the raw annotations in task order and
+    post-processes each table once, against itself.  Returns the same
+    positional :class:`~repro.core.results.BatchAnnotationResult` as the
+    in-process pass (``EntityAnnotator.annotate_batch``): ``annotations[i]``
     answers ``tables[i]``, same-named tables kept apart; its
     ``diagnostics`` are the :meth:`RunDiagnostics.combined` fold of every
     task's in task order plus the cache IO outside them, and
     ``diagnostics.worker_loads`` record what each pool process really
     did (tasks, tables, cells, busy seconds -- see
-    ``RunDiagnostics.imbalance_ratio``).  ``diagnostics.tables_split``
-    counts the tables cut into several row ranges;
-    ``diagnostics.effective_chunk_cost`` records the chunk budget the
-    stealing chunker actually used (automatic targets included).
+    ``RunDiagnostics.imbalance_ratio``).
 
     Crash recovery: a worker that dies mid-task has its task requeued on
     a replacement worker up to ``task_retries`` times; a task that keeps
-    killing its workers is quarantined -- its units' candidate cells
+    killing its workers is quarantined -- its tables' candidate cells
     marked degraded (``reason="worker-crash"``) -- and the rest of the
-    corpus completes normally.  A slice task requeues and quarantines at
-    slice granularity: losing a worker mid-slice never redoes (or
-    degrades) the rest of its table.  ``diagnostics.tasks_requeued`` /
+    corpus completes normally.  ``diagnostics.tasks_requeued`` /
     ``tasks_quarantined`` count both.  *on_worker_spawn* (tests, chaos
     harnesses) is called with the pid of every worker the pool starts,
     replacements included.
@@ -1038,9 +860,7 @@ def annotate_tables_parallel(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tables = list(tables)
-    config = annotator.config
-    task_items, effective_chunk_cost = _build_tasks(tables, workers, config)
-    tasks = _as_units(task_items)
+    tasks = chunk_tables(tables, automatic_chunk_cost(tables, workers))
     if not tasks:
         return BatchAnnotationResult([], RunDiagnostics.combined([]))
     n_workers = min(workers, len(tasks))
@@ -1082,7 +902,7 @@ def annotate_tables_parallel(
                 on_worker_spawn=on_worker_spawn,
             )
             completed, quarantined, requeued, errors = pool.run_tasks(
-                tasks, type_keys, config.task_retries
+                tasks, type_keys, annotator.config.task_retries
             )
             if cache_dir is not None:
                 # Flushing happens even when a task failed or the run was
@@ -1102,28 +922,23 @@ def annotate_tables_parallel(
             pool.shutdown()
         _FORK_PAYLOAD = None
     # Deterministic reassembly: tasks are contiguous runs of the corpus
-    # and carry their raw annotations in unit order, so walking them in
-    # task order visits every table's row ranges in corpus and row
-    # order.  Raw annotations gather by corpus *position* (quarantined
-    # tasks contribute degraded placeholders) and each table is
-    # post-processed once against its full original table --
-    # byte-identical to the workers=1 pass.
-    quarantined_tasks = set(quarantined)
-    raw = [TableAnnotation(table_name=table.name) for table in tables]
+    # and carry one raw annotation per table in table order, so one list
+    # extended in task order lines up with the corpus by *position*
+    # (quarantined tasks contribute degraded placeholders).  Each table
+    # is post-processed once against itself -- byte-identical to the
+    # workers=1 pass.  A run that did not complete every task raised
+    # above, so each task is either completed or quarantined here.
+    raw: list[TableAnnotation] = []
     parts: list[RunDiagnostics] = []
     results = []
-    for index, units in enumerate(tasks):
+    for index, task in enumerate(tasks):
         if index in completed:
             part = completed[index][1]
             results.append(completed[index])
-        elif index in quarantined_tasks:
-            part = _quarantine_run(annotator, units)
-        else:  # pragma: no cover - only reachable on an aborted run
-            continue
+        else:
+            part = _quarantine_run(annotator, task)
         parts.append(part.diagnostics)
-        for unit, annotation in zip(units, part.annotations):
-            raw[unit.table_index].cells.extend(annotation.cells)
-            raw[unit.table_index].degraded.extend(annotation.degraded)
+        raw.extend(part.annotations)
     # Each worker process's warm start, once: every stats tuple it sent
     # carries the same attach IO.
     io_parts.extend({result[2]: result[4][3] for result in results}.values())
@@ -1140,12 +955,5 @@ def annotate_tables_parallel(
         worker_loads=_worker_loads(results, n_workers),
         tasks_requeued=requeued,
         tasks_quarantined=len(quarantined),
-        effective_chunk_cost=effective_chunk_cost,
-        tables_split=sum(
-            1
-            for units in tasks
-            for unit in units
-            if unit.row_start == 0 and unit.row_stop < tables[unit.table_index].n_rows
-        ),
     )
     return BatchAnnotationResult(annotations, diagnostics)

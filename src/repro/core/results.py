@@ -157,15 +157,6 @@ class RunDiagnostics:
     ``tasks_requeued`` / ``tasks_quarantined``
         parallel chunk tasks re-run after a worker crash, and tasks given
         up on (their tables degraded) after exhausting requeues;
-    ``effective_chunk_cost``
-        the chunk cost target the work-stealing scheduler actually packed
-        tasks with -- the configured ``chunk_cost_target``, or the
-        automatic ``total_cost / (workers * 4)`` when that was 0 (0 on
-        in-process runs, where no chunking happened);
-    ``tables_split``
-        corpus tables the scheduler cut into row-range slice tasks (0
-        unless splitting is enabled -- see
-        ``AnnotatorConfig.split_giant_tables``);
     ``worker_loads``
         per-worker load accounting of a ``workers=N`` run (one
         :class:`WorkerLoad` per worker process, empty on in-process runs);
@@ -203,8 +194,6 @@ class RunDiagnostics:
     repaired_cells: int = 0
     tasks_requeued: int = 0
     tasks_quarantined: int = 0
-    effective_chunk_cost: int = 0
-    tables_split: int = 0
     worker_loads: tuple[WorkerLoad, ...] = ()
     results_cache_hits: int = field(default=0, compare=False)
     results_cache_misses: int = field(default=0, compare=False)
@@ -267,9 +256,7 @@ class RunDiagnostics:
         sums too, so it reports the *total* simulated remote latency paid
         across workers, not the overlapped wall-clock.  ``worker_loads``
         concatenate in part order (parts of an in-process run contribute
-        nothing).  ``effective_chunk_cost`` and ``tables_split`` are
-        run-level scheduler facts, not per-part counters, so the combined
-        view leaves them 0 and the scheduler stamps them afterwards.
+        nothing).
         """
         summed = {
             name: sum(getattr(part, name) for part in parts)
@@ -284,13 +271,10 @@ class RunDiagnostics:
 
 
 SUMMED_FIELDS = tuple(
-    spec.name
-    for spec in fields(RunDiagnostics)
-    if spec.name not in {"worker_loads", "effective_chunk_cost", "tables_split"}
+    spec.name for spec in fields(RunDiagnostics) if spec.name != "worker_loads"
 )
 """:class:`RunDiagnostics` fields :meth:`~RunDiagnostics.combined` sums:
-every field but the per-worker loads, which concatenate, and the two
-scheduler facts stamped onto the combined view afterwards.  The resident
+every field but the per-worker loads, which concatenate.  The resident
 service records every part it folds under these names."""
 
 

@@ -227,9 +227,11 @@ class SearchEngine:
                 "content digests differ"
             )
         self._index = backend
-        # Both hold views of, or strings decoded from, the old sections.
+        # The gains hold views of the old sections.  The (url, title)
+        # memo holds decoded strings, equal over the new backend, and
+        # keeping it keeps results ranked before and after the swap
+        # sharing them, so the results cache pickles the same bytes.
         self._gains.clear()
-        self._url_titles.clear()
 
     # -- querying -----------------------------------------------------------------------
 

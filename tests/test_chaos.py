@@ -177,15 +177,16 @@ class TestWorkerCrashRecovery:
         ).annotate_tables(tables, _TYPE_KEYS)
         engine = _make_engine()
         engine.fault_plan = FaultPlan(kill_on_query="Venue 5")
-        config = AnnotatorConfig(task_retries=1, chunk_cost_target=3)
+        config = AnnotatorConfig(task_retries=1)
         run = EntityAnnotator(classifier, engine, config).annotate_tables(
             tables, _TYPE_KEYS, workers=2
         )
         assert run.diagnostics.tasks_quarantined == 1
         assert run.diagnostics.tasks_requeued >= 1
-        # chunk_cost_target=3 makes one 3-row table per task, so exactly
-        # the poisoned table is lost -- all three of its candidate cells
-        # degraded, nothing annotated.
+        # Eight tables of cost 3 give an automatic target of 3 at two
+        # workers: one table per task, so exactly the poisoned table is
+        # lost -- all three of its candidate cells degraded, nothing
+        # annotated.
         degraded = run.degraded_cells()
         assert degraded and {cell.reason for cell in degraded} == {
             "worker-crash"
@@ -199,115 +200,6 @@ class TestWorkerCrashRecovery:
                 assert run.tables[table.name] == reference.tables[table.name]
         # The corpus-position reassembly keeps every table, in order.
         assert list(run.tables) == [table.name for table in tables]
-
-
-class TestSliceCrashRecovery:
-    """ISSUE 7 chaos criterion: crash recovery at *slice* granularity.
-
-    A skewed corpus (one 14-row giant + five 2-row smalls, fully
-    distinct content) under ``split_giant_tables`` with
-    ``max_slice_cost=4`` cuts the giant into exactly the slices
-    ``[0,4) [4,8) [8,12) [12,14)``; the kill query ``Venue 5`` lives
-    only in the ``[4,8)`` slice, so that slice -- and nothing else -- is
-    the casualty."""
-
-    def _skewed(self):
-        giant = Table(name="giant", columns=[Column("Name", ColumnType.TEXT)])
-        for row in range(14):
-            giant.append_row([_NAMES[row]])
-        tables = [giant]
-        for index in range(5):
-            small = Table(
-                name=f"s{index}", columns=[Column("Name", ColumnType.TEXT)]
-            )
-            for row in range(2):
-                small.append_row([_NAMES[14 + index * 2 + row]])
-            tables.append(small)
-        return tables
-
-    def _config(self, **kwargs) -> AnnotatorConfig:
-        return AnnotatorConfig(
-            chunk_cost_target=4,
-            split_giant_tables=True,
-            max_slice_cost=4,
-            **kwargs,
-        )
-
-    def test_sigkill_mid_slice_requeues_only_that_slice(
-        self, classifier, tmp_path
-    ):
-        """One worker dies holding the giant's ``[4,8)`` slice; exactly
-        one task is requeued and the reassembled run -- including the
-        split table -- is byte-identical to the sequential reference."""
-        tables = self._skewed()
-        reference = EntityAnnotator(
-            classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
-        engine = _make_engine()
-        engine.fault_plan = FaultPlan(
-            kill_on_query="Venue 5",
-            kill_once_token=str(tmp_path / "kill.token"),
-        )
-        run = EntityAnnotator(
-            classifier, engine, self._config()
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert run.diagnostics.tasks_requeued == 1
-        assert run.diagnostics.tasks_quarantined == 0
-        assert (tmp_path / "kill.token").exists()
-        assert run.diagnostics.tables_split == 1
-        assert run.diagnostics.effective_chunk_cost == 4
-        assert repr(sorted(run.tables.items())) == repr(
-            sorted(reference.tables.items())
-        )
-        assert list(run.tables) == [table.name for table in tables]
-        # Slice-aware accounting still sums exactly: every physical table
-        # and candidate cell is counted once across the pool's loads
-        # (requeued attempts produce no phantom counts), and 4 slices +
-        # 3 small chunks = 7 completed tasks.
-        loads = run.diagnostics.worker_loads
-        assert sum(load.n_tables for load in loads) == len(tables)
-        assert (
-            sum(load.n_cells for load in loads) == reference.diagnostics.n_cells
-        )
-        assert sum(load.n_tasks for load in loads) == 7
-        assert all(load.busy_seconds >= 0.0 for load in loads)
-
-    def test_poison_slice_quarantines_only_its_rows(self, classifier):
-        """Without the kill-once token the ``[4,8)`` slice is a poison
-        pill: after ``task_retries`` requeues it is quarantined, exactly
-        rows 4-7 of the giant degrade (reason ``worker-crash``), and the
-        giant's *other* rows -- plus every small table -- still match the
-        healthy sequential reference.  Post-processing is off in both
-        runs: Equation 2's column scores over a partially-degraded table
-        legitimately differ from the healthy table's, so the exact
-        surviving-cell comparison belongs to the annotation stage."""
-        tables = self._skewed()
-        reference = EntityAnnotator(
-            classifier, _make_engine(), AnnotatorConfig(use_postprocessing=False)
-        ).annotate_tables(tables, _TYPE_KEYS)
-        engine = _make_engine()
-        engine.fault_plan = FaultPlan(kill_on_query="Venue 5")
-        run = EntityAnnotator(
-            classifier,
-            engine,
-            self._config(task_retries=1, use_postprocessing=False),
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert run.diagnostics.tasks_quarantined == 1
-        assert run.diagnostics.tasks_requeued >= 1
-        degraded = run.tables["giant"].degraded
-        assert {cell.reason for cell in degraded} == {"worker-crash"}
-        assert sorted(cell.row for cell in degraded) == [4, 5, 6, 7]
-        assert run.degraded_cells() == degraded  # nothing else was lost
-        # The giant's surviving rows carry exactly the reference's cells
-        # -- the quarantined slice cost its own rows and nothing more.
-        expected = [
-            cell
-            for cell in reference.tables["giant"].cells
-            if not 4 <= cell.row < 8
-        ]
-        assert run.tables["giant"].cells == expected
-        for table in tables[1:]:
-            assert run.tables[table.name] == reference.tables[table.name]
 
 
 # ------------------------------------------------------- service batch poison

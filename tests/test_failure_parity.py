@@ -191,8 +191,7 @@ class TestPipelineFailureParity:
 
     def test_execution_matrix_identical_payloads(self, classifier):
         """The full execution matrix on a skewed distinct-content corpus:
-        per-cell, batched sequential, workers=2 stealing, and workers=2
-        stealing with row-range splitting of the giant table -- crossed
+        per-cell, batched sequential and workers=2 stealing -- crossed
         with three fault regimes (healthy, seeded failure rate, scripted
         :class:`FaultPlan`) -- all produce byte-identical per-table
         payloads and degrade the same queries."""
@@ -226,12 +225,10 @@ class TestPipelineFailureParity:
         }
         for regime, (rate, plan) in regimes.items():
 
-            def annotator(config=None):
+            def annotator():
                 engine = _make_engine(failure_rate=rate)
                 engine.fault_plan = plan
-                return EntityAnnotator(
-                    classifier, engine, config or AnnotatorConfig()
-                )
+                return EntityAnnotator(classifier, engine, AnnotatorConfig())
 
             per_cell = {
                 table.name: annotate_table_per_cell(
@@ -244,13 +241,7 @@ class TestPipelineFailureParity:
                 "stealing": annotator().annotate_tables(
                     tables, _TYPE_KEYS, workers=2
                 ),
-                "splitting": annotator(
-                    AnnotatorConfig(split_giant_tables=True)
-                ).annotate_tables(tables, _TYPE_KEYS, workers=2),
             }
-            # The splitting arm genuinely split: auto chunk cost for this
-            # corpus is below the giant table's cost.
-            assert arms["splitting"].diagnostics.tables_split == 1, regime
             reference = payload(per_cell)
             reference_degraded = set().union(
                 *[_degraded_queries(a) for a in per_cell.values()]

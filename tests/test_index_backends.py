@@ -367,6 +367,34 @@ class TestEngineParity:
         assert engine.index.backend_name == "mmap"
         assert [engine.search(name) for name in _NAMES[:4]] == results
 
+    def test_swap_saves_the_memory_engines_results_cache_bytes(
+        self, classifier, frozen, tmp_path
+    ):
+        """Results ranked before a swap (training) and after it (a pass)
+        share each document's (url, title) strings, as they do on an
+        engine that never swaps, so the saved cache files are equal."""
+        tables = [
+            Table(
+                name=f"w{index}",
+                columns=[Column("Name", ColumnType.TEXT)],
+                rows=[[word]],
+            )
+            for index, word in enumerate(_WORDS)
+        ]
+        saved = {}
+        for name, backend in (("memory", None), ("mmap", frozen)):
+            engine = _make_engine()
+            engine.search("venue", k=len(_NAMES) * 4)  # every document
+            if backend is not None:
+                engine.use_index_backend(backend)
+            run = EntityAnnotator(
+                classifier, engine, AnnotatorConfig()
+            ).annotate_batch(tables, _TYPE_KEYS)
+            assert run.diagnostics.results_cache_misses == len(_WORDS)
+            engine.save_results_cache(tmp_path / name)
+            saved[name] = (tmp_path / name).read_bytes()
+        assert saved["mmap"] == saved["memory"]
+
     def test_use_index_backend_rejects_different_corpus(self, frozen):
         other = SearchEngine(clock=VirtualClock())
         other.add_page(

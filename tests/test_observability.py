@@ -347,17 +347,16 @@ class TestStructuredLog:
         trace_id = tracing.enable_tracing()
         logger = get_logger("repro.test.observability")
         with caplog.at_level(logging.INFO, logger="repro.test.observability"):
-            logger.info("pool.schedule_planned", n_tasks=4)
+            logger.info("pool.task_requeued", task_index=4)
         payload = json.loads(caplog.records[0].message)
         assert payload["trace_id"] == trace_id
-        assert payload["n_tasks"] == 4
+        assert payload["task_index"] == 4
 
 
 # ------------------------------------------------------ diagnostics completeness
 
-# Run-level scheduler facts that combined() documents as NOT summable
-# (stamped after the fold), plus the concatenated worker loads.
-_NON_SUMMED = {"effective_chunk_cost", "tables_split", "worker_loads"}
+# combined() concatenates the worker loads and sums every other field.
+_NON_SUMMED = {"worker_loads"}
 
 
 def _diagnostics_with(offset: int) -> RunDiagnostics:

@@ -28,11 +28,9 @@ from repro.clock import VirtualClock
 from repro.core.annotator import ENGINE_CACHE_FILE, LABEL_MEMO_FILE, EntityAnnotator
 from repro.core.config import AnnotatorConfig
 from repro.core.parallel import (
-    TableSlice,
     annotate_tables_parallel,
     automatic_chunk_cost,
     chunk_tables,
-    slice_table,
     table_cost,
 )
 from repro.core.results import RunDiagnostics, WorkerLoad
@@ -424,7 +422,7 @@ class TestChunking:
         assert chunk_tables([], 10) == []
 
     def test_non_positive_target_raises(self):
-        with pytest.raises(ValueError, match="chunk_cost_target"):
+        with pytest.raises(ValueError, match="chunk target"):
             chunk_tables(_skewed_corpus(), 0)
 
     def test_automatic_cost_aims_for_chunks_per_worker(self):
@@ -442,303 +440,28 @@ class TestChunking:
         assert table_cost(empty) == 1  # still occupies a task slot
 
 
-class TestSlicing:
-    def test_slice_boundaries_are_exact(self):
-        giant = _skewed_corpus(giant_rows=14)[0]  # 14 rows x 1 column
-        slices = slice_table(giant, 0, 4)
-        assert [(s.row_start, s.row_stop) for s in slices] == [
-            (0, 4),
-            (4, 8),
-            (8, 12),
-            (12, 14),
-        ]
-        for s in slices:
-            assert s.table_name == "giant" and s.table_index == 0
-            assert s.table.rows == giant.rows[s.row_start : s.row_stop]
-            assert s.table.columns == giant.columns
-
-    def test_slice_target_below_one_raises(self):
-        with pytest.raises(ValueError, match="slice_cost_target"):
-            slice_table(_skewed_corpus()[0], 0, 0)
-
-    def test_wide_row_floors_at_one_row_per_slice(self):
-        wide = Table(
-            name="w",
-            columns=[Column(f"c{j}") for j in range(5)],
-            rows=[[f"v{i}{j}" for j in range(5)] for i in range(3)],
-        )
-        slices = slice_table(wide, 0, 2)  # every single row exceeds 2
-        assert [(s.row_start, s.row_stop) for s in slices] == [
-            (0, 1),
-            (1, 2),
-            (2, 3),
-        ]
-
-    def test_chunk_tables_splitting_off_by_default(self):
-        tables = _skewed_corpus(giant_rows=14)
-        for chunk in chunk_tables(tables, 4):
-            assert not any(isinstance(item, TableSlice) for item in chunk)
-
-    def test_split_giant_travels_as_consecutive_single_slice_tasks(self):
-        tables = _skewed_corpus(giant_rows=14, n_small=4, small_rows=2)
-        chunks = chunk_tables(tables, 4, 4)
-        slice_chunks = [
-            chunk for chunk in chunks if isinstance(chunk[0], TableSlice)
-        ]
-        assert len(slice_chunks) == 4
-        assert all(len(chunk) == 1 for chunk in slice_chunks)
-        assert chunks[:4] == slice_chunks  # corpus order: giant first
-        starts = [chunk[0].row_start for chunk in slice_chunks]
-        assert starts == sorted(starts)
-
-    def test_one_row_table_never_splits(self):
-        one_row = Table(
-            name="wide-one",
-            columns=[Column(f"c{j}") for j in range(8)],
-            rows=[[f"v{j}" for j in range(8)]],
-        )
-        chunks = chunk_tables([one_row], 1, 1)
-        assert chunks == [[one_row]]
-
-    def test_small_tables_still_pack_between_splits(self):
-        tables = _skewed_corpus(giant_rows=14, n_small=4, small_rows=2)
-        chunks = chunk_tables(tables, 4, 4)
-        packed = [chunk for chunk in chunks if len(chunk) > 1]
-        assert packed  # smalls (cost 2) still share cost-4 chunks
-
-
-class TestSplittingParity:
-    def _splitting_config(self, **kwargs) -> AnnotatorConfig:
-        return AnnotatorConfig(
-            chunk_cost_target=4,
-            split_giant_tables=True,
-            **kwargs,
-        )
-
-    def test_split_run_byte_identical_to_sequential(self, classifier):
-        tables = _skewed_corpus(giant_rows=14, n_small=4, small_rows=2)
-        sequential = EntityAnnotator(
-            classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
-        split = EntityAnnotator(
-            classifier, _make_engine(), self._splitting_config()
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert split.diagnostics.tables_split == 1
-        assert split == sequential
-        assert repr(sorted(split.tables.items())) == repr(
-            sorted(sequential.tables.items())
-        )
-        assert list(split.tables) == [table.name for table in tables]
-
-    def test_max_slice_cost_alone_enables_splitting(self, classifier):
-        tables = _skewed_corpus(giant_rows=14, n_small=4, small_rows=2)
-        run = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(max_slice_cost=4),
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert run.diagnostics.tables_split == 1
-        reference = EntityAnnotator(
-            classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
-        assert run == reference
-
-    def test_duplicate_named_giants_do_not_merge_slices(self, classifier):
-        """Two *distinct* giant tables share a name and both split: slices
-        group by corpus position, so each giant reassembles from its own
-        slices and the run merges the two annotations exactly as the
-        sequential path does."""
-
-        def giant(start: int) -> Table:
-            table = Table(name="g", columns=[Column("Name", ColumnType.TEXT)])
-            for row in range(8):
-                table.append_row([_NAMES[(start + row) % len(_NAMES)]])
-            return table
-
-        tables = [giant(0), giant(8)]
-        sequential = EntityAnnotator(
-            classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
-        split = EntityAnnotator(
-            classifier, _make_engine(), self._splitting_config()
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert split.diagnostics.tables_split == 2
-        assert split == sequential
-        assert repr(split.tables["g"].cells) == repr(
-            sequential.tables["g"].cells
-        )
-
-    def test_spatial_disambiguation_gates_splitting_off(self, classifier):
-        """Row contexts are table-global, so splitting is force-disabled
-        rather than trading byte-parity for balance."""
-        from repro.geo.gazetteer import Gazetteer
-        from repro.geo.geocoder import Geocoder
-
-        tables = _skewed_corpus(giant_rows=14, n_small=4, small_rows=2)
-        run = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            self._splitting_config(use_spatial_disambiguation=True),
-            geocoder=Geocoder(Gazetteer()),
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert run.diagnostics.tables_split == 0
-
-    def test_split_diagnostics_account_exactly(self, classifier):
-        tables = _skewed_corpus(giant_rows=14, n_small=4, small_rows=2)
-        sequential = EntityAnnotator(
-            classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
-        run = EntityAnnotator(
-            classifier, _make_engine(), self._splitting_config()
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert run.diagnostics.effective_chunk_cost == 4
-        assert run.diagnostics.tables_split == 1
-        assert run.diagnostics.n_tables == sequential.diagnostics.n_tables
-        assert run.diagnostics.n_cells == sequential.diagnostics.n_cells
-        loads = run.diagnostics.worker_loads
-        # A table's slices may land on different workers, yet each
-        # physical table and candidate cell is counted exactly once.
-        assert sum(load.n_tables for load in loads) == len(tables)
-        assert sum(load.n_cells for load in loads) == run.diagnostics.n_cells
-        expected_tasks = len(chunk_tables(tables, 4, 4))
-        assert sum(load.n_tasks for load in loads) == expected_tasks
-
-    def test_degraded_cells_reassemble_byte_identically(self, classifier):
-        """A failing engine degrades the same cells -- same rows, same
-        order -- whether the giant table travelled whole or as slices."""
-        def failing_engine() -> SearchEngine:
-            engine = _make_engine()
-            engine.failure_rate = 0.3
-            return engine
-
-        tables = _skewed_corpus(giant_rows=14, n_small=4, small_rows=2)
-        sequential = EntityAnnotator(
-            classifier, failing_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
-        assert sequential.degraded_cells()  # the fixture really degrades
-        split = EntityAnnotator(
-            classifier, failing_engine(), self._splitting_config()
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert split.diagnostics.tables_split == 1
-        assert split == sequential
-        assert repr(split.tables["giant"].degraded) == repr(
-            sequential.tables["giant"].degraded
-        )
-
-
-class TestChunkTargetFloor:
-    """ISSUE 7 satellite: a chunk target below every table's cost used to
-    degenerate to one task per table *silently*.  The effective target is
-    now recorded in the run diagnostics and the degeneration is logged."""
-
-    def test_target_one_makes_per_table_tasks_and_warns(
-        self, classifier, caplog
-    ):
-        tables = _corpus(n_tables=4)  # every table costs 3
-        with caplog.at_level("WARNING", logger="repro.core.parallel"):
-            run = EntityAnnotator(
-                classifier,
-                _make_engine(),
-                AnnotatorConfig(chunk_cost_target=1),
-            ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert run.diagnostics.effective_chunk_cost == 1
-        assert run.diagnostics.tables_split == 0
-        loads = run.diagnostics.worker_loads
-        assert sum(load.n_tasks for load in loads) == len(tables)
-        warnings = [
-            record.message
-            for record in caplog.records
-            if record.levelname == "WARNING"
-        ]
-        assert any("below every table's cost" in message for message in warnings)
-        assert any("split_giant_tables" in message for message in warnings)
-
-    @pytest.mark.parametrize(
-        ("chunk_cost_target", "level"), [(0, "DEBUG"), (1, "WARNING")]
-    )
-    def test_only_an_explicit_degenerate_target_warns(
-        self, classifier, caplog, chunk_cost_target, level
-    ):
-        # Three tables of cost 3: the automatic target ceil(9 / (2 * 4)) = 2
-        # is below every table's cost too, which is the intended outcome
-        # of a small run, not something to warn about.
-        tables = _corpus(n_tables=3)
-        assert automatic_chunk_cost(tables, 2) < 3
-        with caplog.at_level("DEBUG", logger="repro.core.parallel"):
-            run = EntityAnnotator(
-                classifier,
-                _make_engine(),
-                AnnotatorConfig(chunk_cost_target=chunk_cost_target),
-            ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert sum(load.n_tasks for load in run.diagnostics.worker_loads) == 3
-        degenerate = [
-            record.levelname
-            for record in caplog.records
-            if "pool.chunk_target_degenerate" in record.message
-        ]
-        assert degenerate == [level]
-
-    def test_target_one_with_splitting_slices_to_the_one_row_floor(
-        self, classifier, caplog
-    ):
-        tables = _corpus(n_tables=2, rows_per_table=3)
-        with caplog.at_level("WARNING", logger="repro.core.parallel"):
-            run = EntityAnnotator(
-                classifier,
-                _make_engine(),
-                AnnotatorConfig(
-                            chunk_cost_target=1,
-                    split_giant_tables=True,
-                ),
-            ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        # Splitting turns the degenerate target into real balance: every
-        # table is cut to one-row slices -- and the warning is gone.
-        assert run.diagnostics.tables_split == 2
-        loads = run.diagnostics.worker_loads
-        assert sum(load.n_tasks for load in loads) == 6  # 2 tables x 3 rows
-        assert not [
-            record for record in caplog.records if record.levelname == "WARNING"
-        ]
-        reference = EntityAnnotator(
-            classifier, _make_engine(), AnnotatorConfig()
-        ).annotate_tables(tables, _TYPE_KEYS)
-        assert run == reference
-
-    def test_automatic_target_is_recorded(self, classifier):
-        tables = _corpus(n_tables=8)
-        run = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(),  # chunk_cost_target=0
-        ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert run.diagnostics.effective_chunk_cost == automatic_chunk_cost(
-            tables, 2
-        )
-
-    def test_negative_max_slice_cost_rejected(self):
-        with pytest.raises(ValueError, match="max_slice_cost"):
-            AnnotatorConfig(max_slice_cost=-1)
-
-
 class TestWorkStealing:
-    def test_skewed_corpus_matches_sequential(self, classifier):
+    def test_skewed_corpus_matches_sequential(self, classifier, monkeypatch):
         tables = _skewed_corpus()
+        # Three chunks per worker: the giant alone, then the small tables
+        # two to a task.
+        monkeypatch.setattr("repro.core.parallel.CHUNKS_PER_WORKER", 3)
+        tasks = chunk_tables(tables, automatic_chunk_cost(tables, 2))
+        assert [len(task) for task in tasks] == [1, 2, 2, 2]
         sequential = EntityAnnotator(
             classifier, _make_engine(), AnnotatorConfig()
         ).annotate_tables(tables, _TYPE_KEYS)
-        parallel = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(chunk_cost_target=5),
+        pooled = EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig()
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
-        assert parallel == sequential
-        assert repr(sorted(parallel.tables.items())) == repr(
+        assert pooled == sequential
+        assert repr(sorted(pooled.tables.items())) == repr(
             sorted(sequential.tables.items())
         )
-        assert list(parallel.tables) == [table.name for table in tables]
+        assert list(pooled.tables) == [table.name for table in tables]
 
     def test_same_named_tables_in_one_task_postprocess_separately(
-        self, classifier
+        self, classifier, monkeypatch
     ):
         """Two distinct tables named ``dup`` travel in one chunk task.
         Their entities sit in different columns, so post-processing the
@@ -769,10 +492,10 @@ class TestWorkStealing:
         sequential = EntityAnnotator(
             classifier, _make_engine(), AnnotatorConfig()
         ).annotate_tables(tables, _TYPE_KEYS)
+        # Half a chunk per worker: the whole corpus is one task.
+        monkeypatch.setattr("repro.core.parallel.CHUNKS_PER_WORKER", 0.5)
         pooled = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(chunk_cost_target=100),
+            classifier, _make_engine(), AnnotatorConfig()
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         # Each table kept its own winning column.
         assert {(c.row, c.column) for c in sequential.tables["dup"].cells} == {
@@ -784,9 +507,10 @@ class TestWorkStealing:
 
     def test_duplicate_table_names_merge_like_sequential(self, classifier):
         # Two *distinct* tables share the name "t" and land in different
-        # tasks.  Regression: reassembly used to replace the first "t"
-        # annotation with the second instead of merging the cells the way
-        # the sequential run does.
+        # tasks (the automatic target, 1, gives every table its own).
+        # Regression: reassembly used to replace the first "t" annotation
+        # with the second instead of merging the cells the way the
+        # sequential run does.
         def named(name: str, names: list[str]) -> Table:
             table = Table(
                 name=name, columns=[Column("Name", ColumnType.TEXT)]
@@ -804,20 +528,19 @@ class TestWorkStealing:
         sequential = EntityAnnotator(
             classifier, _make_engine(), AnnotatorConfig()
         ).annotate_tables(tables, _TYPE_KEYS)
-        parallel = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(chunk_cost_target=1),
+        assert automatic_chunk_cost(tables, 2) == 1
+        pooled = EntityAnnotator(
+            classifier, _make_engine(), AnnotatorConfig()
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         # Both same-named tables contributed cells, in corpus order.
         assert {cell.cell_value for cell in sequential.tables["t"].cells} > {
             cell.cell_value for cell in sequential.tables["t"].cells[:1]
         }
-        assert parallel == sequential
-        assert repr(parallel.tables["t"].cells) == repr(
+        assert pooled == sequential
+        assert repr(pooled.tables["t"].cells) == repr(
             sequential.tables["t"].cells
         )
-        assert list(parallel.tables) == ["t", "mid-0", "mid-1"]
+        assert list(pooled.tables) == ["t", "mid-0", "mid-1"]
 
     def test_batch_keeps_same_named_tables_apart(self, classifier):
         # Two independent requests both ship a table named "directory";
@@ -830,9 +553,7 @@ class TestWorkStealing:
             )
             for names in (_NAMES[0:3], _NAMES[3:5])
         ]
-        annotator = EntityAnnotator(
-            classifier, _make_engine(), AnnotatorConfig(chunk_cost_target=1)
-        )
+        annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         pooled = annotator.annotate_batch(tables, _TYPE_KEYS, workers=2)
         assert sum(load.n_tasks for load in pooled.diagnostics.worker_loads) == 2
         reference = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
@@ -840,13 +561,10 @@ class TestWorkStealing:
         assert [len(annotation.cells) for annotation in expected] == [3, 2]
         assert repr(pooled.annotations) == repr(expected)
 
-    def test_worker_loads_sum_to_corpus_totals(self, classifier):
+    def test_worker_loads_sum_to_corpus_totals(self, classifier, monkeypatch):
         tables = _skewed_corpus()
-        annotator = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(chunk_cost_target=5),
-        )
+        monkeypatch.setattr("repro.core.parallel.CHUNKS_PER_WORKER", 3)
+        annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         run = annotator.annotate_tables(tables, _TYPE_KEYS, workers=2)
         loads = run.diagnostics.worker_loads
         assert loads
@@ -854,17 +572,18 @@ class TestWorkStealing:
         assert sum(load.n_tables for load in loads) == len(tables)
         assert sum(load.n_tables for load in loads) == run.diagnostics.n_tables
         assert sum(load.n_cells for load in loads) == run.diagnostics.n_cells
-        expected_tasks = len(chunk_tables(tables, 5))
+        expected_tasks = len(chunk_tables(tables, automatic_chunk_cost(tables, 2)))
+        assert expected_tasks == 4  # multi-table chunks, the giant alone
         assert sum(load.n_tasks for load in loads) == expected_tasks
         assert all(load.busy_seconds >= 0.0 for load in loads)
         assert [load.worker_id for load in loads] == list(range(len(loads)))
 
-    def test_chunk_cost_of_one_makes_per_table_tasks(self, classifier):
-        tables = _corpus(n_tables=4)
+    def test_chunk_cost_of_one_makes_per_table_tasks(self, classifier, monkeypatch):
+        tables = _corpus(n_tables=4)  # every table costs 3
+        monkeypatch.setattr("repro.core.parallel.CHUNKS_PER_WORKER", 12)
+        assert automatic_chunk_cost(tables, 2) == 1
         run = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(chunk_cost_target=1),
+            classifier, _make_engine(), AnnotatorConfig()
         ).annotate_tables(tables, _TYPE_KEYS, workers=2)
         loads = run.diagnostics.worker_loads
         assert sum(load.n_tasks for load in loads) == len(tables)
@@ -1021,11 +740,7 @@ class TestGracefulInterrupt:
         self, classifier, tmp_path, monkeypatch
     ):
         calls = self._interrupt_first_wait(monkeypatch)
-        annotator = EntityAnnotator(
-            classifier,
-            _make_engine(),
-            AnnotatorConfig(chunk_cost_target=1),
-        )
+        annotator = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
         with pytest.raises(KeyboardInterrupt):
             annotate_tables_parallel(
                 annotator,

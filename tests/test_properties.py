@@ -13,9 +13,9 @@ from search_reference import extract_snippet
 
 from repro.classify.metrics import f_measure
 from repro.core.clustering import cluster_snippets, cosine_similarity
-from repro.core.parallel import TableSlice, chunk_tables, slice_table, table_cost
+from repro.core.parallel import chunk_tables, table_cost
 from repro.core.postprocessing import column_scores
-from repro.core.results import AnnotationRun, CellAnnotation, TableAnnotation
+from repro.core.results import CellAnnotation, TableAnnotation
 from repro.kb.catalogue import normalize_name
 from repro.synth.rng import derive
 from repro.tables.io import table_from_csv, table_from_json, table_to_csv, table_to_json
@@ -159,7 +159,7 @@ def test_table_io_roundtrips(rows):
     assert table_from_json(table_to_json(table)).rows == rows
 
 
-# -- row-range splitting ---------------------------------------------------------------
+# -- chunking ----------------------------------------------------------------------
 
 _shapes = st.tuples(
     st.integers(min_value=1, max_value=40),  # rows
@@ -175,101 +175,26 @@ def _make_table(name, n_rows, n_columns):
     )
 
 
-@given(_shapes, st.integers(min_value=1, max_value=200))
-def test_slice_table_partitions_rows_exactly(shape, budget):
-    """Slices are contiguous half-open ranges covering every row once."""
-    table = _make_table("t", *shape)
-    slices = slice_table(table, 0, budget)
-    assert slices[0].row_start == 0
-    assert slices[-1].row_stop == table.n_rows
-    for left, right in zip(slices, slices[1:]):
-        assert left.row_stop == right.row_start
-    reassembled = [row for s in slices for row in s.table.rows]
-    assert reassembled == table.rows
-    for s in slices:
-        assert s.table.rows == table.rows[s.row_start : s.row_stop]
-        assert s.table.name == table.name and s.table.columns == table.columns
-
-
-@given(_shapes, st.integers(min_value=1, max_value=200))
-def test_slice_table_costs_within_budget_or_one_row(shape, budget):
-    """Each slice fits the budget unless a single row already exceeds it."""
-    table = _make_table("t", *shape)
-    for s in slice_table(table, 0, budget):
-        cost = table_cost(s.table)
-        assert cost <= budget or s.row_stop - s.row_start == 1
-
-
-@given(
-    st.lists(_shapes, min_size=0, max_size=8),
-    st.integers(min_value=1, max_value=60),
-    st.integers(min_value=0, max_value=60),
-)
-def test_chunk_tables_partitions_corpus_exactly(shapes, chunk_budget, slice_budget):
-    """No cell lost, none duplicated, order preserved -- with or without
-    splitting enabled, whatever the budgets."""
+@given(st.lists(_shapes, min_size=0, max_size=8), st.integers(min_value=1, max_value=60))
+def test_chunk_tables_partitions_corpus_exactly(shapes, chunk_budget):
+    """No table lost, none duplicated, order preserved, whatever the
+    budget."""
     tables = [_make_table(f"t{i}", r, c) for i, (r, c) in enumerate(shapes)]
-    chunks = chunk_tables(tables, chunk_budget, slice_budget)
-    seen = []
-    for chunk in chunks:
-        for item in chunk:
-            if isinstance(item, TableSlice):
-                assert len(chunk) == 1  # slices travel alone
-                seen.extend(
-                    (item.table_index, row)
-                    for row in range(item.row_start, item.row_stop)
-                )
-            else:
-                index = int(item.name[1:])
-                seen.extend((index, row) for row in range(item.n_rows))
-    expected = [
-        (i, row) for i, (r, _c) in enumerate(shapes) for row in range(r)
-    ]
-    assert seen == expected
-    # Pure function of shapes and budgets: same input, same packing.
-    assert chunks == chunk_tables(tables, chunk_budget, slice_budget)
+    chunks = chunk_tables(tables, chunk_budget)
+    assert [table for chunk in chunks for table in chunk] == tables
+    assert all(chunks)
+    # Pure function of shapes and budget: same input, same packing.
+    assert chunks == chunk_tables(tables, chunk_budget)
 
 
 @given(st.lists(_shapes, min_size=0, max_size=8), st.integers(min_value=1, max_value=60))
 def test_chunk_tables_costs_within_budget(shapes, chunk_budget):
-    """Without splitting, multi-table chunks stay within the budget; only a
-    single table that alone exceeds it may overflow (it travels alone)."""
+    """Multi-table chunks stay within the budget; only a single table
+    that alone exceeds it may overflow (it travels alone)."""
     tables = [_make_table(f"t{i}", r, c) for i, (r, c) in enumerate(shapes)]
     for chunk in chunk_tables(tables, chunk_budget):
         cost = sum(table_cost(t) for t in chunk)
         assert cost <= chunk_budget or len(chunk) == 1
-
-
-@given(
-    st.integers(min_value=1, max_value=30),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=40),
-    st.data(),
-)
-def test_sliced_annotations_reassemble_byte_identically(
-    n_rows, n_columns, budget, data
-):
-    """Annotating each slice (rows shifted to absolute coordinates) and
-    folding the parts through ``merge_table`` in slice order reproduces the
-    unsliced table annotation exactly -- cells and degraded lists alike."""
-    table = _make_table("t", n_rows, n_columns)
-    whole = TableAnnotation(table_name="t")
-    for i in range(n_rows):
-        for j in range(n_columns):
-            if data.draw(st.booleans()):
-                whole.add(
-                    CellAnnotation(
-                        "t", i, j, "museum",
-                        data.draw(st.floats(min_value=0.0, max_value=1.0)),
-                        cell_value=table.rows[i][j],
-                    )
-                )
-    run = AnnotationRun()
-    for s in slice_table(table, 0, budget):
-        part = TableAnnotation(table_name="t")
-        part.cells = [c for c in whole.cells if s.row_start <= c.row < s.row_stop]
-        run.merge_table(part)
-    assert repr(run.tables["t"]) == repr(whole)
 
 
 # -- rng -------------------------------------------------------------------------------
