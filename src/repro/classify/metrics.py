@@ -103,16 +103,6 @@ class ClassificationReport:
             return 0.0
         return sum(s.f1 for s in self.per_class.values()) / len(self.per_class)
 
-    def macro_precision(self) -> float:
-        if not self.per_class:
-            return 0.0
-        return sum(s.precision for s in self.per_class.values()) / len(self.per_class)
-
-    def macro_recall(self) -> float:
-        if not self.per_class:
-            return 0.0
-        return sum(s.recall for s in self.per_class.values()) / len(self.per_class)
-
     def f1_of(self, label: str) -> float:
         """F-measure of a single class (0.0 for unknown labels)."""
         scores = self.per_class.get(label)

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.classify.snippet import SnippetTypeClassifier
 from repro.core.config import AnnotatorConfig
 from repro.text.pipeline import TextPipeline
-from repro.web.search import SearchEngine, SearchEngineUnavailable
+from repro.web.search import SearchEngine
 
 
 def cosine_similarity(a: dict[str, float], b: dict[str, float]) -> float:
@@ -149,19 +150,50 @@ class ClusteredCellAnnotator:
 
     def annotate_value(self, value: str, type_keys: list[str]) -> ClusteredDecision:
         """Annotate *value* from its best snippet cluster."""
+        return self.annotate_values([value], type_keys)[0]
+
+    def annotate_values(
+        self, values: Sequence[str], type_keys: list[str]
+    ) -> list[ClusteredDecision]:
+        """Annotate each of *values* from its best snippet cluster, with
+        one :meth:`~repro.web.search.SearchEngine.search_many` and one
+        ``classify_many`` for the whole batch (a duplicate value is
+        searched once, see ``search_many``)."""
         if not type_keys:
             raise ValueError("type_keys must be non-empty")
-        k = self.config.top_k
-        try:
-            results = self.engine.search(value, k=k)
-        except SearchEngineUnavailable:
-            return ClusteredDecision(
-                type_key=None, score=0.0, query=value, failed=True
+        batch = self.engine.search_many(values, k=self.config.top_k)
+        snippets = [[result.snippet for result in results or ()] for results in batch]
+        labels = self.classifier.classify_many(
+            [snippet for value_snippets in snippets for snippet in value_snippets]
+        )
+        decisions = []
+        at = 0
+        for value, results, value_snippets in zip(values, batch, snippets):
+            if results is None:
+                decisions.append(
+                    ClusteredDecision(
+                        type_key=None, score=0.0, query=value, failed=True
+                    )
+                )
+                continue
+            value_labels = labels[at : at + len(value_snippets)]
+            at += len(value_snippets)
+            decisions.append(
+                self._decide(value, value_snippets, value_labels, type_keys)
             )
-        snippets = [result.snippet for result in results]
+        return decisions
+
+    def _decide(
+        self,
+        value: str,
+        snippets: list[str],
+        labels: list[str],
+        type_keys: list[str],
+    ) -> ClusteredDecision:
+        """*value*'s decision from its *snippets* and their *labels*."""
+        k = self.config.top_k
         if not snippets:
             return ClusteredDecision(type_key=None, score=0.0, query=value)
-        labels = self.classifier.classify_many(snippets)
         pipeline = TextPipeline()
         query_tokens = set(pipeline.tokens(value))
         clusters = cluster_snippets(

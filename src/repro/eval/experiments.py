@@ -146,11 +146,6 @@ def build_context(config: WorldConfig | None = None) -> ExperimentContext:
     return context
 
 
-def clear_context_cache() -> None:
-    """Drop cached contexts (for tests that tamper with worlds)."""
-    _CONTEXT_CACHE.clear()
-
-
 # ======================================================================== Table 2
 
 

@@ -101,10 +101,6 @@ class ClusteringResult:
         return table
 
     @property
-    def plain_rate(self) -> float:
-        return self.plain_recovered / self.n_ambiguous if self.n_ambiguous else 0.0
-
-    @property
     def clustered_rate(self) -> float:
         return (
             self.clustered_recovered / self.n_ambiguous if self.n_ambiguous else 0.0
@@ -139,10 +135,12 @@ def run_clustering(
         decision.type_key == entity.type_key
         for decision, entity in zip(plain_decisions, ambiguous)
     )
+    clustered_decisions = clustered.annotate_values(
+        [entity.table_name for entity in ambiguous], list(ALL_TYPE_KEYS)
+    )
     clustered_recovered = sum(
-        clustered.annotate_value(entity.table_name, list(ALL_TYPE_KEYS)).type_key
-        == entity.type_key
-        for entity in ambiguous
+        decision.type_key == entity.type_key
+        for decision, entity in zip(clustered_decisions, ambiguous)
     )
     return ClusteringResult(
         n_ambiguous=len(ambiguous),

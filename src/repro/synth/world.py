@@ -176,11 +176,6 @@ class SyntheticWorld:
 _WORLD_CACHE: dict[WorldConfig, SyntheticWorld] = {}
 
 
-def clear_world_cache() -> None:
-    """Drop all cached worlds (tests that mutate a world should call this)."""
-    _WORLD_CACHE.clear()
-
-
 # -- knowledge base ------------------------------------------------------------------
 
 

@@ -11,19 +11,10 @@ content mentions restaurants even when the table name does not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.tables.model import Table
 from repro.tables.sql import SqlError, execute_sql, parse_select
 from repro.text.tokenization import tokenize
-
-
-@dataclass(frozen=True)
-class HostedTable:
-    """A table registered with the service, with its public identifier."""
-
-    table_id: str
-    table: Table
 
 
 class FusionTableService:

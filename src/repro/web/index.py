@@ -16,22 +16,27 @@ layout (CSR, :data:`SECTIONS`):
 
 * ``token_blob``/``token_offsets`` -- the vocabulary, sorted, utf-8;
 * ``posting_offsets`` -- each token's slice of ``doc_ids``/``tfs`` (its
-  postings in ascending doc id order, ``int64``/``float64``);
-* ``positions``/``position_offsets`` -- each posting's ascending ``int32``
-  positions, in ``body.split()``, of the words that yield the token;
-* ``lengths``/``n_words`` -- per-document BM25 length and body word count;
+  postings in ascending doc id order, ``int32``/``float64``);
+* ``token_word_offsets`` -- each token's slice of ``token_words``: the
+  ascending ids of the distinct body words that yield it;
+* ``word_blob``/``word_offsets`` -- the distinct body words, utf-8, in
+  the order the builder first met them;
+* ``word_id_offsets`` -- each document's slice of ``word_ids``: its
+  ``body.split()`` as ``int32`` word ids, in order;
+* ``lengths`` -- per-document BM25 length;
 * ``page_blob``/``page_offsets`` -- every page's url, title, body and
   language, utf-8, four offsets per page.
 
 The digests, ``title_boost`` and ``average_length`` live in the header.
 The sections are numpy arrays in RAM (straight from :meth:`freeze`) or
 plain ``np.ndarray`` views over a read-only mapping of an artifact
-(:meth:`FrozenIndex.open`); the query code is the same either way, and
-:meth:`FrozenIndex.save` writes the sections verbatim.
+(:meth:`FrozenIndex.open`, which checks the word sections' bounds);
+the query code is the same either way, and :meth:`FrozenIndex.save`
+writes the sections verbatim.
 
-Body tokens are counted word by word, so every word's position is known;
-no token spans whitespace, so that is the same token sequence as
-``tokenize(body)``.
+Body tokens are counted word by word; no token spans whitespace, so that
+is the same token sequence as ``tokenize(body)``, and a body word yields
+a query token exactly when its id is in that token's ``token_words``.
 """
 
 from __future__ import annotations
@@ -56,11 +61,14 @@ from repro.web.documents import WebPage
 INDEX_ARTIFACT_KIND = "inverted-index"
 """``kind`` guard of index artifacts in the persistence container."""
 
-INDEX_LAYOUT_VERSION = 2
+INDEX_LAYOUT_VERSION = 3
 """Bump when the index section layout changes; old artifacts are rejected.
 
-Version 2 added the positional sections (``positions``,
-``position_offsets``, ``n_words``)."""
+Version 2 added word positions per posting; version 3 replaced them with
+each body's word-id stream and stores ``doc_ids`` as ``int32``."""
+
+MAX_DOCUMENTS = int(np.iinfo(np.int32).max)
+"""The most documents an index holds: doc ids are ``int32``."""
 
 SECTIONS = (
     "token_blob",
@@ -68,10 +76,13 @@ SECTIONS = (
     "posting_offsets",
     "doc_ids",
     "tfs",
-    "positions",
-    "position_offsets",
+    "token_word_offsets",
+    "token_words",
+    "word_blob",
+    "word_offsets",
+    "word_id_offsets",
+    "word_ids",
     "lengths",
-    "n_words",
     "page_blob",
     "page_offsets",
 )
@@ -89,13 +100,33 @@ def _cumulative(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
+def _blob(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """*strings* as one utf-8 ``uint8`` blob and its CSR offsets."""
+    encoded = [string.encode("utf-8") for string in strings]
+    return (
+        np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        _cumulative(np.fromiter(map(len, encoded), np.int64, len(encoded))),
+    )
+
+
+def _strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """The strings :func:`_blob` packed."""
+    data = bytes(blob)
+    bounds = offsets.tolist()
+    return [
+        data[bounds[row] : bounds[row + 1]].decode("utf-8")
+        for row in range(len(bounds) - 1)
+    ]
+
+
 class IndexBuilder:
     """Takes pages into flat append-only arrays until :meth:`freeze`.
 
-    Postings are appended in add order, one ``(token id, doc id, tf,
-    number of positions)`` row each, with their positions concatenated;
-    :meth:`freeze` sorts them by token once.  A few large arrays rather
-    than four per token: freed, they go back to the operating system.
+    Postings are appended in add order, one ``(token id, tf)`` row each,
+    with one posting count per page; each body goes into one stream of
+    word ids over the distinct words met so far.  :meth:`freeze` sorts
+    the postings by token once.  A few large arrays rather than four per
+    token: freed, they go back to the operating system.
     """
 
     def __init__(self, title_boost: float = 3.0) -> None:
@@ -104,16 +135,16 @@ class IndexBuilder:
         self.title_boost = title_boost
         self._token_ids: dict[str, int] | None = {}
         self._token_of = array("i")
-        self._doc_of = array("q")
         self._tfs = array("d")
-        self._n_positions = array("q")
-        self._positions = array("i")
-        self._lengths = array("d")
+        self._n_postings = array("q")
+        self._word_ids: dict[str, int] = {}
+        self._word_tokens: list[list[str]] = []
+        self._word_stream = array("i")
         self._n_words = array("q")
+        self._lengths = array("d")
         self._total_length = 0.0
         self._page_blob = bytearray()
         self._page_offsets = array("q", [0])
-        self._word_tokens: dict[str, list[str]] = {}
         self._content_hasher = hashlib.sha256()
         self._content_hasher.update(repr(title_boost).encode())
         self._pages_hasher = hashlib.sha256()
@@ -138,32 +169,27 @@ class IndexBuilder:
         count = counts.get
         for token in tokenize(page.title):
             counts[token] = count(token, 0.0) + self.title_boost
-        positions: dict[str, list[int]] = {}
-        words = page.body.split()
+        word_ids = self._word_ids
         word_tokens = self._word_tokens
-        for position, word in enumerate(words):
-            tokens = word_tokens.get(word)
-            if tokens is None:
-                tokens = word_tokens[word] = tokenize(word)
-            for token in tokens:
+        stream = []
+        for word in page.body.split():
+            word_id = word_ids.get(word)
+            if word_id is None:
+                word_id = word_ids[word] = len(word_tokens)
+                word_tokens.append(tokenize(word))
+            stream.append(word_id)
+            for token in word_tokens[word_id]:
                 counts[token] = count(token, 0.0) + 1.0
-                seen = positions.get(token)
-                if seen is None:
-                    positions[token] = [position]
-                elif seen[-1] != position:
-                    seen.append(position)
-        self._n_words.append(len(words))
+        self._word_stream.extend(stream)
+        self._n_words.append(len(stream))
         length = float(sum(counts.values()))
         self._lengths.append(length)
         self._total_length += length
         token_ids = self._token_ids
         for token, frequency in counts.items():
-            seen = positions.get(token, ())
             self._token_of.append(token_ids.setdefault(token, len(token_ids)))
-            self._doc_of.append(doc_id)
             self._tfs.append(frequency)
-            self._n_positions.append(len(seen))
-            self._positions.extend(seen)
+        self._n_postings.append(len(counts))
         return doc_id
 
     def add_many(self, pages: Iterable[WebPage]) -> list[int]:
@@ -173,7 +199,14 @@ class IndexBuilder:
     def freeze(self) -> FrozenIndex:
         """The CSR layout of every page added, as an in-RAM
         :class:`FrozenIndex`.  Each build array is released as soon as
-        its sorted copy exists; the builder takes no page afterwards."""
+        its sorted copy exists; the builder takes no page afterwards.
+        Raises ``ValueError`` past :data:`MAX_DOCUMENTS` pages."""
+        n_documents = len(self._lengths)
+        if n_documents > MAX_DOCUMENTS:
+            raise ValueError(
+                f"{n_documents} documents do not fit int32 doc ids "
+                f"(at most {MAX_DOCUMENTS})"
+            )
         token_ids, self._token_ids = self._token_ids, None
         tokens = sorted(token_ids)
         rank = np.empty(len(tokens), dtype=np.int32)
@@ -186,29 +219,31 @@ class IndexBuilder:
         order = np.argsort(keys, kind="stable")
         posting_offsets = _cumulative(np.bincount(keys, minlength=len(tokens)))
         del keys
-        doc_ids = np.frombuffer(self._doc_of, dtype=np.int64)[order]
-        self._doc_of = None
+        doc_ids = np.repeat(
+            np.arange(n_documents, dtype=np.int32),
+            np.frombuffer(self._n_postings, dtype=np.int64),
+        )[order]
+        self._n_postings = None
         tfs = np.frombuffer(self._tfs, dtype=np.float64)[order]
         self._tfs = None
-        # Each posting's run of positions moves from its add-order start
-        # to its place in token order.
-        counts = np.frombuffer(self._n_positions, dtype=np.int64)
-        starts = np.cumsum(counts)
-        starts -= counts
-        starts = starts[order]
-        counts = counts[order]
-        self._n_positions = None
         del order
-        position_offsets = _cumulative(counts)
-        starts -= position_offsets[:-1]
-        gather = np.repeat(starts, counts)
-        del starts, counts
-        gather += np.arange(gather.shape[0], dtype=np.int64)
-        positions = np.frombuffer(self._positions, dtype=np.int32)[gather]
-        self._positions = None
-        del gather
-        encoded = [token.encode("utf-8") for token in tokens]
-        n_documents = len(self._lengths)
+        # Each body token's (token row, word id) pairs, sorted and distinct.
+        words = list(self._word_ids)
+        n_words = len(words)
+        yields = [token_ids[token] for tokens in self._word_tokens for token in tokens]
+        token_rows, token_words = np.divmod(
+            np.unique(
+                rank[np.array(yields, dtype=np.int64)].astype(np.int64) * n_words
+                + np.repeat(
+                    np.arange(n_words, dtype=np.int64),
+                    [len(tokens) for tokens in self._word_tokens],
+                )
+            ),
+            n_words,
+        )
+        self._word_ids = self._word_tokens = None
+        word_blob, word_offsets = _blob(words)
+        token_blob, token_offsets = _blob(tokens)
         content_digest = self._content_hasher.hexdigest()
         fingerprint = self._pages_hasher.copy()
         fingerprint.update(content_digest.encode())
@@ -223,26 +258,54 @@ class IndexBuilder:
             "fingerprint_digest": fingerprint.hexdigest(),
             "n_tokens": len(tokens),
             "n_postings": int(doc_ids.shape[0]),
-            "n_positions": int(positions.shape[0]),
+            "n_distinct_words": n_words,
         }
         sections = {
-            "token_blob": np.frombuffer(b"".join(encoded), dtype=np.uint8),
-            "token_offsets": _cumulative(
-                np.fromiter(map(len, encoded), np.int64, len(encoded))
-            ),
+            "token_blob": token_blob,
+            "token_offsets": token_offsets,
             "posting_offsets": posting_offsets,
             "doc_ids": doc_ids,
             "tfs": tfs,
-            "positions": positions,
-            "position_offsets": position_offsets,
+            "token_word_offsets": _cumulative(
+                np.bincount(token_rows, minlength=len(tokens))
+            ),
+            "token_words": token_words.astype(np.int32),
+            "word_blob": word_blob,
+            "word_offsets": word_offsets,
+            "word_id_offsets": _cumulative(
+                np.frombuffer(self._n_words, dtype=np.int64)
+            ),
+            "word_ids": np.frombuffer(self._word_stream, dtype=np.int32),
             "lengths": np.frombuffer(self._lengths, dtype=np.float64),
-            "n_words": np.frombuffer(self._n_words, dtype=np.int64),
             "page_blob": np.frombuffer(self._page_blob, dtype=np.uint8),
             "page_offsets": np.frombuffer(self._page_offsets, dtype=np.int64),
         }
-        self._lengths = self._n_words = self._page_blob = None
-        self._page_offsets = self._word_tokens = None
+        self._n_words = self._word_stream = self._lengths = None
+        self._page_blob = self._page_offsets = None
         return FrozenIndex(header, sections)
+
+
+def _check_csr(
+    sections: dict[str, np.ndarray], name: str, rows: int, target: str, bound=None
+) -> None:
+    """Raise ``ValueError`` unless ``sections[name]`` is *rows* + 1
+    monotone ``int64`` offsets from 0 to the length of
+    ``sections[target]`` and, given a *bound*, that section holds
+    ``int32`` ids in ``[0, bound)``."""
+    offsets, ids = sections[name], sections[target]
+    if (
+        rows < 0
+        or offsets.dtype != np.int64
+        or offsets.shape != (rows + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != ids.shape[0]
+        or np.any(offsets[1:] < offsets[:-1])
+    ):
+        raise ValueError(f"{name} are not monotone offsets over {target}")
+    if bound is not None and (
+        ids.dtype != np.int32 or (ids.size and (ids.min() < 0 or ids.max() >= bound))
+    ):
+        raise ValueError(f"{target} holds ids outside [0, {bound})")
 
 
 class FrozenIndex:
@@ -250,14 +313,15 @@ class FrozenIndex:
 
     Everything the ranking layer reads per query is precomputed at
     construction: the token -> ``(start, stop)`` posting span map with
-    Python int bounds, and ``memoryview``\\ s over the sections that are
-    probed one element at a time (:meth:`n_words`, :meth:`field`), which
-    answer Python ints and strings without a numpy scalar.  Word
-    positions are read for a whole batch of documents at once
-    (:meth:`postings_of`, :meth:`posting_positions`).  :attr:`path` is
-    the artifact the sections are mapped from, or ``None`` when they
-    live in RAM; a mapped index pickles as that path, so a ``spawn``
-    worker re-opens the shared mapping instead of receiving the arrays.
+    Python int bounds, the token -> body-word span map, the decoded
+    body words (:attr:`words`), and ``memoryview``\\ s over the page
+    sections, which :meth:`field` probes one element at a time without a
+    numpy scalar.  :attr:`word_ids` and :attr:`word_id_offsets` are the
+    bodies as word-id streams, read for a whole batch of documents at
+    once.  :attr:`path` is the artifact the sections are mapped from, or
+    ``None`` when they live in RAM; a mapped index pickles as that path,
+    so a ``spawn`` worker re-opens the shared mapping instead of
+    receiving the arrays.
     """
 
     def __init__(
@@ -270,17 +334,20 @@ class FrozenIndex:
         self.n_documents = int(header["n_documents"])
         self.average_length = float(header["average_length"])
         self.lengths = sections["lengths"]
-        blob = bytes(sections["token_blob"])
-        bounds = sections["token_offsets"].tolist()
+        self.word_ids = sections["word_ids"]
+        self.word_id_offsets = sections["word_id_offsets"]
+        words = _strings(sections["word_blob"], sections["word_offsets"])
+        self.words = np.empty(len(words), dtype=object)
+        self.words[:] = words
         postings = sections["posting_offsets"].tolist()
-        self._spans = {
-            blob[bounds[row] : bounds[row + 1]].decode("utf-8"): (
-                postings[row],
-                postings[row + 1],
-            )
-            for row in range(len(bounds) - 1)
-        }
-        self._n_words_view = memoryview(sections["n_words"])
+        yields = sections["token_word_offsets"].tolist()
+        self._spans = {}
+        self._word_spans = {}
+        for row, token in enumerate(
+            _strings(sections["token_blob"], sections["token_offsets"])
+        ):
+            self._spans[token] = (postings[row], postings[row + 1])
+            self._word_spans[token] = (yields[row], yields[row + 1])
         self._page_blob_view = memoryview(sections["page_blob"])
         self._page_offsets_view = memoryview(sections["page_offsets"])
 
@@ -293,7 +360,9 @@ class FrozenIndex:
 
     @classmethod
     def open(cls, path, lock_timeout: float | None = None) -> FrozenIndex:
-        """Map the artifact at *path* read-only; raises :class:`ArtifactError`."""
+        """Map the artifact at *path* read-only; raises :class:`ArtifactError`,
+        also when a word section is out of bounds, so a corrupt artifact
+        fails here rather than rendering wrong words mid-pass."""
         with span("index.attach", path=str(path)):
             header, sections = open_array_artifact(
                 path, INDEX_ARTIFACT_KIND, lock_timeout=lock_timeout
@@ -307,6 +376,16 @@ class FrozenIndex:
             try:
                 # Plain views: every np.memmap slice pays a subclass round trip.
                 arrays = {name: sections[name].view(np.ndarray) for name in SECTIONS}
+                n_words = int(header["n_distinct_words"])
+                _check_csr(arrays, "word_offsets", n_words, "word_blob")
+                _check_csr(
+                    arrays, "word_id_offsets", int(header["n_documents"]),
+                    "word_ids", n_words,
+                )
+                _check_csr(
+                    arrays, "token_word_offsets", int(header["n_tokens"]),
+                    "token_words", n_words,
+                )
                 return cls(header, arrays, path)
             except (KeyError, ValueError) as error:
                 raise ArtifactError(f"{path} has corrupt sections: {error}") from None
@@ -357,42 +436,11 @@ class FrozenIndex:
             self._sections["tfs"][start:stop],
         )
 
-    def postings_of(
-        self, token: str, docs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(found, postings)``: the indexes into the int64 array *docs*
-        of the documents holding *token*, ascending, and each one's
-        posting (its row in the ``doc_ids``/``positions`` CSR), found
-        with one ``searchsorted`` over the token's postings."""
-        bounds = self._spans.get(token)
-        if bounds is None or docs.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        start, stop = bounds
-        ids = self._sections["doc_ids"][start:stop]
-        rows = np.searchsorted(ids, docs)
-        found = np.flatnonzero(ids[np.minimum(rows, stop - start - 1)] == docs)
-        return found, rows[found] + start
-
-    def posting_positions(
-        self, postings: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(owners, positions)``: every word position of the *postings*
-        (see :meth:`postings_of`), in order, each with the index into
-        *postings* of the posting it belongs to."""
-        offsets = self._sections["position_offsets"]
-        firsts = offsets[postings]
-        counts = offsets[postings + 1] - firsts
-        owners = np.repeat(np.arange(postings.shape[0]), counts)
-        # Each posting's run of positions, shifted from where it lands in
-        # the output to where it starts in `positions`.
-        gather = np.arange(owners.shape[0]) + np.repeat(
-            firsts - (np.cumsum(counts) - counts), counts
-        )
-        return owners, self._sections["positions"][gather]
-
-    def n_words(self, doc_id: int) -> int:
-        """Number of words in ``page(doc_id).body.split()``."""
-        return self._n_words_view[doc_id]
+    def token_words(self, token: str) -> np.ndarray:
+        """The ascending ids (into :attr:`words`) of the distinct body
+        words that yield *token*; empty when no body word does."""
+        start, stop = self._word_spans.get(token, (0, 0))
+        return self._sections["token_words"][start:stop]
 
     def page(self, doc_id: int) -> WebPage:
         """The indexed page with this id, decoded from the page blob."""

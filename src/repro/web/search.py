@@ -23,10 +23,10 @@ index's per-document English mask, every document scoring at least the
 k-th best score is kept (so ties at the boundary survive), and only that
 small set is sorted by score descending, then doc id ascending -- the
 same k a full sort would give.  Query-biased snippets come from the
-index's positional postings: every result's window in the batch is
-chosen from the hit positions in one array pass
+index's word-id streams: every result's window in the batch is chosen
+and rendered in one array pass per chunk of results
 (:func:`~repro.web.snippets.batch_snippets`), and a result decodes only
-its page's url, title and body, splitting the body only to render it.
+its page's url and title.
 
 Failure injection: setting :attr:`SearchEngine.available` to ``False`` makes
 every query raise :class:`SearchEngineUnavailable`, and ``failure_rate``
@@ -375,8 +375,8 @@ class SearchEngine:
         (url, title) pairs they share, length norms and per-token gains.
 
         This is what "cold" means: empty query caches over a built
-        (positional) index.  Snippet windows are not a cache -- they come
-        from the index's word positions, which are corpus data and stay.
+        index.  Snippet windows are not a cache -- they come from the
+        index's word-id streams, which are corpus data and stay.
         Accounting state (clock, query counts, rng) is untouched.
         Benchmarks call this to measure cold passes.
         """

@@ -4,10 +4,10 @@ Real engines summarise a result page with a ~20-word window centred on the
 query terms ("most of them are less than 20 words long", Section 5.2).  We
 reproduce that: find the body window with the highest density of query
 tokens and render it, ellipsised when it does not span the whole body.
-:func:`batch_snippets` takes every result's hit positions from the
-index's word positions and picks the windows of a whole batch of results
-at once (:func:`window_starts`); only the split and the render are per
-result.
+:func:`batch_snippets` reads every result's body as the index's word-id
+stream, marks the words that yield a query token, picks the windows of a
+whole batch of results at once (:func:`window_starts`) and renders each
+window by joining the index's decoded words; no body is decoded or split.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ DEFAULT_SNIPPET_WORDS = 20
 
 SNIPPET_CHUNK = 1024
 """Results whose windows are found in one array pass: bounds the pass's
-temporaries whatever the batch size."""
+temporaries by the words of that many bodies, whatever the batch size."""
 
 POSITION_BITS = 32
 """A hit key is ``row << POSITION_BITS | position`` (positions are int32)."""
@@ -38,57 +38,114 @@ def batch_snippets(
 
     A snippet is the densest *max_words*-word window of the result's body
     for the query's tokens, ellipsised when truncated, or the leading
-    window when no token occurs in the body.  The windows of each
-    :data:`SNIPPET_CHUNK` results are found in one array pass: one
-    ``searchsorted`` per token finds its postings among the results
-    naming it, ``np.unique`` merges their word positions into each
-    result's sorted hits, and :func:`window_starts` picks every window.
-    Then each body is decoded and split only up to its window's end (the
-    unsplit rest is one more piece, which is all the trailing ellipsis
-    needs) to render it.
+    window when no token occurs in the body.  A group's query words are
+    the body words yielding one of its tokens
+    (:meth:`~repro.web.index.FrozenIndex.token_words`).  Per
+    :data:`SNIPPET_CHUNK` results, one gather reads their bodies' word
+    ids, one more marks the hits against a (group, query word) mask over
+    just the chunk's groups and their query words, the hit keys come out
+    sorted, :func:`window_starts` picks every window and :func:`_render`
+    renders them all.
     """
-    docs = [doc_id for _, doc_ids in groups for doc_id in doc_ids]
-    doc_array = np.array(docs, dtype=np.int64)
-    bounds = []  # each group's tokens and its rows in `docs`
-    stop = 0
-    for tokens, doc_ids in groups:
-        bounds.append((tokens, stop, stop + len(doc_ids)))
-        stop += len(doc_ids)
-    starts: list[int] = []
-    for first in range(0, len(docs), SNIPPET_CHUNK):
-        last = min(first + SNIPPET_CHUNK, len(docs))
-        rows_of: dict[str, list[int]] = {}
-        for tokens, lo, hi in bounds:
-            if lo < last and hi > first:
-                for token in tokens:
-                    rows_of.setdefault(token, []).extend(
-                        range(max(lo, first), min(hi, last))
-                    )
-        hit_rows = [np.empty(0, dtype=np.int64)]
-        postings = [np.empty(0, dtype=np.int64)]
-        for token, rows in rows_of.items():
-            rows = np.array(rows, dtype=np.int64)
-            found, token_postings = index.postings_of(token, doc_array[rows])
-            hit_rows.append(rows[found] - first)
-            postings.append(token_postings)
-        owners, positions = index.posting_positions(np.concatenate(postings))
-        keys = np.unique(
-            (np.concatenate(hit_rows)[owners] << POSITION_BITS) | positions
-        )
-        starts.extend(window_starts(keys, last - first, max_words).tolist())
-    return [
-        render_window(
-            index.field(doc_id, 2).split(None, start + max_words), start, max_words
-        )
-        for doc_id, start in zip(docs, starts)
+    docs = np.array(
+        [doc_id for _, doc_ids in groups for doc_id in doc_ids], dtype=np.int64
+    )
+    group_of = np.repeat(
+        np.arange(len(groups), dtype=np.int64), [len(doc_ids) for _, doc_ids in groups]
+    )
+    yielded = [
+        (group, index.token_words(token))
+        for group, (tokens, _) in enumerate(groups)
+        for token in tokens
     ]
+    # Every group's query words, in group order.
+    pair_groups = np.repeat(
+        np.array([group for group, _ in yielded], dtype=np.int64),
+        [word_ids.shape[0] for _, word_ids in yielded],
+    )
+    pair_words = np.concatenate(
+        [word_ids for _, word_ids in yielded] + [np.empty(0, dtype=np.int32)]
+    )
+    # Each word's column in the current chunk's mask; 0 for no query word.
+    column_of = np.zeros(len(index.words), dtype=np.int64)
+    offsets = index.word_id_offsets
+    snippets: list[str] = []
+    for first in range(0, docs.shape[0], SNIPPET_CHUNK):
+        chunk = docs[first : first + SNIPPET_CHUNK]
+        chunk_groups = group_of[first : first + SNIPPET_CHUNK]
+        lowest = chunk_groups[0]
+        lo, hi = np.searchsorted(pair_groups, [lowest, chunk_groups[-1] + 1])
+        query_words, columns = np.unique(pair_words[lo:hi], return_inverse=True)
+        column_of[query_words] = np.arange(1, query_words.shape[0] + 1)
+        mask = np.zeros(
+            (chunk_groups[-1] - lowest + 1, query_words.shape[0] + 1), dtype=bool
+        )
+        mask[pair_groups[lo:hi] - lowest, columns + 1] = True
+        begins = offsets[chunk]
+        counts = offsets[chunk + 1] - begins
+        # The chunk's bodies back to back: each word's row, its position
+        # in that row's body and its word id.
+        rows = np.repeat(np.arange(chunk.shape[0], dtype=np.int64), counts)
+        row_starts = np.cumsum(counts) - counts
+        at = np.arange(rows.shape[0], dtype=np.int64) - row_starts[rows]
+        body = index.word_ids[begins[rows] + at]
+        hits = mask[chunk_groups[rows] - lowest, column_of[body]]
+        column_of[query_words] = 0
+        starts = window_starts(
+            (rows[hits] << POSITION_BITS) | at[hits], chunk.shape[0], max_words
+        )
+        snippets += _render(index, body, row_starts, counts, starts, max_words)
+    return snippets
+
+
+def _render(
+    index: FrozenIndex,
+    body: np.ndarray,
+    row_starts: np.ndarray,
+    counts: np.ndarray,
+    starts: np.ndarray,
+    max_words: int,
+) -> list[str]:
+    """Each row's window of *body* (the rows' word ids back to back, row
+    *r* from ``row_starts[r]``, ``counts[r]`` words long) from
+    ``starts[r]``: its words joined by spaces, after an ellipsis when it
+    starts past 0 and before one when the body goes on past it.
+
+    Every row's items are laid out in one object array, each followed by
+    a space or, after a row's last item, a newline (an empty window is
+    one empty item); one ``join`` and one ``split`` make every row's
+    text, each its own string.  No word holds whitespace, so the
+    newlines split exactly the rows."""
+    widths = np.minimum(counts - starts, max_words)
+    leads = (starts > 0).astype(np.int64)
+    n_items = leads + widths + (starts + max_words < counts)
+    empty = n_items == 0
+    n_items[empty] = 1
+    ends = np.cumsum(n_items)
+    pieces = np.empty(2 * int(ends[-1]), dtype=object)
+    pieces[0::2] = "..."
+    pieces[1::2] = " "
+    pieces[2 * ends - 1] = "\n"
+    pieces[2 * (ends - n_items)[empty]] = ""
+    # Word i of the windows back to back (row r's from first[r]) is
+    # item i + (an offset per row) of the layout and word i + (another
+    # offset per row) of *body*.
+    first = np.cumsum(widths) - widths
+    words = np.arange(first[-1] + widths[-1], dtype=np.int64)
+    slot = np.repeat(ends - n_items + leads - first, widths) + words
+    at = np.repeat(row_starts + starts - first, widths) + words
+    pieces[2 * slot] = index.words[body[at]]
+    texts = "".join(pieces.tolist()).split("\n")[:-1]
+    # `split` answers a one-character text with the interpreter's shared
+    # string; a fresh one keeps a pickled results cache from sharing it
+    # with an equal token, as rendering one window at a time never did.
+    return [text if len(text) != 1 else "".join((text, "")) for text in texts]
 
 
 def window_starts(keys: np.ndarray, n_rows: int, max_words: int) -> np.ndarray:
     """Per row, the first start of the densest *max_words* window over
     that row's body, whose query hits are the sorted, distinct int64 hit
-    *keys* (``row << POSITION_BITS | position``, as ``np.unique`` leaves
-    them).
+    *keys* (``row << POSITION_BITS | position``).
 
     Ties keep the earliest window, so a row without hits gets the leading
     window.  The earliest densest window starts at 0 or ends on a hit
@@ -118,11 +175,3 @@ def window_starts(keys: np.ndarray, n_rows: int, max_words: int) -> np.ndarray:
         winners, first = np.unique(rows[order], return_index=True)
         best[winners] = starts[order[first]]
     return best
-
-
-def render_window(words: list[str], best_start: int, max_words: int) -> str:
-    """Render the chosen window with ellipses marking truncation."""
-    window = words[best_start : best_start + max_words]
-    prefix = "... " if best_start > 0 else ""
-    suffix = " ..." if best_start + max_words < len(words) else ""
-    return f"{prefix}{' '.join(window)}{suffix}"

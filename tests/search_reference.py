@@ -10,14 +10,15 @@ The engine scores sparsely (:func:`repro.web.ranking.bm25_sum` of
 per-token :func:`repro.web.ranking.bm25_token_gains`),
 selects only the top k English documents
 (:meth:`repro.web.search.SearchEngine._top_k`) and picks the snippet
-windows of a whole batch of results at once from the hit positions the
-index records (:func:`repro.web.snippets.batch_snippets`,
+windows of a whole batch of results at once from the bodies' word-id
+streams the index records (:func:`repro.web.snippets.batch_snippets`,
 :func:`repro.web.snippets.window_starts`).  These are the straightforward
 versions -- a dense BM25 pass over every document, a full sort of every
 matched document walked past the non-English ones, one result's window
 picked from its sorted hit positions by bisection
 (:func:`best_window_start`), and a snippet extractor that re-tokenises
-the body and slides the window over every word -- kept only so the tests
+the body and slides the window over every word, rendered from the split
+body (:func:`render_window`) -- kept only so the tests
 can check the engine against them.  :class:`ReferenceSearchEngine` puts
 them together into an engine that ranks and renders one result at a time.
 """
@@ -36,7 +37,7 @@ from repro.web.documents import WebPage
 from repro.web.index import FrozenIndex
 from repro.web.ranking import BM25Parameters, bm25_norms
 from repro.web.search import SearchEngine, SearchResult
-from repro.web.snippets import DEFAULT_SNIPPET_WORDS, render_window
+from repro.web.snippets import DEFAULT_SNIPPET_WORDS
 
 
 class ReferenceIndex:
@@ -95,15 +96,32 @@ def batch_word_positions(
     index: FrozenIndex, token: str, docs: list[int]
 ) -> list[list[int]]:
     """Per entry of *docs* (any order, repeats allowed), the positions of
-    *token* in that document's body, as the index's batch accessors
-    (:meth:`~repro.web.index.FrozenIndex.postings_of`,
-    :meth:`~repro.web.index.FrozenIndex.posting_positions`) answer them."""
-    found, postings = index.postings_of(token, np.array(docs, dtype=np.int64))
-    owners, positions = index.posting_positions(postings)
-    answer: list[list[int]] = [[] for _ in docs]
-    for owner, position in zip(owners.tolist(), positions.tolist()):
-        answer[int(found[owner])].append(position)
-    return answer
+    *token* in that document's body, as the index's word stream answers
+    them: the positions whose word id is one of
+    :meth:`~repro.web.index.FrozenIndex.token_words`."""
+    yields = set(index.token_words(token).tolist())
+    return [
+        [
+            position
+            for position, word_id in enumerate(body_word_ids(index, doc_id))
+            if word_id in yields
+        ]
+        for doc_id in docs
+    ]
+
+
+def body_word_ids(index: FrozenIndex, doc_id: int) -> list[int]:
+    """Document *doc_id*'s slice of the index's word-id stream."""
+    offsets = index.word_id_offsets
+    return index.word_ids[offsets[doc_id] : offsets[doc_id + 1]].tolist()
+
+
+def render_window(words: list[str], best_start: int, max_words: int) -> str:
+    """Render the chosen window with ellipses marking truncation."""
+    window = words[best_start : best_start + max_words]
+    prefix = "... " if best_start > 0 else ""
+    suffix = " ..." if best_start + max_words < len(words) else ""
+    return f"{prefix}{' '.join(window)}{suffix}"
 
 
 def bm25_score_array(

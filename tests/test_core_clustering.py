@@ -137,3 +137,34 @@ class TestClusteredCellAnnotator:
         annotator = ClusteredCellAnnotator(_classifier(), _ambiguous_engine())
         with pytest.raises(ValueError):
             annotator.annotate_value("Melisse", [])
+
+    def test_batch_makes_one_search_and_one_classification(self, monkeypatch):
+        values = ["Melisse", "zzz", "Melisse", "records label"]
+        single = ClusteredCellAnnotator(_classifier(), _ambiguous_engine())
+        expected = [single.annotate_value(value, ["museum"]) for value in values]
+        engine, classifier = _ambiguous_engine(), _classifier()
+        calls = []
+        search_many, classify_many = engine.search_many, classifier.classify_many
+        monkeypatch.setattr(
+            engine,
+            "search_many",
+            lambda queries, k: calls.append(("search", list(queries)))
+            or search_many(queries, k=k),
+        )
+        monkeypatch.setattr(
+            classifier,
+            "classify_many",
+            lambda snippets: calls.append(("classify", len(snippets)))
+            or classify_many(snippets),
+        )
+        annotator = ClusteredCellAnnotator(classifier, engine)
+        assert annotator.annotate_values(values, ["museum"]) == expected
+        assert [name for name, _ in calls] == ["search", "classify"]
+        assert calls[0][1] == values
+
+    def test_batch_flags_each_value_when_the_engine_is_down(self):
+        engine = _ambiguous_engine()
+        engine.available = False
+        annotator = ClusteredCellAnnotator(_classifier(), engine)
+        decisions = annotator.annotate_values(["Melisse", "zzz"], ["museum"])
+        assert [decision.failed for decision in decisions] == [True, True]

@@ -6,7 +6,8 @@ be a pure *storage* change: it may change where the postings live, never
 what any layer above computes.  This suite pins:
 
 * the CSR round-trip -- every token, posting array (values *and*
-  dtypes, plain ``np.ndarray`` views when mapped), document length, page
+  dtypes, plain ``np.ndarray`` views when mapped), body word-id stream,
+  document length, page
   and corpus statistic identical between the in-RAM index and the
   reopened artifact, plus a Hypothesis property test over arbitrary
   corpora (partition-exact and order-preserving); each accessor is
@@ -22,7 +23,9 @@ what any layer above computes.  This suite pins:
   busy seconds and RSS are real measurements);
 * the artifact contract -- pickling by path, no page after a query, loud
   :class:`~repro.persistence.ArtifactError` on foreign kinds, foreign
-  layout versions and truncated files, and ``ensure_index_artifact``
+  layout versions (layout 2 among them), truncated files and word
+  sections out of bounds, ``freeze`` refusing more documents than
+  ``int32`` doc ids hold, and ``ensure_index_artifact``
   reusing a fresh artifact while rebuilding a stale or corrupt one.
 """
 
@@ -56,6 +59,7 @@ from repro.service.daemon import AnnotationService, ServiceConfig
 from repro.tables.model import Column, ColumnType, Table
 from repro.web.backends import ensure_index_artifact
 from repro.web.documents import WebPage
+from repro.web import index as index_module
 from repro.web.index import (
     INDEX_ARTIFACT_KIND,
     INDEX_LAYOUT_VERSION,
@@ -89,19 +93,45 @@ def _make_engine(index=None, extra_pages=()) -> SearchEngine:
     return engine
 
 
-def _layout_1_artifact(index, path):
-    """An index artifact in layout 1: no positional sections."""
+def _layout_2_artifact(index, path):
+    """An index artifact in layout 2: int64 doc ids and word positions
+    per posting where layout 3 has the bodies' word-id streams."""
     index.save(path)
     header, sections = open_array_artifact(path, INDEX_ARTIFACT_KIND)
-    header = {**header, "layout_version": 1}
-    del header["n_positions"]
+    header = {**header, "layout_version": 2, "n_positions": 0}
+    del header["n_distinct_words"]
     sections = {
         name: np.array(array)
         for name, array in sections.items()
-        if name not in ("positions", "position_offsets", "n_words")
+        if not name.startswith(("word", "token_word"))
     }
+    sections["doc_ids"] = sections["doc_ids"].astype(np.int64)
+    sections["positions"] = np.empty(0, dtype=np.int32)
+    sections["position_offsets"] = np.zeros(
+        header["n_postings"] + 1, dtype=np.int64
+    )
+    sections["n_words"] = np.diff(index.word_id_offsets)
     save_array_artifact(path, INDEX_ARTIFACT_KIND, header, sections)
     return path
+
+
+def _corrupted_artifact(index, path, name, corrupt):
+    """*index*'s artifact with section *name* replaced by
+    ``corrupt(copy of the section)``."""
+    index.save(path)
+    header, sections = open_array_artifact(path, INDEX_ARTIFACT_KIND)
+    sections = {key: np.array(array) for key, array in sections.items()}
+    sections[name] = corrupt(sections[name])
+    save_array_artifact(path, INDEX_ARTIFACT_KIND, header, sections)
+    return path
+
+
+def _set(at, value):
+    def corrupt(array):
+        array[at] = value
+        return array
+
+    return corrupt
 
 
 def _train(seed=1) -> SnippetTypeClassifier:
@@ -186,12 +216,26 @@ class TestArtifactRoundTrip:
         for token in index.tokens():
             mem_ids, mem_tfs = index.posting_arrays(token)
             map_ids, map_tfs = frozen.posting_arrays(token)
-            assert map_ids.dtype == mem_ids.dtype
-            assert map_tfs.dtype == mem_tfs.dtype
+            assert mem_ids.dtype == map_ids.dtype == np.int32
+            assert mem_tfs.dtype == map_tfs.dtype == np.float64
             np.testing.assert_array_equal(map_ids, mem_ids)
             np.testing.assert_array_equal(map_tfs, mem_tfs)
             assert frozen.document_frequency(token) == index.document_frequency(
                 token
+            )
+
+    def test_word_stream_identical_values_and_dtypes(self, frozen):
+        index = _make_engine().index
+        assert frozen.words.tolist() == index.words.tolist()
+        for name in ("word_ids", "word_id_offsets"):
+            mem, mapped = getattr(index, name), getattr(frozen, name)
+            assert type(mapped) is np.ndarray and not mapped.flags.owndata
+            assert mem.dtype == mapped.dtype
+            np.testing.assert_array_equal(mapped, mem)
+        assert index.word_ids.dtype == np.int32
+        for token in index.tokens():
+            np.testing.assert_array_equal(
+                frozen.token_words(token), index.token_words(token)
             )
 
     def test_posting_arrays_are_views_not_copies(self, frozen):
@@ -284,14 +328,14 @@ class TestArtifactContracts:
         with pytest.raises(ArtifactError):
             FrozenIndex.open(path)
 
-    def test_layout_1_artifact_rejected(self, tmp_path):
-        path = _layout_1_artifact(_make_engine().index, tmp_path / "v1.reproidx")
-        with pytest.raises(ArtifactError, match="index layout 1"):
+    def test_layout_2_artifact_rejected(self, tmp_path):
+        path = _layout_2_artifact(_make_engine().index, tmp_path / "v2.reproidx")
+        with pytest.raises(ArtifactError, match="index layout 2"):
             FrozenIndex.open(path)
 
-    def test_ensure_rebuilds_layout_1_artifact(self, tmp_path, caplog):
+    def test_ensure_rebuilds_layout_2_artifact(self, tmp_path, caplog):
         index = _make_engine().index
-        path = _layout_1_artifact(index, tmp_path / "index.reproidx")
+        path = _layout_2_artifact(index, tmp_path / "index.reproidx")
         with caplog.at_level(logging.WARNING, logger="repro.web.backends"):
             frozen = ensure_index_artifact(index, path)
         assert any(
@@ -299,9 +343,56 @@ class TestArtifactContracts:
         )
         header, _sections = open_array_artifact(path, INDEX_ARTIFACT_KIND)
         assert header["layout_version"] == INDEX_LAYOUT_VERSION
-        assert [frozen.n_words(doc) for doc in range(index.n_documents)] == [
-            index.n_words(doc) for doc in range(index.n_documents)
-        ]
+        assert frozen.word_ids.tolist() == index.word_ids.tolist()
+        assert frozen.word_id_offsets.tolist() == index.word_id_offsets.tolist()
+
+    @pytest.mark.parametrize(
+        ("name", "corrupt", "message"),
+        [
+            ("word_id_offsets", _set(1, 10**6), "word_id_offsets are not monotone"),
+            ("word_id_offsets", _set(-1, 7), "word_id_offsets are not monotone"),
+            ("word_id_offsets", lambda a: a[:-1], "word_id_offsets are not monotone"),
+            ("word_ids", _set(3, 10**6), "word_ids holds ids outside"),
+            ("word_ids", _set(0, -1), "word_ids holds ids outside"),
+            ("word_ids", lambda a: a.astype(np.int64), "word_ids holds ids outside"),
+            ("word_offsets", _set(1, 10**6), "word_offsets are not monotone"),
+            ("token_word_offsets", _set(-1, 1), "token_word_offsets are not"),
+            ("token_words", _set(0, 10**6), "token_words holds ids outside"),
+            ("word_blob", _set(0, 0xFF), "can't decode"),
+        ],
+        ids=[
+            "stream-offsets-decrease", "stream-offsets-end-short",
+            "stream-offsets-missing-a-row", "word-id-past-vocabulary",
+            "negative-word-id", "word-ids-widened",
+            "vocabulary-offsets-decrease", "token-csr-end-short",
+            "token-word-past-vocabulary", "vocabulary-not-utf8",
+        ],
+    )
+    def test_corrupt_word_sections_rejected_at_attach(
+        self, tmp_path, name, corrupt, message
+    ):
+        path = _corrupted_artifact(
+            _make_engine().index, tmp_path / "bad.reproidx", name, corrupt
+        )
+        with pytest.raises(ArtifactError, match=message):
+            FrozenIndex.open(path)
+
+    def test_ensure_rebuilds_an_artifact_with_corrupt_word_ids(self, tmp_path):
+        index = _make_engine().index
+        path = _corrupted_artifact(
+            index, tmp_path / "index.reproidx", "word_ids", _set(0, 10**6)
+        )
+        frozen = ensure_index_artifact(index, path)
+        assert frozen.word_ids.tolist() == index.word_ids.tolist()
+
+    def test_freeze_refuses_more_documents_than_int32_ids(self, monkeypatch):
+        builder = IndexBuilder()
+        builder.add_many(
+            WebPage(url=f"https://x/{i}", title="t", body="b") for i in range(3)
+        )
+        monkeypatch.setattr(index_module, "MAX_DOCUMENTS", 2)
+        with pytest.raises(ValueError, match="do not fit int32 doc ids"):
+            builder.freeze()
 
     def test_truncated_file_raises(self, tmp_path):
         path = _make_engine().index.save(tmp_path / "cut.reproidx")

@@ -5,9 +5,9 @@ mapped (saved, then :meth:`~repro.web.index.FrozenIndex.open`\\ ed), the
 frozen index must answer exactly what
 :class:`search_reference.ReferenceIndex` computes page by page with
 dicts: the sorted vocabulary, every posting's doc ids and tf values with
-their dtypes, word positions (read for a batch of documents), document
-lengths, word counts, the English mask, pages, the mean length and both
-digests.  Comparing the two storage
+their dtypes, each body's word-id stream (which must decode to
+``body.split()``) and the token positions it gives, document lengths,
+the English mask, pages, the mean length and both digests.  Comparing the two storage
 backends with each other would only test the shared code; the oracle
 shares nothing with the index but the tokenizer.
 """
@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from search_reference import ReferenceIndex, batch_word_positions
+from search_reference import ReferenceIndex, batch_word_positions, body_word_ids
 
 from repro.web.documents import WebPage
 from repro.web.index import FrozenIndex, IndexBuilder
@@ -51,7 +51,7 @@ def _check(index: FrozenIndex, reference: ReferenceIndex) -> None:
     for token, postings in reference.postings.items():
         ids, tfs = index.posting_arrays(token)
         assert type(ids) is np.ndarray and type(tfs) is np.ndarray
-        assert ids.dtype == np.int64 and tfs.dtype == np.float64
+        assert ids.dtype == np.int32 and tfs.dtype == np.float64
         assert ids.tolist() == sorted(postings)
         assert tfs.tolist() == [postings[doc][0] for doc in sorted(postings)]
         assert index.document_frequency(token) == len(postings)
@@ -66,7 +66,9 @@ def _check(index: FrozenIndex, reference: ReferenceIndex) -> None:
     assert index.english_mask.dtype == np.bool_
     assert index.english_mask.tolist() == reference.english_mask
     for doc_id, page in enumerate(pages):
-        assert index.n_words(doc_id) == reference.n_words[doc_id]
+        words = [index.words[word_id] for word_id in body_word_ids(index, doc_id)]
+        assert words == page.body.split()
+        assert len(words) == reference.n_words[doc_id]
         assert index.page(doc_id) == page
 
 

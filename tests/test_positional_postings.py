@@ -1,17 +1,24 @@
-"""Positional postings: parity with the reference oracles, in RAM and mapped.
+"""The bodies' word-id stream: parity with the reference oracles, in RAM and mapped.
 
-The index records, per (token, doc) posting, the positions of the body
-words that yield the token, and the search engine builds query-biased
-snippets from those positions alone.  These properties pin that design
-against the straightforward versions in ``search_reference.py``, for a
-:class:`~repro.web.index.FrozenIndex` in RAM and mapped from its saved
-artifact:
+The index stores each body as a stream of word ids over its distinct
+words, and each token's list of the words that yield it; the search
+engine builds query-biased snippets from those alone.  These properties
+pin that design against the straightforward versions in
+``search_reference.py``, for a :class:`~repro.web.index.FrozenIndex` in
+RAM and mapped from its saved artifact:
 
+* every body's stream decodes to ``body.split()``, and the positions it
+  gives a token (:func:`batch_word_positions`) equal
+  :meth:`ReferenceIndex.word_positions` -- for empty and
+  whitespace-only bodies, tabs, newlines and repeated whitespace,
+  punctuation-only words such as ``...`` and words that yield several
+  tokens;
 * every snippet :func:`~repro.web.snippets.batch_snippets` renders
   equals :func:`extract_snippet`, which re-tokenises the body -- for
   bodies shorter than, as long as and longer than the window,
   possessives, digits, punctuation-only words, non-ASCII whitespace,
-  tokens found only in a title and queries matching nothing;
+  tokens found only in a title and queries matching nothing, and for a
+  batch across the 1,024-result chunk boundary;
 * the window picked from hit positions alone (the oracle
   :func:`best_window_start`, which ``tests/test_search_batch_oracle.py``
   checks the batch kernel against) equals the per-word scan
@@ -34,7 +41,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from search_reference import (
+    ReferenceIndex,
     batch_word_positions,
+    body_word_ids,
     best_window_start,
     bm25_score_array,
     extract_snippet,
@@ -51,7 +60,7 @@ from repro.web.ranking import (
     bm25_token_gains,
 )
 from repro.web.search import SearchEngine
-from repro.web.snippets import DEFAULT_SNIPPET_WORDS, batch_snippets
+from repro.web.snippets import DEFAULT_SNIPPET_WORDS, SNIPPET_CHUNK, batch_snippets
 
 # Body words never contain "q", so the q-words titles may carry yield
 # title-only tokens.  "İ" lower-cases to two characters and "é" is not a
@@ -117,6 +126,80 @@ def test_snippets_equal_the_oracle(docs, queries, max_words):
                     assert snippet == (
                         extract_snippet(page.body, query, max_words)
                     ), (index.backend_name, page.body, query)
+
+
+# Bodies built to stress the split: empty or whitespace-only, runs of
+# mixed whitespace before, between and after words, punctuation-only
+# words, and words that yield several tokens or none.
+_edge_word = st.sampled_from(
+    ["...", "--", "!", ".", "rock'n'roll", "o'neil's", "a.b.c", "e-mail",
+     "hotel", "Hotel,", "café", "42", "İstanbul", "..hotel..", "x"]
+)
+_whitespace = st.text(
+    alphabet=" \t\n\r\x0b\x0c\x85\u2028\u3000", min_size=1, max_size=4
+)
+_edge_body = st.one_of(
+    st.just(""),
+    _whitespace,
+    st.tuples(
+        st.lists(st.tuples(_whitespace, _edge_word), max_size=30), _whitespace
+    ).map(lambda parts: "".join(sep + word for sep, word in parts[0]) + parts[1]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bodies=st.lists(_edge_body, min_size=1, max_size=6),
+    queries=st.lists(
+        st.lists(_edge_word, min_size=1, max_size=3).map(" ".join),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_word_stream_equals_the_split_body(bodies, queries):
+    pages = _pages([("Page", body) for body in bodies])
+    reference = ReferenceIndex(pages)
+    backends, tmp = _indexes(pages)
+    every_doc = list(range(len(pages)))
+    with tmp:
+        for index in backends:
+            for doc_id, page in enumerate(pages):
+                words = [index.words[w] for w in body_word_ids(index, doc_id)]
+                assert words == page.body.split(), index.backend_name
+            for token in reference.postings:
+                assert batch_word_positions(index, token, every_doc) == [
+                    reference.word_positions(token, doc_id) for doc_id in every_doc
+                ], (index.backend_name, token)
+            groups = [(frozenset(tokenize(query)), every_doc) for query in queries]
+            assert batch_snippets(index, groups) == [
+                extract_snippet(page.body, query)
+                for query in queries
+                for page in pages
+            ], index.backend_name
+
+
+@pytest.mark.parametrize("backend", ["memory", "mmap"])
+def test_edge_bodies_across_the_chunk_boundary(backend):
+    # Empty, whitespace-only and "..."-only bodies among long ones, in
+    # groups that straddle each chunk boundary.
+    bodies = ["", " \t\n ", "... ... ...", "rock'n'roll " * 30,
+              "\n".join(f"hotel{i % 7} ..." for i in range(45))]
+    pages = _pages([("Page", body) for body in bodies])
+    queries = ["hotel3 rock", "roll", "...", "zzz", "n hotel6"]
+    groups = [
+        (frozenset(tokenize(query)), [(i + j) % len(pages) for j in range(37)])
+        for i, query in enumerate(queries * 12)
+    ]
+    assert sum(len(doc_ids) for _, doc_ids in groups) > 2 * SNIPPET_CHUNK
+    expected = [
+        extract_snippet(pages[doc_id].body, query)
+        for query, (_, doc_ids) in zip(queries * 12, groups)
+        for doc_id in doc_ids
+    ]
+    (memory, frozen), tmp = _indexes(pages)
+    with tmp:
+        index = memory if backend == "memory" else frozen
+        assert batch_snippets(index, groups) == expected
 
 
 @pytest.mark.parametrize("n_words", [0, 1, 19, 20, 21, 40])
@@ -216,7 +299,7 @@ def test_word_by_word_counts_equal_whole_text_tokenisation(docs, title_boost):
                     sum(expected.values())
                 )
                 words = page.body.split()
-                assert index.n_words(doc_id) == len(words)
+                assert len(body_word_ids(index, doc_id)) == len(words)
                 for token in expected:
                     assert batch_word_positions(index, token, [doc_id]) == [[
                         position
