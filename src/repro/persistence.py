@@ -51,9 +51,16 @@ that safe and cheap:
 Writes go through a temporary file and ``os.replace`` so a crashed writer
 never leaves a truncated cache behind; the temporary file is unlinked even
 when serialisation fails (disk full, unpicklable value).  Loads treat
-*any* unreadable file as a cold start rather than an error.  A file's
-bytes are a function of its entries and their insertion order alone, so
-one workload writes the same bytes under any ``PYTHONHASHSEED``.
+*any* unreadable file as a cold start rather than an error.
+
+A file's bytes are a function of its entries alone: they are saved in
+sorted key order, and pickled in fast mode, with pickle's object memo
+off, so no bytes depend on which equal strings happen to be one object,
+on insertion order, on ``PYTHONHASHSEED`` or on which of several
+processes sharing a directory saved first.  The entries and guards are
+plain dicts, tuples, strings and numbers, so a valid file names no
+global: the loader refuses any that does, and a file dropped into a
+shared directory cannot make a load call code.
 """
 
 from __future__ import annotations
@@ -82,9 +89,10 @@ try:  # POSIX advisory locking; degrade gracefully elsewhere.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 """Bump when the persisted payload layout changes; old files are ignored.
-Version 3 holds a plain dict (version 2 was ``{results, norms}``)."""
+Version 4 holds plain values only (version 3 pickled ``SearchResult``
+objects; version 2 was ``{results, norms}``)."""
 
 DEFAULT_LOCK_TIMEOUT = 10.0
 """Seconds a save/load waits for the advisory lock before giving up.
@@ -186,18 +194,27 @@ def _locked(path: Path, exclusive: bool, timeout: float):
         os.close(fd)
 
 
+class _PlainUnpickler(pickle.Unpickler):
+    """Unpickles plain values only: a pickle naming any global (a class
+    to build, a function to call) raises instead of importing it."""
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(f"refusing global {module}.{name}")
+
+
 def _read_blob(path) -> dict | None:
     """The raw guarded blob at *path*, or ``None`` for anything unreadable.
 
     A missing file is the normal cold start and stays silent; a file that
     *exists* but cannot be unpickled (truncated by a crashed writer on a
     pre-atomic layout, bit rot, a foreign file dropped into the cache
-    dir) is worth a warning -- the operator should know warmth was lost
-    and why -- but still only means "start cold", never an exception.
+    dir, a pickle naming a global) is worth a warning -- the operator
+    should know warmth was lost and why -- but still only means "start
+    cold", never an exception.
     """
     try:
         with open(path, "rb") as handle:
-            blob = pickle.load(handle)
+            blob = _PlainUnpickler(handle).load()
     except FileNotFoundError:
         return None
     except Exception as error:
@@ -435,10 +452,9 @@ class PersistedDict(dict):
         file (same format version, kind and fingerprint) are kept and
         memory's added over them, so concurrent savers sharing one cache
         directory union their entries instead of clobbering each other;
-        an incompatible file is replaced.  The write is atomic.  A file
-        unchanged since memory last held all of it is not read: memory
-        is written as it is, the same entries in memory's insertion
-        order (readers fold a file into a dict, so order is never read).
+        an incompatible file is replaced.  The write is atomic, in
+        sorted key order.  A file unchanged since memory last held all
+        of it is not read: memory is written as it is.
 
         Returns ``True`` when the file holds memory -- also when the
         write was skipped because the file is unchanged and already held
@@ -470,10 +486,12 @@ class PersistedDict(dict):
                     "format_version": CACHE_FORMAT_VERSION,
                     "kind": self.kind,
                     "fingerprint": fingerprint,
-                    "payload": entries,
+                    "payload": dict(sorted(entries.items())),
                 }
                 with _atomic_replace(path) as handle:
-                    pickle.dump(blob, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    pickler = pickle.Pickler(handle, pickle.HIGHEST_PROTOCOL)
+                    pickler.fast = True  # no memo: bytes follow values only
+                    pickler.dump(blob)
                 # Opened before the lock is released: this write's file.
                 pinned = _pin(path)
         except CacheLockTimeout:

@@ -1,10 +1,12 @@
 """The search-engine facade: the Microsoft Bing stand-in.
 
 Implements the exact contract the annotation step consumes (Section 5.2):
-submit a query, receive the top-k results as (url, title, snippet) triples,
-English results only.  Each query charges a configurable latency to the
-shared :class:`~repro.clock.VirtualClock`; the Section 6.4 efficiency
-experiment reads that clock.
+submit a query, receive the top-k English results, each a document id
+and its query-biased snippet -- the snippet is all the annotation step
+reads (Section 5.2, Eq. 1).  A caller that wants a result's url or title
+asks the index: ``engine.index.page(hit.doc_id)``.  Each query charges a
+configurable latency to the shared :class:`~repro.clock.VirtualClock`;
+the Section 6.4 efficiency experiment reads that clock.
 
 One query entry point, :meth:`SearchEngine.search_many`, resolves a batch
 of queries for table-at-a-time annotation; :meth:`SearchEngine.search` is
@@ -25,8 +27,7 @@ small set is sorted by score descending, then doc id ascending -- the
 same k a full sort would give.  Query-biased snippets come from the
 index's word-id streams: every result's window in the batch is chosen
 and rendered in one array pass per chunk of results
-(:func:`~repro.web.snippets.batch_snippets`), and a result decodes only
-its page's url and title.
+(:func:`~repro.web.snippets.batch_snippets`); no page field is decoded.
 
 Failure injection: setting :attr:`SearchEngine.available` to ``False`` makes
 every query raise :class:`SearchEngineUnavailable`, and ``failure_rate``
@@ -44,11 +45,14 @@ installed via :attr:`SearchEngine.fault_plan`
 (a :class:`repro.resilience.FaultPlan`).
 
 The signature -> results cache is also *durable*: it is a
-:class:`~repro.persistence.PersistedDict`, which
-:meth:`SearchEngine.save_results_cache` writes to disk as a plain dict,
-fingerprinted by the corpus content (size, urls, indexed titles/bodies)
-and the BM25 parameters, and :meth:`SearchEngine.load_results_cache`
-warms a fresh engine -- in another process -- over the same corpus.
+:class:`~repro.persistence.PersistedDict` whose entries are tuples of
+(doc id, snippet) pairs, which :meth:`SearchEngine.save_results_cache`
+writes to disk as a plain dict, fingerprinted by the corpus content
+(size, urls, indexed titles/bodies) and the BM25 parameters, and
+:meth:`SearchEngine.load_results_cache` warms a fresh engine -- in
+another process -- over the same corpus.  The fingerprint folds the
+index's content digest, so a cached doc id names the same page
+wherever the entry is loaded.
 Saves are merge-on-save under an advisory file lock, so concurrent workers
 sharing one cache directory union their entries instead of clobbering each
 other.  The BM25 length norms are not persisted: they are a pure function
@@ -62,11 +66,12 @@ of the index and the parameters, recomputed in microseconds.
 ...                             body="hotel melisse rooms lodging suites"))
 ...     return engine
 >>> engine = build_engine()
->>> [hit.title for hit in engine.search("Hotel Melisse", k=3)]
+>>> hits = engine.search("Hotel Melisse", k=3)
+>>> [engine.index.page(hit.doc_id).title for hit in hits]
 ['Hotel Melisse']
 >>> batch = engine.search_many(["Hotel Melisse", "Hotel Melisse"], k=3)
->>> [hit.title for hit in batch[1]]
-['Hotel Melisse']
+>>> [engine.index.page(hit.doc_id).url for hit in batch[1]]
+['https://web/melisse']
 >>> engine.clock.n_charges  # search() charged 1; the duplicate batch, 1
 2
 >>> import os, tempfile
@@ -82,8 +87,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,12 +120,10 @@ class SearchEngineUnavailable(RuntimeError):
     """Raised when the engine is down or a request is dropped."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """One search hit: link, title and the query-biased snippet."""
+class SearchResult(NamedTuple):
+    """One search hit: its page's doc id and the query-biased snippet."""
 
-    url: str
-    title: str
+    doc_id: int
     snippet: str
 
 
@@ -157,18 +159,13 @@ class SearchEngine:
         self._builder = IndexBuilder() if index is None else None
         self._index = index
         # -- query compute caches (invalidated when the BM25 parameters change) --
-        # token signature -> ranked SearchResult list; owns its cache file
-        # and that file's IO counters.
+        # token signature -> ranked (doc id, snippet) pairs; owns its
+        # cache file and that file's IO counters.
         self._results_cache = PersistedDict("search-results")
         self._norms: np.ndarray | None = None
         # token -> its BM25 (doc ids, gains) over the English documents,
         # or None when unindexed.
         self._gains: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
-        # doc id -> (url, title), decoded once while the results cache
-        # holds results naming them: its entries share the strings, so
-        # each document's pair is pickled once however many results hold
-        # it.
-        self._url_titles: dict[int, tuple[str, str]] = {}
         self._cache_parameters = self.parameters
         self.query_count = 0
         # -- ranking cache accounting (observability only; never semantics) --
@@ -208,9 +205,9 @@ class SearchEngine:
 
     def __getstate__(self) -> dict:
         self.index  # a builder's hashers do not pickle; its frozen index does
-        # The per-token gains and the (url, title) memo are rebuilt on
-        # demand; the gains would pickle a mapped index's postings.
-        return {**self.__dict__, "_gains": {}, "_url_titles": {}}
+        # The per-token gains are rebuilt on demand; they would pickle a
+        # mapped index's postings.
+        return {**self.__dict__, "_gains": {}}
 
     def use_index_backend(self, backend: FrozenIndex) -> None:
         """Swap the engine onto *backend* (e.g. a frozen mmap artifact).
@@ -227,11 +224,7 @@ class SearchEngine:
                 "content digests differ"
             )
         self._index = backend
-        # The gains hold views of the old sections.  The (url, title)
-        # memo holds decoded strings, equal over the new backend, and
-        # keeping it keeps results ranked before and after the swap
-        # sharing them, so the results cache pickles the same bytes.
-        self._gains.clear()
+        self._gains.clear()  # views of the old sections
 
     # -- querying -----------------------------------------------------------------------
 
@@ -247,7 +240,7 @@ class SearchEngine:
         outcome = self._resolve([query], k)[query]
         if isinstance(outcome, str):
             raise SearchEngineUnavailable(outcome)
-        return list(outcome)
+        return list(map(SearchResult._make, outcome))
 
     def search_many(
         self, queries: Sequence[str], k: int = 10
@@ -266,18 +259,19 @@ class SearchEngine:
         with span("search.search_many", n_queries=len(queries)) as many_span:
             resolved = self._resolve(queries, k)
             many_span.tag(n_unique=len(resolved))
-        # Copy per entry: callers may mutate their result lists without
-        # corrupting the signature cache.
         return [
-            None if isinstance(resolved[query], str) else list(resolved[query])
+            None
+            if isinstance(resolved[query], str)
+            else list(map(SearchResult._make, resolved[query]))
             for query in queries
         ]
 
     def _resolve(
         self, queries: Sequence[str], k: int
-    ) -> dict[str, list[SearchResult] | str]:
-        """Issue each unique query once: its cached result list, or the
-        failure reason :meth:`_issue_request` gave when it was dropped.
+    ) -> dict[str, tuple[tuple[int, str], ...] | str]:
+        """Issue each unique query once: its cached (doc id, snippet)
+        pairs, or the failure reason :meth:`_issue_request` gave when it
+        was dropped.
 
         Result lists are cached per token signature (:meth:`_signature`).
         The signatures the cache lacks are ranked one by one and their
@@ -291,28 +285,24 @@ class SearchEngine:
         # helpers below read the frozen index as `self._index`.
         self.index
         self._validate_caches()
-        resolved: dict[str, list[SearchResult] | str | tuple] = {}
+        resolved: dict[str, tuple[tuple[int, str], ...] | str] = {}
+        signatures: dict[str, tuple] = {}
         ranked: dict[tuple, list[int]] = {}
-        for query in queries:
-            if query in resolved:
-                continue
+        for query in dict.fromkeys(queries):
             reason = self._issue_request(query)
             if reason is not None:
                 resolved[query] = reason
                 continue
-            signature = self._signature(query, k)
-            cached = self._results_cache.get(signature)
-            if cached is None and signature not in ranked:
+            signature = signatures[query] = self._signature(query, k)
+            if signature in self._results_cache or signature in ranked:
+                self._cache_hits += 1
+            else:
                 self._cache_misses += 1
                 ranked[signature] = self._top_k(signature[0], k)
-            else:
-                self._cache_hits += 1
-            resolved[query] = signature if cached is None else cached
         if ranked:
             self._store_results(ranked)
-            for query, outcome in resolved.items():
-                if isinstance(outcome, tuple):
-                    resolved[query] = self._results_cache[outcome]
+        for query, signature in signatures.items():
+            resolved[query] = self._results_cache[signature]
         return resolved
 
     def _issue_request(self, query: str) -> str | None:
@@ -371,8 +361,8 @@ class SearchEngine:
             self._cache_parameters = self.parameters
 
     def reset_compute_caches(self) -> None:
-        """Forget every query compute cache: ranked results, the
-        (url, title) pairs they share, length norms and per-token gains.
+        """Forget every query compute cache: ranked results, length
+        norms and per-token gains.
 
         This is what "cold" means: empty query caches over a built
         index.  Snippet windows are not a cache -- they come from the
@@ -381,7 +371,6 @@ class SearchEngine:
         Benchmarks call this to measure cold passes.
         """
         self._results_cache.clear()
-        self._url_titles.clear()
         self._norms = None
         self._gains.clear()
 
@@ -504,25 +493,14 @@ class SearchEngine:
         return filtered or tokens
 
     def _store_results(self, ranked: dict[tuple, list[int]]) -> None:
-        """Cache the results of each signature's *ranked* doc ids, their
-        snippets found for the whole batch at once
+        """Cache each signature's *ranked* doc ids paired with their
+        snippets, found for the whole batch at once
         (:func:`~repro.web.snippets.batch_snippets`)."""
-        index = self._index
-        url_titles = self._url_titles
         snippets = iter(
             batch_snippets(
-                index,
+                self._index,
                 [(signature[1], doc_ids) for signature, doc_ids in ranked.items()],
             )
         )
         for signature, doc_ids in ranked.items():
-            results: list[SearchResult] = []
-            for doc_id, snippet in zip(doc_ids, snippets):
-                url_title = url_titles.get(doc_id)
-                if url_title is None:
-                    url_title = url_titles[doc_id] = (
-                        index.field(doc_id, 0),
-                        index.field(doc_id, 1),
-                    )
-                results.append(SearchResult(*url_title, snippet))
-            self._results_cache[signature] = results
+            self._results_cache[signature] = tuple(zip(doc_ids, snippets))

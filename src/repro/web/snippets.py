@@ -114,8 +114,8 @@ def _render(
     Every row's items are laid out in one object array, each followed by
     a space or, after a row's last item, a newline (an empty window is
     one empty item); one ``join`` and one ``split`` make every row's
-    text, each its own string.  No word holds whitespace, so the
-    newlines split exactly the rows."""
+    text.  No word holds whitespace, so the newlines split exactly the
+    rows."""
     widths = np.minimum(counts - starts, max_words)
     leads = (starts > 0).astype(np.int64)
     n_items = leads + widths + (starts + max_words < counts)
@@ -135,11 +135,7 @@ def _render(
     slot = np.repeat(ends - n_items + leads - first, widths) + words
     at = np.repeat(row_starts + starts - first, widths) + words
     pieces[2 * slot] = index.words[body[at]]
-    texts = "".join(pieces.tolist()).split("\n")[:-1]
-    # `split` answers a one-character text with the interpreter's shared
-    # string; a fresh one keeps a pickled results cache from sharing it
-    # with an equal token, as rendering one window at a time never did.
-    return [text if len(text) != 1 else "".join((text, "")) for text in texts]
+    return "".join(pieces.tolist()).split("\n")[:-1]
 
 
 def window_starts(keys: np.ndarray, n_rows: int, max_words: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from repro.text.tokenization import tokenize
 from repro.web.documents import WebPage
 from repro.web.index import FrozenIndex
 from repro.web.ranking import BM25Parameters, bm25_norms
-from repro.web.search import SearchEngine, SearchResult
+from repro.web.search import SearchEngine
 from repro.web.snippets import DEFAULT_SNIPPET_WORDS
 
 
@@ -257,17 +257,12 @@ def extract_snippet(
 
 class ReferenceSearchEngine(SearchEngine):
     """The search engine ranking with the dense oracle and rendering each
-    result on its own: a full sort (:func:`ranked_doc_ids`), the window
-    found by re-tokenising the body (:func:`scan_window_start`), and one
-    decoded page kept per document for good, so every result naming a
-    document shares its url and title strings.  Request accounting and
-    the results cache are the engine's own, so the two engines' caches
-    can be compared entry by entry and pickled byte by byte.
+    result on its own: a full sort (:func:`ranked_doc_ids`) and the
+    window found by re-tokenising the decoded body
+    (:func:`scan_window_start`).  Request accounting and the results
+    cache are the engine's own, so the two engines' caches can be
+    compared entry by entry and pickled byte by byte.
     """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._pages: dict[int, WebPage] = {}
 
     def _top_k(self, effective: list[str], k: int) -> list[int]:
         return ranked_doc_ids(self._index, effective, k)
@@ -276,15 +271,12 @@ class ReferenceSearchEngine(SearchEngine):
         for signature, doc_ids in ranked.items():
             results = []
             for doc_id in doc_ids:
-                page = self._pages.get(doc_id)
-                if page is None:
-                    page = self._pages[doc_id] = self._index.page(doc_id)
-                words = page.body.split()
-                start = scan_window_start(words, set(signature[1]))
+                body = self._index.page(doc_id).body
+                start = scan_window_start(body.split(), set(signature[1]))
                 snippet = render_window(
-                    page.body.split(None, start + DEFAULT_SNIPPET_WORDS),
+                    body.split(None, start + DEFAULT_SNIPPET_WORDS),
                     start,
                     DEFAULT_SNIPPET_WORDS,
                 )
-                results.append(SearchResult(page.url, page.title, snippet))
-            self._results_cache[signature] = results
+                results.append((doc_id, snippet))
+            self._results_cache[signature] = tuple(results)

@@ -17,9 +17,13 @@ and the lifetime snippet -> label memo -- must round-trip through disk
 * every path that warm-starts from a cache directory -- the per-cell
   path, ``workers=2`` pools under both ``fork`` and ``spawn``, and the
   resident service -- answers byte-identically to a cold in-process
-  run, and the cache diagnostics see the warm run.
+  run, and the cache diagnostics see the warm run;
+* a file's bytes are a function of its entries alone, so a cold pass
+  writes the same files in process and in fork and spawn pools, and a
+  file naming a global starts cold without running it.
 """
 
+import logging
 import pickle
 import random
 
@@ -33,16 +37,45 @@ from repro.clock import VirtualClock
 from repro.core.annotator import ENGINE_CACHE_FILE, LABEL_MEMO_FILE, EntityAnnotator
 from repro.core.config import AnnotatorConfig
 from repro.core.parallel import annotate_tables_parallel
+from repro.eval.experiments import ALL_TYPE_KEYS
 from repro.service import protocol
 from repro.service.daemon import AnnotationService, ServiceConfig
 from repro.tables.model import Column, ColumnType, Table
 from repro.web.documents import WebPage
 from repro.web.index import FrozenIndexError
 from repro.web.ranking import BM25Parameters
-from repro.web.search import SearchEngine
+from repro.web.search import SearchEngine, SearchResult
 
 _WORDS = "exhibit gallery paintings curator collection museum".split()
 _NAMES = ["Grand Gallery", "Stone Hall", "Blue Door"]
+
+
+_TRIPPED: list[str] = []
+
+
+def _tripwire() -> None:
+    _TRIPPED.append("called")
+
+
+class _CallsTripwire:
+    """Unpickles by calling :func:`_tripwire`."""
+
+    def __reduce__(self):
+        return _tripwire, ()
+
+
+def _dump_blob(path, version, fingerprint, payload) -> None:
+    """A results-cache file as an old or hostile writer would leave it."""
+    with open(path, "wb") as handle:
+        pickle.dump(
+            {
+                "format_version": version,
+                "kind": "search-results",
+                "fingerprint": fingerprint,
+                "payload": payload,
+            },
+            handle,
+        )
 
 
 def _make_engine(parameters=None, names=_NAMES, pages_per_name=8) -> SearchEngine:
@@ -201,6 +234,66 @@ class TestEngineCacheRoundTrip:
         assert blob["format_version"] == persistence.CACHE_FORMAT_VERSION
         assert type(blob["payload"]) is dict
         assert blob["payload"] == dict(engine._results_cache)
+
+    def test_a_file_naming_a_global_cold_starts_without_calling_it(
+        self, tmp_path, caplog
+    ):
+        # Valid files hold plain values only, so the loader refuses any
+        # pickle naming a global: a file dropped into a shared cache
+        # directory cannot make a load call code.
+        engine = _make_engine()
+        path = tmp_path / "cache.bin"
+        _dump_blob(
+            path,
+            persistence.CACHE_FORMAT_VERSION,
+            engine.cache_fingerprint(),
+            {("trap",): _CallsTripwire()},
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.persistence"):
+            assert engine.load_results_cache(path) is False
+        assert _TRIPPED == []
+        assert not engine._results_cache
+        assert any(
+            "cache.file_unreadable" in record.message for record in caplog.records
+        )
+
+    def test_format_3_file_of_search_results_cold_starts(self, tmp_path):
+        # Format 3 pickled SearchResult objects; such a file names the
+        # class, so it starts cold under its own version number and under
+        # the current one, and the next save replaces it.
+        engine = _make_engine()
+        engine.search_many(_NAMES, k=5)
+        entries = {
+            signature: [SearchResult._make(pair) for pair in pairs]
+            for signature, pairs in engine._results_cache.items()
+        }
+        fresh = _make_engine()
+        for version in (3, persistence.CACHE_FORMAT_VERSION):
+            path = tmp_path / f"cache-{version}.bin"
+            _dump_blob(path, version, engine.cache_fingerprint(), entries)
+            assert fresh.load_results_cache(path) is False
+            assert not fresh._results_cache
+            assert engine.save_results_cache(path) is True
+            assert fresh.load_results_cache(path) is True
+            assert dict(fresh._results_cache) == dict(engine._results_cache)
+            fresh.reset_compute_caches()
+
+    def test_warm_batch_mixing_hits_and_misses_matches_cold(self, tmp_path):
+        # A loaded entry is a tuple of (doc id, snippet) pairs; a batch
+        # that mixes such hits with signatures ranked in the same batch,
+        # and repeats a query, answers as a cold engine does.
+        path = tmp_path / "cache.bin"
+        seeder = _make_engine()
+        seeder.search_many(_NAMES[:2], k=5)
+        seeder.save_results_cache(path)
+        warm = _make_engine()
+        assert warm.load_results_cache(path) is True
+        batch = [_NAMES[0], "gallery paintings", _NAMES[2], _NAMES[1],
+                 "gallery paintings", _NAMES[0], "zzz"]
+        expected = _make_engine().search_many(batch, k=5)
+        assert warm.search_many(batch, k=5) == expected
+        assert all(expected[:-1]) and expected[-1] == []
+        assert (warm._cache_hits, warm._cache_misses) == (2, 3)
 
     def test_version_1_file_with_page_windows_cold_starts(self, tmp_path):
         # The format-1 payload also pickled per-page snippet windows, and
@@ -608,3 +701,47 @@ class TestCacheDiagnostics:
         assert warm.diagnostics.results_cache_hits > 0
         assert warm.diagnostics.cache_loads >= 2
         assert warm.diagnostics.cache_load_bytes > 0
+
+
+class TestPooledCacheBytes:
+    def test_pooled_cache_files_equal_the_in_process_ones(
+        self, small_context, tmp_path
+    ):
+        # A file is a function of its entries alone: whichever worker
+        # saved first, and whichever strings are one object in memory, a
+        # cold pass writes the same two files in process, in a fork pool
+        # and in a spawn pool.
+        import multiprocessing
+
+        engine = small_context.world.search_engine
+        classifier = small_context.classifiers["svm"]
+        tables = small_context.gft.tables
+        runs = [(1, None), (2, None), (2, None)]
+        if "spawn" in multiprocessing.get_all_start_methods():
+            runs.append((2, "spawn"))
+        files = []
+        for number, (workers, start_method) in enumerate(runs):
+            engine.reset_compute_caches()
+            annotator = EntityAnnotator(classifier, engine)
+            cache_dir = tmp_path / str(number)
+            if start_method is None:
+                annotator.annotate_batch(
+                    tables, ALL_TYPE_KEYS, workers=workers, cache_dir=cache_dir
+                )
+            else:
+                annotate_tables_parallel(
+                    annotator,
+                    tables,
+                    ALL_TYPE_KEYS,
+                    workers=workers,
+                    cache_dir=cache_dir,
+                    start_method=start_method,
+                )
+            files.append(
+                [
+                    (cache_dir / name).read_bytes()
+                    for name in (ENGINE_CACHE_FILE, LABEL_MEMO_FILE)
+                ]
+            )
+        for pooled in files[1:]:
+            assert pooled == files[0]

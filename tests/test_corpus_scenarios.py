@@ -88,7 +88,7 @@ class TestEngineQueryFiltering:
         # must not dominate a name query.
         with_generic = engine.search("official Chez", k=5)
         without = engine.search("Chez", k=5)
-        assert [r.url for r in with_generic] == [r.url for r in without]
+        assert [r.doc_id for r in with_generic] == [r.doc_id for r in without]
 
     def test_all_common_query_still_answers(self, small_world):
         results = small_world.search_engine.search("official website", k=5)

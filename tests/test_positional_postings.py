@@ -214,7 +214,7 @@ def test_search_snippets_around_the_window_size(n_words, backend):
         engine = SearchEngine(index=memory if backend == "memory" else frozen)
         for query in ["melisse", "quay", "fillera 7", "zzz"]:
             for hit in engine.search(query, k=5):
-                page = next(p for p in pages if p.url == hit.url)
+                page = pages[hit.doc_id]
                 assert hit.snippet == extract_snippet(page.body, query)
 
 

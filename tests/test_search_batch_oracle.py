@@ -16,11 +16,11 @@ design against the straightforward versions in ``search_reference.py``:
   just under, at and across the 1,024-result chunk boundary, on the
   memory and mmap backends;
 * the engine's results, cache counters and pickled results cache equal
-  :class:`ReferenceSearchEngine`'s byte for byte, which shares each
-  document's url and title strings across results as the engine must;
+  :class:`ReferenceSearchEngine`'s byte for byte, also when a snippet
+  is a one-character string equal to a query token;
 * the per-token gains are computed once per token per cold pass, forgotten
-  by a reset, a parameter change and a pickle, and a result decodes only
-  its page's url and title.
+  by a reset, a parameter change and a pickle, and a search decodes no
+  page field.
 """
 
 import os
@@ -30,7 +30,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from search_reference import (
     ReferenceSearchEngine,
@@ -260,6 +260,10 @@ def _assert_same_engines(engine, reference, tmp_dir):
     batches=st.lists(st.lists(_query, max_size=6), min_size=1, max_size=3),
     k=st.integers(min_value=1, max_value=5),
 )
+# The snippet "b" from `str.split` is the interpreter's shared
+# one-character string, the same object as the signature's token "b":
+# the saved file must not depend on that sharing.
+@example(bodies=[" b"], languages=["en"] * 8, batches=[["B"]], k=1)
 def test_engine_equals_the_oracle_engine(bodies, languages, batches, k):
     # Duplicated bodies score identically: ties straddle the k-th place.
     pages = _pages(bodies + bodies[:2], (languages + languages)[: len(bodies) + 2])
@@ -332,14 +336,14 @@ def test_a_pickled_engine_carries_no_gains_or_page_fields():
     pages, _ = _seeded_corpus()
     engine = _engine_over(pages)
     first = engine.search_many(["hotel melisse", "quay"], k=5)
-    assert engine._gains and engine._url_titles
+    assert engine._gains
     copy = pickle.loads(pickle.dumps(engine))
-    assert copy._gains == {} and copy._url_titles == {}
+    assert copy._gains == {}
     assert dict(copy._results_cache) == dict(engine._results_cache)
     assert copy.search_many(["hotel melisse", "quay", "gallery"], k=5)[:2] == first
 
 
-def test_a_result_decodes_its_url_and_title_only(monkeypatch):
+def test_a_cold_search_decodes_no_page_field(monkeypatch):
     pages, _ = _seeded_corpus()
     engine = _engine_over(pages)
     engine.index
@@ -352,11 +356,7 @@ def test_a_result_decodes_its_url_and_title_only(monkeypatch):
         or field(self, doc_id, part),
     )
     results = engine.search_many(["hotel", "hotel melisse"], k=5)
-    n_results = sum(len(hits) for hits in results)
-    docs = {int(hit.url.rsplit("/", 1)[1]) for hits in results for hit in hits}
-    assert n_results > len(docs)  # some documents answer both queries
-    # Each document's url and title once; snippets come from the word
-    # stream, so no body and no language is decoded.
-    assert sorted(d for d, part in decoded if part == 0) == sorted(docs)
-    assert sorted(d for d, part in decoded if part == 1) == sorted(docs)
-    assert not [part for _, part in decoded if part >= 2]
+    assert sum(len(hits) for hits in results) > 0
+    # A result is its doc id and a snippet from the word stream: no
+    # url, title, body or language is decoded.
+    assert decoded == []

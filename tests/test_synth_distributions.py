@@ -87,8 +87,10 @@ class TestRetrievalQuality:
             e for e in small_world.table_entities("museum")
             if e.alternate_sense is None
         )
-        results = small_world.search_engine.search(entity.table_name, k=10)
-        own = sum(1 for r in results if entity.name in r.title)
+        engine = small_world.search_engine
+        results = engine.search(entity.table_name, k=10)
+        titles = [engine.index.page(r.doc_id).title for r in results]
+        own = sum(1 for title in titles if entity.name in title)
         assert own > len(results) / 2
 
     def test_city_token_boosts_home_pages(self, small_world):
@@ -96,13 +98,16 @@ class TestRetrievalQuality:
             e for e in small_world.table_entities("restaurant")
             if e.city is not None and e.alternate_sense is None
         )
-        plain = small_world.search_engine.search(entity.table_name, k=5)
-        boosted = small_world.search_engine.search(
-            f"{entity.table_name} {entity.city.name}", k=5
-        )
+        engine = small_world.search_engine
+        plain = engine.search(entity.table_name, k=5)
+        boosted = engine.search(f"{entity.table_name} {entity.city.name}", k=5)
         assert boosted  # the city never empties the result list
-        own_boosted = sum(1 for r in boosted if entity.name in r.title)
-        own_plain = sum(1 for r in plain if entity.name in r.title)
+
+        def own(results):
+            titles = [engine.index.page(r.doc_id).title for r in results]
+            return sum(1 for title in titles if entity.name in title)
+
+        own_boosted, own_plain = own(boosted), own(plain)
         assert own_boosted >= own_plain - 1
 
     def test_concept_word_returns_concept_like_pages(self, small_world):

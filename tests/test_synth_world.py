@@ -136,9 +136,11 @@ class TestWorld:
 
     def test_search_finds_entity_pages(self, world):
         entity = world.table_entities("museum")[0]
-        results = world.search_engine.search(entity.table_name, k=5)
+        engine = world.search_engine
+        results = engine.search(entity.table_name, k=5)
         assert results
-        assert any(entity.name in r.title for r in results)
+        titles = [engine.index.page(r.doc_id).title for r in results]
+        assert any(entity.name in title for title in titles)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

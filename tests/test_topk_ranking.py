@@ -67,7 +67,7 @@ def _corpus(distinct, order):
 
 
 def _ranked_ids(engine, query, k):
-    return [int(hit.url.rsplit("/", 1)[1]) for hit in engine.search(query, k)]
+    return [hit.doc_id for hit in engine.search(query, k)]
 
 
 @settings(max_examples=80, deadline=None)

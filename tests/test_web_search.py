@@ -61,20 +61,28 @@ def _engine(**kwargs):
 
 class TestSearch:
     def test_returns_ranked_results(self):
-        results = _engine().search("melisse", k=10)
+        engine = _engine()
+        results = engine.search("melisse", k=10)
         assert len(results) == 3  # french page filtered, noise unmatched
-        assert all("melisse" in r.title.lower() for r in results)
+        assert all(
+            "melisse" in engine.index.page(r.doc_id).title.lower()
+            for r in results
+        )
 
     def test_k_limits_results(self):
         assert len(_engine().search("melisse", k=2)) == 2
 
     def test_english_only(self):
-        urls = [r.url for r in _engine().search("melisse", k=10)]
-        assert "https://x/fr" not in urls
+        engine = _engine()
+        results = engine.search("melisse", k=10)
+        assert [engine.index.page(r.doc_id).language for r in results] == [
+            "en"
+        ] * 3
 
     def test_city_context_boosts_entity_pages(self):
-        results = _engine().search("melisse santa monica", k=1)
-        assert results[0].url == "https://x/melisse-0"
+        engine = _engine()
+        results = engine.search("melisse santa monica", k=1)
+        assert engine.index.page(results[0].doc_id).url == "https://x/melisse-0"
 
     def test_no_match_empty(self):
         assert _engine().search("zebra", k=5) == []
@@ -87,7 +95,7 @@ class TestSearch:
         engine = _engine()
         with_stop = engine.search("the melisse", k=3)
         without = engine.search("melisse", k=3)
-        assert [r.url for r in with_stop] == [r.url for r in without]
+        assert [r.doc_id for r in with_stop] == [r.doc_id for r in without]
 
     def test_query_count_increments(self):
         engine = _engine()
