@@ -15,7 +15,7 @@ Usage::
 
     # the resident annotation service
     python -m repro.cli serve --socket /tmp/repro.sock --small \\
-        --cache-dir .repro-cache --batch-window-ms 25 --workers 2
+        --cache-dir .repro-cache --workers 2
     python -m repro.cli client ping --socket /tmp/repro.sock
     python -m repro.cli client annotate --socket /tmp/repro.sock \\
         --table my_table.json --types museum,restaurant
@@ -53,9 +53,10 @@ front.
 
 ``serve`` keeps the warm engine resident: one process pays the cold start,
 then any number of ``client`` invocations (or :class:`ServiceClient`
-users) annotate against it, with concurrent requests micro-batched into
-pooled corpus passes; ``--workers N`` runs each pass on a pool of ``N``
-worker processes, and ``--retries``, ``--retry-backoff-ms`` and
+users) annotate against it.  The daemon answers a lone request at once;
+requests that queue while a pass runs (up to ``--max-batch-tables``)
+share the next pooled corpus pass; ``--workers N`` runs each pass on a
+pool of ``N`` worker processes, and ``--retries``, ``--retry-backoff-ms`` and
 ``--breaker-threshold`` arm the resilience layer at the search boundary
 (bounded retries with deterministic backoff, a consecutive-failure
 circuit breaker; both default off).  A ``Ctrl-C``/``SIGTERM`` anywhere --
@@ -482,8 +483,8 @@ def _serve_main(argv: list[str]) -> int:
         prog="repro-experiments serve",
         description=(
             "Start the resident annotation daemon: one warm engine + "
-            "classifier behind a Unix socket, micro-batching concurrent "
-            "requests into pooled corpus passes."
+            "classifier behind a Unix socket; requests that queue while a "
+            "pass runs share the next pooled corpus pass."
         ),
     )
     parser.add_argument(
@@ -523,15 +524,6 @@ def _serve_main(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=25.0,
-        help=(
-            "micro-batching window: how long the first request of a tick "
-            "waits for others to coalesce with it (default 25)"
-        ),
-    )
-    parser.add_argument(
         "--max-batch-tables",
         type=int,
         default=32,
@@ -561,7 +553,6 @@ def _serve_main(argv: list[str]) -> int:
 
     try:
         service_config = ServiceConfig(
-            batch_window_ms=args.batch_window_ms,
             max_batch_tables=args.max_batch_tables,
             workers=args.workers,
             cache_dir=str(args.cache_dir) if args.cache_dir else None,
@@ -612,7 +603,7 @@ def _serve_main(argv: list[str]) -> int:
     print(
         f"[context ready in {time.time() - start:.1f}s; serving "
         f"{len(experiments.ALL_TYPE_KEYS)} types on {args.socket} "
-        f"(window {args.batch_window_ms:.0f}ms, pid {os.getpid()})]",
+        f"(pid {os.getpid()})]",
         file=sys.stderr,
     )
     # SIGTERM takes the same graceful path as Ctrl-C: drain, flush, 130.

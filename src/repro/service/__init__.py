@@ -3,15 +3,15 @@
 The batch reproduction pays its cold start (world context, classifier,
 ranking/snippet caches) once per *process*; this package keeps one warm
 :class:`~repro.core.annotator.EntityAnnotator` resident behind a local
-socket so it is paid once per *deployment*.  Concurrently-arriving
-requests are coalesced by a micro-batching admission layer into pooled
-corpus passes (:meth:`~repro.core.annotator.EntityAnnotator.annotate_batch`),
-so independent clients share the search/classify/vote economics of
-corpus-at-a-time annotation.
+socket so it is paid once per *deployment*.  A lone request is answered
+at once; requests that queue while a pass runs are pooled into the next
+corpus pass (:meth:`~repro.core.annotator.EntityAnnotator.annotate_batch`),
+so under load independent clients share the search/classify/vote
+economics of corpus-at-a-time annotation.
 
 * :mod:`repro.service.protocol` -- the versioned line-delimited JSON wire
   schema (requests, responses, table and annotation payloads);
-* :mod:`repro.service.daemon` -- the server: request queue, micro-batcher,
+* :mod:`repro.service.daemon` -- the server: request queue, batcher,
   per-request demux, periodic + shutdown cache flush;
 * :mod:`repro.service.client` -- the blocking client
   (``annotate_table`` / ``annotate_cells`` / ``ping`` / ``stats`` /

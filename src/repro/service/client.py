@@ -13,7 +13,8 @@ The client is deliberately dumb: no pooling, no retries, no pipelining --
 it exists so tests, the CLI ``client`` subcommand, perfbench's
 ``service_open`` workload and user scripts all speak the wire format
 through one implementation.  A :class:`ServiceError` carries the daemon's
-error string; transport problems raise the underlying ``OSError``.
+error string, a :class:`ProtocolError` a bad or over-long response line;
+transport problems raise the underlying ``OSError``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ class ServiceClient:
         """Send one request, read its response, return the result dict."""
         self._writer.write(protocol.encode_request(request))
         self._writer.flush()
-        line = self._reader.readline()
+        try:
+            line = protocol.read_line(self._reader)
+        except ProtocolError:
+            self.close()  # the stream cannot be re-framed
+            raise
         if not line:
             raise ConnectionError(
                 f"daemon at {self.socket_path} closed the connection"

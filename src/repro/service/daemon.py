@@ -3,26 +3,24 @@
 Two layers:
 
 :class:`AnnotationService`
-    The socket-free core: a request queue, the **micro-batching admission
-    layer**, one lifetime metrics registry (the ``stats`` answer is a view
-    of it), and the cache-flush lifecycle.  Concurrently-arriving
-    ``annotate_table`` / ``annotate_cells`` requests are coalesced --
-    first arrival opens a batching window of ``batch_window_ms``,
-    everything that lands before it closes (up to ``max_batch_tables``)
-    joins the same pooled
-    :meth:`~repro.core.annotator.EntityAnnotator.annotate_batch` pass --
-    then each request gets exactly its own positional annotation back.
+    The socket-free core: a request queue, the **drain-on-ready
+    batcher**, one lifetime metrics registry (the ``stats`` answer is a
+    view of it), and the cache-flush lifecycle.  The batcher blocks for
+    a first ``annotate_table`` / ``annotate_cells`` request, takes what
+    is already queued behind it (up to ``max_batch_tables``) without
+    waiting, and runs them as one pooled
+    :meth:`~repro.core.annotator.EntityAnnotator.annotate_batch` pass;
+    each request gets exactly its own positional annotation back.
     Requests with different ``type_keys`` never share a pass (the
-    Equation 1 vote is computed *over the requested types*, so pooling
-    them would change answers); within a tick they form one sub-batch per
-    distinct key set.
+    Equation 1 vote is computed *over the requested types*); within a
+    batch they form one sub-batch per distinct key set.
 
 :class:`AnnotationDaemon`
     The socket layer: a threading Unix-domain stream server speaking the
     line protocol of :mod:`repro.service.protocol`, one handler thread
     per connection, all of them feeding the one shared service.  The
-    batching window is what turns N concurrent clients into one corpus
-    pass -- the pooled search/classify/vote economics that perfbench's
+    requests that queue during one pass form the next, so N concurrent
+    clients share corpus passes -- the pooled economics perfbench's
     ``service_open`` workload measures (``service.batch_size``).
 
 Warmth lifecycle: the service warm-starts from ``cache_dir`` when given,
@@ -69,20 +67,14 @@ can still use :class:`AnnotationService` in process."""
 class ServiceConfig:
     """Knobs of the resident service."""
 
-    batch_window_ms: float = 25.0
-    """How long the batcher holds the first request of a tick open for
-    late arrivals to coalesce with.  The window is latency deliberately
-    spent to buy pooled-economics throughput; 0 disables coalescing
-    (every request is its own pass)."""
-
     max_batch_tables: int = 32
-    """Upper bound on requests pooled into one tick (the window closes
-    early once reached), bounding per-pass memory and demux latency."""
+    """Most requests pooled into one batch, bounding per-pass memory and
+    demux latency; the rest wait for the next batch."""
 
     workers: int = 1
     """Worker processes for each pooled pass, forwarded to
     ``annotate_batch``; 1 (default) annotates in-process -- a process
-    pool per tick only pays off for very large batches."""
+    pool per batch only pays off for very large batches."""
 
     cache_dir: str | None = None
     """Warm-start source and flush target for the engine caches; ``None``
@@ -98,10 +90,6 @@ class ServiceConfig:
     deadline the batcher aims for)."""
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
         if self.max_batch_tables < 1:
             raise ValueError(
                 f"max_batch_tables must be >= 1, got {self.max_batch_tables}"
@@ -150,6 +138,11 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
 
+def _error(answering: Request | Response, error: str) -> Response:
+    """An ``ok: false`` answer carrying *error*, matched to *answering*."""
+    return Response(ok=False, request_id=answering.request_id, error=error)
+
+
 def _part(
     diagnostics: RunDiagnostics, counts: dict[str, int]
 ) -> MetricsRegistry:
@@ -188,7 +181,7 @@ class _Pending:
 
 
 class AnnotationService:
-    """The daemon's core: micro-batching over one warm annotator.
+    """The daemon's core: drain-on-ready batching over one warm annotator.
 
     Thread-safe: any number of threads may :meth:`submit` concurrently;
     one batcher thread executes the pooled passes (the annotator and its
@@ -252,18 +245,9 @@ class AnnotationService:
         if self._batcher is not None:
             self._batcher.join(timeout=60.0)
             self._batcher = None
-        while True:
-            try:
-                pending = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            pending.resolve(
-                Response(
-                    ok=False,
-                    request_id=pending.request.request_id,
-                    error="service is shutting down",
-                )
-            )
+        while batch := self._next_batch(timeout=0.0):
+            for pending in batch:
+                pending.resolve(_error(pending.request, "service is shutting down"))
         if self._flusher is not None:
             self._flusher.stop(final_flush=False)
             self._flusher = None
@@ -341,17 +325,9 @@ class AnnotationService:
         if handler is not None:
             return handler(request)
         if request.op not in ANNOTATE_OPS:
-            return Response(
-                ok=False,
-                request_id=request.request_id,
-                error=f"unknown operation {request.op!r}",
-            )
+            return _error(request, f"unknown operation {request.op!r}")
         if self._draining or not self._running.is_set():
-            return Response(
-                ok=False,
-                request_id=request.request_id,
-                error="service is shutting down",
-            )
+            return _error(request, "service is shutting down")
         try:
             pending = _Pending(
                 request,
@@ -359,9 +335,7 @@ class AnnotationService:
                 protocol.request_type_keys(request),
             )
         except ProtocolError as error:
-            return Response(
-                ok=False, request_id=request.request_id, error=str(error)
-            )
+            return _error(request, str(error))
         with self._pending_lock:
             self._pending_count += 1
         try:
@@ -370,13 +344,10 @@ class AnnotationService:
                 timeout=self.config.request_timeout_seconds
             ):
                 pending.abandoned = True
-                return Response(
-                    ok=False,
-                    request_id=request.request_id,
-                    error=(
-                        "request timed out after "
-                        f"{self.config.request_timeout_seconds:.0f}s"
-                    ),
+                return _error(
+                    request,
+                    "request timed out after "
+                    f"{self.config.request_timeout_seconds:.0f}s",
                 )
         finally:
             with self._pending_lock:
@@ -398,7 +369,6 @@ class AnnotationService:
     def _stats_snapshot(self, request: Request) -> Response:
         payload = self.stats()
         payload["uptime_seconds"] = time.monotonic() - self.started_at
-        payload["batch_window_ms"] = self.config.batch_window_ms
         payload["max_batch_tables"] = self.config.max_batch_tables
         # Where this daemon's frozen index lives ("memory": a private
         # in-process copy; "mmap": an artifact mapping shared zero-copy
@@ -440,30 +410,32 @@ class AnnotationService:
             },
         )
 
-    # -- the micro-batcher --------------------------------------------------------------
+    # -- the batcher ------------------------------------------------------------------
 
     def _batch_loop(self) -> None:
-        """Collect a tick's worth of requests, run the pooled pass, demux."""
-        window = self.config.batch_window_ms / 1000.0
+        """Run batches until stopped: take one, run its pooled pass, demux."""
         while self._running.is_set():
+            batch = self._next_batch(timeout=0.1)
+            if batch:
+                self._process(batch)
+
+    def _next_batch(self, timeout: float) -> list[_Pending]:
+        """Block up to *timeout* seconds for a first request, then take,
+        without waiting, whatever is already queued behind it, up to
+        ``max_batch_tables``; ``[]`` when nothing arrived."""
+        try:
+            batch = [self._queue.get(timeout=timeout)]
+        except queue.Empty:
+            return []
+        while len(batch) < self.config.max_batch_tables:
             try:
-                first = self._queue.get(timeout=0.1)
+                batch.append(self._queue.get_nowait())
             except queue.Empty:
-                continue
-            batch = [first]
-            deadline = time.monotonic() + window
-            while len(batch) < self.config.max_batch_tables:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(self._queue.get(timeout=remaining))
-                except queue.Empty:
-                    break
-            self._process(batch)
+                break
+        return batch
 
     def _process(self, batch: list[_Pending]) -> None:
-        """One tick: one pooled pass per distinct ``type_keys`` group."""
+        """One batch: one pooled pass per distinct ``type_keys`` group."""
         # A submitter that timed out already returned an error; paying a
         # corpus pass (and counting a request in the stats) for it would
         # only delay the live requests behind the annotator lock.
@@ -523,13 +495,7 @@ class AnnotationService:
             if len(group) == 1:
                 pending = group[0]
                 self.registry.inc("service.poisoned_requests")
-                pending.resolve(
-                    Response(
-                        ok=False,
-                        request_id=pending.request.request_id,
-                        error=f"annotation failed: {error}",
-                    )
-                )
+                pending.resolve(_error(pending.request, f"annotation failed: {error}"))
                 return
             middle = len(group) // 2
             self._annotate_group(group[:middle], type_keys, bisect_depth + 1)
@@ -581,7 +547,11 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         try:
             while True:
-                line = self.rfile.readline()
+                try:
+                    line = protocol.read_line(self.rfile)
+                except ProtocolError as error:  # over-long: cannot re-frame
+                    self._write(Response(ok=False, error=str(error)))
+                    return
                 if not line:
                     return
                 line = line.strip()
@@ -590,8 +560,8 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 try:
                     request = protocol.decode_request(line)
                 except ProtocolError as error:
-                    # Malformed line (bad JSON, missing op, oversized):
-                    # structured error back, connection stays usable.
+                    # Malformed line (bad JSON, missing op): structured
+                    # error back, connection stays usable.
                     self._write(Response(ok=False, error=str(error)))
                     continue
                 response = self.server.service.submit(request)  # type: ignore[attr-defined]
@@ -606,8 +576,14 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
             return
 
     def _write(self, response: Response) -> None:
+        line = protocol.encode_response(response)
+        if len(line) > protocol.MAX_LINE_BYTES:
+            # The client could not frame it: answer an error in its place,
+            # so the connection stays usable.
+            too_long = f"response longer than {protocol.MAX_LINE_BYTES} bytes"
+            line = protocol.encode_response(_error(response, too_long))
         try:
-            self.wfile.write(protocol.encode_response(response))
+            self.wfile.write(line)
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass

@@ -1,11 +1,11 @@
 """Wire schema of the resident annotation service.
 
-One JSON object per line (UTF-8, ``\\n``-terminated), in both directions.
-Every message carries the protocol version; the daemon rejects versions it
-does not speak rather than guessing at field semantics.  Table payloads
-reuse the dictionary layout of :mod:`repro.tables.io`
-(:func:`~repro.tables.io.table_to_payload`), annotation payloads mirror
-:class:`~repro.core.results.TableAnnotation` /
+One JSON object per line (UTF-8, ``\\n``-terminated, at most
+:data:`MAX_LINE_BYTES`), in both directions.  Every message carries the
+protocol version; the daemon rejects versions it does not speak rather
+than guessing at field semantics.  Table payloads reuse the dictionary
+layout of :mod:`repro.tables.io` (:func:`~repro.tables.io.table_to_payload`),
+annotation payloads mirror :class:`~repro.core.results.TableAnnotation` /
 :class:`~repro.core.results.CellAnnotation` field for field, so a
 round-tripped annotation compares equal to the in-process original --
 the service parity contract.
@@ -56,8 +56,14 @@ OPS = ("ping", "stats", "metrics", "annotate_table", "annotate_cells", "shutdown
 """Every operation the daemon understands."""
 
 ANNOTATE_OPS = ("annotate_table", "annotate_cells")
-"""The operations that enter the micro-batching queue (the rest are
+"""The operations that enter the batching queue (the rest are
 answered immediately by the connection handler)."""
+
+MAX_LINE_BYTES = 16 * 1024 * 1024
+"""Longest line either side reads, newline included.  Past it the stream
+cannot be re-framed, so the daemon answers an over-long request with an
+error and hangs up; it never writes an over-long response, but answers
+an error in its place."""
 
 CELLS_COLUMN = "Value"
 """Column name of the synthetic one-column table an ``annotate_cells``
@@ -94,6 +100,15 @@ class Response:
 
 
 # -- line codec --------------------------------------------------------------------------
+
+
+def read_line(reader) -> bytes:
+    """The next line of *reader* (``b""`` at end of stream); raises
+    :class:`ProtocolError` rather than buffer over :data:`MAX_LINE_BYTES`."""
+    line = reader.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise ProtocolError(f"line longer than {MAX_LINE_BYTES} bytes")
+    return line
 
 
 def encode_request(request: Request) -> bytes:

@@ -3,7 +3,7 @@
 Every test here breaks something for real -- a SIGKILLed pool worker, a
 poison-pill query that crashes whoever touches it, a request that blows
 up a pooled service batch, a client that vanishes mid-conversation, a
-cache file replaced by garbage -- and asserts the system's *scripted*
+line too long to frame, a cache file replaced by garbage -- and asserts the system's *scripted*
 recovery behaviour, exactly, thanks to the deterministic
 :class:`~repro.resilience.FaultPlan` and the keyed failure draws.
 
@@ -18,6 +18,7 @@ import logging
 import multiprocessing
 import random
 import socket
+import threading
 
 import pytest
 
@@ -34,7 +35,8 @@ from repro.core.config import AnnotatorConfig
 from repro.core.parallel import annotate_tables_parallel
 from repro.resilience import FaultPlan
 from repro.service import protocol
-from repro.service.client import ServiceClient
+from repro.service.protocol import ProtocolError
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import (
     HAVE_UNIX_SOCKETS,
     AnnotationDaemon,
@@ -44,6 +46,7 @@ from repro.service.daemon import (
 from repro.tables.model import Column, ColumnType, Table
 from repro.web.documents import WebPage
 from repro.web.search import SearchEngine
+from service_batching import run_as_one_batch
 
 _WORDS = "exhibit gallery paintings curator collection museum".split()
 _NAMES = [f"Venue {i}" for i in range(24)]
@@ -211,19 +214,19 @@ class TestBatchPoisonIsolation:
             classifier, _make_engine(), AnnotatorConfig(), cache=SnippetCache()
         )
         real_annotate_batch = annotator.annotate_batch
+        passes = []
 
         def poisoned_annotate_batch(tables, type_keys, **kwargs):
+            passes.append([table.name for table in tables])
             if any(table.name == "poison" for table in tables):
                 raise RuntimeError("simulated annotator blow-up")
             return real_annotate_batch(tables, type_keys, **kwargs)
 
         annotator.annotate_batch = poisoned_annotate_batch
         service = AnnotationService(
-            annotator, ServiceConfig(batch_window_ms=200.0, max_batch_tables=8)
+            annotator, ServiceConfig(max_batch_tables=8)
         ).start()
         try:
-            import threading
-
             names = ["a", "b", "poison", "c", "d"]
             tables = [
                 Table(name=name, columns=[Column("Name", ColumnType.TEXT)])
@@ -231,25 +234,37 @@ class TestBatchPoisonIsolation:
             ]
             for index, table in enumerate(tables):
                 table.append_row([_NAMES[index]])
-            responses = [None] * len(tables)
-            barrier = threading.Barrier(len(tables))
+            blocker = Table(
+                name="blocker", columns=[Column("Name", ColumnType.TEXT)]
+            )
+            blocker.append_row([_NAMES[10]])
 
-            def submit(index):
-                barrier.wait()
-                responses[index] = service.submit(
-                    protocol.annotate_table_request(
-                        tables[index], _TYPE_KEYS, str(index)
-                    )
+            def submitter(table, request_id):
+                request = protocol.annotate_table_request(
+                    table, _TYPE_KEYS, request_id
                 )
+                return lambda: service.submit(request)
 
-            threads = [
-                threading.Thread(target=submit, args=(i,))
-                for i in range(len(tables))
+            # All five queue behind the blocker's pass: one batch of five,
+            # which the poison fails and bisection recovers.
+            blocked, *responses = run_as_one_batch(
+                service,
+                submitter(blocker, "b"),
+                [
+                    submitter(table, str(index))
+                    for index, table in enumerate(tables)
+                ],
+            )
+            assert blocked.ok
+            # One batch of five, bisected down to the poisoned request.
+            assert passes == [
+                ["blocker"],
+                names,
+                ["a", "b"],
+                ["poison", "c", "d"],
+                ["poison"],
+                ["c", "d"],
             ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
             by_name = dict(zip(names, responses))
             poisoned = by_name.pop("poison")
             assert not poisoned.ok
@@ -257,7 +272,8 @@ class TestBatchPoisonIsolation:
             assert all(response.ok for response in by_name.values())
             assert service.stats()["poisoned_requests"] == 1
             # The healthy four were served by the bisected sub-passes.
-            assert service.stats()["requests"] == 4
+            assert service.stats()["requests"] == 1 + 4
+            assert service.stats()["batches"] == 3
             reference = EntityAnnotator(
                 classifier, _make_engine(), AnnotatorConfig()
             )
@@ -320,6 +336,75 @@ class TestDaemonConnectionChaos:
                     )
                     pong = protocol.decode_response(reader.readline())
                     assert pong.ok and pong.request_id == "2"
+
+    def test_over_long_request_line_gets_error_and_connection_closes(
+        self, classifier, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 64)
+        with self._daemon(classifier, tmp_path):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.connect(str(tmp_path / "svc.sock"))
+                sock.sendall(b'{"v": 1, "op": "ping", "pad": "%s"}\n' % (b"x" * 200))
+                with sock.makefile("rb") as reader:
+                    answer = protocol.decode_response(reader.readline())
+                    assert not answer.ok
+                    assert "longer than 64 bytes" in answer.error
+                    # The line cannot be re-framed: the daemon hung up.
+                    try:
+                        rest = reader.read()
+                    except ConnectionResetError:
+                        rest = b""
+                    assert rest == b""
+            monkeypatch.undo()
+            # Other connections are unaffected.
+            with ServiceClient(tmp_path / "svc.sock") as client:
+                assert client.ping()["version"] == protocol.PROTOCOL_VERSION
+
+    def test_over_long_response_is_answered_with_an_error(
+        self, classifier, tmp_path, monkeypatch
+    ):
+        values = _NAMES[:4]
+        request_line = protocol.encode_request(
+            protocol.annotate_cells_request(values, _TYPE_KEYS, "1")
+        )
+        with self._daemon(classifier, tmp_path) as daemon:
+            # The in-process answer: its line is longer than the request's.
+            answer_line = protocol.encode_response(
+                daemon.service.submit(protocol.decode_request(request_line))
+            )
+            cap = len(request_line)
+            assert len(answer_line) > cap
+            monkeypatch.setattr(protocol, "MAX_LINE_BYTES", cap)
+            with ServiceClient(tmp_path / "svc.sock") as client:
+                # The request fits and its answer does not: the daemon
+                # answers an error instead, and the stream stays framed.
+                with pytest.raises(ServiceError, match=f"longer than {cap} bytes"):
+                    client.annotate_cells(values, _TYPE_KEYS)
+                assert client.ping()["version"] == protocol.PROTOCOL_VERSION
+
+    def test_over_long_response_raises_protocol_error(
+        self, tmp_path, monkeypatch
+    ):
+        # A peer that answers any request with an over-long line.
+        path = str(tmp_path / "long.sock")
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
+            server.bind(path)
+            server.listen(1)
+
+            def answer_long() -> None:
+                connection, _ = server.accept()
+                with connection, connection.makefile("rb") as reader:
+                    reader.readline()
+                    connection.sendall(b'{"v": 1, "pad": "%s"}\n' % (b"x" * 200))
+
+            peer = threading.Thread(target=answer_long, daemon=True)
+            peer.start()
+            monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 64)
+            with ServiceClient(path) as client:
+                with pytest.raises(ProtocolError, match="longer than 64 bytes"):
+                    client.ping()
+            peer.join(timeout=30.0)
+            assert not peer.is_alive()
 
     def test_client_vanishing_mid_request_leaves_daemon_serving(
         self, classifier, tmp_path

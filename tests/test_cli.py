@@ -87,12 +87,6 @@ class TestServeArguments:
         with pytest.raises(SystemExit):
             cli.main(["serve"])
 
-    def test_serve_rejects_negative_window(self):
-        with pytest.raises(SystemExit):
-            cli.main(
-                ["serve", "--socket", "/tmp/x.sock", "--batch-window-ms", "-1"]
-            )
-
     def test_serve_rejects_zero_workers(self):
         with pytest.raises(SystemExit):
             cli.main(["serve", "--socket", "/tmp/x.sock", "--workers", "0"])

@@ -56,6 +56,7 @@ from repro.service.daemon import AnnotationService, ServiceConfig
 from repro.tables.model import Column, ColumnType, Table
 from repro.web.documents import WebPage
 from repro.web.search import SearchEngine
+from service_batching import run_as_one_batch
 
 _WORDS = "exhibit gallery paintings curator collection museum".split()
 _NAMES = [f"Venue {i}" for i in range(24)]
@@ -507,7 +508,7 @@ class TestTracingParity:
         tracing.enable_tracing()
         service = AnnotationService(
             EntityAnnotator(classifier, _make_engine(), AnnotatorConfig()),
-            ServiceConfig(batch_window_ms=1.0),
+            ServiceConfig(),
         ).start()
         try:
             response = service.submit(
@@ -587,7 +588,7 @@ class TestServiceObservability:
         table = _corpus(n_tables=1, rows_per_table=3)[0]
         service = AnnotationService(
             EntityAnnotator(classifier, _make_engine(), AnnotatorConfig()),
-            ServiceConfig(batch_window_ms=1.0),
+            ServiceConfig(),
         ).start()
         try:
             assert service.submit(
@@ -621,7 +622,7 @@ class TestServiceObservability:
 
         annotator.annotate_batch = poisoned_annotate_batch
         service = AnnotationService(
-            annotator, ServiceConfig(batch_window_ms=0.0, cache_dir=str(tmp_path))
+            annotator, ServiceConfig(cache_dir=str(tmp_path))
         ).start()
         try:
             tables = _corpus(n_tables=3, rows_per_table=3)
@@ -679,7 +680,6 @@ class TestServiceObservability:
             "coalescing_ratio",
             "warm_hit_rate",
             "uptime_seconds",
-            "batch_window_ms",
         }
         assert [(key, type(value)) for key, value in stats.items()] == [
             (key, str if key == "index_backend" else float if key in floats else int)
@@ -693,7 +693,7 @@ class TestServiceObservability:
                 "cache_saves", "cache_load_bytes", "cache_save_bytes",
                 "cache_lock_wait_seconds", "mean_batch_size",
                 "coalescing_ratio", "warm_hit_rate", "uptime_seconds",
-                "batch_window_ms", "max_batch_tables", "index_backend",
+                "max_batch_tables", "index_backend",
             )
         ]
 
@@ -702,7 +702,7 @@ class TestServiceObservability:
         tracing.enable_tracing()
         service = AnnotationService(
             EntityAnnotator(classifier, _make_engine(), AnnotatorConfig()),
-            ServiceConfig(batch_window_ms=1.0),
+            ServiceConfig(),
         ).start()
         try:
             assert service.submit(
@@ -731,7 +731,52 @@ class TestServiceObservability:
             assert stage in by_name, f"missing {stage} span"
         # The admission->batch->stages chain covers the request's wall
         # time: the pooled pass accounts for (almost) everything the
-        # request waited on beyond the batching window.
+        # request waited on.
         assert batch_span["wall_seconds"] <= request_span["wall_seconds"]
         stage_wall = sum(r["wall_seconds"] for r in by_name["annotate.resolve_queries"])
         assert stage_wall <= batch_span["wall_seconds"]
+
+    def test_coalesced_pool_pass_traces_pool_tasks_and_demuxes(self, classifier):
+        # Two same-named cells requests queued behind a running pass share
+        # the next one, which a workers=2 service runs on its pool: the
+        # trace carries the workers' task spans, and each request still
+        # gets exactly its own cell back.
+        tracing.enable_tracing()
+        service = AnnotationService(
+            EntityAnnotator(classifier, _make_engine(), AnnotatorConfig()),
+            ServiceConfig(workers=2),
+        ).start()
+        requests = [
+            protocol.annotate_cells_request(
+                [value], _TYPE_KEYS, str(index), trace_id=f"trace-{index}"
+            )
+            for index, value in enumerate(["Venue 0", "Venue 1", "Venue 2"])
+        ]
+        try:
+            responses = run_as_one_batch(
+                service,
+                lambda: service.submit(requests[0]),
+                [lambda r=request: service.submit(r) for request in requests[1:]],
+            )
+        finally:
+            service.stop()
+        reference = EntityAnnotator(classifier, _make_engine(), AnnotatorConfig())
+        for request, response in zip(requests, responses):
+            assert response.ok
+            expected = reference.annotate_table(
+                protocol.table_for_request(request), _TYPE_KEYS
+            )
+            assert expected.cells  # a real decision, not an empty answer
+            assert response.result["cells"] == protocol.cell_decisions(expected, 1)
+            assert protocol.annotation_from_payload(
+                response.result["annotation"]
+            ) == expected
+        records = tracing.get_buffer().snapshot()
+        batches = [r for r in records if r["name"] == "service.batch"]
+        assert [b["tags"]["trace_ids"] for b in batches] == [
+            ["trace-0"],
+            ["trace-1", "trace-2"],
+        ]
+        tasks = [r for r in records if r["name"] == "pool.task"]
+        assert len(tasks) == 2
+        assert {r["trace_id"] for r in tasks} == {"trace-1"}

@@ -12,10 +12,10 @@ layer up:
 * **service parity** -- concurrent clients submitting overlapping-query
   tables receive annotations byte-identical to sequential one-shot
   ``annotate_table`` calls on an identical engine;
-* **coalescing** -- concurrently-arriving requests share pooled corpus
-  passes (coalescing ratio > 1), while requests with different
-  ``type_keys`` never share a pass (the Equation 1 vote depends on the
-  requested types);
+* **coalescing** -- requests that queue while a pass runs share the
+  next pooled corpus pass (coalescing ratio > 1), a lone request never
+  waits for company, and requests with different ``type_keys`` never
+  share a pass (the Equation 1 vote depends on the requested types);
 * **cache-dir sharing** -- a daemon flushing into a cache directory
   locked by another process (a concurrent CLI run) skips the save after
   the bounded lock wait instead of hanging, and keeps serving.
@@ -25,7 +25,6 @@ import json
 import logging
 import os
 import random
-import threading
 import time
 
 import pytest
@@ -50,6 +49,7 @@ from repro.service.protocol import ProtocolError, Request
 from repro.tables.model import Column, ColumnType, Table
 from repro.web.documents import WebPage
 from repro.web.search import SearchEngine
+from service_batching import run_as_one_batch
 
 _MUSEUM_WORDS = "exhibit gallery paintings curator collection museum".split()
 _RESTAURANT_WORDS = "menu chef cuisine dining wine tasting".split()
@@ -99,6 +99,29 @@ def _table(name, values) -> Table:
 
 def _annotator(classifier, **kwargs) -> EntityAnnotator:
     return EntityAnnotator(classifier, _make_engine(), AnnotatorConfig(), **kwargs)
+
+
+def _submitter(service, table, request_id, type_keys=_TYPE_KEYS):
+    """A callable submitting one ``annotate_table`` request to *service*."""
+    request = protocol.annotate_table_request(table, type_keys, request_id)
+    return lambda: service.submit(request)
+
+
+def _record_passes(annotator) -> list:
+    """Wrap *annotator*'s ``annotate_batch`` to record each pass as
+    ``(table names, queries issued)``; returns the record list."""
+    passes = []
+    annotate_batch = annotator.annotate_batch
+
+    def recording_annotate_batch(tables, type_keys, **kwargs):
+        result = annotate_batch(tables, type_keys, **kwargs)
+        passes.append(
+            ([table.name for table in tables], result.diagnostics.queries_issued)
+        )
+        return result
+
+    annotator.annotate_batch = recording_annotate_batch
+    return passes
 
 
 # ---------------------------------------------------------------------------- protocol
@@ -248,38 +271,29 @@ class TestAnnotationService:
             service.stop()
 
     def test_concurrent_requests_coalesce(self, classifier):
-        # All clients release together; the admission window must pool
-        # them into one corpus pass (requests > batches).
+        # Requests that queue while a pass runs share the next pass: one
+        # corpus pass for all of them (requests > batches).
         n_clients = 6
-        service = self._service(
-            classifier, batch_window_ms=500.0, max_batch_tables=n_clients
-        )
+        service = self._service(classifier, max_batch_tables=n_clients)
+        passes = _record_passes(service.annotator)
         try:
             tables = [_table(f"site-{i}", _MUSEUMS) for i in range(n_clients)]
-            responses = [None] * n_clients
-            barrier = threading.Barrier(n_clients)
-
-            def submit(index):
-                barrier.wait()
-                responses[index] = service.submit(
-                    protocol.annotate_table_request(
-                        tables[index], _TYPE_KEYS, str(index)
-                    )
-                )
-
-            threads = [
-                threading.Thread(target=submit, args=(i,)) for i in range(n_clients)
+            blocker, *responses = run_as_one_batch(
+                service,
+                _submitter(service, _table("blocker", _RESTAURANTS), "b"),
+                [
+                    _submitter(service, table, str(index))
+                    for index, table in enumerate(tables)
+                ],
+            )
+            assert blocker.ok and all(response.ok for response in responses)
+            # Overlapping queries across clients: issued once for the pass.
+            assert passes == [
+                (["blocker"], len(_RESTAURANTS)),
+                ([table.name for table in tables], len(_MUSEUMS)),
             ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(response.ok for response in responses)
-            assert service.stats()["requests"] == n_clients
-            assert service.stats()["batches"] == 1
-            assert service.stats()["coalescing_ratio"] == n_clients
-            # Overlapping queries across clients: issued once for the tick.
-            assert service.stats()["queries_issued"] == len(_MUSEUMS)
+            assert service.stats()["requests"] == n_clients + 1
+            assert service.stats()["batches"] == 2
             # Every client still got exactly its own table's answer.
             reference = _annotator(classifier)
             for index, response in enumerate(responses):
@@ -292,42 +306,65 @@ class TestAnnotationService:
 
     def test_different_type_keys_never_share_a_pass(self, classifier):
         # Pooling requests with different requested types would change
-        # Equation 1 votes; they must run as separate sub-batches.
-        service = self._service(classifier, batch_window_ms=500.0, max_batch_tables=2)
+        # Equation 1 votes; one batch runs them as separate sub-batches.
+        service = self._service(classifier, max_batch_tables=2)
+        passes = _record_passes(service.annotator)
         try:
-            barrier = threading.Barrier(2)
-            responses = [None, None]
-            requests = [
-                protocol.annotate_table_request(_table("a", _MUSEUMS), ["museum"], "0"),
-                protocol.annotate_table_request(
-                    _table("b", _MUSEUMS), ["restaurant"], "1"
-                ),
-            ]
-
-            def submit(index):
-                barrier.wait()
-                responses[index] = service.submit(requests[index])
-
-            threads = [
-                threading.Thread(target=submit, args=(i,)) for i in (0, 1)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(response.ok for response in responses)
-            assert service.stats()["requests"] == 2
-            assert service.stats()["batches"] == 2  # one pooled pass per key set
+            _, museum, restaurant = run_as_one_batch(
+                service,
+                _submitter(service, _table("blocker", _RESTAURANTS), "b"),
+                [
+                    _submitter(service, _table("a", _MUSEUMS), "0", ["museum"]),
+                    _submitter(service, _table("b", _MUSEUMS), "1", ["restaurant"]),
+                ],
+            )
+            assert museum.ok and restaurant.ok
+            assert [names for names, _ in passes] == [["blocker"], ["a"], ["b"]]
+            assert service.stats()["requests"] == 3
+            assert service.stats()["batches"] == 3  # one pooled pass per key set
             museum_only = protocol.annotation_from_payload(
-                responses[0].result["annotation"]
+                museum.result["annotation"]
             )
             restaurant_only = protocol.annotation_from_payload(
-                responses[1].result["annotation"]
+                restaurant.result["annotation"]
             )
             assert {cell.type_key for cell in museum_only.cells} <= {"museum"}
             assert restaurant_only.cells == []
         finally:
             service.stop()
+
+    def test_next_batch_takes_what_is_queued_and_never_waits(self, classifier):
+        # Batch assembly blocks for the first request only, then drains
+        # the queue up to max_batch_tables; the rest is the next batch.
+        service = AnnotationService(
+            _annotator(classifier), ServiceConfig(max_batch_tables=3)
+        )
+        takes = []
+        get = service._queue.get
+
+        def recording_get(block=True, timeout=None):
+            takes.append(block)
+            return get(block, timeout)
+
+        service._queue.get = recording_get
+        queued = [
+            daemon_module._Pending(
+                protocol.annotate_table_request(_table(name, _MUSEUMS), _TYPE_KEYS),
+                _table(name, _MUSEUMS),
+                tuple(_TYPE_KEYS),
+            )
+            for name in "abcde"
+        ]
+        for pending in queued:
+            service._queue.put(pending)
+        assert service._next_batch(timeout=0.0) == queued[:3]
+        assert takes == [True, False, False]  # full: no further take
+        takes.clear()
+        assert service._next_batch(timeout=0.0) == queued[3:]
+        # Only the first take blocks; finding the queue empty ends it.
+        assert takes == [True, False, False]
+        assert service._next_batch(timeout=0.0) == []
+        assert not any(pending.done.is_set() for pending in queued)
 
     def test_bad_request_answered_not_fatal(self, classifier):
         service = self._service(classifier)
@@ -389,27 +426,26 @@ class TestDaemon:
         daemon = AnnotationDaemon(
             _annotator(classifier, cache=SnippetCache()),
             socket_path,
-            ServiceConfig(batch_window_ms=300.0, max_batch_tables=n_clients),
+            ServiceConfig(max_batch_tables=n_clients),
         )
-        payloads = [None] * n_clients
         with daemon:
-            barrier = threading.Barrier(n_clients)
 
-            def run_client(index):
-                with ServiceClient(socket_path) as client:
-                    barrier.wait()
-                    payloads[index] = protocol.annotation_to_payload(
-                        client.annotate_table(tables[index], _TYPE_KEYS)
-                    )
+            def client_for(index):
+                def run_client():
+                    with ServiceClient(socket_path) as client:
+                        return protocol.annotation_to_payload(
+                            client.annotate_table(tables[index], _TYPE_KEYS)
+                        )
 
-            threads = [
-                threading.Thread(target=run_client, args=(i,))
-                for i in range(n_clients)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+                return run_client
+
+            # The first client's pass runs alone; the others queue behind
+            # it and share the next one.
+            payloads = run_as_one_batch(
+                daemon.service,
+                client_for(0),
+                [client_for(index) for index in range(1, n_clients)],
+            )
             with ServiceClient(socket_path) as client:
                 stats = client.stats()
         reference = _annotator(classifier)
@@ -422,6 +458,7 @@ class TestDaemon:
                 expected, sort_keys=True
             )
         assert stats["requests"] == n_clients
+        assert stats["batches"] == 2
         assert stats["coalescing_ratio"] > 1.0
 
     def test_annotate_cells_round_trip(self, classifier, tmp_path):
